@@ -28,6 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .diophantine import DiophantineWitness, RealValue, chi, default_rho, \
     joint_witness_search, witness_search
@@ -122,16 +123,26 @@ def _log_zqa(ctx: QContext) -> float:
     return math.log(ctx.abs_z) + ctx.alpha * ctx.log_q
 
 
+# The prefactors depend on the context alone; verify rows share one context,
+# so each is computed once per context rather than once per row.
+@lru_cache(maxsize=16)
 def _aq_prefactor(ctx: QContext, constant: float) -> float:
     c2 = pochhammer(-ctx.q ** 2, ctx.q, None, ctx.tol, ctx.max_terms).real ** 2
     big_b = b_function(ctx.q, _exp(-_log_zqa(ctx)), ctx.tol, ctx.max_terms).real
     return constant * c2 * big_b / ((1.0 - ctx.q) ** 3 * math.exp(euler_log(ctx.q, ctx.max_terms)))
 
 
+@lru_cache(maxsize=16)
 def _theta_prefactor(ctx: QContext, constant: float) -> float:
     c3 = pochhammer(-ctx.q ** 2, ctx.q, None, ctx.tol, ctx.max_terms).real ** 3
     big_t = theta(complex(_exp(_log_zqa(ctx))), math.sqrt(ctx.q), ctx.tol, ctx.max_terms).real
     return constant * c3 * big_t / ((1.0 - ctx.q) ** 4 * math.exp(euler_log(ctx.q, ctx.max_terms)))
+
+
+@lru_cache(maxsize=16)
+def _case1_b(ctx: QContext) -> float:
+    """B_q(q^(2-a)/|z|), the n-independent factor of the case-1 majorant."""
+    return b_function(ctx.q, ctx.q ** (2.0 - ctx.alpha) / ctx.abs_z, ctx.tol, ctx.max_terms).real
 
 
 def _conds_to_notes(conds: list[tuple[str, bool]]) -> tuple[bool, str]:
@@ -164,10 +175,8 @@ def eval_case1(ctx: QContext, sp: ScalingParameter, n: int) -> RegimeReport:
     exact_lp = lp_mul(normalized_laguerre_lp(ctx, sp, n), lp(tq.log(n), 0.0))
     exact = exact_lp.to_complex()
     observed = abs(exact - 1.0)
-    q, alpha = ctx.q, ctx.alpha
-    big_b = b_function(q, q ** (2.0 - alpha) / ctx.abs_z, ctx.tol, ctx.max_terms).real
-    bound = _exp((1.0 - alpha) * ctx.log_q + math.log(big_b)
-                 - math.log(1.0 - q) - math.log(ctx.abs_z) + tau * n * ctx.log_q)
+    bound = _exp((1.0 - ctx.alpha) * ctx.log_q + math.log(_case1_b(ctx))
+                 - math.log(1.0 - ctx.q) - math.log(ctx.abs_z) + tau * n * ctx.log_q)
     eligible, notes = _conds_to_notes([_floor_cond(bound)])
     return RegimeReport(case_id=1, n=n, exact=exact_lp, main=1.0 + 0j,
                         observed_error=observed, bound=bound, eligible=eligible,
@@ -408,6 +417,17 @@ def eval_case_theta(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
 # grid driver
 # ---------------------------------------------------------------------------
 
+def witness_plan(case_id: int, sp: ScalingParameter, beta: float,
+                 rho: float | None = None) -> tuple[RealValue, float]:
+    """The angle a witness-driven case searches (theta in cases 3 and 5,
+    -tau in 6 and 7, where theta is the joint search's second angle) and
+    its exponent: rho, or the default for that angle and target."""
+    angle = sp.tau.neg() if case_id in (6, 7) else sp.theta
+    if rho is None:
+        rho = default_rho(angle, beta, joint=case_id == 7)
+    return angle, rho
+
+
 def run_verify(ctx: QContext, sp: ScalingParameter, *,
                case_id: int | None = None,
                n_values: list[int] | None = None,
@@ -437,18 +457,11 @@ def run_verify(ctx: QContext, sp: ScalingParameter, *,
 
     top = n_max or (max(n_values) if n_values else 10_000)
     keep = set(n_values) if n_values else None
-    if cid == 3:
-        r = rho if rho is not None else default_rho(sp.theta, beta)
-        wits = witness_search(sp.theta, beta, r, top)
-    elif cid == 5:
-        r = rho if rho is not None else default_rho(sp.theta, beta)
-        wits = witness_search(sp.theta, beta, r, top)
-    elif cid == 6:
-        r = rho if rho is not None else default_rho(sp.tau.neg(), beta)
-        wits = witness_search(sp.tau.neg(), beta, r, top)
+    angle, r = witness_plan(cid, sp, beta, rho)
+    if cid == 7:
+        wits = joint_witness_search(angle, sp.theta, beta, beta2, r, top)
     else:
-        r = rho if rho is not None else 0.4
-        wits = joint_witness_search(sp.tau.neg(), sp.theta, beta, beta2, r, top)
+        wits = witness_search(angle, beta, r, top)
 
     out = []
     for w in wits:
@@ -481,11 +494,12 @@ def fit_decay_slope(ns: list[int], errors: list[float],
 
 
 def predicted_decay(case_id: int, ctx: QContext, sp: ScalingParameter,
-                    rho: float | None = None) -> tuple[str, float]:
+                    rho: float) -> tuple[str, float]:
     """Predicted decay of the observed error for sweep reporting.
 
     Returns ("exp_n", s) for errors ~ e^(s n) (cases 1 and 4) or
-    ("pow_n", s) for errors ~ n^s up to log^2 factors (cases 3, 5-7).
+    ("pow_n", s) for errors ~ n^s up to log^2 factors (cases 3, 5-7), where
+    rho is the witness exponent of the search (see :func:`witness_plan`).
     """
     tau = sp.tau.value
     if case_id == 1:
@@ -496,6 +510,5 @@ def predicted_decay(case_id: int, ctx: QContext, sp: ScalingParameter,
     if case_id == 2:
         return "exp_n", 0.5 * ctx.log_q
     if case_id in (3, 5, 6, 7):
-        r = rho if rho is not None else 0.5
-        return "pow_n", -r
+        return "pow_n", -rho
     raise DomainError(f"no prediction for case {case_id}")

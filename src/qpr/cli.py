@@ -29,7 +29,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -40,25 +39,18 @@ from .asymptotics import (
     predicted_decay,
     run_verify,
     scaling_range_advisory,
+    witness_plan,
 )
 from .diophantine import (
     DiophantineWitness,
-    RealValue,
     default_rho,
     joint_witness_search,
     parse_real,
     witness_search,
 )
-from .numerics import ConvergenceError, DomainError
-from .qlaguerre import ScalingParameter, laguerre_direct, normalized_laguerre
-from .qseries import (
-    DEFAULT_MAX_TERMS,
-    QContext,
-    b_function,
-    pochhammer,
-    ramanujan_a,
-    theta,
-)
+from .numerics import ConvergenceError, DomainError, LogPolarComplex
+from .qlaguerre import ScalingParameter, laguerre_direct, normalized_laguerre_lp
+from .qseries import DEFAULT_MAX_TERMS, QContext, aq_series_lp, pochhammer, theta_lp
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -168,15 +160,15 @@ def _parse_n_range(text: str, step: int) -> list[int]:
     return list(range(lo, hi + 1, step))
 
 
-def _parse_scaling(args) -> tuple[RealValue, RealValue]:
-    assume = None
-    if getattr(args, "assume_rational", False):
-        assume = "rational"
-    elif getattr(args, "assume_irrational", False):
-        assume = "irrational"
-    tau = parse_real(args.tau, assume=assume)
-    theta_v = parse_real(args.theta, assume=assume)
-    return tau, theta_v
+def _assume(args) -> str | None:
+    if args.assume_rational:
+        return "rational"
+    return "irrational" if args.assume_irrational else None
+
+
+def _scaling(args) -> ScalingParameter:
+    return ScalingParameter(parse_real(args.tau, assume=_assume(args)),
+                            parse_real(args.theta, assume=_assume(args)))
 
 
 def _context(args) -> QContext:
@@ -184,52 +176,12 @@ def _context(args) -> QContext:
                     tol=args.tol, max_terms=args.max_terms)
 
 
-@dataclass
-class RunConfig:
-    """Parsed and revalidated settings for one verify invocation.
-
-    Constructing it re-runs every QContext and ScalingParameter invariant
-    (q in (0,1), alpha > -1, z != 0, declared rationality), so a bad flag
-    combination fails at parse time rather than mid-run."""
-
-    command: str
-    ctx: QContext
-    scaling: ScalingParameter
-    case_id: int | None
-    n_values: list[int] | None
-    beta: float | Fraction
-    beta2: float | Fraction
-    rho: float | None
-    n_max: int | None
-    fmt: str
-    output: str | None
-    seed: int
-
-    @staticmethod
-    def from_args(command: str, args) -> "RunConfig":
-        tau, theta_v = _parse_scaling(args)
-        case = getattr(args, "case", None)
-        return RunConfig(
-            command=command,
-            ctx=_context(args),
-            scaling=ScalingParameter(tau, theta_v),
-            case_id=None if case in (None, "auto") else int(case),
-            n_values=_parse_n_range(args.n, args.n_step) if args.n else None,
-            beta=args.beta,
-            beta2=getattr(args, "beta2", 0.0),
-            rho=args.rho,
-            n_max=args.nmax,
-            fmt=args.format,
-            output=args.output,
-            seed=args.seed,
-        )
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
-def _print_value(label: str, v: complex) -> None:
+def _print_value(label: str, value: complex | LogPolarComplex) -> None:
+    v = value.to_complex() if isinstance(value, LogPolarComplex) else value
     if v.imag == 0.0:
         print(f"{label} = {v.real!r}")
     else:
@@ -238,6 +190,10 @@ def _print_value(label: str, v: complex) -> None:
     if mag > 0 and math.isfinite(mag):
         print(f"  log10|value| = {math.log10(mag)!r}   "
               f"phase = {math.degrees(math.atan2(v.imag, v.real))!r} deg")
+    elif isinstance(value, LogPolarComplex) and math.isfinite(value.log_mag):
+        # outside double range the log-polar form is the only faithful one
+        print(f"  log10|value| = {value.log10_mag()!r}   "
+              f"phase = {math.degrees(value.phase)!r} deg")
 
 
 def cmd_eval(args) -> int:
@@ -248,44 +204,40 @@ def cmd_eval(args) -> int:
         v = pochhammer(complex(args.a), args.q, n, args.tol, mt)
         _print_value(f"pochhammer(a={args.a}, q={args.q}, n={args.n})", v)
     elif fn == "theta":
-        v = theta(complex(args.z), args.q, args.tol, mt)
+        v = theta_lp(complex(args.z), args.q, args.tol, mt)
         _print_value(f"theta(z={args.z}, q={args.q})", v)
-    elif fn == "ramanujan_a":
-        v = ramanujan_a(args.q, complex(args.z), args.tol, mt)
-        _print_value(f"ramanujan_a(q={args.q}, z={args.z})", v)
-    elif fn == "b_function":
-        v = b_function(args.q, complex(args.z), args.tol, mt)
-        _print_value(f"b_function(q={args.q}, z={args.z})", v)
+    elif fn in ("ramanujan_a", "b_function"):
+        v = aq_series_lp(args.q, complex(args.z), fn == "ramanujan_a", args.tol, mt)
+        _print_value(f"{fn}(q={args.q}, z={args.z})", v)
     elif fn == "laguerre":
         if args.n is None:
             raise DomainError("laguerre needs a degree: pass --n")
-        ctx = _context(args)
-        v = laguerre_direct(ctx, int(args.n), complex(args.x))
+        v = laguerre_direct(_context(args), int(args.n), complex(args.x))
         _print_value(f"laguerre(n={args.n}, alpha={args.alpha}, x={args.x}, q={args.q})", v)
     elif fn == "normalized_laguerre":
         if args.n is None:
             raise DomainError("normalized_laguerre needs a degree: pass --n")
-        ctx = _context(args)
-        tau, theta_v = _parse_scaling(args)
-        sp = ScalingParameter(tau, theta_v)
-        v = normalized_laguerre(ctx, sp, int(args.n))
+        v = normalized_laguerre_lp(_context(args), _scaling(args), int(args.n))
         _print_value(
             f"normalized_laguerre(n={args.n}, tau={args.tau}, theta={args.theta})", v)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    cfg = RunConfig.from_args("verify", args)
-    advisory = scaling_range_advisory(cfg.scaling.tau.value)
+    # every context and scaling invariant is checked before any row runs
+    sp = _scaling(args)
+    ctx = _context(args)
+    case_id = None if args.case == "auto" else int(args.case)
+    n_values = _parse_n_range(args.n, args.n_step) if args.n else None
+    advisory = scaling_range_advisory(sp.tau.value)
     if advisory is not None:
         print(f"advisory: {advisory}", file=sys.stderr)
-        _write_rows(VERIFY_COLUMNS, [], cfg.fmt, cfg.output)
+        _write_rows(VERIFY_COLUMNS, [], args.format, args.output)
         return EXIT_NO_ELIGIBLE
-    reports = run_verify(cfg.ctx, cfg.scaling, case_id=cfg.case_id,
-                         n_values=cfg.n_values, beta=cfg.beta, beta2=cfg.beta2,
-                         rho=cfg.rho, n_max=cfg.n_max)
+    reports = run_verify(ctx, sp, case_id=case_id, n_values=n_values,
+                         beta=args.beta, beta2=args.beta2, rho=args.rho, n_max=args.nmax)
     _write_rows(VERIFY_COLUMNS, [_report_row(r) for r in reports],
-                cfg.fmt, cfg.output)
+                args.format, args.output)
     eligible = [r for r in reports if r.eligible]
     if not eligible:
         print("no eligible degree in this run", file=sys.stderr)
@@ -300,15 +252,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    assume = "rational" if args.assume_rational else (
-        "irrational" if args.assume_irrational else None)
-    th1 = parse_real(args.theta, assume=assume)
-    if args.theta2 is not None:
-        th2 = parse_real(args.theta2, assume=assume)
-        rho = args.rho if args.rho is not None else default_rho(th1, args.beta, joint=True)
+    th1 = parse_real(args.theta, assume=_assume(args))
+    joint = args.theta2 is not None
+    rho = args.rho if args.rho is not None else default_rho(th1, args.beta, joint=joint)
+    if joint:
+        th2 = parse_real(args.theta2, assume=_assume(args))
         wits = joint_witness_search(th1, th2, args.beta, args.beta2, rho, args.nmax)
     else:
-        rho = args.rho if args.rho is not None else default_rho(th1, args.beta)
         wits = witness_search(th1, args.beta, rho, args.nmax)
     _write_rows(WITNESS_COLUMNS, [_witness_row(w) for w in wits],
                 args.format, args.output)
@@ -316,15 +266,10 @@ def cmd_witness(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    assume = None
-    if args.assume_rational:
-        assume = "rational"
-    elif args.assume_irrational:
-        assume = "irrational"
-    theta_v = parse_real(args.theta, assume=assume)
+    theta_v = parse_real(args.theta, assume=_assume(args))
     rows = []
     for tok in args.tau_grid.split(","):
-        tau = parse_real(tok.strip(), assume=assume)
+        tau = parse_real(tok.strip(), assume=_assume(args))
         ctx = _context(args)
         sp = ScalingParameter(tau, theta_v)
         advisory = scaling_range_advisory(tau.value)
@@ -343,14 +288,7 @@ def cmd_sweep(args) -> int:
         n_values = _parse_n_range(n_spec, args.n_step) if n_spec else None
         # resolve the witness exponent once so the fit and the prediction
         # describe the same search
-        rho_eff = args.rho
-        if rho_eff is None:
-            if case_id in (3, 5):
-                rho_eff = default_rho(sp.theta, float(args.beta))
-            elif case_id == 6:
-                rho_eff = default_rho(sp.tau.neg(), float(args.beta))
-            elif case_id == 7:
-                rho_eff = 0.4
+        _, rho_eff = witness_plan(case_id, sp, args.beta, args.rho)
         reports = run_verify(ctx, sp, case_id=case_id, n_values=n_values,
                              beta=args.beta, rho=rho_eff, n_max=args.nmax)
         kind, predicted = predicted_decay(case_id, ctx, sp, rho_eff)
@@ -404,8 +342,6 @@ def _add_scaling_args(p: argparse.ArgumentParser) -> None:
 def _add_output_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", type=str, default=None, help="write to file instead of stdout")
-    p.add_argument("--seed", type=int, default=0,
-                   help="recorded for reproducibility of sampled runs")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,10 +10,9 @@ rescaled residuals in a deterministic order.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 _TAU = 2.0 * math.pi
 _NEG_INF = float("-inf")
@@ -33,6 +32,12 @@ class ConvergenceError(QprError, RuntimeError):
 
 class RangeGuardError(QprError, OverflowError):
     """A direct evaluation would leave double range; use a normalized path."""
+
+
+def phase(w: complex) -> float:
+    """arg(w) in [-pi, pi]; unlike cmath.phase, never raises on a subnormal
+    component (cmath.phase(2+5e-324j) reports an underflow as a range error)."""
+    return math.atan2(w.imag, w.real)
 
 
 def wrap_phase(phi: float) -> float:
@@ -94,7 +99,8 @@ class LogPolarComplex:
         else:
             mag = math.exp(self.log_mag)
         c, s = cis(self.phase)
-        return complex(mag * c, mag * s)
+        # an exact zero component stays zero even when mag overflows (inf*0 = nan)
+        return complex(mag * c if c else c, mag * s if s else s)
 
     @property
     def is_zero(self) -> bool:
@@ -119,14 +125,7 @@ def lp_from_complex(w: complex) -> LogPolarComplex:
     w = complex(w)
     if w == 0:
         return LP_ZERO
-    return LogPolarComplex(math.log(abs(w)), cmath.phase(w))
-
-
-def lp_from_real(x: float) -> LogPolarComplex:
-    """Log-polar form of a real number (phase 0 or pi)."""
-    if x == 0.0:
-        return LP_ZERO
-    return LogPolarComplex(math.log(abs(x)), 0.0 if x > 0 else math.pi)
+    return LogPolarComplex(math.log(abs(w)), phase(w))
 
 
 def lp_mul(a: LogPolarComplex, b: LogPolarComplex) -> LogPolarComplex:
@@ -177,7 +176,7 @@ class SummationResult:
         if self.value == 0:
             return LP_ZERO
         return LogPolarComplex(
-            math.log(abs(self.value)) + self.rescale_log, cmath.phase(self.value)
+            math.log(abs(self.value)) + self.rescale_log, phase(self.value)
         )
 
     def to_complex(self) -> complex:
@@ -227,3 +226,33 @@ def sum_rescaled(terms: Sequence[LogPolarComplex] | Iterable[LogPolarComplex]) -
         re.add(w * c)
         im.add(w * s)
     return SummationResult(complex(re.result(), im.result()), big, len(items), big)
+
+
+def certified_terms(term_log: Callable[[int], float], term_phase: Callable[[int], float],
+                    ratio_bound: Callable[[int], float], tol: float, max_terms: int, *,
+                    start: int = 0, stop: int | None = None, max_log: float = _NEG_INF,
+                    tail_log: Callable[[int], float] | None = None) -> list[LogPolarComplex]:
+    """Collect log-polar series terms under a certified stopping rule.
+
+    term_log(k)/term_phase(k) describe term k; ratio_bound(k) must majorize
+    |t_{k+1}/t_k|.  Generation stops once the ratio bound is <= 1/2 and the
+    tail majorant at k (tail_log(k), by default the term itself) sits tol/4
+    below the largest term seen, so the discarded tail is at most
+    2|t_k| <= (tol/2) * max-term.  max_log seeds that peak with terms summed
+    elsewhere.  A finite sum ends at the inclusive index stop; an infinite
+    one raises ConvergenceError after max_terms + 1 terms.
+    """
+    log_tol = math.log(tol) - math.log(4.0)
+    terms: list[LogPolarComplex] = []
+    last = start + max_terms if stop is None else stop
+    for k in range(start, last + 1):
+        tl = term_log(k)
+        if tl != _NEG_INF:
+            terms.append(lp(tl, term_phase(k)))
+            max_log = max(max_log, tl)
+        tail = tl if tail_log is None else tail_log(k)
+        if ratio_bound(k) <= 0.5 and (tail == _NEG_INF or tail <= max_log + log_tol):
+            return terms
+    if stop is not None:
+        return terms
+    raise ConvergenceError(f"series not certified within {max_terms} terms")

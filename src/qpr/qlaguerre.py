@@ -19,7 +19,6 @@ where n*theta itself has outgrown double resolution.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -28,10 +27,12 @@ from .numerics import (
     DomainError,
     LogPolarComplex,
     RangeGuardError,
+    certified_terms,
     lp,
     lp_mul,
     lp_div,
     lp_pow_int,
+    phase,
     phase_mul_int,
     sum_rescaled,
     wrap_phase,
@@ -80,7 +81,7 @@ def scale_point(ctx: QContext, sp: ScalingParameter, n: int) -> LogPolarComplex:
         raise DomainError("degree n must be nonnegative")
     log_mag = math.log(ctx.abs_z) - n * sp.sigma * ctx.log_q
     _, frac = sp.theta.mul_floor_frac(n)
-    return lp(log_mag, cmath.phase(ctx.z) - _TWO_PI * frac)
+    return lp(log_mag, phase(ctx.z) - _TWO_PI * frac)
 
 
 def laguerre_direct(ctx: QContext, n: int, x: complex) -> complex:
@@ -97,7 +98,7 @@ def laguerre_direct(ctx: QContext, n: int, x: complex) -> complex:
     tq = poch_table(q, q, ctx.max_terms)
     ta = poch_table(q ** (alpha + 1.0), q, ctx.max_terms)
     log_abs_x = math.log(abs(x)) if x != 0 else -math.inf
-    ph = wrap_phase(math.pi + cmath.phase(x)) if x != 0 else 0.0
+    ph = wrap_phase(math.pi + phase(x)) if x != 0 else 0.0
 
     def term_log(k: int) -> float:
         if k > 0 and x == 0:
@@ -119,31 +120,6 @@ def laguerre_direct(ctx: QContext, n: int, x: complex) -> complex:
     return sum_rescaled(terms).to_complex()
 
 
-def _reversed_sum_lp(ctx: QContext, sp: ScalingParameter, n: int) -> LogPolarComplex:
-    """Eq-for-equation evaluation of the reversed normalized sum for tau >= 0."""
-    q, alpha = ctx.q, ctx.alpha
-    lq = ctx.log_q
-    tq = poch_table(q, q, ctx.max_terms)
-    ta = poch_table(q ** (alpha + 1.0), q, ctx.max_terms)
-    tau_n = sp.tau.value * n
-    _, d_n = sp.theta.mul_floor_frac(n)
-    log_zqa = math.log(ctx.abs_z) + alpha * lq
-    base_phase = wrap_phase(math.pi - cmath.phase(ctx.z) + _TWO_PI * d_n)
-
-    terms: list[LogPolarComplex] = []
-    max_log = -math.inf
-    log_tol = math.log(ctx.tol) - math.log(4.0)
-    for k in range(n + 1):
-        tl = (ta.log(n) - tq.log(k) - tq.log(n - k) - ta.log(n - k)
-              + (k * k + tau_n * k) * lq - k * log_zqa)
-        terms.append(lp(tl, phase_mul_int(base_phase, k)))
-        max_log = max(max_log, tl)
-        ratio = math.exp(min((2 * k + 1 + tau_n) * lq - log_zqa - math.log1p(-q), 700.0))
-        if ratio <= 0.5 and tl <= max_log + log_tol:
-            break
-    return sum_rescaled(terms).to_lp()
-
-
 def normalized_laguerre(ctx: QContext, sp: ScalingParameter, n: int) -> complex:
     """L_n(x_n(z,s);q) / ((-z q^a)^n q^(n^2 (1-s))) by the reversed sum.
 
@@ -156,6 +132,7 @@ def normalized_laguerre(ctx: QContext, sp: ScalingParameter, n: int) -> complex:
 
 
 def normalized_laguerre_lp(ctx: QContext, sp: ScalingParameter, n: int) -> LogPolarComplex:
+    """:func:`normalized_laguerre` in log-polar form."""
     if n < 0:
         raise DomainError("degree n must be nonnegative")
     if sp.tau.value < 0.0:
@@ -163,7 +140,25 @@ def normalized_laguerre_lp(ctx: QContext, sp: ScalingParameter, n: int) -> LogPo
             "the plain reversed sum is refused for tau < 0; evaluate via "
             "split_sums, which carries the theta-regime normalization"
         )
-    return _reversed_sum_lp(ctx, sp, n)
+    q, alpha = ctx.q, ctx.alpha
+    lq = ctx.log_q
+    tq = poch_table(q, q, ctx.max_terms)
+    ta = poch_table(q ** (alpha + 1.0), q, ctx.max_terms)
+    tau_n = sp.tau.value * n
+    _, d_n = sp.theta.mul_floor_frac(n)
+    log_zqa = math.log(ctx.abs_z) + alpha * lq
+    base_phase = wrap_phase(math.pi - phase(ctx.z) + _TWO_PI * d_n)
+    terms = certified_terms(
+        term_log=lambda k: (ta.log(n) - tq.log(k) - tq.log(n - k) - ta.log(n - k)
+                            + (k * k + tau_n * k) * lq - k * log_zqa),
+        term_phase=lambda k: phase_mul_int(base_phase, k),
+        ratio_bound=lambda k: math.exp(
+            min((2 * k + 1 + tau_n) * lq - log_zqa - math.log1p(-q), 700.0)),
+        tol=ctx.tol,
+        max_terms=ctx.max_terms,
+        stop=n,
+    )
+    return sum_rescaled(terms).to_lp()
 
 
 @dataclass(frozen=True)
@@ -262,33 +257,34 @@ def split_sums(ctx: QContext, sp: ScalingParameter, n: int,
     ta = poch_table(q ** (alpha + 1.0), q, ctx.max_terms)
     log_euler2 = 2.0 * euler_log(q, ctx.max_terms)
     log_an = ta.log(n)
-    log_tol = math.log(ctx.tol) - math.log(4.0)
 
     # w1 = -z q^(a + chi(m) + c_n) e^(-2 pi i d_n); w2 = 1/w1.
     log_w1 = math.log(ctx.abs_z) + (alpha + parity + c_n) * lq
-    ph_w1 = wrap_phase(math.pi + cmath.phase(ctx.z) - _TWO_PI * d_n)
+    ph_w1 = wrap_phase(math.pi + phase(ctx.z) - _TWO_PI * d_n)
 
-    terms1: list[LogPolarComplex] = []
-    max_log = -math.inf
-    for k in range(p + 1):
-        tl = k * k * lq + k * log_w1 + _log_factor_e(tq, ta, log_euler2, log_an, p, n, k)
-        terms1.append(lp(tl, phase_mul_int(ph_w1, k)))
-        max_log = max(max_log, tl)
-        # Pochhammer factors are <= 1, so q^(k^2) |w1|^k majorizes the tail.
-        if math.exp(min((2 * k + 1) * lq + log_w1, 700.0)) <= 0.5 \
-                and k * k * lq + k * log_w1 <= max_log + log_tol:
-            break
+    # Pochhammer factors are <= 1, so q^(k^2) |w1|^(+-k) majorizes each tail.
+    terms1 = certified_terms(
+        term_log=lambda k: (k * k * lq + k * log_w1
+                            + _log_factor_e(tq, ta, log_euler2, log_an, p, n, k)),
+        term_phase=lambda k: phase_mul_int(ph_w1, k),
+        ratio_bound=lambda k: math.exp(min((2 * k + 1) * lq + log_w1, 700.0)),
+        tol=ctx.tol,
+        max_terms=ctx.max_terms,
+        stop=p,
+        tail_log=lambda k: k * k * lq + k * log_w1,
+    )
     s1 = sum_rescaled(terms1)
-
-    terms2: list[LogPolarComplex] = []
-    max_log = -math.inf
-    for k in range(1, n - p + 1):
-        tl = k * k * lq - k * log_w1 + _log_factor_f(tq, ta, log_euler2, log_an, p, n, k)
-        terms2.append(lp(tl, phase_mul_int(ph_w1, -k)))
-        max_log = max(max_log, tl)
-        if math.exp(min((2 * k + 1) * lq - log_w1, 700.0)) <= 0.5 \
-                and k * k * lq - k * log_w1 <= max_log + log_tol:
-            break
+    terms2 = certified_terms(
+        term_log=lambda k: (k * k * lq - k * log_w1
+                            + _log_factor_f(tq, ta, log_euler2, log_an, p, n, k)),
+        term_phase=lambda k: phase_mul_int(ph_w1, -k),
+        ratio_bound=lambda k: math.exp(min((2 * k + 1) * lq - log_w1, 700.0)),
+        tol=ctx.tol,
+        max_terms=ctx.max_terms,
+        start=1,
+        stop=n - p,
+        tail_log=lambda k: k * k * lq - k * log_w1,
+    )
     s2 = sum_rescaled(terms2)
 
     total = sum_rescaled(terms1 + terms2)
@@ -299,7 +295,7 @@ def split_sums(ctx: QContext, sp: ScalingParameter, n: int,
 def normalizer_lp(ctx: QContext, sp: ScalingParameter, n: int) -> LogPolarComplex:
     """(-z q^a)^n * q^(n^2 (1-s)) in log-polar form, phases reduced exactly."""
     lq = ctx.log_q
-    base = lp(math.log(ctx.abs_z) + ctx.alpha * lq, math.pi + cmath.phase(ctx.z))
+    base = lp(math.log(ctx.abs_z) + ctx.alpha * lq, math.pi + phase(ctx.z))
     first = lp_pow_int(base, n)
     # q^(n^2 (1-s)) = q^(-n^2 (1+tau)) * e^(-2 pi i theta n^2)
     _, frac = sp.theta.mul_floor_frac(n * n)
@@ -315,7 +311,7 @@ def split_normalizer_lp(ctx: QContext, sp: ScalingParameter, n: int,
     p = m // 2
     lq = ctx.log_q
     base = lp(math.log(ctx.abs_z) + ctx.alpha * lq,
-              math.pi + cmath.phase(ctx.z) - _TWO_PI * d_n)
+              math.pi + phase(ctx.z) - _TWO_PI * d_n)
     num = lp_mul(lp(2.0 * euler_log(ctx.q, ctx.max_terms), 0.0), lp_pow_int(base, p))
     # p(tau n + p) = p(p - m) - p*c_n with the integer part exact
     expo = (p * (p - m) - p * c_n) * lq

@@ -25,7 +25,9 @@ from .numerics import (
     ConvergenceError,
     DomainError,
     LogPolarComplex,
+    certified_terms,
     lp,
+    phase,
     phase_mul_int,
     sum_rescaled,
 )
@@ -58,8 +60,16 @@ class QContext:
         if not (self.alpha > -1.0):
             raise DomainError(f"alpha must exceed -1, got {self.alpha}")
         object.__setattr__(self, "z", complex(self.z))
-        if self.z == 0:
-            raise DomainError("z must be nonzero")
+        if self.z == 0 or not cmath.isfinite(self.z):
+            raise DomainError(f"z must be finite and nonzero, got {self.z}")
+        try:
+            in_range = all(self.q ** e > 0.0
+                           for e in (self.alpha, self.alpha + 1.0, 2.0 - self.alpha))
+        except OverflowError:
+            in_range = False
+        if not in_range:
+            raise DomainError(f"alpha = {self.alpha} puts q^alpha, q^(alpha+1) or "
+                              f"q^(2-alpha) outside double range at q = {self.q}")
         if not (0.0 < self.tol < 1.0):
             raise DomainError(f"tol must lie in (0,1), got {self.tol}")
         if self.max_terms < 16:
@@ -124,21 +134,9 @@ def poch_table(a: float, q: float, max_terms: int = DEFAULT_MAX_TERMS) -> _PochT
     return _PochTable(a, q, max_terms)
 
 
-_poch_table = poch_table
-
-
-def log_pochhammer_real(a: float, q: float, n: int | None,
-                        max_terms: int = DEFAULT_MAX_TERMS) -> float:
-    """log (a;q)_n for real a < 1 (n = None means the infinite product)."""
-    table = _poch_table(a, q, max_terms)
-    if n is None:
-        return table.log_inf
-    return table.log(n)
-
-
 def euler_log(q: float, max_terms: int = DEFAULT_MAX_TERMS) -> float:
     """log (q;q)_inf."""
-    return _poch_table(q, q, max_terms).log_inf
+    return poch_table(q, q, max_terms).log_inf
 
 
 def pochhammer(a: complex, q: float, n: int | float | None,
@@ -188,65 +186,42 @@ def q_binomial(n: int, k: int, q: float, max_terms: int = DEFAULT_MAX_TERMS) -> 
         raise DomainError(f"q_binomial needs 0 <= k <= n, got n={n}, k={k}")
     if not (0.0 < q < 1.0):
         raise DomainError(f"q_binomial needs 0 < q < 1, got q={q}")
-    t = _poch_table(q, q, max_terms)
+    t = poch_table(q, q, max_terms)
     return math.exp(t.log(n) - t.log(k) - t.log(n - k))
-
-
-def _series_lp(term_log, term_phase, ratio_bound, tol: float, max_terms: int,
-               start: int = 0) -> list[LogPolarComplex]:
-    """Collect log-polar series terms under a certified stopping rule.
-
-    term_log(k)/term_phase(k) describe term k; ratio_bound(k) must majorize
-    |t_{k+1}/t_k|.  Generation stops once the ratio bound is <= 1/2 and the
-    current term sits tol/4 below the largest term seen, so the discarded
-    tail is at most 2|t_k| <= (tol/2) * max-term.
-    """
-    log_tol = math.log(tol) - math.log(4.0)
-    terms: list[LogPolarComplex] = []
-    max_log = -math.inf
-    k = start
-    while True:
-        tl = term_log(k)
-        if tl != -math.inf:
-            terms.append(lp(tl, term_phase(k)))
-            max_log = max(max_log, tl)
-        if ratio_bound(k) <= 0.5 and (tl == -math.inf or tl <= max_log + log_tol):
-            return terms
-        k += 1
-        if k - start > max_terms:
-            raise ConvergenceError(f"series not certified within {max_terms} terms")
 
 
 def ramanujan_a(q: float, z: complex, tol: float = DEFAULT_TOL,
                 max_terms: int = DEFAULT_MAX_TERMS) -> complex:
     """The entire function sum_k q^(k^2) (-z)^k / (q;q)_k."""
-    return _aq_like(q, z, negate=True, tol=tol, max_terms=max_terms)
+    return aq_series_lp(q, z, negate=True, tol=tol, max_terms=max_terms).to_complex()
 
 
 def b_function(q: float, z: complex, tol: float = DEFAULT_TOL,
                max_terms: int = DEFAULT_MAX_TERMS) -> complex:
     """Companion series sum_k q^(k^2) z^k / (q;q)_k, majorant of |A_q|."""
-    return _aq_like(q, z, negate=False, tol=tol, max_terms=max_terms)
+    return aq_series_lp(q, z, negate=False, tol=tol, max_terms=max_terms).to_complex()
 
 
-def _aq_like(q: float, z: complex, negate: bool, tol: float, max_terms: int) -> complex:
+def aq_series_lp(q: float, z: complex, negate: bool, tol: float = DEFAULT_TOL,
+                 max_terms: int = DEFAULT_MAX_TERMS) -> LogPolarComplex:
+    """A_q(z) (negate) or B_q(z) in log-polar form."""
     if not abs(q) < 1.0:
         raise DomainError(f"series needs |q| < 1, got q={q}")
     z = complex(z)
     if z == 0:
-        return 1.0 + 0j
-    table = _poch_table(q, q, max_terms)
+        return lp(0.0, 0.0)
+    table = poch_table(q, q, max_terms)
     lq = math.log(q)
     lz = math.log(abs(z))
-    ph = cmath.phase(-z if negate else z)
-    terms = _series_lp(
+    ph = phase(-z if negate else z)
+    terms = certified_terms(
         term_log=lambda k: k * k * lq + k * lz - table.log(k),
         term_phase=lambda k: phase_mul_int(ph, k),
         ratio_bound=lambda k: (q ** (2 * k + 1)) * abs(z) / (1.0 - q),
         tol=tol,
         max_terms=max_terms,
     )
-    return sum_rescaled(terms).to_complex()
+    return sum_rescaled(terms).to_lp()
 
 
 def ramanujan_a_deriv(q: float, z: complex, tol: float = DEFAULT_TOL,
@@ -255,14 +230,14 @@ def ramanujan_a_deriv(q: float, z: complex, tol: float = DEFAULT_TOL,
     if not abs(q) < 1.0:
         raise DomainError(f"series needs |q| < 1, got q={q}")
     z = complex(z)
-    table = _poch_table(q, q, max_terms)
+    table = poch_table(q, q, max_terms)
     lq = math.log(q)
     if z == 0:
         return -q / (1.0 - q) + 0j
     lz = math.log(abs(z))
-    ph = cmath.phase(-z)
+    ph = phase(-z)
     pi = math.pi
-    terms = _series_lp(
+    terms = certified_terms(
         term_log=lambda k: k * k * lq + (k - 1) * lz + math.log(k) - table.log(k),
         term_phase=lambda k: phase_mul_int(ph, k - 1) + pi,
         ratio_bound=lambda k: (q ** (2 * k + 1)) * abs(z) * (k + 1) / (k * (1.0 - q)),
@@ -283,11 +258,11 @@ def euler_product_series_check(z: complex, q: float, tol: float = DEFAULT_TOL,
     z = complex(z)
     if z == 0:
         return lhs, 1.0 + 0j
-    table = _poch_table(q, q, max_terms)
+    table = poch_table(q, q, max_terms)
     lq = math.log(q)
     lz = math.log(abs(z))
-    ph = cmath.phase(-z)
-    terms = _series_lp(
+    ph = phase(-z)
+    terms = certified_terms(
         term_log=lambda k: 0.5 * k * (k - 1) * lq + k * lz - table.log(k),
         term_phase=lambda k: phase_mul_int(ph, k),
         ratio_bound=lambda k: (q ** k) * abs(z) / (1.0 - q),
@@ -313,25 +288,20 @@ def theta_lp(z: complex, q: float, tol: float = DEFAULT_TOL,
         raise DomainError("theta is undefined at z = 0")
     lq = math.log(q)
     lz = math.log(abs(z))
-    ph = cmath.phase(z)
-    log_tol = math.log(tol) - math.log(4.0)
+    ph = phase(z)
 
     terms = [lp(0.0, 0.0)]
     for sign in (+1, -1):
-        max_log = 0.0
-        j = 1
-        while True:
-            tl = j * j * lq + sign * j * lz
-            terms.append(lp(tl, phase_mul_int(ph, sign * j)))
-            max_log = max(max_log, tl)
-            ratio = math.exp((2 * j + 1) * lq + sign * lz)
-            if ratio <= 0.5 and tl <= max_log + log_tol:
-                break
-            j += 1
-            if j > max_terms:
-                raise ConvergenceError(
-                    f"theta tail not certified within {max_terms} terms (q={q}, |z|={abs(z):.3g})"
-                )
+        # each tail's peak includes the shared k = 0 term
+        terms += certified_terms(
+            term_log=lambda j: j * j * lq + sign * j * lz,
+            term_phase=lambda j: phase_mul_int(ph, sign * j),
+            ratio_bound=lambda j: math.exp((2 * j + 1) * lq + sign * lz),
+            tol=tol,
+            max_terms=max_terms,
+            start=1,
+            max_log=0.0,
+        )
     return sum_rescaled(terms).to_lp()
 
 

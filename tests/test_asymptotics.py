@@ -1,5 +1,6 @@
 import cmath
 import math
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -322,3 +323,28 @@ class TestVerifyDriver:
         ctx = QContext(0.5, 0.0, 1.0)
         rows = run_verify(ctx, sp_rat(1, 0), n_values=[9, 5, 7])
         assert [r.n for r in rows] == [5, 7, 9]
+
+
+class TestPrefactorsOncePerContext:
+    @pytest.mark.parametrize("tau, theta_", [(1, 0), (0, F(1, 3)), (-1, F(1, 4))],
+                             ids=["case1", "case2", "case4"])
+    def test_multi_row_verify(self, monkeypatch, tau, theta_):
+        import qpr.asymptotics as asy
+        # a context no other test builds, so no earlier row has cached it
+        ctx = QContext(0.61, 0.25, 1.3 + 0.2j)
+        calls = Counter()
+
+        def counted(name, fn, counts=lambda *a: True):
+            def wrapper(*args, **kwargs):
+                calls[name] += counts(*args)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(asy, "pochhammer", counted("pochhammer", asy.pochhammer))
+        monkeypatch.setattr(asy, "b_function", counted("b_function", asy.b_function))
+        # theta at base sqrt(q) is the prefactor; base q is the per-row main term
+        monkeypatch.setattr(asy, "theta", counted(
+            "theta", asy.theta, lambda z, q, *a: q == math.sqrt(ctx.q)))
+        rows = run_verify(ctx, sp_rat(tau, theta_), n_values=list(range(8, 20)))
+        assert len(rows) == 12
+        assert max(calls.values(), default=0) <= 1, calls

@@ -1,10 +1,13 @@
 import csv
 import json
+import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import qpr
 from qpr.cli import main
 
 
@@ -36,6 +39,17 @@ class TestEval:
                         "--tau", "1", "--theta", "0", "--n", "3"])
         assert code == 0
         assert "2.7593665350051" in capsys.readouterr().out
+
+    def test_subnormal_component_evaluates(self, capsys):
+        assert run_cli(["eval", "theta", "--z=2+5e-324j", "--q", "0.5"]) == 0
+        value = capsys.readouterr().out.splitlines()[0].split(" = ")[1]
+        assert math.isfinite(complex(value).real)
+
+    def test_overflowing_value_keeps_log_polar_line(self, capsys):
+        assert run_cli(["eval", "theta", "--z", "1e300", "--q", "0.5"]) == 0
+        out = capsys.readouterr().out
+        assert "nan" not in out
+        assert float(out.split("log10|value| = ")[1].split()[0]) > 308
 
     def test_unknown_function_is_usage_error(self):
         with pytest.raises(SystemExit) as e:
@@ -89,6 +103,14 @@ class TestVerify:
         assert code == 0
         rows = json.loads(out.read_text())
         assert any(r["n"] == 2378 for r in rows)
+
+    @pytest.mark.parametrize("flags", [["--z=nan"], ["--z=inf"], ["--z=1+infj"],
+                                       ["--z=1", "--alpha", "1e6"]])
+    def test_context_outside_domain_usage_error(self, flags, capsys):
+        code = run_cli(["verify", "--case", "1", "--q", "0.5", "--tau", "1",
+                        "--theta", "0", "--n", "5..10", *flags])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_undeclared_decimal_usage_error(self, capsys):
         code = run_cli(["verify", "--q", "0.5", "--z", "1", "--tau", "0",
@@ -219,9 +241,11 @@ class TestAutoDispatch:
 
 class TestInstalledEntrypoint:
     def test_module_invocation(self):
+        # the child imports the same qpr as this process, installed or not
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(qpr.__file__))}
         p = subprocess.run([sys.executable, "-m", "qpr.cli", "eval", "theta",
                             "--z", "1", "--q", "0.5"],
-                           capture_output=True, text=True)
+                           capture_output=True, text=True, env=env)
         assert p.returncode == 0
         assert "2.1289368" in p.stdout
 

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpr.numerics import (
+    ConvergenceError,
     DomainError,
     LogPolarComplex,
+    certified_terms,
     lp,
     lp_from_complex,
     lp_mul,
@@ -136,3 +138,52 @@ def test_sum_value_finite_for_finite_inputs():
     terms = [lp(600.0, 0.1 * k) for k in range(50)]
     r = sum_rescaled(terms)
     assert math.isfinite(r.value.real) and math.isfinite(r.value.imag)
+
+
+def test_to_complex_keeps_exact_zero_component_past_overflow():
+    assert lp(1e4, 0.0).to_complex() == complex(math.inf, 0.0)
+    assert lp(1e4, math.pi / 2).to_complex() == complex(0.0, math.inf)
+
+
+def _geometric(ratio):
+    return dict(term_log=lambda k: k * math.log(ratio), term_phase=lambda k: 0.0,
+                ratio_bound=lambda k: ratio, tol=1e-15, max_terms=100)
+
+
+def test_certified_terms_stops_on_tail_bound():
+    terms = certified_terms(**_geometric(0.25))
+    # the last kept term is the first below (tol/4) * peak
+    assert terms[-1].log_mag <= math.log(1e-15 / 4) < terms[-2].log_mag
+
+
+def test_certified_terms_finite_sum_ends_at_stop():
+    # ratio 2 never certifies: an infinite series raises, a finite one ends
+    with pytest.raises(ConvergenceError):
+        certified_terms(**_geometric(2.0))
+    terms = certified_terms(**_geometric(2.0), start=3, stop=7)
+    assert [round(t.log_mag / math.log(2.0)) for t in terms] == [3, 4, 5, 6, 7]
+    assert certified_terms(**_geometric(2.0), start=1, stop=0) == []
+
+
+def test_certified_terms_starting_peak():
+    alone = certified_terms(**_geometric(0.25))
+    # a peak of e^10 summed elsewhere lets the series stop 10 nats earlier
+    seeded = certified_terms(**_geometric(0.25), max_log=10.0)
+    assert len(seeded) < len(alone)
+    assert seeded[-1].log_mag <= 10.0 + math.log(1e-15 / 4) < seeded[-2].log_mag
+
+
+def test_certified_terms_tail_majorant():
+    # terms vanish at k >= 1, but the majorant 0.25^k must still clear tol
+    terms = certified_terms(term_log=lambda k: 0.0 if k == 0 else -math.inf,
+                            term_phase=lambda k: 0.0, ratio_bound=lambda k: 0.25,
+                            tol=1e-15, max_terms=100,
+                            tail_log=lambda k: k * math.log(0.25))
+    assert len(terms) == 1
+    # without it the first vanishing term stops the series
+    steps = []
+    certified_terms(term_log=lambda k: 0.0 if k == 0 else -math.inf,
+                    term_phase=lambda k: 0.0,
+                    ratio_bound=lambda k: steps.append(k) or 0.25,
+                    tol=1e-15, max_terms=100)
+    assert steps == [0, 1]

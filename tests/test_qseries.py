@@ -3,7 +3,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qpr.numerics import ConvergenceError, DomainError
 from qpr.qseries import (
@@ -39,6 +39,18 @@ class TestQContext:
             QContext(0.5, -1.0, 1.0)
         with pytest.raises(DomainError):
             QContext(0.5, 0.0, 0.0)
+
+    @pytest.mark.parametrize("z", [complex("nan"), complex("inf"), complex(1, float("-inf"))])
+    def test_nonfinite_z_rejected(self, z):
+        with pytest.raises(DomainError):
+            QContext(0.5, 0.0, z)
+
+    def test_alpha_outside_double_range_rejected(self):
+        QContext(0.5, 1000.0, 1.0)  # q^(2-alpha) = 2^998 is still a double
+        with pytest.raises(DomainError):
+            QContext(0.5, 1e6, 1.0)  # q^(2-alpha) overflows
+        with pytest.raises(DomainError):
+            QContext(1e-10, 31.5, 1.0)  # q^(alpha+1) underflows to zero
 
 
 class TestPochhammer:
@@ -133,6 +145,7 @@ class TestTheta:
     @given(st.complex_numbers(min_magnitude=0.05, max_magnitude=20,
                               allow_nan=False, allow_infinity=False))
     @settings(max_examples=60)
+    @example(2 + 5e-324j)  # subnormal imaginary part: cmath.phase raises here
     def test_reflection(self, z):
         a = theta(z, 0.55)
         b = theta(1 / z, 0.55)
