@@ -30,11 +30,11 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .diophantine import DiophantineWitness, RealValue, chi, default_rho, \
+from .diophantine import DiophantineWitness, RealValue, chi, decompose, default_rho, \
     joint_witness_search, witness_search
-from .numerics import DomainError, LogPolarComplex, lp, lp_mul
-from .qseries import QContext, b_function, euler_log, poch_table, pochhammer, \
-    ramanujan_a, theta
+from .numerics import DomainError, LogPolarComplex, lp, lp_mul, sum_rescaled
+from .qseries import QContext, aq_series_lp, b_function, euler_log, poch_table, \
+    pochhammer, ramanujan_a, theta
 from .qlaguerre import ScalingParameter, normalized_laguerre_lp, split_sums
 
 _TWO_PI = 2.0 * math.pi
@@ -115,8 +115,12 @@ def classify_case(sp: ScalingParameter) -> int:
 # bound prefactors and pieces
 # ---------------------------------------------------------------------------
 
+# _exp caps its argument here, so a bound above e^_LOG_CAP is not its value.
+_LOG_CAP = 700.0
+
+
 def _exp(x: float) -> float:
-    return math.exp(min(x, 700.0))
+    return math.exp(min(x, _LOG_CAP))
 
 
 def _log_zqa(ctx: QContext) -> float:
@@ -140,9 +144,14 @@ def _theta_prefactor(ctx: QContext, constant: float) -> float:
 
 
 @lru_cache(maxsize=16)
-def _case1_b(ctx: QContext) -> float:
-    """B_q(q^(2-a)/|z|), the n-independent factor of the case-1 majorant."""
-    return b_function(ctx.q, ctx.q ** (2.0 - ctx.alpha) / ctx.abs_z, ctx.tol, ctx.max_terms).real
+def _case1_log_b(ctx: QContext) -> float:
+    """log B_q(q^(2-a)/|z|), the n-independent factor of the case-1 majorant;
+    taken from the double value while B_q has one, so in-range bounds keep
+    their last bits."""
+    b = aq_series_lp(ctx.q, ctx.q ** (2.0 - ctx.alpha) / ctx.abs_z, False,
+                     ctx.tol, ctx.max_terms)
+    value = b.to_complex().real
+    return math.log(value) if math.isfinite(value) else b.log_mag
 
 
 def _conds_to_notes(conds: list[tuple[str, bool]]) -> tuple[bool, str]:
@@ -175,14 +184,23 @@ def eval_case1(ctx: QContext, sp: ScalingParameter, n: int) -> RegimeReport:
     exact_lp = lp_mul(normalized_laguerre_lp(ctx, sp, n), lp(tq.log(n), 0.0))
     exact = exact_lp.to_complex()
     observed = abs(exact - 1.0)
-    bound = _exp((1.0 - ctx.alpha) * ctx.log_q + math.log(_case1_b(ctx))
+    log_bound = ((1.0 - ctx.alpha) * ctx.log_q + _case1_log_b(ctx)
                  - math.log(1.0 - ctx.q) - math.log(ctx.abs_z) + tau * n * ctx.log_q)
+    bound = _exp(log_bound)
+    holds = observed <= bound
+    meta = "normalized with the finite constant (q;q)_n"
+    if log_bound > _LOG_CAP or not math.isfinite(observed):
+        # a side outside double range: compare logarithms, never the capped majorant
+        log_observed = sum_rescaled([exact_lp, lp(0.0, math.pi)]).to_lp().log_mag
+        holds = log_observed <= log_bound
+        bound = lp(log_bound, 0.0).to_complex().real  # inf beyond double range
+        meta += (f"; compared in log space: ln observed {log_observed:.6g}, "
+                 f"ln bound {log_bound:.6g}")
     eligible, notes = _conds_to_notes([_floor_cond(bound)])
     return RegimeReport(case_id=1, n=n, exact=exact_lp, main=1.0 + 0j,
                         observed_error=observed, bound=bound, eligible=eligible,
                         eligibility_notes=notes or "eligible at every n",
-                        bound_holds=observed <= bound,
-                        meta="normalized with the finite constant (q;q)_n")
+                        bound_holds=holds, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -196,18 +214,11 @@ def _require_zero_tau(sp: ScalingParameter) -> None:
 
 def _check_witness(th: RealValue, w: DiophantineWitness, n: int,
                    beta: float, m: int, residual: float) -> None:
-    got_m, got_r = _redecompose(th, n, beta)
+    got_m, got_r = decompose(th, n, beta)
     if got_m != m or abs(got_r - residual) > 1e-9:
         raise DomainError(
             f"witness (n={n}, m={m}, residual={residual}) is inconsistent with "
             f"the declared angle: recomputed (m={got_m}, residual={got_r})")
-
-
-def _redecompose(th: RealValue, n: int, beta: float) -> tuple[int, float]:
-    fl, fr = th.mul_floor_frac(n)
-    d = fr - beta
-    shift = math.floor(d + 0.5)
-    return fl + shift, d - shift
 
 
 def eval_case_aq(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,

@@ -23,6 +23,7 @@ safety cap.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -171,6 +172,14 @@ def _scaling(args) -> ScalingParameter:
                             parse_real(args.theta, assume=_assume(args)))
 
 
+def _finite_z(args) -> complex:
+    """z for the q-series, which build no QContext: the same finiteness check."""
+    z = complex(args.z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"z must be finite, got {z}")
+    return z
+
+
 def _context(args) -> QContext:
     return QContext(q=args.q, alpha=args.alpha, z=complex(args.z),
                     tol=args.tol, max_terms=args.max_terms)
@@ -204,10 +213,10 @@ def cmd_eval(args) -> int:
         v = pochhammer(complex(args.a), args.q, n, args.tol, mt)
         _print_value(f"pochhammer(a={args.a}, q={args.q}, n={args.n})", v)
     elif fn == "theta":
-        v = theta_lp(complex(args.z), args.q, args.tol, mt)
+        v = theta_lp(_finite_z(args), args.q, args.tol, mt)
         _print_value(f"theta(z={args.z}, q={args.q})", v)
     elif fn in ("ramanujan_a", "b_function"):
-        v = aq_series_lp(args.q, complex(args.z), fn == "ramanujan_a", args.tol, mt)
+        v = aq_series_lp(args.q, _finite_z(args), fn == "ramanujan_a", args.tol, mt)
         _print_value(f"{fn}(q={args.q}, z={args.z})", v)
     elif fn == "laguerre":
         if args.n is None:

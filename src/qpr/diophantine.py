@@ -17,6 +17,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .numerics import DomainError
 
@@ -388,8 +389,13 @@ def _beta_pair(beta) -> tuple[Fraction | None, float]:
     return None, float(beta)
 
 
-def _decompose(th: RealValue, n: int, beta_frac: Fraction | None, beta: float) -> tuple[int, float]:
-    """m and residual with n*theta = m + beta + residual, residual in [-1/2, 1/2]."""
+def decompose(th: RealValue, n: int, beta: float,
+              beta_frac: Fraction | None = None) -> tuple[int, float]:
+    """m and residual with n*theta = m + beta + residual, residual in [-1/2, 1/2].
+
+    An exact rational theta with an exact target beta_frac is reduced in
+    Fraction arithmetic; every other input through mul_floor_frac and beta.
+    """
     if th.kind == "rational" and beta_frac is not None:
         fl, _ = th.mul_floor_frac(n)
         d = th.frac_fraction(n) - beta_frac
@@ -407,23 +413,126 @@ def _trusted(th: RealValue, residual: float, n: int) -> bool:
     return abs(residual) > _TRUST_FACTOR * _EPS * n
 
 
-def witness_search(theta: RealValue | Fraction | int, beta, rho: float,
-                   n_max: int) -> list[DiophantineWitness]:
-    """Scan n = 1..n_max for |n*theta - beta - m| < n^-rho, m = nearest integer.
+# Widening of every stepping window beyond (2^k)^-rho.  It is far above the
+# ~1e-16 error of mul_floor_frac, so a stepping decision that rounding gets
+# wrong can only concern a degree within that error of the widened window's
+# edge, never a witness.
+_SLACK = 1e-12
 
-    A plain linear scan: the inhomogeneous problem has no convergent
-    shortcut, and desk-scale n_max is cheap.  An empty result is a valid
-    return (rho may simply be too ambitious for this range).
+
+class _ThreeGapSteps:
+    """Hit-to-hit steps of n*theta, theta a surd, through the windows
+    |residual| < h_j with h_j = (2^j)^-rho + _SLACK.
+
+    By Slater's three-gap theorem (N. B. Slater, "Gaps and steps for the
+    sequence n theta mod 1", Proc. Camb. Phil. Soc. 63, 1967) the returns of
+    n*theta mod 1 to an arc of length L are a, b or a + b apart, with
+    a = min{n >= 1 : {n theta} < L} and b = min{n >= 1 : {n theta} > 1 - L}.
+    Both are records of the Stern-Brocot walk towards theta (the
+    intermediate fractions of its continued fraction): n_lo holds the
+    latest record low x = {n_lo theta}, n_hi the latest record high
+    y = 1 - {n_hi theta}, and the next record is n_lo + n_hi on the side of
+    the larger of x and y.  Windows are requested in nonincreasing width, so
+    the walk only moves forward.
     """
+
+    def __init__(self, th: RealValue, rho: float) -> None:
+        self.th = th
+        self.rho = rho
+        self.halves: dict[int, float] = {}
+        self.gaps: dict[int, tuple[int, float, int, float]] = {}
+        self.n_lo = self.n_hi = 1
+        self.x = th.mul_floor_frac(1)[1]
+        self.y = 1.0 - self.x
+
+    def half_width(self, j: int) -> float:
+        h = self.halves.get(j)
+        if h is None:
+            h = self.halves[j] = (2 ** j) ** -self.rho + _SLACK
+        return h
+
+    def step(self, j: int, residual: float) -> int:
+        """Distance from a degree in window j (of this residual) to the next."""
+        h = self.half_width(j)
+        width = 2.0 * h
+        g = self.gaps.get(j)
+        if g is None:
+            while self.x >= width or self.y >= width:
+                if self.x > self.y:
+                    self.n_lo += self.n_hi
+                    self.x = self.th.mul_floor_frac(self.n_lo)[1]
+                else:
+                    self.n_hi += self.n_lo
+                    self.y = 1.0 - self.th.mul_floor_frac(self.n_hi)[1]
+            g = self.gaps[j] = (self.n_lo, self.x, self.n_hi, self.y)
+        a, frac_a, b, gap_b = g
+        u = residual + h  # position in the window [0, width)
+        if u + frac_a < width:
+            return a
+        if u >= gap_b:
+            return b
+        return a + b
+
+
+def _candidates(th: RealValue, beta: float, beta_frac: Fraction | None,
+                rho: float, n_max: int) -> Iterator[tuple[int, int, float]]:
+    """Yield decompose(n) for increasing n in [1, n_max]: every n with
+    |residual| < n^-rho among others.
+
+    Rational and float angles, and rho <= 0, get every n.  A surd angle is
+    scanned linearly only until the first degree of a dyadic block
+    [2^k, 2^(k+1)) that lies in the block's window |residual| < h_k while
+    that window covers at most half the circle; from there it steps from
+    hit to hit of the window in use, which contains the windows of every
+    later block (they narrow with k).  The window in use narrows to that of
+    a later block at the first of its hits there, so nothing is skipped.
+    """
+    steps = _ThreeGapSteps(th, rho) if th.kind == "surd" and rho > 0.0 else None
+    j = None  # window in use; None while scanning linearly
+    n = 1
+    while n <= n_max:
+        m, residual = decompose(th, n, beta, beta_frac)
+        yield n, m, residual
+        if steps is None:
+            n += 1
+            continue
+        k = n.bit_length() - 1
+        if j is None:
+            h = steps.half_width(k)
+            if h > 0.25 or abs(residual) >= h:
+                n += 1
+                continue
+            j = k
+        while j < k and abs(residual) < steps.half_width(j + 1):
+            j += 1
+        n += steps.step(j, residual)
+
+
+def _search_args(n_max: int, rho: float, *betas) -> list[tuple[Fraction | None, float]]:
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
+    if not math.isfinite(rho):
+        raise DomainError(f"rho must be finite, got {rho}")
+    pairs = [_beta_pair(b) for b in betas]
+    for _, b in pairs:
+        if not (0.0 <= b < 1.0):
+            raise DomainError(f"beta must lie in [0,1), got {b}")
+    return pairs
+
+
+def witness_search(theta: RealValue | Fraction | int, beta, rho: float,
+                   n_max: int) -> list[DiophantineWitness]:
+    """All n in 1..n_max with |n*theta - beta - m| < n^-rho, m = nearest integer.
+
+    For a surd theta the cost grows with the number of hits (three-gap
+    stepping, see _candidates); rational and float angles are scanned
+    linearly.  An empty result is a valid return (rho may simply be too
+    ambitious for this range).
+    """
     th = as_real_value(theta)
-    beta_frac, beta_f = _beta_pair(beta)
-    if not (0.0 <= beta_f < 1.0):
-        raise DomainError(f"beta must lie in [0,1), got {beta_f}")
+    [(beta_frac, beta_f)] = _search_args(n_max, rho, beta)
     out: list[DiophantineWitness] = []
-    for n in range(1, n_max + 1):
-        m, residual = _decompose(th, n, beta_frac, beta_f)
+    for n, m, residual in _candidates(th, beta_f, beta_frac, rho, n_max):
         if abs(residual) < n ** (-rho):
             out.append(DiophantineWitness(
                 n=n, m=m, m1=None, target_beta=beta_f, residual=residual,
@@ -433,23 +542,19 @@ def witness_search(theta: RealValue | Fraction | int, beta, rho: float,
 
 def joint_witness_search(theta1, theta2, beta1, beta2, rho: float,
                          n_max: int) -> list[DiophantineWitness]:
-    """Simultaneous acceptance: both residuals below n^-rho at the same n."""
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
+    """Simultaneous acceptance: both residuals below n^-rho at the same n.
+
+    Degrees are enumerated on theta1 as in witness_search, then tested on
+    theta2."""
     th1 = as_real_value(theta1)
     th2 = as_real_value(theta2)
-    b1_frac, b1 = _beta_pair(beta1)
-    b2_frac, b2 = _beta_pair(beta2)
-    for b in (b1, b2):
-        if not (0.0 <= b < 1.0):
-            raise DomainError(f"beta must lie in [0,1), got {b}")
+    (b1_frac, b1), (b2_frac, b2) = _search_args(n_max, rho, beta1, beta2)
     out: list[DiophantineWitness] = []
-    for n in range(1, n_max + 1):
+    for n, m, r1 in _candidates(th1, b1, b1_frac, rho, n_max):
         thr = n ** (-rho)
-        m, r1 = _decompose(th1, n, b1_frac, b1)
         if abs(r1) >= thr:
             continue
-        m1, r2 = _decompose(th2, n, b2_frac, b2)
+        m1, r2 = decompose(th2, n, b2, b2_frac)
         if abs(r2) >= thr:
             continue
         out.append(DiophantineWitness(

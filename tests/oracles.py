@@ -262,3 +262,40 @@ def half_sum_normalizer(n: int, alpha: int, q: Fraction, z, tau: Fraction,
     base = -_qi(z) * QI(q ** alpha) * unit_phase(-d_n)
     e = p * (tn + p)
     return base ** p * QI(q ** (-e))
+
+
+def linear_witness_search(theta, beta, rho: float, n_max: int) -> list:
+    """Witnesses by testing every degree 1..n_max in turn: the reference that
+    qpr.diophantine.witness_search must equal whatever it enumerates."""
+    from qpr.diophantine import DiophantineWitness, as_real_value, decompose
+    th = as_real_value(theta)
+    beta_frac = Fraction(beta) if isinstance(beta, (int, Fraction)) else None
+    beta_f = float(beta)
+    out = []
+    for n in range(1, n_max + 1):
+        m, residual = decompose(th, n, beta_f, beta_frac)
+        if abs(residual) < n ** (-rho):
+            out.append(DiophantineWitness(n=n, m=m, m1=None, target_beta=beta_f,
+                                          residual=residual, rho=rho,
+                                          trusted=th.exact))
+    return out
+
+
+def linear_joint_witness_search(theta1, theta2, beta1, beta2, rho: float,
+                                n_max: int) -> list:
+    """Joint witnesses by testing every degree 1..n_max on both angles."""
+    from qpr.diophantine import DiophantineWitness, as_real_value, decompose
+    th1, th2 = as_real_value(theta1), as_real_value(theta2)
+    pairs = [(Fraction(b) if isinstance(b, (int, Fraction)) else None, float(b))
+             for b in (beta1, beta2)]
+    out = []
+    for n in range(1, n_max + 1):
+        thr = n ** (-rho)
+        m, r1 = decompose(th1, n, pairs[0][1], pairs[0][0])
+        m1, r2 = decompose(th2, n, pairs[1][1], pairs[1][0])
+        if abs(r1) < thr and abs(r2) < thr:
+            out.append(DiophantineWitness(n=n, m=m, m1=m1, target_beta=pairs[0][1],
+                                          residual=r1, rho=rho,
+                                          trusted=th1.exact and th2.exact,
+                                          target_beta2=pairs[1][1], residual2=r2))
+    return out

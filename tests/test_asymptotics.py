@@ -107,6 +107,22 @@ class TestCase1:
         with pytest.raises(DomainError):
             eval_case1(self.CTX, sp_rat(0, 0), 5)
 
+    def test_out_of_range_sides_compared_in_log_space(self):
+        # |exact| ~ 1e984 and the uncapped bound ~ 1e33219 both leave double range
+        ctx = QContext(0.5, 0.0, 1e-200)
+        for n in (5, 10):
+            r = eval_case1(ctx, sp_rat(1, 0), n)
+            assert r.exact.log10_mag() > 900
+            assert r.bound_holds and r.eligible
+            assert r.bound == math.inf
+            log_bound = float(r.meta.split("ln bound ")[1])
+            assert abs(log_bound / math.log(10) - 33219) < 3
+
+    def test_in_range_rows_keep_double_comparison(self):
+        r = eval_case1(self.CTX, sp_rat(1, 0), 3)
+        assert r.bound_holds == (r.observed_error <= r.bound)
+        assert "log space" not in r.meta
+
     def test_noise_floor_marks_ineligible(self):
         r = eval_case1(self.CTX, sp_rat(1, 0), 2000)
         assert r.bound < NOISE_FLOOR

@@ -51,6 +51,12 @@ class TestEval:
         assert "nan" not in out
         assert float(out.split("log10|value| = ")[1].split()[0]) > 308
 
+    @pytest.mark.parametrize("fn", ["theta", "ramanujan_a", "b_function"])
+    @pytest.mark.parametrize("z", ["nan", "inf", "1+infj"])
+    def test_non_finite_z_is_usage_error(self, fn, z, capsys):
+        assert run_cli(["eval", fn, f"--z={z}", "--q", "0.5"]) == 2
+        assert "z must be finite" in capsys.readouterr().err
+
     def test_unknown_function_is_usage_error(self):
         with pytest.raises(SystemExit) as e:
             run_cli(["eval", "gamma", "--q", "0.5"])
@@ -112,6 +118,18 @@ class TestVerify:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_case1_out_of_range_compared_in_log_space(self, tmp_path, capsys):
+        # the exact value (~1e984) and the bound (~1e33219) leave double range
+        out = tmp_path / "v.csv"
+        code = run_cli(["verify", "--case", "1", "--q", "0.5", "--z=1e-200", "--tau=1",
+                        "--theta", "0", "--n", "5..10", "--output", str(out)])
+        assert code in (0, 3)
+        assert "BOUND VIOLATION" not in capsys.readouterr().err
+        rows = read_csv(out)
+        assert [int(r["n"]) for r in rows] == list(range(5, 11))
+        assert all(r["bound_holds"] == "true" for r in rows)
+        assert all("log space" in r["notes"] for r in rows)
+
     def test_undeclared_decimal_usage_error(self, capsys):
         code = run_cli(["verify", "--q", "0.5", "--z", "1", "--tau", "0",
                         "--theta", "0.123", "--n", "5..10"])
@@ -160,6 +178,18 @@ class TestWitness:
         assert code == 0
         rows = read_csv(out)
         assert rows and all(r["m1"] != "" for r in rows)
+
+    @pytest.mark.parametrize("rho", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("joint", [False, True])
+    def test_non_finite_rho_is_usage_error(self, rho, joint, capsys):
+        argv = ["witness", "--theta", "sqrt2", "--beta", "0.5", f"--rho={rho}",
+                "--nmax", "10"]
+        if joint:
+            argv += ["--theta2", "sqrt3"]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert "rho must be finite" in captured.err
+        assert captured.out == ""
 
     def test_empty_exit3(self, tmp_path):
         out = tmp_path / "w.csv"

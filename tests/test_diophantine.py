@@ -2,7 +2,9 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+import oracles
 
 from qpr.diophantine import (
     DiophantineWitness,
@@ -243,3 +245,82 @@ class TestTrust:
         th = RealValue.from_float(0.5, assumed_rational=False)
         wits = witness_search(th, 0.0, 2.0, 50)
         assert any(not w.trusted for w in wits)
+
+
+# Angles for the enumeration property: the fixtures, a negated surd, surds
+# with c > 1 and a large radicand, and rationals (scanned linearly).
+ANGLES = [
+    fixture_irrationals()["sqrt2"].value,
+    fixture_irrationals()["sqrt3"].value,
+    fixture_irrationals()["golden"].value,
+    fixture_irrationals()["sqrt2"].value.neg(),
+    RealValue.from_surd(1, 3, 7, 5),
+    RealValue.from_surd(-2, 1, 3, 7),
+    RealValue.from_surd(0, 1, 1, 1_000_001),
+    RealValue.from_rational(F(3, 7)),
+    RealValue.from_rational(F(355, 113)),
+]
+BETAS = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(0, 98), st.just(99)),
+    st.floats(0.0, 1.0, exclude_max=True),
+)
+RHOS = st.one_of(st.sampled_from([0.0, 0.05, 0.4, 0.5, 1.0, 9.0]),
+                 st.floats(0.05, 2.0))
+N_MAX = st.one_of(
+    st.integers(1, 10_000),
+    st.builds(lambda k, d: 2 ** k + d, st.integers(1, 13), st.integers(0, 1)),
+)
+
+
+def _key(wits):
+    return [(w.n, w.m, w.m1, w.residual, w.residual2, w.target_beta,
+             w.target_beta2, w.rho, w.trusted) for w in wits]
+
+
+class TestGapStepping:
+    """Three-gap stepping returns exactly what a scan of every degree does."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(ANGLES), BETAS, RHOS, N_MAX)
+    @example(ANGLES[0], 0.3, 0.5, 8192)
+    @example(ANGLES[0], 0.3, 0.5, 8193)
+    @example(ANGLES[2], F(0), 1.0, 4096)
+    @example(ANGLES[3], F(1, 3), 9.0, 10_000)
+    def test_single_equals_linear_scan(self, theta, beta, rho, n_max):
+        got = witness_search(theta, beta, rho, n_max)
+        assert _key(got) == _key(oracles.linear_witness_search(theta, beta, rho, n_max))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(ANGLES), st.sampled_from(ANGLES), BETAS, BETAS, RHOS, N_MAX)
+    @example(ANGLES[0], ANGLES[1], F(0), F(0), 0.4, 8193)
+    def test_joint_equals_linear_scan(self, theta1, theta2, beta1, beta2, rho, n_max):
+        got = joint_witness_search(theta1, theta2, beta1, beta2, rho, n_max)
+        want = oracles.linear_joint_witness_search(theta1, theta2, beta1, beta2, rho, n_max)
+        assert _key(got) == _key(want)
+
+    def test_surd_cost_follows_hits(self, monkeypatch):
+        # reductions of n*theta made by the search, per witness found
+        calls = []
+        orig = RealValue.mul_floor_frac
+        monkeypatch.setattr(RealValue, "mul_floor_frac",
+                            lambda self, n: calls.append(n) or orig(self, n))
+        wits = witness_search(fixture_irrationals()["sqrt2"].value, 0.3, 0.5, 1_000_000)
+        assert len(wits) > 3000
+        assert len(calls) < 2 * len(wits)
+
+    def test_rational_angle_scans_every_degree(self, monkeypatch):
+        calls = []
+        orig = RealValue.mul_floor_frac
+        monkeypatch.setattr(RealValue, "mul_floor_frac",
+                            lambda self, n: calls.append(n) or orig(self, n))
+        witness_search(F(3, 7), 0.3, 0.5, 500)
+        assert calls == list(range(1, 501))
+
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rho_rejected(self, rho):
+        s2 = fixture_irrationals()["sqrt2"].value
+        with pytest.raises(DomainError):
+            witness_search(s2, 0.5, rho, 10)
+        with pytest.raises(DomainError):
+            joint_witness_search(s2, s2, 0.5, 0.5, rho, 10)
