@@ -19,8 +19,9 @@ kept verbatim: 7, 48, 30, 96), and an eligibility flag.  Eligibility
 operationalizes the side conditions reproducibly: every asymptotic "<<"
 becomes "left <= right/4", nu_n >= 2 is always required, and rows whose
 bound sits below the double-precision certification floor are excluded
-rather than asserted.  Violations on eligible rows are exactly the failures
-a certification run must report.
+rather than asserted, as are rows outside double range whose majorant has
+no log form (see _certify).  Violations on eligible rows are exactly the
+failures a certification run must report.
 """
 
 from __future__ import annotations
@@ -29,10 +30,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
-from .diophantine import DiophantineWitness, RealValue, chi, decompose, default_rho, \
-    joint_witness_search, witness_search
-from .numerics import DomainError, LogPolarComplex, lp, lp_mul, sum_rescaled
+from .diophantine import DEFAULT_NMAX, DiophantineWitness, RealValue, chi, decompose, \
+    default_rho, joint_witness_search, witness_search
+from .numerics import DomainError, LogPolarComplex, abs_or_inf, exp_or_inf, lp, \
+    lp_from_complex, lp_mul, sum_rescaled
 from .qseries import QContext, aq_series_lp, b_function, euler_log, poch_table, \
     pochhammer, ramanujan_a, theta
 from .qlaguerre import ScalingParameter, normalized_laguerre_lp, split_sums
@@ -115,14 +118,6 @@ def classify_case(sp: ScalingParameter) -> int:
 # bound prefactors and pieces
 # ---------------------------------------------------------------------------
 
-# _exp caps its argument here, so a bound above e^_LOG_CAP is not its value.
-_LOG_CAP = 700.0
-
-
-def _exp(x: float) -> float:
-    return math.exp(min(x, _LOG_CAP))
-
-
 def _log_zqa(ctx: QContext) -> float:
     return math.log(ctx.abs_z) + ctx.alpha * ctx.log_q
 
@@ -132,14 +127,15 @@ def _log_zqa(ctx: QContext) -> float:
 @lru_cache(maxsize=16)
 def _aq_prefactor(ctx: QContext, constant: float) -> float:
     c2 = pochhammer(-ctx.q ** 2, ctx.q, None, ctx.tol, ctx.max_terms).real ** 2
-    big_b = b_function(ctx.q, _exp(-_log_zqa(ctx)), ctx.tol, ctx.max_terms).real
+    big_b = b_function(ctx.q, exp_or_inf(-_log_zqa(ctx)), ctx.tol, ctx.max_terms).real
     return constant * c2 * big_b / ((1.0 - ctx.q) ** 3 * math.exp(euler_log(ctx.q, ctx.max_terms)))
 
 
 @lru_cache(maxsize=16)
 def _theta_prefactor(ctx: QContext, constant: float) -> float:
     c3 = pochhammer(-ctx.q ** 2, ctx.q, None, ctx.tol, ctx.max_terms).real ** 3
-    big_t = theta(complex(_exp(_log_zqa(ctx))), math.sqrt(ctx.q), ctx.tol, ctx.max_terms).real
+    big_t = theta(complex(exp_or_inf(_log_zqa(ctx))), math.sqrt(ctx.q), ctx.tol,
+                  ctx.max_terms).real
     return constant * c3 * big_t / ((1.0 - ctx.q) ** 4 * math.exp(euler_log(ctx.q, ctx.max_terms)))
 
 
@@ -154,14 +150,87 @@ def _case1_log_b(ctx: QContext) -> float:
     return math.log(value) if math.isfinite(value) else b.log_mag
 
 
-def _conds_to_notes(conds: list[tuple[str, bool]]) -> tuple[bool, str]:
-    ok = all(flag for _, flag in conds)
-    return ok, "; ".join(f"{name}: {'ok' if flag else 'FAIL'}" for name, flag in conds)
+# ---------------------------------------------------------------------------
+# the shared row steps: case check, witness check, verdict
+# ---------------------------------------------------------------------------
+
+def _require_case(sp: ScalingParameter, case_id: int,
+                  cases: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7)) -> None:
+    """case_id is one of the caller's cases and the one the (tau, theta)
+    declarations give; this covers every range and rationality condition."""
+    if case_id not in cases:
+        raise DomainError(f"expected one of cases {cases}, got {case_id}")
+    declared = classify_case(sp)
+    if case_id != declared:
+        raise DomainError(f"requested case {case_id} but (tau, theta) declarations "
+                          f"give case {declared}")
 
 
-def _floor_cond(bound: float) -> tuple[str, bool]:
-    return (f"bound {bound:.3e} >= certification floor {NOISE_FLOOR:.0e}",
-            bound >= NOISE_FLOOR)
+def witness_plan(case_id: int, sp: ScalingParameter, beta: float,
+                 rho: float | None = None) -> tuple[RealValue, float]:
+    """The angle a witness-driven case searches (theta in cases 3 and 5,
+    -tau in 6 and 7, where theta is the joint search's second angle) and
+    its exponent: rho, or the default for that angle and target."""
+    angle = sp.tau.neg() if case_id in (6, 7) else sp.theta
+    if rho is None:
+        rho = default_rho(angle, beta, joint=case_id == 7)
+    return angle, rho
+
+
+def _require_witness(case_id: int, sp: ScalingParameter, n: int,
+                     witness: DiophantineWitness | None) -> DiophantineWitness:
+    """The witness of cases 3, 5, 6, 7 sits at n, and each of its
+    decompositions recomputes from the angle witness_plan names (plus theta
+    as the second angle in case 7)."""
+    if witness is None or witness.n != n or (case_id == 7 and witness.m1 is None):
+        raise DomainError(f"case {case_id} needs a witness at this n")
+    angle, _ = witness_plan(case_id, sp, witness.target_beta, witness.rho)
+    sides = [(angle, witness.target_beta, witness.m, witness.residual)]
+    if case_id == 7:
+        sides.append((sp.theta, witness.target_beta2, witness.m1, witness.residual2))
+    for th, beta, m, residual in sides:
+        got_m, got_r = decompose(th, n, beta)
+        if got_m != m or abs(got_r - residual) > 1e-9:
+            raise DomainError(
+                f"witness (n={n}, m={m}, residual={residual}) is inconsistent with "
+                f"the declared angle: recomputed (m={got_m}, residual={got_r})")
+    return witness
+
+
+def _certify(case_id: int, n: int, exact: LogPolarComplex, main: complex, bound: float,
+             conds: list[tuple[str, bool]], *, log_bound: float | None = None,
+             tail: Sequence[tuple[str, bool]] = (), meta: str = "",
+             **fields) -> RegimeReport:
+    """Observed error, verdict, eligibility and notes of one row.
+
+    A row whose observed error and bound are finite doubles compares them
+    as doubles.  Otherwise a case that supplies log_bound (the log of its
+    majorant) compares logarithms, and any other row is ineligible: its
+    comparison would only set inf against inf or nan.  conds are the
+    case's side conditions; the certification floor follows them, then
+    the informational tail.
+    """
+    observed = abs_or_inf(exact.to_complex() - main)
+    holds = observed <= bound
+    if not (math.isfinite(observed) and math.isfinite(bound)):
+        if log_bound is None:
+            conds.append(("observed error and bound within double range", False))
+        else:
+            neg_main = lp_mul(lp_from_complex(main), lp(0.0, math.pi))
+            log_observed = sum_rescaled([exact, neg_main]).to_lp().log_mag
+            holds = log_observed <= log_bound
+            note = (f"compared in log space: ln observed {log_observed:.6g}, "
+                    f"ln bound {log_bound:.6g}")
+            meta = f"{meta}; {note}" if meta else note
+    conds.append((f"bound {bound:.3e} >= certification floor {NOISE_FLOOR:.0e}",
+                  bound >= NOISE_FLOOR))
+    conds.extend(tail)
+    return RegimeReport(
+        case_id=case_id, n=n, exact=exact, main=main, observed_error=observed,
+        bound=bound, eligible=all(flag for _, flag in conds),
+        eligibility_notes="; ".join(f"{name}: {'ok' if flag else 'FAIL'}"
+                                    for name, flag in conds),
+        bound_holds=holds, meta=meta, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -177,49 +246,18 @@ def eval_case1(ctx: QContext, sp: ScalingParameter, n: int) -> RegimeReport:
     (q^(n+1);q)_inf - 1, a q^n-sized error the majorant cannot absorb once
     tau >= 1 (numerically violated at q=1/2, z=1, tau=1).
     """
-    tau = sp.tau.value
-    if not tau > 0.0:
-        raise DomainError(f"case 1 needs tau > 0, got {tau}")
+    _require_case(sp, 1)
     tq = poch_table(ctx.q, ctx.q, ctx.max_terms)
-    exact_lp = lp_mul(normalized_laguerre_lp(ctx, sp, n), lp(tq.log(n), 0.0))
-    exact = exact_lp.to_complex()
-    observed = abs(exact - 1.0)
-    log_bound = ((1.0 - ctx.alpha) * ctx.log_q + _case1_log_b(ctx)
-                 - math.log(1.0 - ctx.q) - math.log(ctx.abs_z) + tau * n * ctx.log_q)
-    bound = _exp(log_bound)
-    holds = observed <= bound
-    meta = "normalized with the finite constant (q;q)_n"
-    if log_bound > _LOG_CAP or not math.isfinite(observed):
-        # a side outside double range: compare logarithms, never the capped majorant
-        log_observed = sum_rescaled([exact_lp, lp(0.0, math.pi)]).to_lp().log_mag
-        holds = log_observed <= log_bound
-        bound = lp(log_bound, 0.0).to_complex().real  # inf beyond double range
-        meta += (f"; compared in log space: ln observed {log_observed:.6g}, "
-                 f"ln bound {log_bound:.6g}")
-    eligible, notes = _conds_to_notes([_floor_cond(bound)])
-    return RegimeReport(case_id=1, n=n, exact=exact_lp, main=1.0 + 0j,
-                        observed_error=observed, bound=bound, eligible=eligible,
-                        eligibility_notes=notes or "eligible at every n",
-                        bound_holds=holds, meta=meta)
+    exact = lp_mul(normalized_laguerre_lp(ctx, sp, n), lp(tq.log(n), 0.0))
+    log_bound = ((1.0 - ctx.alpha) * ctx.log_q + _case1_log_b(ctx) - math.log(1.0 - ctx.q)
+                 - math.log(ctx.abs_z) + sp.tau.value * n * ctx.log_q)
+    return _certify(1, n, exact, 1.0 + 0j, exp_or_inf(log_bound), [], log_bound=log_bound,
+                    meta="normalized with the finite constant (q;q)_n")
 
 
 # ---------------------------------------------------------------------------
 # cases 2 and 3: tau = 0, main term A_q
 # ---------------------------------------------------------------------------
-
-def _require_zero_tau(sp: ScalingParameter) -> None:
-    if not sp.tau.is_zero():
-        raise DomainError(f"this regime needs tau = 0, got tau = {sp.tau.value}")
-
-
-def _check_witness(th: RealValue, w: DiophantineWitness, n: int,
-                   beta: float, m: int, residual: float) -> None:
-    got_m, got_r = decompose(th, n, beta)
-    if got_m != m or abs(got_r - residual) > 1e-9:
-        raise DomainError(
-            f"witness (n={n}, m={m}, residual={residual}) is inconsistent with "
-            f"the declared angle: recomputed (m={got_m}, residual={got_r})")
-
 
 def eval_case_aq(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
                  witness: DiophantineWitness | None = None) -> RegimeReport:
@@ -229,76 +267,48 @@ def eval_case_aq(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
     and carries no arithmetic error term; case 3 (theta irrational) needs a
     witness n*theta = m + beta + gamma_n with |gamma_n| <= n^-rho.
     """
-    _require_zero_tau(sp)
-    if case_id not in (2, 3):
-        raise DomainError(f"eval_case_aq handles cases 2 and 3, got {case_id}")
+    _require_case(sp, case_id, (2, 3))
     q, alpha = ctx.q, ctx.alpha
     lzqa = _log_zqa(ctx)
 
     if case_id == 2:
-        if not sp.theta.declared_rational():
-            raise DomainError("case 2 needs a rational theta")
         m_th, lam = sp.theta.mul_floor_frac(n)
-        beta_star = lam
         witness = DiophantineWitness(n=n, m=m_th, m1=None, target_beta=lam,
                                      residual=0.0, rho=0.0)
-        nu = None
     else:
-        if sp.theta.declared_rational():
-            raise DomainError("case 3 needs an irrational theta")
-        if witness is None or witness.n != n:
-            raise DomainError("case 3 needs a witness at this n")
-        _check_witness(sp.theta, witness, n, witness.target_beta, witness.m,
-                       witness.residual)
-        beta_star = witness.target_beta
-        nu = nu_n(3, n, 0.0, q) if n >= 2 else 0
+        witness = _require_witness(3, sp, n, witness)
 
-    arg = cmath.exp(complex(0.0, _TWO_PI * beta_star)) / (ctx.z * q ** alpha)
+    arg = cmath.exp(complex(0.0, _TWO_PI * witness.target_beta)) / (ctx.z * q ** alpha)
     main = ramanujan_a(q, arg, ctx.tol, ctx.max_terms)
-
-    exact_lp = lp_mul(normalized_laguerre_lp(ctx, sp, n),
-                      lp(euler_log(q, ctx.max_terms), 0.0))
-    exact = exact_lp.to_complex()
-    observed = abs(exact - main)
+    exact = lp_mul(normalized_laguerre_lp(ctx, sp, n), lp(euler_log(q, ctx.max_terms), 0.0))
 
     if case_id == 2:
-        pref = _aq_prefactor(ctx, 7.0)
-        bound = pref * (_exp(0.5 * n * ctx.log_q)
-                        + _exp(0.25 * n * n * ctx.log_q - (n // 2) * lzqa))
-        conds = [("n >= 2", n >= 2), _floor_cond(bound)]
+        nu = None
+        bound = _aq_prefactor(ctx, 7.0) * (
+            exp_or_inf(0.5 * n * ctx.log_q)
+            + exp_or_inf(0.25 * n * n * ctx.log_q - (n // 2) * lzqa))
+        conds = [("n >= 2", n >= 2)]
     else:
         rho = witness.rho
-        pref = _aq_prefactor(ctx, 48.0)
+        nu = nu_n(3, n, 0.0, q) if n >= 2 else 0
         logn = math.log(n)
-        bound = pref * (logn * logn / n ** rho
-                        + _exp(nu * nu * ctx.log_q - nu * lzqa))
+        bound = _aq_prefactor(ctx, 48.0) * (logn * logn / n ** rho
+                                            + exp_or_inf(nu * nu * ctx.log_q - nu * lzqa))
         conds = [
             (f"nu = {nu} >= 2", nu >= 2),
             (f"nu <= n^min(1,rho)/(8*{MARGIN:.0f})",
              nu <= n ** min(1.0, rho) / (8.0 * MARGIN)),
             (f"q^(n/2) <= nu/({MARGIN:.0f} n^rho)",
-             _exp(0.5 * n * ctx.log_q) <= nu / (MARGIN * n ** rho) if nu > 0 else False),
+             math.exp(0.5 * n * ctx.log_q) <= nu / (MARGIN * n ** rho) if nu > 0 else False),
             ("witness trusted", witness.trusted),
-            _floor_cond(bound),
         ]
-    eligible, notes = _conds_to_notes(conds)
-    return RegimeReport(case_id=case_id, n=n, exact=exact_lp, main=main,
-                        observed_error=observed, bound=bound, eligible=eligible,
-                        eligibility_notes=notes, bound_holds=observed <= bound,
-                        witness=witness, nu=nu, m=witness.m)
+    return _certify(case_id, n, exact, main, bound, conds,
+                    witness=witness, nu=nu, m=witness.m)
 
 
 # ---------------------------------------------------------------------------
 # cases 4-7: -2 < tau < 0, main term Theta
 # ---------------------------------------------------------------------------
-
-_THETA_DECLS = {
-    4: (True, True),
-    5: (True, False),
-    6: (False, True),
-    7: (False, False),
-}
-
 
 def eval_case_theta(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
                     witness: DiophantineWitness | None = None) -> RegimeReport:
@@ -310,102 +320,54 @@ def eval_case_theta(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
     The main term is Theta(-z q^(a + chi(m) + u) e^(-2 pi i v) | q) with
     (u, v) the case's pair of q-power and phase offsets.
     """
-    if case_id not in (4, 5, 6, 7):
-        raise DomainError(f"eval_case_theta handles cases 4-7, got {case_id}")
-    tau = sp.tau.value
-    if not (-2.0 < tau < 0.0):
-        raise DomainError(f"theta regime needs -2 < tau < 0, got tau={tau}")
-    want_tau_rat, want_theta_rat = _THETA_DECLS[case_id]
-    if sp.tau.declared_rational() != want_tau_rat or \
-            sp.theta.declared_rational() != want_theta_rat:
-        raise DomainError(
-            f"case {case_id} expects (tau rational={want_tau_rat}, "
-            f"theta rational={want_theta_rat}); declarations disagree")
-
-    q, alpha = ctx.q, ctx.alpha
-    neg_tau = sp.tau.neg()
-    m_exact, c_exact = neg_tau.mul_floor_frac(n)
-    m1_exact, d_exact = sp.theta.mul_floor_frac(n)
-
-    extra_conds: list[tuple[str, bool]] = []
+    _require_case(sp, case_id, (4, 5, 6, 7))
+    q, alpha, tau = ctx.q, ctx.alpha, sp.tau.value
+    # the exact decompositions -tau n = m + c and n theta = m1 + v, with u = c
+    m_exact, c = sp.tau.neg().mul_floor_frac(n)
+    m, u = m_exact, c
+    m1, v = sp.theta.mul_floor_frac(n)
+    tail = []
     if case_id == 4:
-        m, c = m_exact, c_exact
-        u, v = c_exact, d_exact
-        m1 = m1_exact
-        witness = DiophantineWitness(n=n, m=m, m1=m1, target_beta=c_exact,
-                                     residual=0.0, rho=0.0,
-                                     target_beta2=d_exact, residual2=0.0)
-        rho = None
-    elif case_id == 5:
-        if witness is None or witness.n != n:
-            raise DomainError("case 5 needs a theta-side witness at this n")
-        _check_witness(sp.theta, witness, n, witness.target_beta, witness.m,
-                       witness.residual)
-        m, c = m_exact, c_exact
-        u, v = c_exact, witness.target_beta
-        m1 = witness.m
-        rho = witness.rho
-    elif case_id == 6:
-        if witness is None or witness.n != n:
-            raise DomainError("case 6 needs a tau-side witness at this n")
-        _check_witness(neg_tau, witness, n, witness.target_beta, witness.m,
-                       witness.residual)
+        witness = DiophantineWitness(n=n, m=m, m1=m1, target_beta=c, residual=0.0,
+                                     rho=0.0, target_beta2=v, residual2=0.0)
+    else:
+        witness = _require_witness(case_id, sp, n, witness)
+    if case_id in (6, 7):
         # the witness decomposition -tau n = m + beta + a_n replaces the
         # default one; chi(m) and the split point follow the witness's m
-        m = witness.m
-        c = witness.target_beta + witness.residual
-        u, v = witness.target_beta, d_exact
-        m1 = m1_exact
-        rho = witness.rho
+        m, u = witness.m, witness.target_beta
+        c = u + witness.residual
         if m != m_exact:
-            extra_conds.append(
+            tail.append(
                 (f"witness m={m} wraps past floor(-tau n)={m_exact} (still exact)", True))
-    else:
-        if witness is None or witness.n != n or witness.m1 is None:
-            raise DomainError("case 7 needs a joint witness at this n")
-        _check_witness(neg_tau, witness, n, witness.target_beta, witness.m,
-                       witness.residual)
-        _check_witness(sp.theta, witness, n, witness.target_beta2, witness.m1,
-                       witness.residual2)
-        m = witness.m
-        c = witness.target_beta + witness.residual
-        u, v = witness.target_beta, witness.target_beta2
-        m1 = witness.m1
-        rho = witness.rho
-        if m != m_exact:
-            extra_conds.append(
-                (f"witness m={m} wraps past floor(-tau n)={m_exact} (still exact)", True))
+    if case_id == 5:
+        m1, v = witness.m, witness.target_beta
+    elif case_id == 7:
+        m1, v = witness.m1, witness.target_beta2
 
-    split = split_sums(ctx, sp, n, decomposition=(m, c))
-    exact_lp = split.total
-    exact = exact_lp.to_complex()
-
-    parity = chi(m)
-    w_main = -ctx.z * q ** (alpha + parity + u) * cmath.exp(complex(0.0, -_TWO_PI * v))
+    exact = split_sums(ctx, sp, n, decomposition=(m, c)).total
+    w_main = -ctx.z * q ** (alpha + chi(m) + u) * cmath.exp(complex(0.0, -_TWO_PI * v))
     main = theta(w_main, q, ctx.tol, ctx.max_terms)
-    observed = abs(exact - main)
 
     nu = nu_n(case_id, n, tau, q) if n >= 2 else 0
     lzqa = _log_zqa(ctx)
     lq = ctx.log_q
     if case_id == 4:
-        pref = _theta_prefactor(ctx, 30.0)
-        bound = pref * (_exp(0.5 * nu * lq)
-                        + _exp(nu * lzqa + nu * nu * lq)
-                        + _exp(0.5 * nu * nu * lq - nu * lzqa))
+        bound = _theta_prefactor(ctx, 30.0) * (exp_or_inf(0.5 * nu * lq)
+                                               + exp_or_inf(nu * lzqa + nu * nu * lq)
+                                               + exp_or_inf(0.5 * nu * nu * lq - nu * lzqa))
         meta = ("stated constant 30 retained for the majorant; the underlying "
                 "derivation supports 15")
         conds = [
             (f"nu = {nu} >= 2*{MARGIN:.0f}", nu >= 2 * MARGIN),
             ("m >= 1", m >= 1),
-            _floor_cond(bound),
         ]
     else:
-        pref = _theta_prefactor(ctx, 96.0)
+        rho = witness.rho
         logn = math.log(n)
-        bound = pref * (_exp(nu * lzqa + nu * nu * lq)
-                        + _exp(0.5 * nu * nu * lq - nu * lzqa)
-                        + logn * logn / n ** rho)
+        bound = _theta_prefactor(ctx, 96.0) * (exp_or_inf(nu * lzqa + nu * nu * lq)
+                                               + exp_or_inf(0.5 * nu * nu * lq - nu * lzqa)
+                                               + logn * logn / n ** rho)
         meta = ""
         conds = [
             (f"nu = {nu} >= 2*{MARGIN:.0f}", nu >= 2 * MARGIN),
@@ -414,29 +376,22 @@ def eval_case_theta(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
              q ** nu <= nu / (MARGIN * n ** rho) if nu > 0 else False),
             ("m >= 1", m >= 1),
             ("witness trusted", witness.trusted),
-            _floor_cond(bound),
         ]
-    conds.extend(extra_conds)
-    eligible, notes = _conds_to_notes(conds)
-    return RegimeReport(case_id=case_id, n=n, exact=exact_lp, main=main,
-                        observed_error=observed, bound=bound, eligible=eligible,
-                        eligibility_notes=notes, bound_holds=observed <= bound,
-                        witness=witness, nu=nu, m=m, m1=m1, meta=meta)
+    return _certify(case_id, n, exact, main, bound, conds, tail=tail, meta=meta,
+                    witness=witness, nu=nu, m=m, m1=m1)
 
 
 # ---------------------------------------------------------------------------
 # grid driver
 # ---------------------------------------------------------------------------
 
-def witness_plan(case_id: int, sp: ScalingParameter, beta: float,
-                 rho: float | None = None) -> tuple[RealValue, float]:
-    """The angle a witness-driven case searches (theta in cases 3 and 5,
-    -tau in 6 and 7, where theta is the joint search's second angle) and
-    its exponent: rho, or the default for that angle and target."""
-    angle = sp.tau.neg() if case_id in (6, 7) else sp.theta
-    if rho is None:
-        rho = default_rho(angle, beta, joint=case_id == 7)
-    return angle, rho
+def _evaluate(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
+              witness: DiophantineWitness | None = None) -> RegimeReport:
+    if case_id == 1:
+        return eval_case1(ctx, sp, n)
+    if case_id in (2, 3):
+        return eval_case_aq(ctx, sp, n, case_id, witness)
+    return eval_case_theta(ctx, sp, n, case_id, witness)
 
 
 def run_verify(ctx: QContext, sp: ScalingParameter, *,
@@ -447,42 +402,26 @@ def run_verify(ctx: QContext, sp: ScalingParameter, *,
                n_max: int | None = None) -> list[RegimeReport]:
     """Evaluate a regime over a degree grid or over searched witnesses.
 
-    Cases 1, 2, 4 run at every requested n.  Cases 3, 5, 6, 7 run at the
-    witnesses found up to n_max (default: top of the n grid, else 10^4),
-    optionally intersected with an explicit n grid.
+    Cases 1, 2, 4 run at every requested n (case 4 from n = 1).  Cases 3,
+    5, 6, 7 run at the witnesses found up to n_max (default: top of the n
+    grid, else DEFAULT_NMAX), optionally intersected with an explicit n grid.
     """
     cid = case_id if case_id is not None else classify_case(sp)
-    if cid != classify_case(sp):
-        raise DomainError(
-            f"requested case {cid} but (tau, theta) declarations give case "
-            f"{classify_case(sp)}")
+    _require_case(sp, cid)
 
     if cid in (1, 2, 4):
         if not n_values:
             raise DomainError("this case needs an explicit n grid")
-        if cid == 1:
-            return [eval_case1(ctx, sp, n) for n in sorted(n_values)]
-        if cid == 2:
-            return [eval_case_aq(ctx, sp, n, 2) for n in sorted(n_values)]
-        return [eval_case_theta(ctx, sp, n, 4) for n in sorted(n_values) if n >= 1]
+        return [_evaluate(ctx, sp, n, cid) for n in sorted(n_values) if cid != 4 or n >= 1]
 
-    top = n_max or (max(n_values) if n_values else 10_000)
-    keep = set(n_values) if n_values else None
+    top = n_max or (max(n_values) if n_values else DEFAULT_NMAX)
     angle, r = witness_plan(cid, sp, beta, rho)
     if cid == 7:
         wits = joint_witness_search(angle, sp.theta, beta, beta2, r, top)
     else:
         wits = witness_search(angle, beta, r, top)
-
-    out = []
-    for w in wits:
-        if keep is not None and w.n not in keep:
-            continue
-        if cid == 3:
-            out.append(eval_case_aq(ctx, sp, w.n, 3, witness=w))
-        else:
-            out.append(eval_case_theta(ctx, sp, w.n, cid, witness=w))
-    return out
+    keep = set(n_values) if n_values else None
+    return [_evaluate(ctx, sp, w.n, cid, w) for w in wits if keep is None or w.n in keep]
 
 
 def fit_decay_slope(ns: list[int], errors: list[float],

@@ -43,6 +43,7 @@ from .asymptotics import (
     witness_plan,
 )
 from .diophantine import (
+    DEFAULT_NMAX,
     DiophantineWitness,
     default_rho,
     joint_witness_search,
@@ -51,7 +52,8 @@ from .diophantine import (
 )
 from .numerics import ConvergenceError, DomainError, LogPolarComplex
 from .qlaguerre import ScalingParameter, laguerre_direct, normalized_laguerre_lp
-from .qseries import DEFAULT_MAX_TERMS, QContext, aq_series_lp, pochhammer, theta_lp
+from .qseries import DEFAULT_MAX_TERMS, DEFAULT_TOL, QContext, aq_series_lp, pochhammer, \
+    theta_lp
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -330,7 +332,7 @@ def _add_context_args(p: argparse.ArgumentParser, max_terms_default: int) -> Non
     p.add_argument("--alpha", type=float, default=0.0, help="exponent alpha > -1")
     p.add_argument("--z", type=str, default="1",
                    help="nonzero complex z ('2', '0.7+0.2j')")
-    p.add_argument("--tol", type=float, default=1e-15,
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                    help="relative truncation tolerance")
     p.add_argument("--max-terms", type=int, default=max_terms_default,
                    help="safety cap on series terms (env QPR_MAX_TERMS)")
@@ -342,6 +344,10 @@ def _add_scaling_args(p: argparse.ArgumentParser) -> None:
                         "the --tau=-3/4 form")
     p.add_argument("--theta", type=str, default="0",
                    help="theta: integer, fraction, or fixture name")
+    _add_assume_args(p)
+
+
+def _add_assume_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--assume-rational", action="store_true",
                    help="treat free-decimal tau/theta as exact rationals")
     p.add_argument("--assume-irrational", action="store_true",
@@ -405,9 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--beta", type=_beta_value, default=Fraction(0))
     pw.add_argument("--beta2", type=_beta_value, default=Fraction(0))
     pw.add_argument("--rho", type=float, default=None)
-    pw.add_argument("--nmax", type=int, default=10_000)
-    pw.add_argument("--assume-rational", action="store_true")
-    pw.add_argument("--assume-irrational", action="store_true")
+    pw.add_argument("--nmax", type=int, default=DEFAULT_NMAX)
+    _add_assume_args(pw)
     _add_output_args(pw)
     pw.set_defaults(func=cmd_witness)
 
@@ -420,8 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--tau-grid", type=str, required=True,
                     help="comma-separated tau tokens, e.g. '0.25,0.5,1' with --assume-rational")
     ps.add_argument("--theta", type=str, default="0")
-    ps.add_argument("--assume-rational", action="store_true")
-    ps.add_argument("--assume-irrational", action="store_true")
+    _add_assume_args(ps)
     ps.add_argument("--n", type=str, default=None,
                     help="degree grid; defaults to 5..40 for dense regimes")
     ps.add_argument("--n-step", type=int, default=1)

@@ -170,13 +170,6 @@ class RealValue:
             return f, frac
         return floor_frac(n * self.approx)
 
-    def frac_fraction(self, n: int) -> Fraction:
-        """Exact fractional part of n*x for rational kind."""
-        if self.kind != "rational":
-            raise DomainError("exact fractional part requires a rational RealValue")
-        y = n * self.fraction
-        return y - (y.numerator // y.denominator)
-
 
 def as_real_value(x) -> RealValue:
     """Coerce ints, Fractions and RealValues; floats must be pre-declared."""
@@ -397,8 +390,9 @@ def decompose(th: RealValue, n: int, beta: float,
     Fraction arithmetic; every other input through mul_floor_frac and beta.
     """
     if th.kind == "rational" and beta_frac is not None:
-        fl, _ = th.mul_floor_frac(n)
-        d = th.frac_fraction(n) - beta_frac
+        y = n * th.fraction
+        fl = y.numerator // y.denominator
+        d = y - fl - beta_frac
         shift = math.floor(d + Fraction(1, 2))
         return fl + shift, float(d - shift)
     fl, fr = th.mul_floor_frac(n)
@@ -562,6 +556,10 @@ def joint_witness_search(theta1, theta2, beta1, beta2, rho: float,
             trusted=_trusted(th1, r1, n) and _trusted(th2, r2, n),
             target_beta2=b2, residual2=r2))
     return out
+
+
+# Top degree of a witness search when none is given.
+DEFAULT_NMAX = 10_000
 
 
 def default_rho(theta: RealValue, beta: float, joint: bool = False) -> float:

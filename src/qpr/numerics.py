@@ -40,6 +40,26 @@ def phase(w: complex) -> float:
     return math.atan2(w.imag, w.real)
 
 
+def exp_or_inf(x: float) -> float:
+    """math.exp(x), but inf wherever the value overflows double range; the
+    one overflow rule for exponentials of log-magnitudes."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def abs_or_inf(w: complex) -> float:
+    """abs(w), but inf where |w| overflows double range.  abs() raises
+    OverflowError there, and also on a nan component whenever the last libm
+    call under- or overflowed (CPython reads a stale errno); that case gives
+    nan, as abs() does otherwise."""
+    try:
+        return abs(w)
+    except OverflowError:
+        return math.nan if math.isnan(w.real) or math.isnan(w.imag) else math.inf
+
+
 def wrap_phase(phi: float) -> float:
     """Reduce an angle into (-pi, pi]."""
     r = math.remainder(phi, _TAU)
@@ -94,10 +114,7 @@ class LogPolarComplex:
         """Ordinary complex value; overflows to inf beyond double range."""
         if self.log_mag == _NEG_INF:
             return 0j
-        if self.log_mag > 709.0:
-            mag = math.inf
-        else:
-            mag = math.exp(self.log_mag)
+        mag = exp_or_inf(self.log_mag)
         c, s = cis(self.phase)
         # an exact zero component stays zero even when mag overflows (inf*0 = nan)
         return complex(mag * c if c else c, mag * s if s else s)
@@ -170,7 +187,6 @@ class SummationResult:
     value: complex
     rescale_log: float
     term_count: int
-    max_term_log: float
 
     def to_lp(self) -> LogPolarComplex:
         if self.value == 0:
@@ -215,7 +231,7 @@ def sum_rescaled(terms: Sequence[LogPolarComplex] | Iterable[LogPolarComplex]) -
     items = [(t.log_mag, i, t.phase) for i, t in enumerate(terms)]
     finite = [(lm, i, ph) for lm, i, ph in items if lm != _NEG_INF]
     if not finite:
-        return SummationResult(0j, 0.0, len(items), _NEG_INF)
+        return SummationResult(0j, 0.0, len(items))
     big = max(lm for lm, _, _ in finite)
     finite.sort(key=lambda t: (-t[0], t[1]))
     re = _Neumaier()
@@ -225,7 +241,7 @@ def sum_rescaled(terms: Sequence[LogPolarComplex] | Iterable[LogPolarComplex]) -
         c, s = cis(ph)
         re.add(w * c)
         im.add(w * s)
-    return SummationResult(complex(re.result(), im.result()), big, len(items), big)
+    return SummationResult(complex(re.result(), im.result()), big, len(items))
 
 
 def certified_terms(term_log: Callable[[int], float], term_phase: Callable[[int], float],

@@ -28,6 +28,7 @@ from .numerics import (
     LogPolarComplex,
     RangeGuardError,
     certified_terms,
+    exp_or_inf,
     lp,
     lp_mul,
     lp_div,
@@ -152,8 +153,7 @@ def normalized_laguerre_lp(ctx: QContext, sp: ScalingParameter, n: int) -> LogPo
         term_log=lambda k: (ta.log(n) - tq.log(k) - tq.log(n - k) - ta.log(n - k)
                             + (k * k + tau_n * k) * lq - k * log_zqa),
         term_phase=lambda k: phase_mul_int(base_phase, k),
-        ratio_bound=lambda k: math.exp(
-            min((2 * k + 1 + tau_n) * lq - log_zqa - math.log1p(-q), 700.0)),
+        ratio_bound=lambda k: exp_or_inf((2 * k + 1 + tau_n) * lq - log_zqa - math.log1p(-q)),
         tol=ctx.tol,
         max_terms=ctx.max_terms,
         stop=n,
@@ -267,7 +267,7 @@ def split_sums(ctx: QContext, sp: ScalingParameter, n: int,
         term_log=lambda k: (k * k * lq + k * log_w1
                             + _log_factor_e(tq, ta, log_euler2, log_an, p, n, k)),
         term_phase=lambda k: phase_mul_int(ph_w1, k),
-        ratio_bound=lambda k: math.exp(min((2 * k + 1) * lq + log_w1, 700.0)),
+        ratio_bound=lambda k: exp_or_inf((2 * k + 1) * lq + log_w1),
         tol=ctx.tol,
         max_terms=ctx.max_terms,
         stop=p,
@@ -278,7 +278,7 @@ def split_sums(ctx: QContext, sp: ScalingParameter, n: int,
         term_log=lambda k: (k * k * lq - k * log_w1
                             + _log_factor_f(tq, ta, log_euler2, log_an, p, n, k)),
         term_phase=lambda k: phase_mul_int(ph_w1, -k),
-        ratio_bound=lambda k: math.exp(min((2 * k + 1) * lq - log_w1, 700.0)),
+        ratio_bound=lambda k: exp_or_inf((2 * k + 1) * lq - log_w1),
         tol=ctx.tol,
         max_terms=ctx.max_terms,
         start=1,

@@ -26,6 +26,7 @@ from .numerics import (
     DomainError,
     LogPolarComplex,
     certified_terms,
+    exp_or_inf,
     lp,
     phase,
     phase_mul_int,
@@ -296,7 +297,7 @@ def theta_lp(z: complex, q: float, tol: float = DEFAULT_TOL,
         terms += certified_terms(
             term_log=lambda j: j * j * lq + sign * j * lz,
             term_phase=lambda j: phase_mul_int(ph, sign * j),
-            ratio_bound=lambda j: math.exp((2 * j + 1) * lq + sign * lz),
+            ratio_bound=lambda j: exp_or_inf((2 * j + 1) * lq + sign * lz),
             tol=tol,
             max_terms=max_terms,
             start=1,

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 from collections import Counter
 from fractions import Fraction as F
@@ -16,7 +17,8 @@ from qpr.asymptotics import (
     run_verify,
     scaling_range_advisory,
 )
-from qpr.diophantine import DiophantineWitness, RealValue, fixture_irrationals, witness_search
+from qpr.diophantine import DiophantineWitness, RealValue, fixture_irrationals, \
+    joint_witness_search, witness_search
 from qpr.numerics import DomainError
 from qpr.qlaguerre import ScalingParameter
 from qpr.qseries import QContext, b_function, ramanujan_a, theta
@@ -364,3 +366,86 @@ class TestPrefactorsOncePerContext:
         rows = run_verify(ctx, sp_rat(tau, theta_), n_values=list(range(8, 20)))
         assert len(rows) == 12
         assert max(calls.values(), default=0) <= 1, calls
+
+
+class TestOverflowRule:
+    # (case, tau, theta, run_verify keywords); at these |z| the exact value
+    # or the main term leaves double range, and no case 2-7 majorant has a
+    # log form, so such rows can only be reported, never certified
+    SCENARIOS = [
+        (2, RealValue.from_rational(0), RealValue.from_rational(F(1, 3)),
+         {"n_values": list(range(2, 40, 3))}),
+        (3, RealValue.from_rational(0), SQRT2, {"rho": 1.0, "n_max": 3000}),
+        (4, RealValue.from_rational(-1), RealValue.from_rational(F(1, 4)),
+         {"n_values": list(range(8, 90, 9))}),
+        (5, RealValue.from_rational(-1), SQRT2, {"rho": 1.0, "n_max": 1000}),
+        (6, SQRT2.neg(), RealValue.from_rational(F(1, 2)), {"rho": 1.0, "n_max": 1000}),
+        (7, SQRT2.neg(), SQRT3, {"rho": 0.4, "n_max": 300}),
+    ]
+
+    @pytest.mark.parametrize("z", [1e-200, 1e300])
+    def test_no_out_of_range_row_is_eligible(self, z):
+        ctx = QContext(0.5, 0.0, z)
+        out_of_range = 0
+        for case_id, tau, theta_, kw in self.SCENARIOS:
+            rows = run_verify(ctx, ScalingParameter(tau, theta_), case_id=case_id, **kw)
+            for r in rows:
+                if math.isfinite(r.observed_error) and math.isfinite(r.bound):
+                    continue
+                out_of_range += 1
+                assert not r.eligible, (case_id, r.n)
+                assert "within double range: FAIL" in r.eligibility_notes
+        assert out_of_range > 50
+
+    def test_case2_rows_fail_only_on_range(self):
+        # every other condition holds, so the range rule alone decides
+        rows = [eval_case_aq(QContext(0.5, 0.0, 1e-200), sp_rat(0, F(1, 3)), n, 2)
+                for n in range(5, 9)]
+        assert [r.n for r in rows if r.observed_error != r.observed_error] == [8]
+        for r in rows:
+            assert not r.eligible
+            assert r.eligibility_notes.count("FAIL") == 1
+
+
+class TestWitnessCheck:
+    CTX = QContext(0.5, 0.0, 1.0)
+    SP = {
+        3: ScalingParameter(RealValue.from_rational(0), SQRT2),
+        5: ScalingParameter(RealValue.from_rational(-1), SQRT2),
+        6: ScalingParameter(SQRT2.neg(), RealValue.from_rational(F(1, 2))),
+        7: ScalingParameter(SQRT2.neg(), SQRT3),
+    }
+
+    def genuine(self, case_id):
+        if case_id == 7:
+            wits = joint_witness_search(SQRT2, SQRT3, 0.0, 0.0, 0.4, 200)
+        else:
+            wits = witness_search(SQRT2, 0.0, 1.0, 200)
+        return next(w for w in wits if w.n >= 8)
+
+    def evaluate(self, case_id, n, witness):
+        if case_id == 3:
+            return eval_case_aq(self.CTX, self.SP[3], n, 3, witness=witness)
+        return eval_case_theta(self.CTX, self.SP[case_id], n, case_id, witness=witness)
+
+    @pytest.mark.parametrize("case_id, forgery", [
+        *[(c, f) for c in (3, 5, 6, 7) for f in ("m", "residual", "n")],
+        (7, "m1"), (7, "residual2"),
+    ])
+    def test_forged_witness_rejected(self, case_id, forgery):
+        w = self.genuine(case_id)
+        assert self.evaluate(case_id, w.n, w).witness == w
+        n, match = w.n, "inconsistent with the declared angle"
+        if forgery == "n":
+            n, match = n + 1, "needs a witness at this n"
+        elif forgery in ("m", "m1"):
+            w = dataclasses.replace(w, **{forgery: getattr(w, forgery) + 1})
+        else:
+            w = dataclasses.replace(w, **{forgery: getattr(w, forgery) + 0.01})
+        with pytest.raises(DomainError, match=match):
+            self.evaluate(case_id, n, w)
+
+    @pytest.mark.parametrize("case_id", [3, 5, 6, 7])
+    def test_missing_witness_rejected(self, case_id):
+        with pytest.raises(DomainError, match="needs a witness"):
+            self.evaluate(case_id, 12, None)

@@ -45,6 +45,12 @@ class TestEval:
         value = capsys.readouterr().out.splitlines()[0].split(" = ")[1]
         assert math.isfinite(complex(value).real)
 
+    def test_subnormal_z_keeps_log_polar_line(self, capsys):
+        # the left tail's ratio bound exp(-log|z| + ...) leaves double range here
+        assert run_cli(["eval", "theta", "--z", "1e-310", "--q", "0.5"]) == 0
+        out = capsys.readouterr().out
+        assert float(out.split("log10|value| = ")[1].split()[0]) > 308
+
     def test_overflowing_value_keeps_log_polar_line(self, capsys):
         assert run_cli(["eval", "theta", "--z", "1e300", "--q", "0.5"]) == 0
         out = capsys.readouterr().out
@@ -129,6 +135,19 @@ class TestVerify:
         assert [int(r["n"]) for r in rows] == list(range(5, 11))
         assert all(r["bound_holds"] == "true" for r in rows)
         assert all("log space" in r["notes"] for r in rows)
+
+    def test_case2_out_of_range_rows_ineligible(self, tmp_path, capsys):
+        # exact value and main term overflow; without a log-form majorant the
+        # rows cannot be certified, so none is eligible and none is violated
+        out = tmp_path / "v.csv"
+        code = run_cli(["verify", "--case", "2", "--q", "0.5", "--z=1e-200", "--tau", "0",
+                        "--theta", "1/3", "--n", "5..8", "--output", str(out)])
+        assert code == 3
+        assert "BOUND VIOLATION" not in capsys.readouterr().err
+        rows = read_csv(out)
+        assert [int(r["n"]) for r in rows] == [5, 6, 7, 8]
+        assert all(r["eligible"] == "false" for r in rows)
+        assert all("within double range: FAIL" in r["notes"] for r in rows)
 
     def test_undeclared_decimal_usage_error(self, capsys):
         code = run_cli(["verify", "--q", "0.5", "--z", "1", "--tau", "0",

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,9 @@ from qpr.numerics import (
     ConvergenceError,
     DomainError,
     LogPolarComplex,
+    abs_or_inf,
     certified_terms,
+    exp_or_inf,
     lp,
     lp_from_complex,
     lp_mul,
@@ -138,6 +141,24 @@ def test_sum_value_finite_for_finite_inputs():
     terms = [lp(600.0, 0.1 * k) for k in range(50)]
     r = sum_rescaled(terms)
     assert math.isfinite(r.value.real) and math.isfinite(r.value.imag)
+
+
+def test_exp_or_inf_is_exp_until_it_overflows():
+    top = math.log(sys.float_info.max)
+    assert exp_or_inf(top) == math.exp(top)
+    assert exp_or_inf(math.nextafter(top, math.inf)) == math.inf
+    assert exp_or_inf(1e6) == math.inf
+    assert math.isnan(exp_or_inf(math.nan))
+    # to_complex stays finite up to the largest double
+    assert lp(709.5, 0.0).to_complex() == complex(math.exp(709.5), 0.0)
+
+
+def test_abs_or_inf_never_raises():
+    assert abs_or_inf(3 + 4j) == 5.0
+    assert abs_or_inf(complex(1.5e308, 1.5e308)) == math.inf
+    assert abs_or_inf(complex(math.inf, math.nan)) == math.inf
+    math.exp(-1000.0)  # an underflow leaves errno set; abs(nan+0j) then raises
+    assert math.isnan(abs_or_inf(complex(math.nan, 0.0)))
 
 
 def test_to_complex_keeps_exact_zero_component_past_overflow():

@@ -17,6 +17,7 @@ from qpr.qseries import (
     remainder_r1,
     remainder_r2,
     theta,
+    theta_lp,
     theta_triple_product,
 )
 
@@ -150,6 +151,17 @@ class TestTheta:
         a = theta(z, 0.55)
         b = theta(1 / z, 0.55)
         assert close(a, b, rel=1e-13, abs_tol=1e-13)
+
+    @given(st.floats(min_value=-323.0, max_value=300.0), st.floats(-math.pi, math.pi))
+    @settings(max_examples=30)
+    @example(math.log10(1.5e-323), 0.0)  # the left tail's ratio bound overflowed here
+    @example(-310.0, 0.0)
+    def test_log_polar_value_at_extreme_magnitudes(self, log10_r, phi):
+        z = cmath.rect(10.0 ** log10_r, phi)
+        if z == 0:
+            return
+        v = theta_lp(z, 0.5)
+        assert math.isfinite(v.log_mag) and math.isfinite(v.phase)
 
     def test_triple_product_reference_point(self):
         z, q = 0.7 + 0.2j, 0.6
