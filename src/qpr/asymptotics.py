@@ -22,6 +22,11 @@ bound sits below the double-precision certification floor are excluded
 rather than asserted, as are rows outside double range whose majorant has
 no log form (see _certify).  Violations on eligible rows are exactly the
 failures a certification run must report.
+
+The majorant prefactors are computed once per context.  The main terms are
+memoized per context on the exact quantities their argument is built from
+(lam = {n theta} or the witness target in cases 2 and 3; chi(m), u and v in
+cases 4-7), which recur with period at most 2 lcm of the denominators.
 """
 
 from __future__ import annotations
@@ -150,6 +155,32 @@ def _case1_log_b(ctx: QContext) -> float:
     return math.log(value) if math.isfinite(value) else b.log_mag
 
 
+def _zero_signs(ctx: QContext, *xs: float) -> tuple[float, ...]:
+    """The signs of z's components and of xs, for a main-term memo key:
+    lru_cache compares keys with ==, which would merge 0.0 with -0.0 (and a
+    z of 2+0j with one of 2-0j), yet the main terms keep the sign of zero."""
+    return tuple(math.copysign(1.0, x) for x in (ctx.z.real, ctx.z.imag, *xs))
+
+
+# 256 entries hold a period of the residues for the grids in use; a longer
+# period only misses
+@lru_cache(maxsize=256)
+def _aq_main(ctx: QContext, target: float, signs: tuple[float, ...]) -> complex:
+    """A_q(e^(2 pi i target)/(z q^a)), the main term of cases 2 and 3;
+    signs is _zero_signs(ctx, target)."""
+    arg = cmath.exp(complex(0.0, _TWO_PI * target)) / (ctx.z * ctx.q ** ctx.alpha)
+    return ramanujan_a(ctx.q, arg, ctx.tol, ctx.max_terms)
+
+
+@lru_cache(maxsize=256)
+def _theta_main(ctx: QContext, parity: int, u: float, v: float,
+                signs: tuple[float, ...]) -> complex:
+    """Theta(-z q^(a + parity + u) e^(-2 pi i v) | q), the main term of cases
+    4-7; signs is _zero_signs(ctx, u, v)."""
+    w = -ctx.z * ctx.q ** (ctx.alpha + parity + u) * cmath.exp(complex(0.0, -_TWO_PI * v))
+    return theta(w, ctx.q, ctx.tol, ctx.max_terms)
+
+
 # ---------------------------------------------------------------------------
 # the shared row steps: case check, witness check, verdict
 # ---------------------------------------------------------------------------
@@ -217,7 +248,8 @@ def _certify(case_id: int, n: int, exact: LogPolarComplex, main: complex, bound:
             conds.append(("observed error and bound within double range", False))
         else:
             neg_main = lp_mul(lp_from_complex(main), lp(0.0, math.pi))
-            log_observed = sum_rescaled([exact, neg_main]).to_lp().log_mag
+            log_observed = sum_rescaled([exact.log_mag, neg_main.log_mag],
+                                        [exact.phase, neg_main.phase]).to_lp().log_mag
             holds = log_observed <= log_bound
             note = (f"compared in log space: ln observed {log_observed:.6g}, "
                     f"ln bound {log_bound:.6g}")
@@ -268,7 +300,7 @@ def eval_case_aq(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
     witness n*theta = m + beta + gamma_n with |gamma_n| <= n^-rho.
     """
     _require_case(sp, case_id, (2, 3))
-    q, alpha = ctx.q, ctx.alpha
+    q = ctx.q
     lzqa = _log_zqa(ctx)
 
     if case_id == 2:
@@ -278,8 +310,8 @@ def eval_case_aq(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
     else:
         witness = _require_witness(3, sp, n, witness)
 
-    arg = cmath.exp(complex(0.0, _TWO_PI * witness.target_beta)) / (ctx.z * q ** alpha)
-    main = ramanujan_a(q, arg, ctx.tol, ctx.max_terms)
+    target = witness.target_beta
+    main = _aq_main(ctx, target, _zero_signs(ctx, target))
     exact = lp_mul(normalized_laguerre_lp(ctx, sp, n), lp(euler_log(q, ctx.max_terms), 0.0))
 
     if case_id == 2:
@@ -321,7 +353,7 @@ def eval_case_theta(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
     (u, v) the case's pair of q-power and phase offsets.
     """
     _require_case(sp, case_id, (4, 5, 6, 7))
-    q, alpha, tau = ctx.q, ctx.alpha, sp.tau.value
+    q, tau = ctx.q, sp.tau.value
     # the exact decompositions -tau n = m + c and n theta = m1 + v, with u = c
     m_exact, c = sp.tau.neg().mul_floor_frac(n)
     m, u = m_exact, c
@@ -346,8 +378,7 @@ def eval_case_theta(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
         m1, v = witness.m1, witness.target_beta2
 
     exact = split_sums(ctx, sp, n, decomposition=(m, c)).total
-    w_main = -ctx.z * q ** (alpha + chi(m) + u) * cmath.exp(complex(0.0, -_TWO_PI * v))
-    main = theta(w_main, q, ctx.tol, ctx.max_terms)
+    main = _theta_main(ctx, chi(m), u, v, _zero_signs(ctx, u, v))
 
     nu = nu_n(case_id, n, tau, q) if n >= 2 else 0
     lzqa = _log_zqa(ctx)

@@ -538,19 +538,27 @@ def joint_witness_search(theta1, theta2, beta1, beta2, rho: float,
                          n_max: int) -> list[DiophantineWitness]:
     """Simultaneous acceptance: both residuals below n^-rho at the same n.
 
-    Degrees are enumerated on theta1 as in witness_search, then tested on
-    theta2."""
+    Degrees are enumerated as in witness_search on theta2 when it alone is
+    a surd, so that the scan steps from hit to hit, and on theta1 otherwise;
+    the other angle is reduced only at the hits.  Witnesses come out in
+    increasing n either way, with m/residual from theta1 and m1/residual2
+    from theta2."""
     th1 = as_real_value(theta1)
     th2 = as_real_value(theta2)
     (b1_frac, b1), (b2_frac, b2) = _search_args(n_max, rho, beta1, beta2)
+    sides = [(th1, b1, b1_frac), (th2, b2, b2_frac)]
+    swap = th2.kind == "surd" and th1.kind != "surd"
+    lead, (other, b_other, b_other_frac) = sides[::-1] if swap else sides
     out: list[DiophantineWitness] = []
-    for n, m, r1 in _candidates(th1, b1, b1_frac, rho, n_max):
+    for n, m_lead, r_lead in _candidates(*lead, rho, n_max):
         thr = n ** (-rho)
-        if abs(r1) >= thr:
+        if abs(r_lead) >= thr:
             continue
-        m1, r2 = decompose(th2, n, b2, b2_frac)
-        if abs(r2) >= thr:
+        m_other, r_other = decompose(other, n, b_other, b_other_frac)
+        if abs(r_other) >= thr:
             continue
+        hits = [(m_lead, r_lead), (m_other, r_other)]
+        (m, r1), (m1, r2) = hits[::-1] if swap else hits
         out.append(DiophantineWitness(
             n=n, m=m, m1=m1, target_beta=b1, residual=r1, rho=rho,
             trusted=_trusted(th1, r1, n) and _trusted(th2, r2, n),

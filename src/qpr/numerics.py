@@ -5,14 +5,16 @@ magnitudes leave IEEE double range long before the mathematics becomes
 interesting.  The fix is structural rather than big-float: complex values
 are carried as (log-magnitude, phase) pairs, and finite sums are evaluated
 by factoring out the largest log-magnitude and compensated-summing the
-rescaled residuals in a deterministic order.
+rescaled residuals in a deterministic order.  The summation kernel works on
+parallel lists of logs and phases, as certified_terms produces them, so no
+per-term object is built on the way.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 _TAU = 2.0 * math.pi
 _NEG_INF = float("-inf")
@@ -85,17 +87,14 @@ def phase_mul_int(phi: float, k: int) -> float:
     return wrap_phase(k * phi)
 
 
+_CARDINAL = {0.0: (1.0, 0.0), math.pi: (-1.0, 0.0), _HALF_PI: (0.0, 1.0),
+             -_HALF_PI: (0.0, -1.0)}
+
+
 def cis(phi: float) -> tuple[float, float]:
     """(cos phi, sin phi), exact on the four cardinal directions."""
-    if phi == 0.0:
-        return 1.0, 0.0
-    if phi == math.pi:
-        return -1.0, 0.0
-    if phi == _HALF_PI:
-        return 0.0, 1.0
-    if phi == -_HALF_PI:
-        return 0.0, -1.0
-    return math.cos(phi), math.sin(phi)
+    cs = _CARDINAL.get(phi)
+    return cs if cs is not None else (math.cos(phi), math.sin(phi))
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,7 +103,8 @@ class LogPolarComplex:
 
     log_mag = -inf encodes zero (phase fixed at 0).  The representation is
     exact under multiplication and integer powers, which is what the huge
-    prefactors here need; addition goes through :func:`sum_rescaled`.
+    prefactors here need; addition goes through :func:`sum_rescaled`, which
+    takes the log-magnitudes and phases as two lists.
     """
 
     log_mag: float
@@ -199,58 +199,55 @@ class SummationResult:
         return self.to_lp().to_complex()
 
 
-class _Neumaier:
-    """Kahan-Babuska-Neumaier compensated accumulator for one real axis."""
+def sum_rescaled(logs: Sequence[float], phases: Sequence[float]) -> SummationResult:
+    """Sum the terms e^(logs[i]) e^(i phases[i]) without overflow, deterministically.
 
-    __slots__ = ("total", "comp")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self.comp = 0.0
-
-    def add(self, x: float) -> None:
-        t = self.total + x
-        if abs(self.total) >= abs(x):
-            self.comp += (self.total - t) + x
-        else:
-            self.comp += (x - t) + self.total
-        self.total = t
-
-    def result(self) -> float:
-        return self.total + self.comp
-
-
-def sum_rescaled(terms: Sequence[LogPolarComplex] | Iterable[LogPolarComplex]) -> SummationResult:
-    """Sum log-polar terms without overflow, deterministically.
-
-    The maximum log-magnitude is factored out, the rescaled terms are
-    converted to ordinary complex and accumulated in descending-magnitude
-    order (ties broken by original index) with compensated summation.  For a
-    fixed multiset of inputs the result is reproducible bit for bit.
+    Terms with log -inf are zeros: skipped, but counted in term_count.  The
+    largest log-magnitude is factored out, and the rescaled terms are
+    accumulated in descending-magnitude order (ties in index order) with
+    Kahan-Babuska-Neumaier compensated summation on each axis.  For a fixed
+    multiset of inputs the result is reproducible bit for bit.
     """
-    items = [(t.log_mag, i, t.phase) for i, t in enumerate(terms)]
-    finite = [(lm, i, ph) for lm, i, ph in items if lm != _NEG_INF]
-    if not finite:
-        return SummationResult(0j, 0.0, len(items))
-    big = max(lm for lm, _, _ in finite)
-    finite.sort(key=lambda t: (-t[0], t[1]))
-    re = _Neumaier()
-    im = _Neumaier()
-    for lm, _, ph in finite:
-        w = math.exp(lm - big)
-        c, s = cis(ph)
-        re.add(w * c)
-        im.add(w * s)
-    return SummationResult(complex(re.result(), im.result()), big, len(items))
+    order = [i for i, lm in enumerate(logs) if lm != _NEG_INF]
+    if not order:
+        return SummationResult(0j, 0.0, len(logs))
+    # a stable descending sort keeps tied logs in index order
+    order.sort(key=logs.__getitem__, reverse=True)
+    big = logs[order[0]]
+    exp, cos, sin, cardinal = math.exp, math.cos, math.sin, _CARDINAL.get
+    re = re_comp = im = im_comp = 0.0
+    for i in order:
+        w = exp(logs[i] - big)
+        ph = phases[i]
+        cs = cardinal(ph)
+        c, s = cs if cs is not None else (cos(ph), sin(ph))
+        x = w * c
+        t = re + x
+        if abs(re) >= abs(x):
+            re_comp += (re - t) + x
+        else:
+            re_comp += (x - t) + re
+        re = t
+        x = w * s
+        t = im + x
+        if abs(im) >= abs(x):
+            im_comp += (im - t) + x
+        else:
+            im_comp += (x - t) + im
+        im = t
+    return SummationResult(complex(re + re_comp, im + im_comp), big, len(logs))
 
 
 def certified_terms(term_log: Callable[[int], float], term_phase: Callable[[int], float],
                     ratio_bound: Callable[[int], float], tol: float, max_terms: int, *,
                     start: int = 0, stop: int | None = None, max_log: float = _NEG_INF,
-                    tail_log: Callable[[int], float] | None = None) -> list[LogPolarComplex]:
-    """Collect log-polar series terms under a certified stopping rule.
+                    tail_log: Callable[[int], float] | None = None
+                    ) -> tuple[list[float], list[float]]:
+    """Collect series terms under a certified stopping rule, as parallel
+    lists (logs, phases) ready for :func:`sum_rescaled`.
 
-    term_log(k)/term_phase(k) describe term k; ratio_bound(k) must majorize
+    term_log(k)/term_phase(k) describe term k; terms with log -inf are left
+    out and phases are wrapped into (-pi, pi].  ratio_bound(k) must majorize
     |t_{k+1}/t_k|.  Generation stops once the ratio bound is <= 1/2 and the
     tail majorant at k (tail_log(k), by default the term itself) sits tol/4
     below the largest term seen, so the discarded tail is at most
@@ -259,16 +256,19 @@ def certified_terms(term_log: Callable[[int], float], term_phase: Callable[[int]
     one raises ConvergenceError after max_terms + 1 terms.
     """
     log_tol = math.log(tol) - math.log(4.0)
-    terms: list[LogPolarComplex] = []
+    logs: list[float] = []
+    phases: list[float] = []
     last = start + max_terms if stop is None else stop
     for k in range(start, last + 1):
         tl = term_log(k)
         if tl != _NEG_INF:
-            terms.append(lp(tl, term_phase(k)))
-            max_log = max(max_log, tl)
+            logs.append(tl)
+            phases.append(wrap_phase(term_phase(k)))
+            if tl > max_log:
+                max_log = tl
         tail = tl if tail_log is None else tail_log(k)
         if ratio_bound(k) <= 0.5 and (tail == _NEG_INF or tail <= max_log + log_tol):
-            return terms
+            return logs, phases
     if stop is not None:
-        return terms
+        return logs, phases
     raise ConvergenceError(f"series not certified within {max_terms} terms")

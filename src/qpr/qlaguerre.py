@@ -117,8 +117,9 @@ def laguerre_direct(ctx: QContext, n: int, x: complex) -> complex:
             f"direct evaluation at degree {n} needs log-range {peak:.1f}; "
             "use the normalized or split evaluation paths"
         )
-    terms = [lp(term_log(k), phase_mul_int(ph, k)) for k in range(n + 1)]
-    return sum_rescaled(terms).to_complex()
+    logs = [term_log(k) for k in range(n + 1)]
+    phases = [phase_mul_int(ph, k) for k in range(n + 1)]
+    return sum_rescaled(logs, phases).to_complex()
 
 
 def normalized_laguerre(ctx: QContext, sp: ScalingParameter, n: int) -> complex:
@@ -158,7 +159,7 @@ def normalized_laguerre_lp(ctx: QContext, sp: ScalingParameter, n: int) -> LogPo
         max_terms=ctx.max_terms,
         stop=n,
     )
-    return sum_rescaled(terms).to_lp()
+    return sum_rescaled(*terms).to_lp()
 
 
 @dataclass(frozen=True)
@@ -168,17 +169,27 @@ class SplitSumResult:
     total = s1 + s2 is the polynomial's value in the normalization
     N * (q;q)_inf^2 * (-z q^a e^(-2 pi i d_n))^p / q^(p*(tau*n + p)) with
     p = floor(m/2); m, c_n come from -tau*n = m + c_n and m1, d_n from
-    n*theta = m1 + d_n.
+    n*theta = m1 + d_n.  total is summed once, over the terms of both
+    halves together; terms1 and terms2 keep each half's (logs, phases), so
+    that s1 and s2 are summed only when they are read.
     """
 
-    s1: LogPolarComplex
-    s2: LogPolarComplex
     total: LogPolarComplex
+    terms1: tuple[list[float], list[float]]
+    terms2: tuple[list[float], list[float]]
     m: int
     floor_m_half: int
     c_n: float
     d_n: float
     m1: int
+
+    @property
+    def s1(self) -> LogPolarComplex:
+        return sum_rescaled(*self.terms1).to_lp()
+
+    @property
+    def s2(self) -> LogPolarComplex:
+        return sum_rescaled(*self.terms2).to_lp()
 
 
 def _log_factor_e(tq, ta, log_euler2, log_an, p: int, n: int, k: int) -> float:
@@ -273,7 +284,6 @@ def split_sums(ctx: QContext, sp: ScalingParameter, n: int,
         stop=p,
         tail_log=lambda k: k * k * lq + k * log_w1,
     )
-    s1 = sum_rescaled(terms1)
     terms2 = certified_terms(
         term_log=lambda k: (k * k * lq - k * log_w1
                             + _log_factor_f(tq, ta, log_euler2, log_an, p, n, k)),
@@ -285,10 +295,8 @@ def split_sums(ctx: QContext, sp: ScalingParameter, n: int,
         stop=n - p,
         tail_log=lambda k: k * k * lq - k * log_w1,
     )
-    s2 = sum_rescaled(terms2)
-
-    total = sum_rescaled(terms1 + terms2)
-    return SplitSumResult(s1=s1.to_lp(), s2=s2.to_lp(), total=total.to_lp(),
+    total = sum_rescaled(terms1[0] + terms2[0], terms1[1] + terms2[1])
+    return SplitSumResult(total=total.to_lp(), terms1=terms1, terms2=terms2,
                           m=m, floor_m_half=p, c_n=c_n, d_n=d_n, m1=m1)
 
 

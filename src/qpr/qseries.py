@@ -9,7 +9,8 @@ term count alone: each loop carries a geometric majorant for its tail and
 stops only once that majorant clears the requested tolerance, with the term
 cap acting purely as a safety net that raises ConvergenceError.
 
-All series are generated termwise in log-polar form and summed with
+All series are generated termwise by :func:`qpr.numerics.certified_terms`
+as lists of log-magnitudes and phases, and summed with
 :func:`qpr.numerics.sum_rescaled`, so arguments of extreme magnitude cannot
 overflow intermediate arithmetic.
 """
@@ -222,7 +223,7 @@ def aq_series_lp(q: float, z: complex, negate: bool, tol: float = DEFAULT_TOL,
         tol=tol,
         max_terms=max_terms,
     )
-    return sum_rescaled(terms).to_lp()
+    return sum_rescaled(*terms).to_lp()
 
 
 def ramanujan_a_deriv(q: float, z: complex, tol: float = DEFAULT_TOL,
@@ -246,7 +247,7 @@ def ramanujan_a_deriv(q: float, z: complex, tol: float = DEFAULT_TOL,
         max_terms=max_terms,
         start=1,
     )
-    return sum_rescaled(terms).to_complex()
+    return sum_rescaled(*terms).to_complex()
 
 
 def euler_product_series_check(z: complex, q: float, tol: float = DEFAULT_TOL,
@@ -270,7 +271,7 @@ def euler_product_series_check(z: complex, q: float, tol: float = DEFAULT_TOL,
         tol=tol,
         max_terms=max_terms,
     )
-    rhs = sum_rescaled(terms).to_complex()
+    rhs = sum_rescaled(*terms).to_complex()
     return lhs, rhs
 
 
@@ -291,10 +292,10 @@ def theta_lp(z: complex, q: float, tol: float = DEFAULT_TOL,
     lz = math.log(abs(z))
     ph = phase(z)
 
-    terms = [lp(0.0, 0.0)]
+    logs, phases = [0.0], [0.0]
     for sign in (+1, -1):
         # each tail's peak includes the shared k = 0 term
-        terms += certified_terms(
+        tail_logs, tail_phases = certified_terms(
             term_log=lambda j: j * j * lq + sign * j * lz,
             term_phase=lambda j: phase_mul_int(ph, sign * j),
             ratio_bound=lambda j: exp_or_inf((2 * j + 1) * lq + sign * lz),
@@ -303,7 +304,9 @@ def theta_lp(z: complex, q: float, tol: float = DEFAULT_TOL,
             start=1,
             max_log=0.0,
         )
-    return sum_rescaled(terms).to_lp()
+        logs += tail_logs
+        phases += tail_phases
+    return sum_rescaled(logs, phases).to_lp()
 
 
 def theta(z: complex, q: float, tol: float = DEFAULT_TOL,

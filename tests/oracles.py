@@ -3,7 +3,9 @@
 Everything here works over Q or Q(i) (Gaussian rationals), summing and
 multiplying exactly and converting to floats only at the comparison site.
 Scope is deliberately desk-scale: degrees n <= ~12, rational q and z, and
-angle parameters whose phases land on {1, i, -1, -i}.
+angle parameters whose phases land on {1, i, -1, -i}.  The linear witness
+scans, and the earlier summation kernel kept verbatim at the end, are the
+references that faster rewrites must match exactly.
 """
 
 from __future__ import annotations
@@ -283,8 +285,9 @@ def linear_witness_search(theta, beta, rho: float, n_max: int) -> list:
 
 def linear_joint_witness_search(theta1, theta2, beta1, beta2, rho: float,
                                 n_max: int) -> list:
-    """Joint witnesses by testing every degree 1..n_max on both angles."""
-    from qpr.diophantine import DiophantineWitness, as_real_value, decompose
+    """Joint witnesses by testing every degree 1..n_max on both angles; a
+    float angle's residual is trusted by qpr's own rule (_trusted)."""
+    from qpr.diophantine import DiophantineWitness, _trusted, as_real_value, decompose
     th1, th2 = as_real_value(theta1), as_real_value(theta2)
     pairs = [(Fraction(b) if isinstance(b, (int, Fraction)) else None, float(b))
              for b in (beta1, beta2)]
@@ -296,6 +299,76 @@ def linear_joint_witness_search(theta1, theta2, beta1, beta2, rho: float,
         if abs(r1) < thr and abs(r2) < thr:
             out.append(DiophantineWitness(n=n, m=m, m1=m1, target_beta=pairs[0][1],
                                           residual=r1, rho=rho,
-                                          trusted=th1.exact and th2.exact,
+                                          trusted=_trusted(th1, r1, n) and _trusted(th2, r2, n),
                                           target_beta2=pairs[1][1], residual2=r2))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the summation kernel as it was before it took parallel (logs, phases)
+# lists: one LogPolarComplex per term, tuples sorted by (-log, index), and a
+# Neumaier accumulator object per axis.  qpr.numerics.sum_rescaled must give
+# the same bits.
+# ---------------------------------------------------------------------------
+
+_NEG_INF = float("-inf")
+_HALF_PI = 0.5 * math.pi
+
+
+def cis(phi: float) -> tuple[float, float]:
+    """(cos phi, sin phi), exact on the four cardinal directions."""
+    if phi == 0.0:
+        return 1.0, 0.0
+    if phi == math.pi:
+        return -1.0, 0.0
+    if phi == _HALF_PI:
+        return 0.0, 1.0
+    if phi == -_HALF_PI:
+        return 0.0, -1.0
+    return math.cos(phi), math.sin(phi)
+
+
+class _Neumaier:
+    """Kahan-Babuska-Neumaier compensated accumulator for one real axis."""
+
+    __slots__ = ("total", "comp")
+
+    def __init__(self) -> None:
+        self.total = 0.0
+        self.comp = 0.0
+
+    def add(self, x: float) -> None:
+        t = self.total + x
+        if abs(self.total) >= abs(x):
+            self.comp += (self.total - t) + x
+        else:
+            self.comp += (x - t) + self.total
+        self.total = t
+
+    def result(self) -> float:
+        return self.total + self.comp
+
+
+def sum_rescaled(terms):
+    """Sum log-polar terms without overflow, deterministically.
+
+    The maximum log-magnitude is factored out, the rescaled terms are
+    converted to ordinary complex and accumulated in descending-magnitude
+    order (ties broken by original index) with compensated summation.  For a
+    fixed multiset of inputs the result is reproducible bit for bit.
+    """
+    from qpr.numerics import SummationResult
+    items = [(t.log_mag, i, t.phase) for i, t in enumerate(terms)]
+    finite = [(lm, i, ph) for lm, i, ph in items if lm != _NEG_INF]
+    if not finite:
+        return SummationResult(0j, 0.0, len(items))
+    big = max(lm for lm, _, _ in finite)
+    finite.sort(key=lambda t: (-t[0], t[1]))
+    re = _Neumaier()
+    im = _Neumaier()
+    for lm, _, ph in finite:
+        w = math.exp(lm - big)
+        c, s = cis(ph)
+        re.add(w * c)
+        im.add(w * s)
+    return SummationResult(complex(re.result(), im.result()), big, len(items))

@@ -368,6 +368,104 @@ class TestPrefactorsOncePerContext:
         assert max(calls.values(), default=0) <= 1, calls
 
 
+def _bits(w: complex) -> tuple[str, str]:
+    """Both components of w bit for bit, the sign of zero included."""
+    return w.real.hex(), w.imag.hex()
+
+
+def _clear_main_memos():
+    import qpr.asymptotics as asy
+    asy._aq_main.cache_clear()
+    asy._theta_main.cache_clear()
+
+
+class TestMainTermMemo:
+    """The main term is evaluated once per context and residue, and the
+    memo returns the bits a fresh evaluation gives."""
+
+    # (case, tau, theta, run_verify keywords, most main-term evaluations):
+    # d for theta = p/d, one A_q for a fixed witness target, and 2 lcm of the
+    # denominators (chi(m) doubles the period of {-tau n}) for case 4
+    COUNTS = [
+        (2, RealValue.from_rational(0), RealValue.from_rational(F(2, 5)),
+         {"n_values": list(range(8, 61))}, 5),
+        (3, RealValue.from_rational(0), SQRT2, {"rho": 1.0, "n_max": 3000}, 1),
+        (4, RealValue.from_rational(F(-3, 4)), RealValue.from_rational(F(1, 6)),
+         {"n_values": list(range(8, 121))}, 24),
+    ]
+
+    @pytest.mark.parametrize("case_id, tau, theta_, kw, most", COUNTS,
+                             ids=["case2", "case3", "case4"])
+    def test_evaluations_per_verify(self, monkeypatch, case_id, tau, theta_, kw, most):
+        import qpr.asymptotics as asy
+        # a context no other test builds, so no earlier row has cached it
+        ctx = QContext(0.63, 0.5, complex(0.9, -0.1 * case_id))
+        calls = []
+        monkeypatch.setattr(asy, "ramanujan_a",
+                            lambda *a: calls.append(a) or ramanujan_a(*a))
+        # theta at base q is the main term; base sqrt(q) is the prefactor
+        monkeypatch.setattr(asy, "theta", lambda z, q, *a: (
+            calls.append(z) if q == ctx.q else None) or theta(z, q, *a))
+        rows = run_verify(ctx, ScalingParameter(tau, theta_), case_id=case_id, **kw)
+        assert len(rows) > 2 * most
+        assert 1 <= len(calls) <= most
+        if case_id == 3:
+            assert len(calls) == 1
+
+    SCENARIOS = [
+        (2, RealValue.from_rational(0), RealValue.from_rational(F(1, 3)),
+         {"n_values": list(range(2, 40, 3))}),
+        (3, RealValue.from_rational(0), SQRT2, {"rho": 1.0, "n_max": 3000}),
+        (4, RealValue.from_rational(-1), RealValue.from_rational(F(1, 4)),
+         {"n_values": list(range(8, 90, 9))}),
+        (5, RealValue.from_rational(-1), SQRT2, {"rho": 0.5, "n_max": 1000}),
+        (6, SQRT2.neg(), RealValue.from_rational(F(1, 2)), {"rho": 0.5, "n_max": 1000}),
+        (7, SQRT2.neg(), SQRT3, {"rho": 0.4, "n_max": 300}),
+    ]
+
+    @pytest.mark.parametrize("case_id, tau, theta_, kw", SCENARIOS,
+                             ids=[f"case{c}" for c, *_ in SCENARIOS])
+    def test_memo_equals_fresh_evaluation(self, case_id, tau, theta_, kw):
+        import qpr.asymptotics as asy
+        ctx = QContext(0.71, 0.25, -0.6 + 1.1j)
+        sp = ScalingParameter(tau, theta_)
+        rows = run_verify(ctx, sp, case_id=case_id, **kw)
+        assert len(rows) >= 5
+        for r in rows:
+            _clear_main_memos()
+            fresh = asy._evaluate(ctx, sp, r.n, case_id,
+                                  r.witness if case_id in (3, 5, 6, 7) else None)
+            assert _bits(fresh.main) == _bits(r.main), r.n
+
+    # (beta, z) runs: a -0.0 target, then 0.0 at the same z, then (for
+    # theta) the -0.0 target at z = 2-0j
+    SIGNED_RUNS = [(-0.0, complex(2.0, 0.0)), (0.0, complex(2.0, 0.0)),
+                   (-0.0, complex(2.0, -0.0))]
+
+    @pytest.mark.parametrize("case_id, tau, kw, runs", [
+        (3, RealValue.from_rational(0), {"rho": 1.0, "n_max": 2000}, SIGNED_RUNS[:2]),
+        (5, RealValue.from_rational(-1), {"rho": 0.5, "n_max": 400}, SIGNED_RUNS),
+    ], ids=["case3", "case5"])
+    def test_signed_zero_targets_kept_apart(self, case_id, tau, kw, runs):
+        # at a real z the sign of a zero target (and, for theta, of z's zero
+        # imaginary part) reaches the main term's bits; == cannot tell them
+        # apart, so an lru_cache key of the bare values would merge them
+        sp = ScalingParameter(tau, SQRT2)
+
+        def mains(beta, z):
+            ctx = QContext(0.93, 0.0, z)
+            rows = run_verify(ctx, sp, case_id=case_id, beta=beta, **kw)
+            return [_bits(r.main) for r in rows]
+
+        alone = []
+        for beta, z in runs:
+            _clear_main_memos()
+            alone.append(mains(beta, z))
+        assert all(alone[0] != other for other in alone[1:])
+        _clear_main_memos()
+        assert [mains(beta, z) for beta, z in runs] == alone
+
+
 class TestOverflowRule:
     # (case, tau, theta, run_verify keywords); at these |z| the exact value
     # or the main term leaves double range, and no case 2-7 majorant has a

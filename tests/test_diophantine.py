@@ -299,6 +299,40 @@ class TestGapStepping:
         want = oracles.linear_joint_witness_search(theta1, theta2, beta1, beta2, rho, n_max)
         assert _key(got) == _key(want)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(st.sampled_from(ANGLES[-2:]),
+                     st.builds(F, st.integers(-50, 50), st.integers(1, 40)),
+                     st.builds(lambda x: RealValue.from_float(x, True),
+                               st.floats(-3.0, 3.0, allow_nan=False))),
+           st.sampled_from(ANGLES[:-2]), BETAS, BETAS, RHOS, N_MAX)
+    @example(F(1, 3), ANGLES[0], F(0), F(1, 5), 0.3, 20_000)
+    @example(RealValue.from_float(0.25, True), ANGLES[0], 0.0, F(1, 5), 1.0, 20_000)
+    def test_joint_on_surd_second_angle_equals_linear_scan(self, theta1, theta2, beta1,
+                                                          beta2, rho, n_max):
+        # a rational or float theta1 with a surd theta2: enumerated on theta2
+        got = joint_witness_search(theta1, theta2, beta1, beta2, rho, n_max)
+        want = oracles.linear_joint_witness_search(theta1, theta2, beta1, beta2, rho, n_max)
+        assert _key(got) == _key(want)
+
+    def test_joint_cost_follows_surd_hits(self, monkeypatch):
+        # theta1 = 1 makes every hit of theta2 a joint witness; theta1 (an
+        # exact rational, reduced in Fraction arithmetic) is decomposed only
+        # at those hits, and theta2's reductions follow its hits
+        import qpr.diophantine as dio
+        one = RealValue.from_rational(1)
+        calls, on_theta1 = [], []
+        orig = RealValue.mul_floor_frac
+        monkeypatch.setattr(RealValue, "mul_floor_frac",
+                            lambda self, n: calls.append(n) or orig(self, n))
+        orig_decompose = dio.decompose
+        monkeypatch.setattr(dio, "decompose", lambda th, n, *a: (
+            on_theta1.append(n) if th is one else None) or orig_decompose(th, n, *a))
+        wits = joint_witness_search(one, fixture_irrationals()["sqrt2"].value, F(0), 0.3,
+                                    0.5, 1_000_000)
+        assert len(wits) > 3000
+        assert len(calls) < 2 * len(wits)
+        assert on_theta1 == [w.n for w in wits]
+
     def test_surd_cost_follows_hits(self, monkeypatch):
         # reductions of n*theta made by the search, per witness found
         calls = []

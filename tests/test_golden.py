@@ -1,0 +1,100 @@
+"""Byte stability of the CLI: small runs whose stdout and exit code must not
+change by a single byte.
+
+One ``verify`` per regime (cases 1-7, q from 0.5 to 0.9, CSV and JSON), two
+runs whose main terms depend on the sign of a zero (beta = -0.0 at a real z,
+then z = 2-0j), and ``eval`` of theta, A_q and B_q.  The runs share one
+process in this order, as they would in a long-lived caller, so a per-context
+cache that returned one run's value to another would show here.  A change
+that alters output on purpose regenerates the files with
+
+    python tests/test_golden.py --regen
+
+and says which runs changed and why.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+
+import pytest
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+EXIT_CODES = os.path.join(GOLDEN, "exit_codes.json")
+
+RUNS = {
+    "verify_case1": ["verify", "--case", "1", "--q", "0.5", "--alpha", "0.5",
+                     "--z=1.3+0.4j", "--tau=1/2", "--theta", "1/3", "--n", "5..14"],
+    "verify_case2": ["verify", "--case", "2", "--q", "0.6", "--z=0.9-0.7j", "--tau", "0",
+                     "--theta", "2/5", "--n", "4..40", "--n-step", "4", "--format", "json"],
+    "verify_case3": ["verify", "--case", "3", "--q", "0.7", "--z=1.1+0.5j", "--tau", "0",
+                     "--theta", "sqrt2", "--rho", "1", "--nmax", "1000"],
+    "verify_case4": ["verify", "--case", "4", "--q", "0.8", "--alpha", "0.5",
+                     "--z=0.8+0.9j", "--tau=-1", "--theta", "1/3", "--n", "64..200",
+                     "--n-step", "15", "--format", "json"],
+    "verify_case5": ["verify", "--case", "5", "--q", "0.9", "--z=1.2-0.3j", "--tau=-3/4",
+                     "--theta", "golden", "--beta", "1/3", "--rho", "1", "--nmax", "1500"],
+    "verify_case6": ["verify", "--case", "6", "--q", "0.5", "--z=0.7+0.7j", "--tau=-sqrt2",
+                     "--theta", "1/4", "--rho", "1", "--nmax", "1000", "--format", "json"],
+    "verify_case7": ["verify", "--case", "7", "--q", "0.9", "--z=1.0+0.2j", "--tau=-sqrt3",
+                     "--theta", "sqrt2", "--rho", "0.6", "--nmax", "3000"],
+    "verify_case3_beta_neg_zero": ["verify", "--case", "3", "--q", "0.9", "--z=2", "--tau",
+                                   "0", "--theta", "sqrt2", "--beta", "-0.0", "--rho", "1",
+                                   "--nmax", "1000"],
+    "verify_case5_beta_neg_zero": ["verify", "--case", "5", "--q", "0.9", "--z=2",
+                                   "--tau=-1", "--theta", "sqrt2", "--beta", "-0.0",
+                                   "--rho", "1", "--nmax", "1000"],
+    "verify_case5_beta_neg_zero_z_neg_zero": ["verify", "--case", "5", "--q", "0.9",
+                                              "--z=2-0j", "--tau=-1", "--theta", "sqrt2",
+                                              "--beta", "-0.0", "--rho", "1", "--nmax",
+                                              "1000", "--format", "json"],
+    "eval_theta": ["eval", "theta", "--q", "0.7", "--z=0.6-1.3j"],
+    "eval_ramanujan_a": ["eval", "ramanujan_a", "--q", "0.8", "--z=2.5+0.5j"],
+    "eval_b_function": ["eval", "b_function", "--q", "0.5", "--z=-1.5+2j"],
+}
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of one in-process ``qpr`` call."""
+    from qpr.cli import main
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def _path(name: str) -> str:
+    return os.path.join(GOLDEN, f"{name}.out")
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_output_is_byte_identical(name):
+    with open(EXIT_CODES, encoding="utf-8") as fh:
+        want_code = json.load(fh)[name]
+    with open(_path(name), encoding="utf-8", newline="") as fh:
+        want_out = fh.read()
+    code, out = run(RUNS[name])
+    assert code == want_code
+    assert out.encode() == want_out.encode()
+
+
+def regen() -> None:
+    codes = {}
+    for name, argv in RUNS.items():
+        codes[name], out = run(argv)
+        with open(_path(name), "w", encoding="utf-8", newline="") as fh:
+            fh.write(out)
+    with open(EXIT_CODES, "w", encoding="utf-8") as fh:
+        json.dump(codes, fh, indent=1)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regen"]:
+        sys.exit("usage: python tests/test_golden.py --regen")
+    sys.path.insert(0, os.path.join(os.path.dirname(GOLDEN), os.pardir, "src"))
+    regen()

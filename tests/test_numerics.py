@@ -3,8 +3,9 @@ import math
 import random
 import sys
 
+import oracles
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qpr.numerics import (
     ConvergenceError,
@@ -95,8 +96,13 @@ def test_pow_int_matches_repeated_multiplication(k, log_mag, phase):
     assert min(abs(diff), abs(abs(diff) - 2 * math.pi)) < 1e-12
 
 
+def _sum(terms):
+    """sum_rescaled over LogPolarComplex terms, unpacked into its two lists."""
+    return sum_rescaled([t.log_mag for t in terms], [t.phase for t in terms])
+
+
 def test_sum_cancellation():
-    r = sum_rescaled([lp_from_complex(1), lp_from_complex(-1)])
+    r = _sum([lp_from_complex(1), lp_from_complex(-1)])
     assert r.value == 0
     assert r.rescale_log == 0.0
     assert r.term_count == 2
@@ -104,20 +110,20 @@ def test_sum_cancellation():
 
 def test_sum_huge_cancellation_no_overflow():
     big = math.log(1e200)
-    r = sum_rescaled([lp(big, 0.0), lp(big, math.pi)])
+    r = _sum([lp(big, 0.0), lp(big, math.pi)])
     assert r.value == 0
     assert math.isfinite(r.rescale_log)
 
 
 def test_sum_exact_rational():
-    r = sum_rescaled([lp_from_complex(1), lp_from_complex(0.5), lp_from_complex(0.25)])
+    r = _sum([lp_from_complex(1), lp_from_complex(0.5), lp_from_complex(0.25)])
     assert r.to_complex() == 1.75
 
 
 def test_sum_empty_and_all_zero():
-    r = sum_rescaled([])
+    r = sum_rescaled([], [])
     assert r.value == 0 and r.term_count == 0
-    r = sum_rescaled([lp_from_complex(0), lp_from_complex(0)])
+    r = _sum([lp_from_complex(0), lp_from_complex(0)])
     assert r.value == 0 and r.term_count == 2
 
 
@@ -129,17 +135,44 @@ def test_sum_permutation_invariance(seed):
     terms = [lp_from_complex(cmath.rect(math.exp(rng.uniform(-3, 3)),
                                         rng.uniform(-math.pi, math.pi)))
              for _ in range(n)]
-    base = sum_rescaled(terms).to_complex()
+    base = _sum(terms).to_complex()
     shuffled = terms[:]
     rng.shuffle(shuffled)
-    again = sum_rescaled(shuffled).to_complex()
+    again = _sum(shuffled).to_complex()
     scale = max(abs(base), 1e-30)
     assert abs(base - again) <= 1e-12 * scale
 
 
+_CARDINAL_PHASES = [0.0, -0.0, 0.5 * math.pi, math.pi, -0.5 * math.pi]
+# a small pool of log-magnitudes makes ties (and exact cancellations) common
+_TIED_LOGS = [0.0, -0.0, 1.5, -2.25, 700.0]
+_LOGS = st.one_of(st.just(-math.inf), st.sampled_from(_TIED_LOGS),
+                  st.floats(-1e5, 1e5))
+_PHASES = st.one_of(st.sampled_from(_CARDINAL_PHASES),
+                    st.floats(-math.pi, math.pi))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(_LOGS, _PHASES), max_size=60))
+@example([(-math.inf, 0.0), (-math.inf, 1.0)])
+@example([(1e5, 0.0), (0.0, math.pi), (-1e5, 0.5 * math.pi), (1e5, math.pi)])
+@example([(2.0, 0.5 * math.pi), (2.0, -0.5 * math.pi), (2.0, math.pi), (2.0, 0.0)])
+def test_sum_rescaled_bit_identical_to_reference(pairs):
+    logs = [lm for lm, _ in pairs]
+    phases = [ph for _, ph in pairs]
+    got = sum_rescaled(logs, phases)
+    want = oracles.sum_rescaled([LogPolarComplex(lm, ph) for lm, ph in pairs])
+    assert got.value == want.value
+    assert (got.value.real.hex(), got.value.imag.hex()) == \
+        (want.value.real.hex(), want.value.imag.hex())
+    assert got.rescale_log == want.rescale_log
+    assert math.copysign(1.0, got.rescale_log) == math.copysign(1.0, want.rescale_log)
+    assert got.term_count == want.term_count == len(pairs)
+
+
 def test_sum_value_finite_for_finite_inputs():
     terms = [lp(600.0, 0.1 * k) for k in range(50)]
-    r = sum_rescaled(terms)
+    r = _sum(terms)
     assert math.isfinite(r.value.real) and math.isfinite(r.value.imag)
 
 
@@ -172,35 +205,37 @@ def _geometric(ratio):
 
 
 def test_certified_terms_stops_on_tail_bound():
-    terms = certified_terms(**_geometric(0.25))
+    logs, phases = certified_terms(**_geometric(0.25))
+    assert len(logs) == len(phases) == 27 and set(phases) == {0.0}
     # the last kept term is the first below (tol/4) * peak
-    assert terms[-1].log_mag <= math.log(1e-15 / 4) < terms[-2].log_mag
+    assert logs[-1] <= math.log(1e-15 / 4) < logs[-2]
 
 
 def test_certified_terms_finite_sum_ends_at_stop():
     # ratio 2 never certifies: an infinite series raises, a finite one ends
     with pytest.raises(ConvergenceError):
         certified_terms(**_geometric(2.0))
-    terms = certified_terms(**_geometric(2.0), start=3, stop=7)
-    assert [round(t.log_mag / math.log(2.0)) for t in terms] == [3, 4, 5, 6, 7]
-    assert certified_terms(**_geometric(2.0), start=1, stop=0) == []
+    logs, phases = certified_terms(**_geometric(2.0), start=3, stop=7)
+    assert [round(lm / math.log(2.0)) for lm in logs] == [3, 4, 5, 6, 7]
+    assert len(phases) == 5
+    assert certified_terms(**_geometric(2.0), start=1, stop=0) == ([], [])
 
 
 def test_certified_terms_starting_peak():
-    alone = certified_terms(**_geometric(0.25))
+    alone, _ = certified_terms(**_geometric(0.25))
     # a peak of e^10 summed elsewhere lets the series stop 10 nats earlier
-    seeded = certified_terms(**_geometric(0.25), max_log=10.0)
-    assert len(seeded) < len(alone)
-    assert seeded[-1].log_mag <= 10.0 + math.log(1e-15 / 4) < seeded[-2].log_mag
+    seeded, phases = certified_terms(**_geometric(0.25), max_log=10.0)
+    assert len(seeded) == len(phases) < len(alone)
+    assert seeded[-1] <= 10.0 + math.log(1e-15 / 4) < seeded[-2]
 
 
 def test_certified_terms_tail_majorant():
     # terms vanish at k >= 1, but the majorant 0.25^k must still clear tol
-    terms = certified_terms(term_log=lambda k: 0.0 if k == 0 else -math.inf,
-                            term_phase=lambda k: 0.0, ratio_bound=lambda k: 0.25,
-                            tol=1e-15, max_terms=100,
-                            tail_log=lambda k: k * math.log(0.25))
-    assert len(terms) == 1
+    logs, phases = certified_terms(term_log=lambda k: 0.0 if k == 0 else -math.inf,
+                                   term_phase=lambda k: 0.0, ratio_bound=lambda k: 0.25,
+                                   tol=1e-15, max_terms=100,
+                                   tail_log=lambda k: k * math.log(0.25))
+    assert logs == [0.0] and phases == [0.0]
     # without it the first vanishing term stops the series
     steps = []
     certified_terms(term_log=lambda k: 0.0 if k == 0 else -math.inf,
