@@ -27,6 +27,9 @@ The majorant prefactors are computed once per context.  The main terms are
 memoized per context on the exact quantities their argument is built from
 (lam = {n theta} or the witness target in cases 2 and 3; chi(m), u and v in
 cases 4-7), which recur with period at most 2 lcm of the denominators.
+The q-series take their phases from numerics.phase, in (-pi, pi], so the
+sign of a zero (in z or in a residue) reaches no main term, and memo keys
+that compare 0.0 equal to -0.0 return the right value.
 """
 
 from __future__ import annotations
@@ -39,13 +42,11 @@ from typing import Sequence
 
 from .diophantine import DEFAULT_NMAX, DiophantineWitness, RealValue, chi, decompose, \
     default_rho, joint_witness_search, witness_search
-from .numerics import DomainError, LogPolarComplex, abs_or_inf, exp_or_inf, lp, \
+from .numerics import TWO_PI, DomainError, LogPolarComplex, abs_or_inf, exp_or_inf, lp, \
     lp_from_complex, lp_mul, sum_rescaled
 from .qseries import QContext, aq_series_lp, b_function, euler_log, poch_table, \
     pochhammer, ramanujan_a, theta
 from .qlaguerre import ScalingParameter, normalized_laguerre_lp, split_sums
-
-_TWO_PI = 2.0 * math.pi
 
 # Observed errors are differences of doubles; bounds below this cannot be
 # certified in this arithmetic, so such rows are reported but not asserted.
@@ -155,29 +156,20 @@ def _case1_log_b(ctx: QContext) -> float:
     return math.log(value) if math.isfinite(value) else b.log_mag
 
 
-def _zero_signs(ctx: QContext, *xs: float) -> tuple[float, ...]:
-    """The signs of z's components and of xs, for a main-term memo key:
-    lru_cache compares keys with ==, which would merge 0.0 with -0.0 (and a
-    z of 2+0j with one of 2-0j), yet the main terms keep the sign of zero."""
-    return tuple(math.copysign(1.0, x) for x in (ctx.z.real, ctx.z.imag, *xs))
-
-
 # 256 entries hold a period of the residues for the grids in use; a longer
 # period only misses
 @lru_cache(maxsize=256)
-def _aq_main(ctx: QContext, target: float, signs: tuple[float, ...]) -> complex:
-    """A_q(e^(2 pi i target)/(z q^a)), the main term of cases 2 and 3;
-    signs is _zero_signs(ctx, target)."""
-    arg = cmath.exp(complex(0.0, _TWO_PI * target)) / (ctx.z * ctx.q ** ctx.alpha)
+def _aq_main(ctx: QContext, target: float) -> complex:
+    """A_q(e^(2 pi i target)/(z q^a)), the main term of cases 2 and 3."""
+    arg = cmath.exp(complex(0.0, TWO_PI * target)) / (ctx.z * ctx.q ** ctx.alpha)
     return ramanujan_a(ctx.q, arg, ctx.tol, ctx.max_terms)
 
 
 @lru_cache(maxsize=256)
-def _theta_main(ctx: QContext, parity: int, u: float, v: float,
-                signs: tuple[float, ...]) -> complex:
+def _theta_main(ctx: QContext, parity: int, u: float, v: float) -> complex:
     """Theta(-z q^(a + parity + u) e^(-2 pi i v) | q), the main term of cases
-    4-7; signs is _zero_signs(ctx, u, v)."""
-    w = -ctx.z * ctx.q ** (ctx.alpha + parity + u) * cmath.exp(complex(0.0, -_TWO_PI * v))
+    4-7."""
+    w = -ctx.z * ctx.q ** (ctx.alpha + parity + u) * cmath.exp(complex(0.0, -TWO_PI * v))
     return theta(w, ctx.q, ctx.tol, ctx.max_terms)
 
 
@@ -247,7 +239,7 @@ def _certify(case_id: int, n: int, exact: LogPolarComplex, main: complex, bound:
         if log_bound is None:
             conds.append(("observed error and bound within double range", False))
         else:
-            neg_main = lp_mul(lp_from_complex(main), lp(0.0, math.pi))
+            neg_main = lp_from_complex(-main)
             log_observed = sum_rescaled([exact.log_mag, neg_main.log_mag],
                                         [exact.phase, neg_main.phase]).to_lp().log_mag
             holds = log_observed <= log_bound
@@ -311,7 +303,7 @@ def eval_case_aq(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
         witness = _require_witness(3, sp, n, witness)
 
     target = witness.target_beta
-    main = _aq_main(ctx, target, _zero_signs(ctx, target))
+    main = _aq_main(ctx, target)
     exact = lp_mul(normalized_laguerre_lp(ctx, sp, n), lp(euler_log(q, ctx.max_terms), 0.0))
 
     if case_id == 2:
@@ -378,7 +370,7 @@ def eval_case_theta(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
         m1, v = witness.m1, witness.target_beta2
 
     exact = split_sums(ctx, sp, n, decomposition=(m, c)).total
-    main = _theta_main(ctx, chi(m), u, v, _zero_signs(ctx, u, v))
+    main = _theta_main(ctx, chi(m), u, v)
 
     nu = nu_n(case_id, n, tau, q) if n >= 2 else 0
     lzqa = _log_zqa(ctx)

@@ -50,7 +50,7 @@ from .diophantine import (
     parse_real,
     witness_search,
 )
-from .numerics import ConvergenceError, DomainError, LogPolarComplex
+from .numerics import ConvergenceError, DomainError, LogPolarComplex, phase
 from .qlaguerre import ScalingParameter, laguerre_direct, normalized_laguerre_lp
 from .qseries import DEFAULT_MAX_TERMS, DEFAULT_TOL, QContext, aq_series_lp, pochhammer, \
     theta_lp
@@ -200,7 +200,7 @@ def _print_value(label: str, value: complex | LogPolarComplex) -> None:
     mag = abs(v)
     if mag > 0 and math.isfinite(mag):
         print(f"  log10|value| = {math.log10(mag)!r}   "
-              f"phase = {math.degrees(math.atan2(v.imag, v.real))!r} deg")
+              f"phase = {math.degrees(phase(v))!r} deg")
     elif isinstance(value, LogPolarComplex) and math.isfinite(value.log_mag):
         # outside double range the log-polar form is the only faithful one
         print(f"  log10|value| = {value.log10_mag()!r}   "

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-_TAU = 2.0 * math.pi
+TWO_PI = 2.0 * math.pi
 _NEG_INF = float("-inf")
 
 
@@ -37,9 +37,12 @@ class RangeGuardError(QprError, OverflowError):
 
 
 def phase(w: complex) -> float:
-    """arg(w) in [-pi, pi]; unlike cmath.phase, never raises on a subnormal
-    component (cmath.phase(2+5e-324j) reports an underflow as a range error)."""
-    return math.atan2(w.imag, w.real)
+    """arg(w) in (-pi, pi]: atan2's -pi (a negative real with imaginary part
+    -0.0) becomes pi, so the sign of a zero reaches no phase.  Unlike
+    cmath.phase, never raises on a subnormal component
+    (cmath.phase(2+5e-324j) reports an underflow as a range error)."""
+    ph = math.atan2(w.imag, w.real)
+    return math.pi if ph == -math.pi else ph
 
 
 def exp_or_inf(x: float) -> float:
@@ -64,9 +67,9 @@ def abs_or_inf(w: complex) -> float:
 
 def wrap_phase(phi: float) -> float:
     """Reduce an angle into (-pi, pi]."""
-    r = math.remainder(phi, _TAU)
+    r = math.remainder(phi, TWO_PI)
     if r <= -math.pi:
-        r += _TAU
+        r += TWO_PI
     return r
 
 
@@ -99,7 +102,8 @@ def cis(phi: float) -> tuple[float, float]:
 
 @dataclass(frozen=True, slots=True)
 class LogPolarComplex:
-    """A complex number stored as log|w| and arg(w) in (-pi, pi].
+    """A complex number stored as log|w| and arg(w) in (-pi, pi], the range
+    that lp, lp_from_complex and SummationResult.to_lp all keep.
 
     log_mag = -inf encodes zero (phase fixed at 0).  The representation is
     exact under multiplication and integer powers, which is what the huge
@@ -247,13 +251,14 @@ def certified_terms(term_log: Callable[[int], float], term_phase: Callable[[int]
     lists (logs, phases) ready for :func:`sum_rescaled`.
 
     term_log(k)/term_phase(k) describe term k; terms with log -inf are left
-    out and phases are wrapped into (-pi, pi].  ratio_bound(k) must majorize
-    |t_{k+1}/t_k|.  Generation stops once the ratio bound is <= 1/2 and the
-    tail majorant at k (tail_log(k), by default the term itself) sits tol/4
-    below the largest term seen, so the discarded tail is at most
-    2|t_k| <= (tol/2) * max-term.  max_log seeds that peak with terms summed
-    elsewhere.  A finite sum ends at the inclusive index stop; an infinite
-    one raises ConvergenceError after max_terms + 1 terms.
+    out.  term_phase(k) must lie in (-pi, pi], as phase_mul_int's output
+    does.  ratio_bound(k) must majorize |t_{k+1}/t_k|.  Generation stops
+    once the ratio bound is <= 1/2 and the tail majorant at k (tail_log(k),
+    by default the term itself) sits tol/4 below the largest term seen, so
+    the discarded tail is at most 2|t_k| <= (tol/2) * max-term.  max_log
+    seeds that peak with terms summed elsewhere.  A finite sum ends at the
+    inclusive index stop; an infinite one raises ConvergenceError after
+    max_terms + 1 terms.
     """
     log_tol = math.log(tol) - math.log(4.0)
     logs: list[float] = []
@@ -263,7 +268,7 @@ def certified_terms(term_log: Callable[[int], float], term_phase: Callable[[int]
         tl = term_log(k)
         if tl != _NEG_INF:
             logs.append(tl)
-            phases.append(wrap_phase(term_phase(k)))
+            phases.append(term_phase(k))
             if tl > max_log:
                 max_log = tl
         tail = tl if tail_log is None else tail_log(k)

@@ -27,6 +27,7 @@ from .numerics import (
     DomainError,
     LogPolarComplex,
     RangeGuardError,
+    TWO_PI,
     certified_terms,
     exp_or_inf,
     lp,
@@ -40,7 +41,6 @@ from .numerics import (
 )
 from .qseries import QContext, euler_log, poch_table
 
-_TWO_PI = 2.0 * math.pi
 # Natural-log headroom for direct evaluation; e^700 is close to the double max.
 _DIRECT_GUARD = 700.0
 
@@ -82,7 +82,7 @@ def scale_point(ctx: QContext, sp: ScalingParameter, n: int) -> LogPolarComplex:
         raise DomainError("degree n must be nonnegative")
     log_mag = math.log(ctx.abs_z) - n * sp.sigma * ctx.log_q
     _, frac = sp.theta.mul_floor_frac(n)
-    return lp(log_mag, phase(ctx.z) - _TWO_PI * frac)
+    return lp(log_mag, phase(ctx.z) - TWO_PI * frac)
 
 
 def laguerre_direct(ctx: QContext, n: int, x: complex) -> complex:
@@ -149,7 +149,7 @@ def normalized_laguerre_lp(ctx: QContext, sp: ScalingParameter, n: int) -> LogPo
     tau_n = sp.tau.value * n
     _, d_n = sp.theta.mul_floor_frac(n)
     log_zqa = math.log(ctx.abs_z) + alpha * lq
-    base_phase = wrap_phase(math.pi - phase(ctx.z) + _TWO_PI * d_n)
+    base_phase = wrap_phase(math.pi - phase(ctx.z) + TWO_PI * d_n)
     terms = certified_terms(
         term_log=lambda k: (ta.log(n) - tq.log(k) - tq.log(n - k) - ta.log(n - k)
                             + (k * k + tau_n * k) * lq - k * log_zqa),
@@ -271,7 +271,7 @@ def split_sums(ctx: QContext, sp: ScalingParameter, n: int,
 
     # w1 = -z q^(a + chi(m) + c_n) e^(-2 pi i d_n); w2 = 1/w1.
     log_w1 = math.log(ctx.abs_z) + (alpha + parity + c_n) * lq
-    ph_w1 = wrap_phase(math.pi + phase(ctx.z) - _TWO_PI * d_n)
+    ph_w1 = wrap_phase(math.pi + phase(ctx.z) - TWO_PI * d_n)
 
     # Pochhammer factors are <= 1, so q^(k^2) |w1|^(+-k) majorizes each tail.
     terms1 = certified_terms(
@@ -307,7 +307,7 @@ def normalizer_lp(ctx: QContext, sp: ScalingParameter, n: int) -> LogPolarComple
     first = lp_pow_int(base, n)
     # q^(n^2 (1-s)) = q^(-n^2 (1+tau)) * e^(-2 pi i theta n^2)
     _, frac = sp.theta.mul_floor_frac(n * n)
-    second = lp(-(1.0 + sp.tau.value) * n * n * lq, -_TWO_PI * frac)
+    second = lp(-(1.0 + sp.tau.value) * n * n * lq, -TWO_PI * frac)
     return lp_mul(first, second)
 
 
@@ -319,7 +319,7 @@ def split_normalizer_lp(ctx: QContext, sp: ScalingParameter, n: int,
     p = m // 2
     lq = ctx.log_q
     base = lp(math.log(ctx.abs_z) + ctx.alpha * lq,
-              math.pi + phase(ctx.z) - _TWO_PI * d_n)
+              math.pi + phase(ctx.z) - TWO_PI * d_n)
     num = lp_mul(lp(2.0 * euler_log(ctx.q, ctx.max_terms), 0.0), lp_pow_int(base, p))
     # p(tau n + p) = p(p - m) - p*c_n with the integer part exact
     expo = (p * (p - m) - p * c_n) * lq

@@ -32,6 +32,7 @@ from .numerics import (
     phase,
     phase_mul_int,
     sum_rescaled,
+    wrap_phase,
 )
 
 DEFAULT_TOL = 1e-15
@@ -241,7 +242,7 @@ def ramanujan_a_deriv(q: float, z: complex, tol: float = DEFAULT_TOL,
     pi = math.pi
     terms = certified_terms(
         term_log=lambda k: k * k * lq + (k - 1) * lz + math.log(k) - table.log(k),
-        term_phase=lambda k: phase_mul_int(ph, k - 1) + pi,
+        term_phase=lambda k: wrap_phase(phase_mul_int(ph, k - 1) + pi),
         ratio_bound=lambda k: (q ** (2 * k + 1)) * abs(z) * (k + 1) / (k * (1.0 - q)),
         tol=tol,
         max_terms=max_terms,

@@ -446,10 +446,11 @@ class TestMainTermMemo:
         (3, RealValue.from_rational(0), {"rho": 1.0, "n_max": 2000}, SIGNED_RUNS[:2]),
         (5, RealValue.from_rational(-1), {"rho": 0.5, "n_max": 400}, SIGNED_RUNS),
     ], ids=["case3", "case5"])
-    def test_signed_zero_targets_kept_apart(self, case_id, tau, kw, runs):
-        # at a real z the sign of a zero target (and, for theta, of z's zero
-        # imaginary part) reaches the main term's bits; == cannot tell them
-        # apart, so an lru_cache key of the bare values would merge them
+    def test_signed_zero_targets_agree(self, case_id, tau, kw, runs):
+        # at a real z the main term's argument is real; its phase is taken in
+        # (-pi, pi], so the sign of a zero target (and, for theta, of z's
+        # zero imaginary part) reaches no bit of the main term, whether each
+        # run starts from an empty memo or all share one
         sp = ScalingParameter(tau, SQRT2)
 
         def mains(beta, z):
@@ -461,7 +462,7 @@ class TestMainTermMemo:
         for beta, z in runs:
             _clear_main_memos()
             alone.append(mains(beta, z))
-        assert all(alone[0] != other for other in alone[1:])
+        assert alone[0] and all(other == alone[0] for other in alone[1:])
         _clear_main_memos()
         assert [mains(beta, z) for beta, z in runs] == alone
 
@@ -499,7 +500,9 @@ class TestOverflowRule:
         # every other condition holds, so the range rule alone decides
         rows = [eval_case_aq(QContext(0.5, 0.0, 1e-200), sp_rat(0, F(1, 3)), n, 2)
                 for n in range(5, 9)]
-        assert [r.n for r in rows if r.observed_error != r.observed_error] == [8]
+        # exact and main both overflow; at n = 6 (A_q's argument real) and
+        # n = 8 they share an infinite component, and inf - inf is nan
+        assert [r.n for r in rows if r.observed_error != r.observed_error] == [6, 8]
         for r in rows:
             assert not r.eligible
             assert r.eligibility_notes.count("FAIL") == 1

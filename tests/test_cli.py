@@ -149,6 +149,20 @@ class TestVerify:
         assert all(r["eligible"] == "false" for r in rows)
         assert all("within double range: FAIL" in r["notes"] for r in rows)
 
+    def test_sign_of_zero_beta_gives_one_real_main_term(self, tmp_path):
+        # at a real z and a zero target A_q's argument is real; the sign of
+        # that zero used to set main_im to about -1.9e-10 or to 0.0
+        mains = []
+        for beta in ("0", "-0.0"):
+            out = tmp_path / f"v{beta}.csv"
+            run_cli(["verify", "--case", "3", "--q", "0.9", "--z=0.3", "--tau", "0",
+                     "--theta", "sqrt2", "--beta", beta, "--rho", "1", "--nmax", "30",
+                     "--output", str(out)])
+            rows = read_csv(out)
+            assert rows and all(r["main_im"] == "0.0" for r in rows)
+            mains.append([(r["main_re"], r["main_im"]) for r in rows])
+        assert mains[0] == mains[1]
+
     def test_undeclared_decimal_usage_error(self, capsys):
         code = run_cli(["verify", "--q", "0.5", "--z", "1", "--tau", "0",
                         "--theta", "0.123", "--n", "5..10"])

@@ -1,9 +1,10 @@
 """Byte stability of the CLI: small runs whose stdout and exit code must not
 change by a single byte.
 
-One ``verify`` per regime (cases 1-7, q from 0.5 to 0.9, CSV and JSON), two
-runs whose main terms depend on the sign of a zero (beta = -0.0 at a real z,
-then z = 2-0j), and ``eval`` of theta, A_q and B_q.  The runs share one
+One ``verify`` per regime (cases 1-7, q from 0.5 to 0.9, CSV and JSON), three
+runs that carry a negative zero (beta = -0.0 at a real z, then also z = 2-0j),
+whose main terms are real and must not depend on that sign, and ``eval`` of
+theta, A_q and B_q.  The runs share one
 process in this order, as they would in a long-lived caller, so a per-context
 cache that returned one run's value to another would show here.  A change
 that alters output on purpose regenerates the files with

@@ -18,6 +18,7 @@ from qpr.numerics import (
     lp_from_complex,
     lp_mul,
     lp_pow_int,
+    phase,
     sum_rescaled,
     wrap_phase,
 )
@@ -32,6 +33,27 @@ def test_from_complex_negative_real_is_phase_pi():
     v = lp_from_complex(-2 + 0j)
     assert math.isclose(v.log_mag, math.log(2))
     assert v.phase == math.pi
+
+
+def test_from_complex_negative_real_with_negative_zero_is_phase_pi():
+    assert lp_from_complex(complex(-2.0, -0.0)).phase == math.pi
+
+
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, math.inf, -math.inf]),
+    st.floats(allow_nan=False))
+
+
+@given(_EDGE_FLOATS, _EDGE_FLOATS)
+@example(-2.0, -0.0)
+@example(-math.inf, -0.0)
+@example(-1.0, -5e-324)  # atan2 rounds to -pi here too
+@example(2.0, 5e-324)
+def test_phase_is_atan2_in_half_open_range(re, im):
+    got = phase(complex(re, im))
+    assert -math.pi < got <= math.pi
+    want = math.atan2(im, re)
+    assert got == (math.pi if want == -math.pi else want)
 
 
 def test_from_complex_zero_convention():

@@ -5,9 +5,15 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import qpr.numerics as numerics
+import qpr.qlaguerre as qlaguerre
+import qpr.qseries as qseries
+from qpr.diophantine import RealValue
 from qpr.numerics import ConvergenceError, DomainError
+from qpr.qlaguerre import ScalingParameter, normalized_laguerre_lp, split_sums
 from qpr.qseries import (
     QContext,
+    aq_series_lp,
     b_function,
     euler_product_series_check,
     pochhammer,
@@ -176,6 +182,56 @@ class TestTheta:
     def test_term_cap_raises(self):
         with pytest.raises(ConvergenceError):
             theta(1.0, 0.999999, max_terms=50)
+
+
+def _bits(w: complex) -> tuple[str, str]:
+    return w.real.hex(), w.imag.hex()
+
+
+class TestPhaseConvention:
+    """Phases are taken in (-pi, pi], so the sign of a zero imaginary part
+    reaches no value, and every term phase the series hand to
+    certified_terms lies in that range already."""
+
+    @pytest.mark.parametrize("fn, x", [
+        (ramanujan_a, 0.7), (ramanujan_a, -1.3), (b_function, 0.7), (b_function, -1.3),
+        (lambda q, z: theta(z, q), -0.8), (lambda q, z: theta(z, q), -2.5),
+    ], ids=["a-pos", "a-neg", "b-pos", "b-neg", "theta-0.8", "theta-2.5"])
+    def test_real_argument_gives_real_value_for_either_zero(self, fn, x):
+        # at q = 0.9 the series run to odd k where k*pi is inexact, so a
+        # phase of -pi would leave each term off the real axis
+        plus, minus = fn(0.9, complex(x, 0.0)), fn(0.9, complex(x, -0.0))
+        assert plus.imag == 0.0 and minus.imag == 0.0
+        assert _bits(plus) == _bits(minus)
+
+    @pytest.mark.parametrize("z", [0.7, -1.3, complex(0.7, -0.0), complex(-1.3, -0.0),
+                                   0.6 - 1.1j, -0.4 + 0.9j])
+    def test_term_phases_lie_in_range(self, monkeypatch, z):
+        seen = []
+
+        def checked(term_log, term_phase, *args, **kwargs):
+            def recorded(k):
+                ph = term_phase(k)
+                seen.append(ph)
+                return ph
+            return numerics.certified_terms(term_log, recorded, *args, **kwargs)
+
+        monkeypatch.setattr(qseries, "certified_terms", checked)
+        monkeypatch.setattr(qlaguerre, "certified_terms", checked)
+        q = 0.6
+        ctx = QContext(q, 0.5, z)
+        third = RealValue.from_rational(F(1, 3))
+        aq_series_lp(q, z, negate=True)
+        aq_series_lp(q, z, negate=False)
+        theta_lp(z, q)
+        ramanujan_a_deriv(q, z)
+        euler_product_series_check(z, q)
+        for n in (1, 7, 30):
+            normalized_laguerre_lp(ctx, ScalingParameter(RealValue.from_rational(F(1, 2)),
+                                                         third), n)
+            split_sums(ctx, ScalingParameter(RealValue.from_rational(F(-3, 4)), third), n)
+        assert len(seen) > 100
+        assert [ph for ph in seen if not -math.pi < ph <= math.pi] == []
 
 
 class TestLemmaRemainders:
