@@ -16,21 +16,20 @@ arguments outside mathematical domains).  Scaling parameters take exact
 syntax: integers, fractions like -3/4, or the fixture names sqrt2, sqrt3,
 golden, liouville (optionally negated).  Free decimals are accepted only
 together with --assume-rational or --assume-irrational.  CSV columns are
-fixed; JSON output mirrors them 1:1.  QPR_MAX_TERMS overrides the series
-safety cap.
+fixed; JSON output mirrors them 1:1.  --max-terms sets the series safety
+cap; the argument parser is built once per process, on the first call.
 """
 
 from __future__ import annotations
 
 import argparse
-import cmath
 import csv
 import io
 import json
 import math
-import os
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from .asymptotics import (
@@ -174,14 +173,6 @@ def _scaling(args) -> ScalingParameter:
                             parse_real(args.theta, assume=_assume(args)))
 
 
-def _finite_z(args) -> complex:
-    """z for the q-series, which build no QContext: the same finiteness check."""
-    z = complex(args.z)
-    if not cmath.isfinite(z):
-        raise DomainError(f"z must be finite, got {z}")
-    return z
-
-
 def _context(args) -> QContext:
     return QContext(q=args.q, alpha=args.alpha, z=complex(args.z),
                     tol=args.tol, max_terms=args.max_terms)
@@ -215,10 +206,10 @@ def cmd_eval(args) -> int:
         v = pochhammer(complex(args.a), args.q, n, args.tol, mt)
         _print_value(f"pochhammer(a={args.a}, q={args.q}, n={args.n})", v)
     elif fn == "theta":
-        v = theta_lp(_finite_z(args), args.q, args.tol, mt)
+        v = theta_lp(complex(args.z), args.q, args.tol, mt)
         _print_value(f"theta(z={args.z}, q={args.q})", v)
     elif fn in ("ramanujan_a", "b_function"):
-        v = aq_series_lp(args.q, _finite_z(args), fn == "ramanujan_a", args.tol, mt)
+        v = aq_series_lp(args.q, complex(args.z), fn == "ramanujan_a", args.tol, mt)
         _print_value(f"{fn}(q={args.q}, z={args.z})", v)
     elif fn == "laguerre":
         if args.n is None:
@@ -278,10 +269,10 @@ def cmd_witness(args) -> int:
 
 def cmd_sweep(args) -> int:
     theta_v = parse_real(args.theta, assume=_assume(args))
+    ctx = _context(args)
     rows = []
     for tok in args.tau_grid.split(","):
         tau = parse_real(tok.strip(), assume=_assume(args))
-        ctx = _context(args)
         sp = ScalingParameter(tau, theta_v)
         advisory = scaling_range_advisory(tau.value)
         if advisory is not None:
@@ -327,15 +318,15 @@ def cmd_sweep(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_context_args(p: argparse.ArgumentParser, max_terms_default: int) -> None:
+def _add_context_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", type=float, required=True, help="base q in (0,1)")
     p.add_argument("--alpha", type=float, default=0.0, help="exponent alpha > -1")
     p.add_argument("--z", type=str, default="1",
                    help="nonzero complex z ('2', '0.7+0.2j')")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                    help="relative truncation tolerance")
-    p.add_argument("--max-terms", type=int, default=max_terms_default,
-                   help="safety cap on series terms (env QPR_MAX_TERMS)")
+    p.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS,
+                   help="safety cap on series terms")
 
 
 def _add_scaling_args(p: argparse.ArgumentParser) -> None:
@@ -359,8 +350,8 @@ def _add_output_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", type=str, default=None, help="write to file instead of stdout")
 
 
+@cache  # no input, so built on the first call and reused; parses share nothing
 def build_parser() -> argparse.ArgumentParser:
-    max_terms_default = int(os.environ.get("QPR_MAX_TERMS", DEFAULT_MAX_TERMS))
     top = argparse.ArgumentParser(
         prog="qpr",
         description="q-series special functions and asymptotic-regime certification",
@@ -371,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("function", choices=(
         "pochhammer", "theta", "ramanujan_a", "b_function", "laguerre",
         "normalized_laguerre"))
-    _add_context_args(pe, max_terms_default)
+    _add_context_args(pe)
     _add_scaling_args(pe)
     pe.add_argument("--a", type=str, default="0", help="Pochhammer argument a")
     pe.add_argument("--x", type=str, default="1", help="polynomial argument x")
@@ -384,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog="CSV columns (JSON mirrors them 1:1):\n  "
                + ", ".join(VERIFY_COLUMNS))
-    _add_context_args(pv, max_terms_default)
+    _add_context_args(pv)
     _add_scaling_args(pv)
     pv.add_argument("--case", type=str, default="auto",
                     help="regime 1..7, or auto to dispatch from declarations")
@@ -421,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog="CSV columns (JSON mirrors them 1:1):\n  "
                + ", ".join(SWEEP_COLUMNS))
-    _add_context_args(ps, max_terms_default)
+    _add_context_args(ps)
     ps.add_argument("--tau-grid", type=str, required=True,
                     help="comma-separated tau tokens, e.g. '0.25,0.5,1' with --assume-rational")
     ps.add_argument("--theta", type=str, default="0")
@@ -438,8 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (DomainError, ValueError, TypeError) as exc:

@@ -211,6 +211,8 @@ def aq_series_lp(q: float, z: complex, negate: bool, tol: float = DEFAULT_TOL,
     if not abs(q) < 1.0:
         raise DomainError(f"series needs |q| < 1, got q={q}")
     z = complex(z)
+    if not cmath.isfinite(z):  # it would only run the term cap
+        raise DomainError(f"z must be finite, got {z}")
     if z == 0:
         return lp(0.0, 0.0)
     table = poch_table(q, q, max_terms)
@@ -287,6 +289,8 @@ def theta_lp(z: complex, q: float, tol: float = DEFAULT_TOL,
     if not (0.0 < q < 1.0):
         raise DomainError(f"theta needs 0 < q < 1, got q={q}")
     z = complex(z)
+    if not cmath.isfinite(z):  # it would only run the term cap
+        raise DomainError(f"z must be finite, got {z}")
     if z == 0:
         raise DomainError("theta is undefined at z = 0")
     lq = math.log(q)

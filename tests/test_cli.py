@@ -8,7 +8,8 @@ import sys
 import pytest
 
 import qpr
-from qpr.cli import main
+from qpr.cli import build_parser, main
+from qpr.qseries import DEFAULT_MAX_TERMS
 
 
 def run_cli(args):
@@ -313,9 +314,44 @@ class TestInstalledEntrypoint:
         assert "2.1289368" in p.stdout
 
 
-class TestMaxTermsEnv:
-    def test_env_cap_respected(self, monkeypatch):
-        monkeypatch.setenv("QPR_MAX_TERMS", "17")
-        from qpr.cli import build_parser
+class TestOneParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_max_terms_default(self):
         args = build_parser().parse_args(["eval", "theta", "--z", "1", "--q", "0.5"])
-        assert args.max_terms == 17
+        assert args.max_terms == DEFAULT_MAX_TERMS
+
+    def test_output_flags_do_not_carry_over(self, tmp_path, capsys):
+        base = ["verify", "--case", "1", "--q", "0.5", "--z", "1", "--tau", "1",
+                "--theta", "0", "--n", "5..7"]
+        out = tmp_path / "r.json"
+        assert run_cli(base + ["--format", "json", "--output", str(out)]) == 0
+        assert len(json.loads(out.read_text())) == 3
+        capsys.readouterr()
+        assert run_cli(base) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("case_id,n,")
+        assert len(lines) == 4
+
+    def test_assume_flag_does_not_carry_over(self, capsys):
+        # auto dispatch between cases 2 and 3 needs theta's rationality
+        base = ["verify", "--q", "0.5", "--z", "2", "--tau", "0", "--theta", "0.41",
+                "--rho", "1", "--nmax", "200"]
+        assert run_cli(base + ["--assume-irrational"]) == 3
+        capsys.readouterr()
+        assert run_cli(base) == 2
+        assert "rationality of '0.41' is undeclared" in capsys.readouterr().err
+
+
+class TestSeriesArgumentOutOfRange:
+    # |z| = 1e-310 sends the A_q/B_q argument of the main term (case 2) or of
+    # the case-1 majorant, q^(2-alpha)/|z|, past double range
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--case", "2", "--q", "0.5", "--z=1e-310", "--tau", "0",
+         "--theta", "1/3", "--n", "5..8"],
+        ["verify", "--case", "1", "--q", "0.5", "--z=1e-310", "--tau=1", "--n", "5..8"],
+    ], ids=["case2", "case1"])
+    def test_is_usage_error(self, argv, capsys):
+        assert run_cli(argv) == 2
+        assert "must be finite" in capsys.readouterr().err

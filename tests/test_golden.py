@@ -3,10 +3,13 @@ change by a single byte.
 
 One ``verify`` per regime (cases 1-7, q from 0.5 to 0.9, CSV and JSON), three
 runs that carry a negative zero (beta = -0.0 at a real z, then also z = 2-0j),
-whose main terms are real and must not depend on that sign, and ``eval`` of
-theta, A_q and B_q.  The runs share one
+whose main terms are real and must not depend on that sign, ``eval`` of every
+function, a single and a joint ``witness`` scan, and ``sweep`` as CSV and as
+JSON.  Near the end a parse fails (exit 2) after reading ``--format json`` and
+``--assume-irrational``, and the next run passes neither.  The runs share one
 process in this order, as they would in a long-lived caller, so a per-context
-cache that returned one run's value to another would show here.  A change
+cache that returned one run's value to another, or an argument parser that
+carried a setting from one call into the next, would show here.  A change
 that alters output on purpose regenerates the files with
 
     python tests/test_golden.py --regen
@@ -56,15 +59,37 @@ RUNS = {
     "eval_theta": ["eval", "theta", "--q", "0.7", "--z=0.6-1.3j"],
     "eval_ramanujan_a": ["eval", "ramanujan_a", "--q", "0.8", "--z=2.5+0.5j"],
     "eval_b_function": ["eval", "b_function", "--q", "0.5", "--z=-1.5+2j"],
+    "witness_single": ["witness", "--theta", "sqrt2", "--beta", "1/3", "--rho", "1",
+                       "--nmax", "2000"],
+    "witness_joint": ["witness", "--theta", "sqrt2", "--theta2", "sqrt3", "--beta2", "1/5",
+                      "--rho", "0.4", "--nmax", "3000", "--format", "json"],
+    "sweep_csv": ["sweep", "--q", "0.5", "--z", "1", "--tau-grid", "1/4,1/2,1", "--theta",
+                  "0", "--n", "10..20"],
+    "sweep_json": ["sweep", "--q", "0.6", "--z=0.8+0.3j", "--tau-grid", "0,-1,-3",
+                   "--theta", "1/3", "--n", "8..40", "--n-step", "4", "--format", "json"],
+    "eval_pochhammer": ["eval", "pochhammer", "--a=-0.25+0.5j", "--q", "0.6", "--n", "inf"],
+    "eval_laguerre": ["eval", "laguerre", "--q", "0.5", "--alpha", "0.5", "--n", "6",
+                      "--x=1.5-0.5j"],
+    "eval_normalized_laguerre": ["eval", "normalized_laguerre", "--q", "0.7",
+                                 "--z=0.9+0.4j", "--tau=1/2", "--theta", "1/3", "--n", "25"],
+    "verify_bad_max_terms": ["verify", "--case", "1", "--q", "0.5", "--z=1", "--tau", "1",
+                             "--n", "5..6", "--format", "json", "--assume-irrational",
+                             "--max-terms", "ten"],
+    "verify_after_failed_parse": ["verify", "--case", "1", "--q", "0.5", "--z=1", "--tau",
+                                  "1", "--n", "5..6"],
 }
 
 
 def run(argv: list[str]) -> tuple[int, str]:
-    """Exit code and stdout of one in-process ``qpr`` call."""
+    """Exit code and stdout of one in-process ``qpr`` call; a failed parse
+    exits through SystemExit, as it does on the command line."""
     from qpr.cli import main
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue()
 
 

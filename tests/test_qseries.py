@@ -184,6 +184,23 @@ class TestTheta:
             theta(1.0, 0.999999, max_terms=50)
 
 
+@pytest.mark.parametrize("series", [
+    lambda z: aq_series_lp(0.5, z, True),
+    lambda z: aq_series_lp(0.5, z, False),
+    lambda z: ramanujan_a(0.5, z),
+    lambda z: b_function(0.5, z),
+    lambda z: theta_lp(z, 0.5),
+    lambda z: theta(z, 0.5),
+], ids=["aq_series_lp_a", "aq_series_lp_b", "ramanujan_a", "b_function", "theta_lp",
+        "theta"])
+@pytest.mark.parametrize("z", [complex("nan"), complex("inf"), complex(1, math.inf)],
+                         ids=["nan", "inf", "1+infj"])
+def test_non_finite_argument_is_domain_error(series, z):
+    # a non-finite argument is rejected at once, not after the term cap
+    with pytest.raises(DomainError, match="z must be finite"):
+        series(z)
+
+
 def _bits(w: complex) -> tuple[str, str]:
     return w.real.hex(), w.imag.hex()
 
