@@ -124,25 +124,29 @@ def classify_case(sp: ScalingParameter) -> int:
 # bound prefactors and pieces
 # ---------------------------------------------------------------------------
 
-def _log_zqa(ctx: QContext) -> float:
-    return math.log(ctx.abs_z) + ctx.alpha * ctx.log_q
+def _series_arg(ctx: QContext, name: str, w: complex) -> complex:
+    """w, a q-series argument built from z, checked to lie in double range."""
+    if not cmath.isfinite(w):
+        raise DomainError(f"{name} must be finite, got {w} at z = {ctx.z}")
+    return w
 
 
 # The prefactors depend on the context alone; verify rows share one context,
 # so each is computed once per context rather than once per row.
 @lru_cache(maxsize=16)
 def _aq_prefactor(ctx: QContext, constant: float) -> float:
-    c2 = pochhammer(-ctx.q ** 2, ctx.q, None, ctx.tol, ctx.max_terms).real ** 2
-    big_b = b_function(ctx.q, exp_or_inf(-_log_zqa(ctx)), ctx.tol, ctx.max_terms).real
-    return constant * c2 * big_b / ((1.0 - ctx.q) ** 3 * math.exp(euler_log(ctx.q, ctx.max_terms)))
+    c2 = pochhammer(-ctx.q ** 2, ctx.q, None).real ** 2
+    arg = _series_arg(ctx, "B_q argument 1/|z q^alpha|", exp_or_inf(-ctx.log_zqa))
+    big_b = b_function(ctx.q, arg).real
+    return constant * c2 * big_b / ((1.0 - ctx.q) ** 3 * math.exp(euler_log(ctx.q)))
 
 
 @lru_cache(maxsize=16)
 def _theta_prefactor(ctx: QContext, constant: float) -> float:
-    c3 = pochhammer(-ctx.q ** 2, ctx.q, None, ctx.tol, ctx.max_terms).real ** 3
-    big_t = theta(complex(exp_or_inf(_log_zqa(ctx))), math.sqrt(ctx.q), ctx.tol,
-                  ctx.max_terms).real
-    return constant * c3 * big_t / ((1.0 - ctx.q) ** 4 * math.exp(euler_log(ctx.q, ctx.max_terms)))
+    c3 = pochhammer(-ctx.q ** 2, ctx.q, None).real ** 3
+    arg = _series_arg(ctx, "theta argument |z q^alpha|", exp_or_inf(ctx.log_zqa))
+    big_t = theta(complex(arg), math.sqrt(ctx.q)).real
+    return constant * c3 * big_t / ((1.0 - ctx.q) ** 4 * math.exp(euler_log(ctx.q)))
 
 
 @lru_cache(maxsize=16)
@@ -150,8 +154,8 @@ def _case1_log_b(ctx: QContext) -> float:
     """log B_q(q^(2-a)/|z|), the n-independent factor of the case-1 majorant;
     taken from the double value while B_q has one, so in-range bounds keep
     their last bits."""
-    b = aq_series_lp(ctx.q, ctx.q ** (2.0 - ctx.alpha) / ctx.abs_z, False,
-                     ctx.tol, ctx.max_terms)
+    arg = _series_arg(ctx, "B_q argument q^(2-alpha)/|z|", ctx.q ** (2.0 - ctx.alpha) / ctx.abs_z)
+    b = aq_series_lp(ctx.q, arg, False)
     value = b.to_complex().real
     return math.log(value) if math.isfinite(value) else b.log_mag
 
@@ -162,7 +166,7 @@ def _case1_log_b(ctx: QContext) -> float:
 def _aq_main(ctx: QContext, target: float) -> complex:
     """A_q(e^(2 pi i target)/(z q^a)), the main term of cases 2 and 3."""
     arg = cmath.exp(complex(0.0, TWO_PI * target)) / (ctx.z * ctx.q ** ctx.alpha)
-    return ramanujan_a(ctx.q, arg, ctx.tol, ctx.max_terms)
+    return ramanujan_a(ctx.q, _series_arg(ctx, "A_q argument e^(2 pi i lam)/(z q^alpha)", arg))
 
 
 @lru_cache(maxsize=256)
@@ -170,7 +174,7 @@ def _theta_main(ctx: QContext, parity: int, u: float, v: float) -> complex:
     """Theta(-z q^(a + parity + u) e^(-2 pi i v) | q), the main term of cases
     4-7."""
     w = -ctx.z * ctx.q ** (ctx.alpha + parity + u) * cmath.exp(complex(0.0, -TWO_PI * v))
-    return theta(w, ctx.q, ctx.tol, ctx.max_terms)
+    return theta(_series_arg(ctx, "theta argument -z q^(alpha+chi+u) e^(-2 pi i v)", w), ctx.q)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +275,7 @@ def eval_case1(ctx: QContext, sp: ScalingParameter, n: int) -> RegimeReport:
     tau >= 1 (numerically violated at q=1/2, z=1, tau=1).
     """
     _require_case(sp, 1)
-    tq = poch_table(ctx.q, ctx.q, ctx.max_terms)
+    tq = poch_table(ctx.q, ctx.q)
     exact = lp_mul(normalized_laguerre_lp(ctx, sp, n), lp(tq.log(n), 0.0))
     log_bound = ((1.0 - ctx.alpha) * ctx.log_q + _case1_log_b(ctx) - math.log(1.0 - ctx.q)
                  - math.log(ctx.abs_z) + sp.tau.value * n * ctx.log_q)
@@ -293,7 +297,7 @@ def eval_case_aq(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
     """
     _require_case(sp, case_id, (2, 3))
     q = ctx.q
-    lzqa = _log_zqa(ctx)
+    lzqa = ctx.log_zqa
 
     if case_id == 2:
         m_th, lam = sp.theta.mul_floor_frac(n)
@@ -304,7 +308,7 @@ def eval_case_aq(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
 
     target = witness.target_beta
     main = _aq_main(ctx, target)
-    exact = lp_mul(normalized_laguerre_lp(ctx, sp, n), lp(euler_log(q, ctx.max_terms), 0.0))
+    exact = lp_mul(normalized_laguerre_lp(ctx, sp, n), lp(euler_log(q), 0.0))
 
     if case_id == 2:
         nu = None
@@ -373,7 +377,7 @@ def eval_case_theta(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
     main = _theta_main(ctx, chi(m), u, v)
 
     nu = nu_n(case_id, n, tau, q) if n >= 2 else 0
-    lzqa = _log_zqa(ctx)
+    lzqa = ctx.log_zqa
     lq = ctx.log_q
     if case_id == 4:
         bound = _theta_prefactor(ctx, 30.0) * (exp_or_inf(0.5 * nu * lq)

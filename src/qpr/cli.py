@@ -16,8 +16,8 @@ arguments outside mathematical domains).  Scaling parameters take exact
 syntax: integers, fractions like -3/4, or the fixture names sqrt2, sqrt3,
 golden, liouville (optionally negated).  Free decimals are accepted only
 together with --assume-rational or --assume-irrational.  CSV columns are
-fixed; JSON output mirrors them 1:1.  --max-terms sets the series safety
-cap; the argument parser is built once per process, on the first call.
+fixed; JSON output mirrors them 1:1.  No option sets series truncation (see
+numerics.TOL, MAX_TERMS); the argument parser is built once per process.
 """
 
 from __future__ import annotations
@@ -51,8 +51,7 @@ from .diophantine import (
 )
 from .numerics import ConvergenceError, DomainError, LogPolarComplex, phase
 from .qlaguerre import ScalingParameter, laguerre_direct, normalized_laguerre_lp
-from .qseries import DEFAULT_MAX_TERMS, DEFAULT_TOL, QContext, aq_series_lp, pochhammer, \
-    theta_lp
+from .qseries import QContext, aq_series_lp, pochhammer, theta_lp
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -174,8 +173,7 @@ def _scaling(args) -> ScalingParameter:
 
 
 def _context(args) -> QContext:
-    return QContext(q=args.q, alpha=args.alpha, z=complex(args.z),
-                    tol=args.tol, max_terms=args.max_terms)
+    return QContext(q=args.q, alpha=args.alpha, z=complex(args.z))
 
 
 # ---------------------------------------------------------------------------
@@ -200,16 +198,15 @@ def _print_value(label: str, value: complex | LogPolarComplex) -> None:
 
 def cmd_eval(args) -> int:
     fn = args.function
-    mt = args.max_terms
     if fn == "pochhammer":
         n = None if args.n in (None, "inf") else int(args.n)
-        v = pochhammer(complex(args.a), args.q, n, args.tol, mt)
+        v = pochhammer(complex(args.a), args.q, n)
         _print_value(f"pochhammer(a={args.a}, q={args.q}, n={args.n})", v)
     elif fn == "theta":
-        v = theta_lp(complex(args.z), args.q, args.tol, mt)
+        v = theta_lp(complex(args.z), args.q)
         _print_value(f"theta(z={args.z}, q={args.q})", v)
     elif fn in ("ramanujan_a", "b_function"):
-        v = aq_series_lp(args.q, complex(args.z), fn == "ramanujan_a", args.tol, mt)
+        v = aq_series_lp(args.q, complex(args.z), fn == "ramanujan_a")
         _print_value(f"{fn}(q={args.q}, z={args.z})", v)
     elif fn == "laguerre":
         if args.n is None:
@@ -323,10 +320,6 @@ def _add_context_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=0.0, help="exponent alpha > -1")
     p.add_argument("--z", type=str, default="1",
                    help="nonzero complex z ('2', '0.7+0.2j')")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help="relative truncation tolerance")
-    p.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS,
-                   help="safety cap on series terms")
 
 
 def _add_scaling_args(p: argparse.ArgumentParser) -> None:

@@ -19,6 +19,10 @@ from typing import Callable, Sequence
 TWO_PI = 2.0 * math.pi
 _NEG_INF = float("-inf")
 
+# The one truncation policy of every infinite series and product (certified_terms)
+TOL = 1e-15
+MAX_TERMS = 10_000
+
 
 class QprError(Exception):
     """Base class for errors raised by this package."""
@@ -243,8 +247,8 @@ def sum_rescaled(logs: Sequence[float], phases: Sequence[float]) -> SummationRes
 
 
 def certified_terms(term_log: Callable[[int], float], term_phase: Callable[[int], float],
-                    ratio_bound: Callable[[int], float], tol: float, max_terms: int, *,
-                    start: int = 0, stop: int | None = None, max_log: float = _NEG_INF,
+                    ratio_bound: Callable[[int], float], *, start: int = 0,
+                    stop: int | None = None, max_log: float = _NEG_INF,
                     tail_log: Callable[[int], float] | None = None
                     ) -> tuple[list[float], list[float]]:
     """Collect series terms under a certified stopping rule, as parallel
@@ -254,16 +258,16 @@ def certified_terms(term_log: Callable[[int], float], term_phase: Callable[[int]
     out.  term_phase(k) must lie in (-pi, pi], as phase_mul_int's output
     does.  ratio_bound(k) must majorize |t_{k+1}/t_k|.  Generation stops
     once the ratio bound is <= 1/2 and the tail majorant at k (tail_log(k),
-    by default the term itself) sits tol/4 below the largest term seen, so
-    the discarded tail is at most 2|t_k| <= (tol/2) * max-term.  max_log
+    by default the term itself) sits TOL/4 below the largest term seen, so
+    the discarded tail is at most 2|t_k| <= (TOL/2) * max-term.  max_log
     seeds that peak with terms summed elsewhere.  A finite sum ends at the
     inclusive index stop; an infinite one raises ConvergenceError after
-    max_terms + 1 terms.
+    MAX_TERMS + 1 terms.
     """
-    log_tol = math.log(tol) - math.log(4.0)
+    log_tol = math.log(TOL) - math.log(4.0)
     logs: list[float] = []
     phases: list[float] = []
-    last = start + max_terms if stop is None else stop
+    last = start + MAX_TERMS if stop is None else stop
     for k in range(start, last + 1):
         tl = term_log(k)
         if tl != _NEG_INF:
@@ -276,4 +280,4 @@ def certified_terms(term_log: Callable[[int], float], term_phase: Callable[[int]
             return logs, phases
     if stop is not None:
         return logs, phases
-    raise ConvergenceError(f"series not certified within {max_terms} terms")
+    raise ConvergenceError(f"series not certified within {MAX_TERMS} terms")

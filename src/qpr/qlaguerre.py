@@ -96,8 +96,8 @@ def laguerre_direct(ctx: QContext, n: int, x: complex) -> complex:
     q, alpha = ctx.q, ctx.alpha
     lq = ctx.log_q
     x = complex(x)
-    tq = poch_table(q, q, ctx.max_terms)
-    ta = poch_table(q ** (alpha + 1.0), q, ctx.max_terms)
+    tq = poch_table(q, q)
+    ta = poch_table(q ** (alpha + 1.0), q)
     log_abs_x = math.log(abs(x)) if x != 0 else -math.inf
     ph = wrap_phase(math.pi + phase(x)) if x != 0 else 0.0
 
@@ -144,19 +144,17 @@ def normalized_laguerre_lp(ctx: QContext, sp: ScalingParameter, n: int) -> LogPo
         )
     q, alpha = ctx.q, ctx.alpha
     lq = ctx.log_q
-    tq = poch_table(q, q, ctx.max_terms)
-    ta = poch_table(q ** (alpha + 1.0), q, ctx.max_terms)
+    tq = poch_table(q, q)
+    ta = poch_table(q ** (alpha + 1.0), q)
     tau_n = sp.tau.value * n
     _, d_n = sp.theta.mul_floor_frac(n)
-    log_zqa = math.log(ctx.abs_z) + alpha * lq
+    log_zqa = ctx.log_zqa
     base_phase = wrap_phase(math.pi - phase(ctx.z) + TWO_PI * d_n)
     terms = certified_terms(
         term_log=lambda k: (ta.log(n) - tq.log(k) - tq.log(n - k) - ta.log(n - k)
                             + (k * k + tau_n * k) * lq - k * log_zqa),
         term_phase=lambda k: phase_mul_int(base_phase, k),
         ratio_bound=lambda k: exp_or_inf((2 * k + 1 + tau_n) * lq - log_zqa - math.log1p(-q)),
-        tol=ctx.tol,
-        max_terms=ctx.max_terms,
         stop=n,
     )
     return sum_rescaled(*terms).to_lp()
@@ -208,10 +206,9 @@ def factor_e(ctx: QContext, k: int, n: int, m: int) -> float:
         raise DomainError(f"factor_e needs 0 <= k <= floor(m/2), got k={k}, m={m}")
     if not (0 <= m <= 2 * n):
         raise DomainError(f"factor_e needs 0 <= m <= 2n, got m={m}, n={n}")
-    tq = poch_table(ctx.q, ctx.q, ctx.max_terms)
-    ta = poch_table(ctx.q ** (ctx.alpha + 1.0), ctx.q, ctx.max_terms)
-    return math.exp(_log_factor_e(tq, ta, 2.0 * euler_log(ctx.q, ctx.max_terms),
-                                  ta.log(n), p, n, k))
+    tq = poch_table(ctx.q, ctx.q)
+    ta = poch_table(ctx.q ** (ctx.alpha + 1.0), ctx.q)
+    return math.exp(_log_factor_e(tq, ta, 2.0 * euler_log(ctx.q), ta.log(n), p, n, k))
 
 
 def factor_f(ctx: QContext, k: int, n: int, m: int) -> float:
@@ -222,10 +219,9 @@ def factor_f(ctx: QContext, k: int, n: int, m: int) -> float:
         raise DomainError(f"factor_f needs 1 <= k <= n - floor(m/2), got k={k}")
     if not (0 <= m <= 2 * n):
         raise DomainError(f"factor_f needs 0 <= m <= 2n, got m={m}, n={n}")
-    tq = poch_table(ctx.q, ctx.q, ctx.max_terms)
-    ta = poch_table(ctx.q ** (ctx.alpha + 1.0), ctx.q, ctx.max_terms)
-    return math.exp(_log_factor_f(tq, ta, 2.0 * euler_log(ctx.q, ctx.max_terms),
-                                  ta.log(n), p, n, k))
+    tq = poch_table(ctx.q, ctx.q)
+    ta = poch_table(ctx.q ** (ctx.alpha + 1.0), ctx.q)
+    return math.exp(_log_factor_f(tq, ta, 2.0 * euler_log(ctx.q), ta.log(n), p, n, k))
 
 
 def split_sums(ctx: QContext, sp: ScalingParameter, n: int,
@@ -264,9 +260,9 @@ def split_sums(ctx: QContext, sp: ScalingParameter, n: int,
     parity = chi(m)
 
     lq = ctx.log_q
-    tq = poch_table(q, q, ctx.max_terms)
-    ta = poch_table(q ** (alpha + 1.0), q, ctx.max_terms)
-    log_euler2 = 2.0 * euler_log(q, ctx.max_terms)
+    tq = poch_table(q, q)
+    ta = poch_table(q ** (alpha + 1.0), q)
+    log_euler2 = 2.0 * euler_log(q)
     log_an = ta.log(n)
 
     # w1 = -z q^(a + chi(m) + c_n) e^(-2 pi i d_n); w2 = 1/w1.
@@ -279,8 +275,6 @@ def split_sums(ctx: QContext, sp: ScalingParameter, n: int,
                             + _log_factor_e(tq, ta, log_euler2, log_an, p, n, k)),
         term_phase=lambda k: phase_mul_int(ph_w1, k),
         ratio_bound=lambda k: exp_or_inf((2 * k + 1) * lq + log_w1),
-        tol=ctx.tol,
-        max_terms=ctx.max_terms,
         stop=p,
         tail_log=lambda k: k * k * lq + k * log_w1,
     )
@@ -289,8 +283,6 @@ def split_sums(ctx: QContext, sp: ScalingParameter, n: int,
                             + _log_factor_f(tq, ta, log_euler2, log_an, p, n, k)),
         term_phase=lambda k: phase_mul_int(ph_w1, -k),
         ratio_bound=lambda k: exp_or_inf((2 * k + 1) * lq - log_w1),
-        tol=ctx.tol,
-        max_terms=ctx.max_terms,
         start=1,
         stop=n - p,
         tail_log=lambda k: k * k * lq - k * log_w1,
@@ -303,7 +295,7 @@ def split_sums(ctx: QContext, sp: ScalingParameter, n: int,
 def normalizer_lp(ctx: QContext, sp: ScalingParameter, n: int) -> LogPolarComplex:
     """(-z q^a)^n * q^(n^2 (1-s)) in log-polar form, phases reduced exactly."""
     lq = ctx.log_q
-    base = lp(math.log(ctx.abs_z) + ctx.alpha * lq, math.pi + phase(ctx.z))
+    base = lp(ctx.log_zqa, math.pi + phase(ctx.z))
     first = lp_pow_int(base, n)
     # q^(n^2 (1-s)) = q^(-n^2 (1+tau)) * e^(-2 pi i theta n^2)
     _, frac = sp.theta.mul_floor_frac(n * n)
@@ -318,9 +310,8 @@ def split_normalizer_lp(ctx: QContext, sp: ScalingParameter, n: int,
     split_sums().total equals normalized_laguerre times this factor."""
     p = m // 2
     lq = ctx.log_q
-    base = lp(math.log(ctx.abs_z) + ctx.alpha * lq,
-              math.pi + phase(ctx.z) - TWO_PI * d_n)
-    num = lp_mul(lp(2.0 * euler_log(ctx.q, ctx.max_terms), 0.0), lp_pow_int(base, p))
+    base = lp(ctx.log_zqa, math.pi + phase(ctx.z) - TWO_PI * d_n)
+    num = lp_mul(lp(2.0 * euler_log(ctx.q), 0.0), lp_pow_int(base, p))
     # p(tau n + p) = p(p - m) - p*c_n with the integer part exact
     expo = (p * (p - m) - p * c_n) * lq
     return lp_mul(num, lp(-expo, 0.0))

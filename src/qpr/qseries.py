@@ -6,8 +6,8 @@ Conventions.  (a;q)_0 = 1 and (a;q)_n has n factors 1 - a*q^k, k = 0..n-1;
 the n-factor convention is forced by the q-binomial/degree identities this
 module is checked against.  Infinite products and series never truncate on
 term count alone: each loop carries a geometric majorant for its tail and
-stops only once that majorant clears the requested tolerance, with the term
-cap acting purely as a safety net that raises ConvergenceError.
+stops only once that majorant clears numerics.TOL, with the fixed term cap
+numerics.MAX_TERMS acting purely as a safety net that raises ConvergenceError.
 
 All series are generated termwise by :func:`qpr.numerics.certified_terms`
 as lists of log-magnitudes and phases, and summed with
@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .numerics import (
+    MAX_TERMS,
+    TOL,
     ConvergenceError,
     DomainError,
     LogPolarComplex,
@@ -35,9 +37,6 @@ from .numerics import (
     wrap_phase,
 )
 
-DEFAULT_TOL = 1e-15
-DEFAULT_MAX_TERMS = 10_000
-
 # Once a*q^k drops below this, further factors of (a;q)_k no longer move a
 # double-precision log; the product is treated as converged.
 _SATURATION = 1e-18
@@ -47,15 +46,12 @@ _SATURATION = 1e-18
 class QContext:
     """Fixed problem data shared by every evaluator.
 
-    q in (0,1), alpha > -1 and z != 0 are hard requirements of the whole
-    theory; tol and max_terms control certified truncation.
+    q in (0,1), alpha > -1 and z != 0 are hard requirements of the whole theory.
     """
 
     q: float
     alpha: float
     z: complex
-    tol: float = DEFAULT_TOL
-    max_terms: int = DEFAULT_MAX_TERMS
 
     def __post_init__(self) -> None:
         if not (0.0 < self.q < 1.0):
@@ -73,10 +69,6 @@ class QContext:
         if not in_range:
             raise DomainError(f"alpha = {self.alpha} puts q^alpha, q^(alpha+1) or "
                               f"q^(2-alpha) outside double range at q = {self.q}")
-        if not (0.0 < self.tol < 1.0):
-            raise DomainError(f"tol must lie in (0,1), got {self.tol}")
-        if self.max_terms < 16:
-            raise DomainError("max_terms too small to certify anything")
 
     @property
     def log_q(self) -> float:
@@ -85,6 +77,10 @@ class QContext:
     @property
     def abs_z(self) -> float:
         return abs(self.z)
+
+    @property
+    def log_zqa(self) -> float:
+        return math.log(self.abs_z) + self.alpha * self.log_q
 
 
 class _PochTable:
@@ -97,7 +93,7 @@ class _PochTable:
 
     __slots__ = ("a", "q", "logs", "sat")
 
-    def __init__(self, a: float, q: float, max_terms: int) -> None:
+    def __init__(self, a: float, q: float) -> None:
         if a >= 1.0:
             raise DomainError(f"log table requires a < 1, got a={a}")
         if not (0.0 < q < 1.0):
@@ -111,10 +107,10 @@ class _PochTable:
             logs.append(acc)
             aqk *= q
             k += 1
-            if k > max_terms:
+            if k > MAX_TERMS:
                 raise ConvergenceError(
                     f"(a;q)_inf with a={a}, q={q} did not saturate within "
-                    f"{max_terms} factors; q is too close to 1 for doubles"
+                    f"{MAX_TERMS} factors; q is too close to 1 for doubles"
                 )
         self.a = a
         self.q = q
@@ -132,22 +128,21 @@ class _PochTable:
 
 
 @lru_cache(maxsize=256)
-def poch_table(a: float, q: float, max_terms: int = DEFAULT_MAX_TERMS) -> _PochTable:
+def poch_table(a: float, q: float) -> _PochTable:
     """Cached saturating log table for (a;q)_k, real a < 1."""
-    return _PochTable(a, q, max_terms)
+    return _PochTable(a, q)
 
 
-def euler_log(q: float, max_terms: int = DEFAULT_MAX_TERMS) -> float:
+def euler_log(q: float) -> float:
     """log (q;q)_inf."""
-    return poch_table(q, q, max_terms).log_inf
+    return poch_table(q, q).log_inf
 
 
-def pochhammer(a: complex, q: float, n: int | float | None,
-               tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS) -> complex:
+def pochhammer(a: complex, q: float, n: int | float | None) -> complex:
     """(a;q)_n for complex a; n may be a nonnegative integer or infinite.
 
     The infinite case requires |q| < 1 and truncates once the remaining
-    factors are within tol of 1, certified by the geometric tail bound
+    factors are within TOL of 1, certified by the geometric tail bound
     2|a||q|^k/(1-|q|).
     """
     infinite = n is None or (isinstance(n, float) and math.isinf(n))
@@ -172,41 +167,38 @@ def pochhammer(a: complex, q: float, n: int | float | None,
             return prod
         if infinite:
             tail = 2.0 * abs(aqk) / (1.0 - abs(q))
-            if abs(aqk) <= 0.5 and tail <= tol:
+            if abs(aqk) <= 0.5 and tail <= TOL:
                 return prod
         prod *= 1.0 - aqk
         aqk *= q
         k += 1
-        if k > max_terms:
+        if k > MAX_TERMS:
             raise ConvergenceError(
-                f"(a;q)_inf with |a|={abs(a):.3g}, q={q} not certified within {max_terms} factors"
+                f"(a;q)_inf with |a|={abs(a):.3g}, q={q} not certified within {MAX_TERMS} factors"
             )
 
 
-def q_binomial(n: int, k: int, q: float, max_terms: int = DEFAULT_MAX_TERMS) -> float:
+def q_binomial(n: int, k: int, q: float) -> float:
     """Gaussian binomial coefficient (q;q)_n / ((q;q)_k (q;q)_{n-k}); positive."""
     if not (0 <= k <= n):
         raise DomainError(f"q_binomial needs 0 <= k <= n, got n={n}, k={k}")
     if not (0.0 < q < 1.0):
         raise DomainError(f"q_binomial needs 0 < q < 1, got q={q}")
-    t = poch_table(q, q, max_terms)
+    t = poch_table(q, q)
     return math.exp(t.log(n) - t.log(k) - t.log(n - k))
 
 
-def ramanujan_a(q: float, z: complex, tol: float = DEFAULT_TOL,
-                max_terms: int = DEFAULT_MAX_TERMS) -> complex:
+def ramanujan_a(q: float, z: complex) -> complex:
     """The entire function sum_k q^(k^2) (-z)^k / (q;q)_k."""
-    return aq_series_lp(q, z, negate=True, tol=tol, max_terms=max_terms).to_complex()
+    return aq_series_lp(q, z, negate=True).to_complex()
 
 
-def b_function(q: float, z: complex, tol: float = DEFAULT_TOL,
-               max_terms: int = DEFAULT_MAX_TERMS) -> complex:
+def b_function(q: float, z: complex) -> complex:
     """Companion series sum_k q^(k^2) z^k / (q;q)_k, majorant of |A_q|."""
-    return aq_series_lp(q, z, negate=False, tol=tol, max_terms=max_terms).to_complex()
+    return aq_series_lp(q, z, negate=False).to_complex()
 
 
-def aq_series_lp(q: float, z: complex, negate: bool, tol: float = DEFAULT_TOL,
-                 max_terms: int = DEFAULT_MAX_TERMS) -> LogPolarComplex:
+def aq_series_lp(q: float, z: complex, negate: bool) -> LogPolarComplex:
     """A_q(z) (negate) or B_q(z) in log-polar form."""
     if not abs(q) < 1.0:
         raise DomainError(f"series needs |q| < 1, got q={q}")
@@ -215,7 +207,7 @@ def aq_series_lp(q: float, z: complex, negate: bool, tol: float = DEFAULT_TOL,
         raise DomainError(f"z must be finite, got {z}")
     if z == 0:
         return lp(0.0, 0.0)
-    table = poch_table(q, q, max_terms)
+    table = poch_table(q, q)
     lq = math.log(q)
     lz = math.log(abs(z))
     ph = phase(-z if negate else z)
@@ -223,19 +215,16 @@ def aq_series_lp(q: float, z: complex, negate: bool, tol: float = DEFAULT_TOL,
         term_log=lambda k: k * k * lq + k * lz - table.log(k),
         term_phase=lambda k: phase_mul_int(ph, k),
         ratio_bound=lambda k: (q ** (2 * k + 1)) * abs(z) / (1.0 - q),
-        tol=tol,
-        max_terms=max_terms,
     )
     return sum_rescaled(*terms).to_lp()
 
 
-def ramanujan_a_deriv(q: float, z: complex, tol: float = DEFAULT_TOL,
-                      max_terms: int = DEFAULT_MAX_TERMS) -> complex:
+def ramanujan_a_deriv(q: float, z: complex) -> complex:
     """Termwise derivative of ramanujan_a: -sum_{k>=1} k q^(k^2) (-z)^(k-1) / (q;q)_k."""
     if not abs(q) < 1.0:
         raise DomainError(f"series needs |q| < 1, got q={q}")
     z = complex(z)
-    table = poch_table(q, q, max_terms)
+    table = poch_table(q, q)
     lq = math.log(q)
     if z == 0:
         return -q / (1.0 - q) + 0j
@@ -246,24 +235,21 @@ def ramanujan_a_deriv(q: float, z: complex, tol: float = DEFAULT_TOL,
         term_log=lambda k: k * k * lq + (k - 1) * lz + math.log(k) - table.log(k),
         term_phase=lambda k: wrap_phase(phase_mul_int(ph, k - 1) + pi),
         ratio_bound=lambda k: (q ** (2 * k + 1)) * abs(z) * (k + 1) / (k * (1.0 - q)),
-        tol=tol,
-        max_terms=max_terms,
         start=1,
     )
     return sum_rescaled(*terms).to_complex()
 
 
-def euler_product_series_check(z: complex, q: float, tol: float = DEFAULT_TOL,
-                               max_terms: int = DEFAULT_MAX_TERMS) -> tuple[complex, complex]:
+def euler_product_series_check(z: complex, q: float) -> tuple[complex, complex]:
     """(z;q)_inf two ways: infinite product, and the q-exponential series
     sum_k q^(k(k-1)/2) (-z)^k / (q;q)_k.  Returned as a cross-check pair."""
     if not abs(q) < 1.0:
         raise DomainError(f"identity needs |q| < 1, got q={q}")
-    lhs = pochhammer(z, q, None, tol=tol, max_terms=max_terms)
+    lhs = pochhammer(z, q, None)
     z = complex(z)
     if z == 0:
         return lhs, 1.0 + 0j
-    table = poch_table(q, q, max_terms)
+    table = poch_table(q, q)
     lq = math.log(q)
     lz = math.log(abs(z))
     ph = phase(-z)
@@ -271,15 +257,12 @@ def euler_product_series_check(z: complex, q: float, tol: float = DEFAULT_TOL,
         term_log=lambda k: 0.5 * k * (k - 1) * lq + k * lz - table.log(k),
         term_phase=lambda k: phase_mul_int(ph, k),
         ratio_bound=lambda k: (q ** k) * abs(z) / (1.0 - q),
-        tol=tol,
-        max_terms=max_terms,
     )
     rhs = sum_rescaled(*terms).to_complex()
     return lhs, rhs
 
 
-def theta_lp(z: complex, q: float, tol: float = DEFAULT_TOL,
-             max_terms: int = DEFAULT_MAX_TERMS) -> LogPolarComplex:
+def theta_lp(z: complex, q: float) -> LogPolarComplex:
     """Bilateral theta sum_{n in Z} q^(n^2) z^n in log-polar form.
 
     Both tails are truncated symmetrically under their own geometric
@@ -304,8 +287,6 @@ def theta_lp(z: complex, q: float, tol: float = DEFAULT_TOL,
             term_log=lambda j: j * j * lq + sign * j * lz,
             term_phase=lambda j: phase_mul_int(ph, sign * j),
             ratio_bound=lambda j: exp_or_inf((2 * j + 1) * lq + sign * lz),
-            tol=tol,
-            max_terms=max_terms,
             start=1,
             max_log=0.0,
         )
@@ -314,13 +295,11 @@ def theta_lp(z: complex, q: float, tol: float = DEFAULT_TOL,
     return sum_rescaled(logs, phases).to_lp()
 
 
-def theta(z: complex, q: float, tol: float = DEFAULT_TOL,
-          max_terms: int = DEFAULT_MAX_TERMS) -> complex:
-    return theta_lp(z, q, tol=tol, max_terms=max_terms).to_complex()
+def theta(z: complex, q: float) -> complex:
+    return theta_lp(z, q).to_complex()
 
 
-def theta_triple_product(z: complex, q: float, tol: float = DEFAULT_TOL,
-                         max_terms: int = DEFAULT_MAX_TERMS) -> complex:
+def theta_triple_product(z: complex, q: float) -> complex:
     """Theta via the triple product (q^2; q^2)_inf (-qz; q^2)_inf (-q/z; q^2)_inf."""
     if not (0.0 < q < 1.0):
         raise DomainError(f"triple product needs 0 < q < 1, got q={q}")
@@ -328,14 +307,13 @@ def theta_triple_product(z: complex, q: float, tol: float = DEFAULT_TOL,
     if z == 0:
         raise DomainError("triple product is undefined at z = 0")
     q2 = q * q
-    p1 = pochhammer(q2, q2, None, tol=tol, max_terms=max_terms)
-    p2 = pochhammer(-q * z, q2, None, tol=tol, max_terms=max_terms)
-    p3 = pochhammer(-q / z, q2, None, tol=tol, max_terms=max_terms)
+    p1 = pochhammer(q2, q2, None)
+    p2 = pochhammer(-q * z, q2, None)
+    p3 = pochhammer(-q / z, q2, None)
     return p1 * p2 * p3
 
 
-def remainder_r1(a: float, n: int, q: float, tol: float = DEFAULT_TOL,
-                 max_terms: int = DEFAULT_MAX_TERMS) -> tuple[float, float]:
+def remainder_r1(a: float, n: int, q: float) -> tuple[float, float]:
     """R1(a;n) = (a q^n; q)_inf - 1 together with its majorant
     (-a q^2; q)_inf * a q^n / (1-q); |R1| <= bound for a > 0."""
     if not a > 0:
@@ -344,14 +322,13 @@ def remainder_r1(a: float, n: int, q: float, tol: float = DEFAULT_TOL,
         raise DomainError(f"R1 needs n >= 0, got n={n}")
     if not (0.0 < q < 1.0):
         raise DomainError(f"R1 needs 0 < q < 1, got q={q}")
-    value = pochhammer(a * q ** n, q, None, tol=tol, max_terms=max_terms).real - 1.0
-    grow = pochhammer(-a * q * q, q, None, tol=tol, max_terms=max_terms).real
+    value = pochhammer(a * q ** n, q, None).real - 1.0
+    grow = pochhammer(-a * q * q, q, None).real
     bound = grow * a * q ** n / (1.0 - q)
     return value, bound
 
 
-def remainder_r2(a: float, n: int, q: float, tol: float = DEFAULT_TOL,
-                 max_terms: int = DEFAULT_MAX_TERMS) -> tuple[float, float]:
+def remainder_r2(a: float, n: int, q: float) -> tuple[float, float]:
     """R2(a;n) = 1/(a q^n; q)_inf - 1 with majorant a q^n / ((1-q)(aq;q)_inf).
 
     Beyond the stated 0 < aq < 1 this also needs a q^n < 1, otherwise the
@@ -366,6 +343,6 @@ def remainder_r2(a: float, n: int, q: float, tol: float = DEFAULT_TOL,
         raise DomainError(f"R2 needs 0 < a*q < 1, got a*q={a * q}")
     if not a * q ** n < 1.0:
         raise DomainError(f"R2 needs a*q^n < 1, got {a * q ** n}")
-    value = 1.0 / pochhammer(a * q ** n, q, None, tol=tol, max_terms=max_terms).real - 1.0
-    bound = a * q ** n / ((1.0 - q) * pochhammer(a * q, q, None, tol=tol, max_terms=max_terms).real)
+    value = 1.0 / pochhammer(a * q ** n, q, None).real - 1.0
+    bound = a * q ** n / ((1.0 - q) * pochhammer(a * q, q, None).real)
     return value, bound

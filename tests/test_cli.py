@@ -9,7 +9,6 @@ import pytest
 
 import qpr
 from qpr.cli import build_parser, main
-from qpr.qseries import DEFAULT_MAX_TERMS
 
 
 def run_cli(args):
@@ -318,10 +317,6 @@ class TestOneParser:
     def test_built_once(self):
         assert build_parser() is build_parser()
 
-    def test_max_terms_default(self):
-        args = build_parser().parse_args(["eval", "theta", "--z", "1", "--q", "0.5"])
-        assert args.max_terms == DEFAULT_MAX_TERMS
-
     def test_output_flags_do_not_carry_over(self, tmp_path, capsys):
         base = ["verify", "--case", "1", "--q", "0.5", "--z", "1", "--tau", "1",
                 "--theta", "0", "--n", "5..7"]
@@ -355,3 +350,40 @@ class TestSeriesArgumentOutOfRange:
     def test_is_usage_error(self, argv, capsys):
         assert run_cli(argv) == 2
         assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, name", [
+        (["verify", "--case", "2", "--q", "0.5", "--z=1e-310", "--tau", "0",
+          "--theta", "1/3", "--n", "5..8"], "A_q argument e^(2 pi i lam)/(z q^alpha)"),
+        (["verify", "--case", "1", "--q", "0.5", "--z=1e-310", "--tau=1", "--n", "5..8"],
+         "B_q argument q^(2-alpha)/|z|"),
+    ], ids=["case2", "case1"])
+    def test_names_the_argument(self, argv, name, capsys):
+        # the user's z is finite; the message names what left range and echoes z
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{name} must be finite" in err and "z = (1e-310+0j)" in err
+        assert "z must be finite, got" not in err
+
+
+class TestFixedTruncation:
+    # the tolerance and the term cap are constants of the truncation kernel
+    @pytest.mark.parametrize("flag", [["--tol", "1e-8"], ["--max-terms", "500"]],
+                             ids=["tol", "max_terms"])
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--case", "2", "--q", "0.6", "--z=0.9-0.7j", "--tau", "0",
+         "--theta", "2/5", "--n", "36..40", "--n-step", "4"],
+        ["eval", "theta", "--z", "1", "--q", "0.5"],
+    ], ids=["verify", "eval"])
+    def test_truncation_is_not_an_option(self, argv, flag):
+        with pytest.raises(SystemExit) as e:
+            run_cli(argv + flag)
+        assert e.value.code == 2
+
+    def test_term_cap_stops_a_series(self, capsys):
+        assert run_cli(["eval", "theta", "--q", "0.999999", "--z", "1"]) == 1
+        assert "not certified within 10000 terms" in capsys.readouterr().err
+
+    def test_factor_cap_stops_a_table(self, capsys):
+        assert run_cli(["verify", "--case", "2", "--q", "0.997", "--z=1", "--tau", "0",
+                        "--theta", "1/3", "--n", "5..6"]) == 1
+        assert "did not saturate within 10000 factors" in capsys.readouterr().err

@@ -72,9 +72,9 @@ RUNS = {
                       "--x=1.5-0.5j"],
     "eval_normalized_laguerre": ["eval", "normalized_laguerre", "--q", "0.7",
                                  "--z=0.9+0.4j", "--tau=1/2", "--theta", "1/3", "--n", "25"],
-    "verify_bad_max_terms": ["verify", "--case", "1", "--q", "0.5", "--z=1", "--tau", "1",
-                             "--n", "5..6", "--format", "json", "--assume-irrational",
-                             "--max-terms", "ten"],
+    "verify_bad_n_step": ["verify", "--case", "1", "--q", "0.5", "--z=1", "--tau", "1",
+                          "--n", "5..6", "--format", "json", "--assume-irrational",
+                          "--n-step", "ten"],
     "verify_after_failed_parse": ["verify", "--case", "1", "--q", "0.5", "--z=1", "--tau",
                                   "1", "--n", "5..6"],
 }

@@ -223,7 +223,7 @@ def test_to_complex_keeps_exact_zero_component_past_overflow():
 
 def _geometric(ratio):
     return dict(term_log=lambda k: k * math.log(ratio), term_phase=lambda k: 0.0,
-                ratio_bound=lambda k: ratio, tol=1e-15, max_terms=100)
+                ratio_bound=lambda k: ratio)
 
 
 def test_certified_terms_stops_on_tail_bound():
@@ -255,13 +255,11 @@ def test_certified_terms_tail_majorant():
     # terms vanish at k >= 1, but the majorant 0.25^k must still clear tol
     logs, phases = certified_terms(term_log=lambda k: 0.0 if k == 0 else -math.inf,
                                    term_phase=lambda k: 0.0, ratio_bound=lambda k: 0.25,
-                                   tol=1e-15, max_terms=100,
                                    tail_log=lambda k: k * math.log(0.25))
     assert logs == [0.0] and phases == [0.0]
     # without it the first vanishing term stops the series
     steps = []
     certified_terms(term_log=lambda k: 0.0 if k == 0 else -math.inf,
                     term_phase=lambda k: 0.0,
-                    ratio_bound=lambda k: steps.append(k) or 0.25,
-                    tol=1e-15, max_terms=100)
+                    ratio_bound=lambda k: steps.append(k) or 0.25)
     assert steps == [0, 1]

@@ -181,7 +181,7 @@ class TestTheta:
 
     def test_term_cap_raises(self):
         with pytest.raises(ConvergenceError):
-            theta(1.0, 0.999999, max_terms=50)
+            theta(1.0, 0.999999)
 
 
 @pytest.mark.parametrize("series", [
