@@ -198,7 +198,7 @@ def witness_plan(case_id: int, sp: ScalingParameter, beta: float,
     """The angle a witness-driven case searches (theta in cases 3 and 5,
     -tau in 6 and 7, where theta is the joint search's second angle) and
     its exponent: rho, or the default for that angle and target."""
-    angle = sp.tau.neg() if case_id in (6, 7) else sp.theta
+    angle = sp.neg_tau if case_id in (6, 7) else sp.theta
     if rho is None:
         rho = default_rho(angle, beta, joint=case_id == 7)
     return angle, rho
@@ -350,15 +350,11 @@ def eval_case_theta(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
     """
     _require_case(sp, case_id, (4, 5, 6, 7))
     q, tau = ctx.q, sp.tau.value
-    # the exact decompositions -tau n = m + c and n theta = m1 + v, with u = c
-    m_exact, c = sp.tau.neg().mul_floor_frac(n)
+    # the exact decomposition -tau n = m + c, with u = c (split_sums gives n theta = m1 + v)
+    m_exact, c = sp.neg_tau.mul_floor_frac(n)
     m, u = m_exact, c
-    m1, v = sp.theta.mul_floor_frac(n)
     tail = []
-    if case_id == 4:
-        witness = DiophantineWitness(n=n, m=m, m1=m1, target_beta=c, residual=0.0,
-                                     rho=0.0, target_beta2=v, residual2=0.0)
-    else:
+    if case_id != 4:
         witness = _require_witness(case_id, sp, n, witness)
     if case_id in (6, 7):
         # the witness decomposition -tau n = m + beta + a_n replaces the
@@ -368,12 +364,16 @@ def eval_case_theta(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
         if m != m_exact:
             tail.append(
                 (f"witness m={m} wraps past floor(-tau n)={m_exact} (still exact)", True))
-    if case_id == 5:
+
+    split = split_sums(ctx, sp, n, decomposition=(m, c))
+    exact, m1, v = split.total, split.m1, split.d_n
+    if case_id == 4:
+        witness = DiophantineWitness(n=n, m=m, m1=m1, target_beta=c, residual=0.0,
+                                     rho=0.0, target_beta2=v, residual2=0.0)
+    elif case_id == 5:
         m1, v = witness.m, witness.target_beta
     elif case_id == 7:
         m1, v = witness.m1, witness.target_beta2
-
-    exact = split_sums(ctx, sp, n, decomposition=(m, c)).total
     main = _theta_main(ctx, chi(m), u, v)
 
     nu = nu_n(case_id, n, tau, q) if n >= 2 else 0

@@ -74,16 +74,6 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _write_rows(columns: list[str], rows: list[dict], fmt: str, output: str | None) -> None:
     if fmt == "json":
         text = json.dumps([{c: row.get(c) for c in columns} for row in rows], indent=2)
@@ -92,8 +82,10 @@ def _write_rows(columns: list[str], rows: list[dict], fmt: str, output: str | No
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(columns)
+        # csv writes None as "" and a float as its repr; only bools need mapping
         for row in rows:
-            w.writerow([_fmt(row.get(c)) for c in columns])
+            w.writerow(["true" if v is True else "false" if v is False else v
+                        for v in map(row.get, columns)])
         text = buf.getvalue()
     if output:
         with open(output, "w", encoding="utf-8", newline="") as fh:
@@ -156,8 +148,8 @@ def _parse_n_range(text: str, step: int) -> list[int]:
         lo, hi = int(lo_s), int(hi_s)
     else:
         lo = hi = int(text)
-    if hi < lo or step < 1:
-        raise DomainError(f"bad degree range {text!r} with step {step}")
+    if lo < 0 or hi < lo or step < 1:
+        raise DomainError(f"bad degree range {text!r} with step {step} (need 0 <= lo <= hi)")
     return list(range(lo, hi + 1, step))
 
 
@@ -198,6 +190,8 @@ def _print_value(label: str, value: complex | LogPolarComplex) -> None:
 
 def cmd_eval(args) -> int:
     fn = args.function
+    if fn in ("laguerre", "normalized_laguerre") and args.n is None:
+        raise DomainError(f"{fn} needs a degree: pass --n")
     if fn == "pochhammer":
         n = None if args.n in (None, "inf") else int(args.n)
         v = pochhammer(complex(args.a), args.q, n)
@@ -209,13 +203,9 @@ def cmd_eval(args) -> int:
         v = aq_series_lp(args.q, complex(args.z), fn == "ramanujan_a")
         _print_value(f"{fn}(q={args.q}, z={args.z})", v)
     elif fn == "laguerre":
-        if args.n is None:
-            raise DomainError("laguerre needs a degree: pass --n")
         v = laguerre_direct(_context(args), int(args.n), complex(args.x))
         _print_value(f"laguerre(n={args.n}, alpha={args.alpha}, x={args.x}, q={args.q})", v)
     elif fn == "normalized_laguerre":
-        if args.n is None:
-            raise DomainError("normalized_laguerre needs a degree: pass --n")
         v = normalized_laguerre_lp(_context(args), _scaling(args), int(args.n))
         _print_value(
             f"normalized_laguerre(n={args.n}, tau={args.tau}, theta={args.theta})", v)
@@ -273,11 +263,8 @@ def cmd_sweep(args) -> int:
         sp = ScalingParameter(tau, theta_v)
         advisory = scaling_range_advisory(tau.value)
         if advisory is not None:
-            rows.append({"tau": tau.value, "theta": theta_v.value, "case_id": None,
-                         "points": 0, "n_lo": None, "n_hi": None,
-                         "fitted_slope": None, "predicted_kind": "out-of-range",
-                         "predicted_slope": None, "ratio": None,
-                         "first_observed_error": None, "first_bound": None})
+            rows.append({**dict.fromkeys(SWEEP_COLUMNS), "tau": tau.value,
+                         "theta": theta_v.value, "points": 0, "predicted_kind": "out-of-range"})
             continue
         case_id = classify_case(sp)
         # dense cases need a grid (default 5..40); witness-driven cases scan

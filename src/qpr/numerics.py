@@ -8,6 +8,8 @@ by factoring out the largest log-magnitude and compensated-summing the
 rescaled residuals in a deterministic order.  The summation kernel works on
 parallel lists of logs and phases, as certified_terms produces them, so no
 per-term object is built on the way.
+certified_terms, the one truncation loop, gives term k the phase
+phase_mul_int(phi, k) of one phase step phi; walking -k passes wrap_phase(-phi).
 """
 
 from __future__ import annotations
@@ -246,7 +248,7 @@ def sum_rescaled(logs: Sequence[float], phases: Sequence[float]) -> SummationRes
     return SummationResult(complex(re + re_comp, im + im_comp), big, len(logs))
 
 
-def certified_terms(term_log: Callable[[int], float], term_phase: Callable[[int], float],
+def certified_terms(term_log: Callable[[int], float], phase_step: float,
                     ratio_bound: Callable[[int], float], *, start: int = 0,
                     stop: int | None = None, max_log: float = _NEG_INF,
                     tail_log: Callable[[int], float] | None = None
@@ -254,25 +256,29 @@ def certified_terms(term_log: Callable[[int], float], term_phase: Callable[[int]
     """Collect series terms under a certified stopping rule, as parallel
     lists (logs, phases) ready for :func:`sum_rescaled`.
 
-    term_log(k)/term_phase(k) describe term k; terms with log -inf are left
-    out.  term_phase(k) must lie in (-pi, pi], as phase_mul_int's output
-    does.  ratio_bound(k) must majorize |t_{k+1}/t_k|.  Generation stops
-    once the ratio bound is <= 1/2 and the tail majorant at k (tail_log(k),
-    by default the term itself) sits TOL/4 below the largest term seen, so
-    the discarded tail is at most 2|t_k| <= (TOL/2) * max-term.  max_log
-    seeds that peak with terms summed elsewhere.  A finite sum ends at the
-    inclusive index stop; an infinite one raises ConvergenceError after
-    MAX_TERMS + 1 terms.
+    term_log(k) is term k's log-magnitude (-inf terms are left out) and
+    phase_mul_int(phase_step, k), computed inline, its phase; for phi in
+    (-pi, pi] the step wrap_phase(-phi) gives phase_mul_int(phi, -k) bit for
+    bit at k >= 1.  ratio_bound(k) must majorize |t_{k+1}/t_k|.  Generation
+    stops once the ratio bound is <= 1/2 and the tail majorant at k
+    (tail_log(k), by default the term itself) sits TOL/4 below the largest
+    term seen, so the discarded tail is at most 2|t_k| <= (TOL/2) * max-term.
+    max_log seeds that peak with terms summed elsewhere.  A finite sum ends
+    at the inclusive index stop; an infinite one raises ConvergenceError
+    after MAX_TERMS + 1 terms.
     """
     log_tol = math.log(TOL) - math.log(4.0)
     logs: list[float] = []
     phases: list[float] = []
+    quarter, remainder, neg_pi = _QUARTER_STEPS.get(phase_step), math.remainder, -math.pi
     last = start + MAX_TERMS if stop is None else stop
     for k in range(start, last + 1):
         tl = term_log(k)
         if tl != _NEG_INF:
             logs.append(tl)
-            phases.append(term_phase(k))
+            r = remainder(k * phase_step, TWO_PI) if quarter is None else \
+                _QUARTER_PHASES[(quarter * k) % 4]
+            phases.append(r + TWO_PI if r <= neg_pi else r)
             if tl > max_log:
                 max_log = tl
         tail = tl if tail_log is None else tail_log(k)

@@ -19,8 +19,9 @@ where n*theta itself has outgrown double resolution.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .diophantine import RealValue, as_real_value, chi
 from .numerics import (
@@ -56,10 +57,12 @@ class ScalingParameter:
 
     tau: RealValue
     theta: RealValue
+    neg_tau: RealValue = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tau", as_real_value(self.tau))
         object.__setattr__(self, "theta", as_real_value(self.theta))
+        object.__setattr__(self, "neg_tau", self.tau.neg())
 
     @property
     def sigma(self) -> float:
@@ -93,9 +96,10 @@ def laguerre_direct(ctx: QContext, n: int, x: complex) -> complex:
     """
     if n < 0:
         raise DomainError("degree n must be nonnegative")
-    q, alpha = ctx.q, ctx.alpha
-    lq = ctx.log_q
+    q, alpha, lq = ctx.q, ctx.alpha, ctx.log_q
     x = complex(x)
+    if not cmath.isfinite(x):
+        raise DomainError(f"x must be finite, got {x}")
     tq = poch_table(q, q)
     ta = poch_table(q ** (alpha + 1.0), q)
     log_abs_x = math.log(abs(x)) if x != 0 else -math.inf
@@ -142,19 +146,18 @@ def normalized_laguerre_lp(ctx: QContext, sp: ScalingParameter, n: int) -> LogPo
             "the plain reversed sum is refused for tau < 0; evaluate via "
             "split_sums, which carries the theta-regime normalization"
         )
-    q, alpha = ctx.q, ctx.alpha
-    lq = ctx.log_q
+    q, alpha, lq = ctx.q, ctx.alpha, ctx.log_q
     tq = poch_table(q, q)
     ta = poch_table(q ** (alpha + 1.0), q)
     tau_n = sp.tau.value * n
     _, d_n = sp.theta.mul_floor_frac(n)
     log_zqa = ctx.log_zqa
-    base_phase = wrap_phase(math.pi - phase(ctx.z) + TWO_PI * d_n)
+    log_1mq = math.log1p(-q)
     terms = certified_terms(
         term_log=lambda k: (ta.log(n) - tq.log(k) - tq.log(n - k) - ta.log(n - k)
                             + (k * k + tau_n * k) * lq - k * log_zqa),
-        term_phase=lambda k: phase_mul_int(base_phase, k),
-        ratio_bound=lambda k: exp_or_inf((2 * k + 1 + tau_n) * lq - log_zqa - math.log1p(-q)),
+        phase_step=wrap_phase(math.pi - phase(ctx.z) + TWO_PI * d_n),
+        ratio_bound=lambda k: exp_or_inf((2 * k + 1 + tau_n) * lq - log_zqa - log_1mq),
         stop=n,
     )
     return sum_rescaled(*terms).to_lp()
@@ -198,30 +201,28 @@ def _log_factor_f(tq, ta, log_euler2, log_an, p: int, n: int, k: int) -> float:
     return log_euler2 + log_an - tq.log(p + k) - tq.log(n - p - k) - ta.log(n - p - k)
 
 
+def _factor(ctx: QContext, name: str, log_factor, k: int, n: int, m: int) -> float:
+    if not (0 <= m <= 2 * n):
+        raise DomainError(f"{name} needs 0 <= m <= 2n, got m={m}, n={n}")
+    tq = poch_table(ctx.q, ctx.q)
+    ta = poch_table(ctx.q ** (ctx.alpha + 1.0), ctx.q)
+    return math.exp(log_factor(tq, ta, 2.0 * euler_log(ctx.q), ta.log(n), m // 2, n, k))
+
+
 def factor_e(ctx: QContext, k: int, n: int, m: int) -> float:
     """Pochhammer ratio attached to term k of the reversed lower half sum;
     lies in (0, 1] and tends to 1 as the indices grow."""
-    p = m // 2
-    if not (0 <= k <= p):
+    if not (0 <= k <= m // 2):
         raise DomainError(f"factor_e needs 0 <= k <= floor(m/2), got k={k}, m={m}")
-    if not (0 <= m <= 2 * n):
-        raise DomainError(f"factor_e needs 0 <= m <= 2n, got m={m}, n={n}")
-    tq = poch_table(ctx.q, ctx.q)
-    ta = poch_table(ctx.q ** (ctx.alpha + 1.0), ctx.q)
-    return math.exp(_log_factor_e(tq, ta, 2.0 * euler_log(ctx.q), ta.log(n), p, n, k))
+    return _factor(ctx, "factor_e", _log_factor_e, k, n, m)
 
 
 def factor_f(ctx: QContext, k: int, n: int, m: int) -> float:
     """Pochhammer ratio attached to term k of the shifted upper half sum;
     lies in (0, 1] and tends to 1 as the indices grow."""
-    p = m // 2
-    if not (1 <= k <= n - p):
+    if not (1 <= k <= n - m // 2):
         raise DomainError(f"factor_f needs 1 <= k <= n - floor(m/2), got k={k}")
-    if not (0 <= m <= 2 * n):
-        raise DomainError(f"factor_f needs 0 <= m <= 2n, got m={m}, n={n}")
-    tq = poch_table(ctx.q, ctx.q)
-    ta = poch_table(ctx.q ** (ctx.alpha + 1.0), ctx.q)
-    return math.exp(_log_factor_f(tq, ta, 2.0 * euler_log(ctx.q), ta.log(n), p, n, k))
+    return _factor(ctx, "factor_f", _log_factor_f, k, n, m)
 
 
 def split_sums(ctx: QContext, sp: ScalingParameter, n: int,
@@ -246,7 +247,7 @@ def split_sums(ctx: QContext, sp: ScalingParameter, n: int,
         raise DomainError("split evaluation needs n >= 1")
 
     if decomposition is None:
-        m, c_n = sp.tau.neg().mul_floor_frac(n)
+        m, c_n = sp.neg_tau.mul_floor_frac(n)
     else:
         m, c_n = decomposition
         slack = abs(-tau * n - (m + c_n))
@@ -269,19 +270,27 @@ def split_sums(ctx: QContext, sp: ScalingParameter, n: int,
     log_w1 = math.log(ctx.abs_z) + (alpha + parity + c_n) * lq
     ph_w1 = wrap_phase(math.pi + phase(ctx.z) - TWO_PI * d_n)
 
+    # table.log(i) is logs[sat] for all i >= sat, so for the k whose indices are
+    # all saturated each factor is this float, by the same expression
+    sat_factor = log_euler2 + log_an - tq.log_inf - tq.log_inf - ta.log_inf
+    top = max(tq.sat, ta.sat)
+    e_lo, e_hi, f_lo, f_hi = top - n + p, p - tq.sat, tq.sat - p, n - p - top
+
     # Pochhammer factors are <= 1, so q^(k^2) |w1|^(+-k) majorizes each tail.
     terms1 = certified_terms(
         term_log=lambda k: (k * k * lq + k * log_w1
-                            + _log_factor_e(tq, ta, log_euler2, log_an, p, n, k)),
-        term_phase=lambda k: phase_mul_int(ph_w1, k),
+                            + (sat_factor if e_lo <= k <= e_hi else
+                               _log_factor_e(tq, ta, log_euler2, log_an, p, n, k))),
+        phase_step=ph_w1,
         ratio_bound=lambda k: exp_or_inf((2 * k + 1) * lq + log_w1),
         stop=p,
         tail_log=lambda k: k * k * lq + k * log_w1,
     )
     terms2 = certified_terms(
         term_log=lambda k: (k * k * lq - k * log_w1
-                            + _log_factor_f(tq, ta, log_euler2, log_an, p, n, k)),
-        term_phase=lambda k: phase_mul_int(ph_w1, -k),
+                            + (sat_factor if f_lo <= k <= f_hi else
+                               _log_factor_f(tq, ta, log_euler2, log_an, p, n, k))),
+        phase_step=wrap_phase(-ph_w1),
         ratio_bound=lambda k: exp_or_inf((2 * k + 1) * lq - log_w1),
         start=1,
         stop=n - p,

@@ -32,7 +32,6 @@ from .numerics import (
     exp_or_inf,
     lp,
     phase,
-    phase_mul_int,
     sum_rescaled,
     wrap_phase,
 )
@@ -159,6 +158,8 @@ def pochhammer(a: complex, q: float, n: int | float | None) -> complex:
             raise DomainError(f"infinite product needs |q| < 1, got q={q}")
 
     a = complex(a)
+    if not (cmath.isfinite(a) and math.isfinite(q)):
+        raise DomainError(f"a and q must be finite, got a={a}, q={q}")
     prod = complex(1.0)
     aqk = a
     k = 0
@@ -209,18 +210,19 @@ def aq_series_lp(q: float, z: complex, negate: bool) -> LogPolarComplex:
         return lp(0.0, 0.0)
     table = poch_table(q, q)
     lq = math.log(q)
-    lz = math.log(abs(z))
-    ph = phase(-z if negate else z)
+    abs_z = abs(z)
+    lz = math.log(abs_z)
     terms = certified_terms(
         term_log=lambda k: k * k * lq + k * lz - table.log(k),
-        term_phase=lambda k: phase_mul_int(ph, k),
-        ratio_bound=lambda k: (q ** (2 * k + 1)) * abs(z) / (1.0 - q),
+        phase_step=phase(-z if negate else z),
+        ratio_bound=lambda k: (q ** (2 * k + 1)) * abs_z / (1.0 - q),
     )
     return sum_rescaled(*terms).to_lp()
 
 
 def ramanujan_a_deriv(q: float, z: complex) -> complex:
-    """Termwise derivative of ramanujan_a: -sum_{k>=1} k q^(k^2) (-z)^(k-1) / (q;q)_k."""
+    """Termwise derivative of ramanujan_a: -sum_{k>=1} k q^(k^2) (-z)^(k-1) / (q;q)_k,
+    summed over j = k - 1 and negated."""
     if not abs(q) < 1.0:
         raise DomainError(f"series needs |q| < 1, got q={q}")
     z = complex(z)
@@ -229,15 +231,12 @@ def ramanujan_a_deriv(q: float, z: complex) -> complex:
     if z == 0:
         return -q / (1.0 - q) + 0j
     lz = math.log(abs(z))
-    ph = phase(-z)
-    pi = math.pi
     terms = certified_terms(
-        term_log=lambda k: k * k * lq + (k - 1) * lz + math.log(k) - table.log(k),
-        term_phase=lambda k: wrap_phase(phase_mul_int(ph, k - 1) + pi),
-        ratio_bound=lambda k: (q ** (2 * k + 1)) * abs(z) * (k + 1) / (k * (1.0 - q)),
-        start=1,
+        term_log=lambda j: (j + 1) * (j + 1) * lq + j * lz + math.log(j + 1) - table.log(j + 1),
+        phase_step=phase(-z),
+        ratio_bound=lambda j: (q ** (2 * j + 3)) * abs(z) * (j + 2) / ((j + 1) * (1.0 - q)),
     )
-    return sum_rescaled(*terms).to_complex()
+    return -sum_rescaled(*terms).to_complex()
 
 
 def euler_product_series_check(z: complex, q: float) -> tuple[complex, complex]:
@@ -252,10 +251,9 @@ def euler_product_series_check(z: complex, q: float) -> tuple[complex, complex]:
     table = poch_table(q, q)
     lq = math.log(q)
     lz = math.log(abs(z))
-    ph = phase(-z)
     terms = certified_terms(
         term_log=lambda k: 0.5 * k * (k - 1) * lq + k * lz - table.log(k),
-        term_phase=lambda k: phase_mul_int(ph, k),
+        phase_step=phase(-z),
         ratio_bound=lambda k: (q ** k) * abs(z) / (1.0 - q),
     )
     rhs = sum_rescaled(*terms).to_complex()
@@ -281,11 +279,11 @@ def theta_lp(z: complex, q: float) -> LogPolarComplex:
     ph = phase(z)
 
     logs, phases = [0.0], [0.0]
-    for sign in (+1, -1):
+    for sign, step in ((+1, ph), (-1, wrap_phase(-ph))):
         # each tail's peak includes the shared k = 0 term
         tail_logs, tail_phases = certified_terms(
             term_log=lambda j: j * j * lq + sign * j * lz,
-            term_phase=lambda j: phase_mul_int(ph, sign * j),
+            phase_step=step,
             ratio_bound=lambda j: exp_or_inf((2 * j + 1) * lq + sign * lz),
             start=1,
             max_log=0.0,

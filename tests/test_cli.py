@@ -387,3 +387,38 @@ class TestFixedTruncation:
         assert run_cli(["verify", "--case", "2", "--q", "0.997", "--z=1", "--tau", "0",
                         "--theta", "1/3", "--n", "5..6"]) == 1
         assert "did not saturate within 10000 factors" in capsys.readouterr().err
+
+
+class TestNonFiniteEvalArguments:
+    # a nan printed as a value, or an inf run to the factor cap or a range
+    # guard, is a domain error at the input
+    @pytest.mark.parametrize("argv", [
+        ["eval", "pochhammer", "--a=nan", "--q", "0.5", "--n", "3"],
+        ["eval", "pochhammer", "--a=0.5", "--q", "nan", "--n", "3"],
+        ["eval", "pochhammer", "--a=inf", "--q", "0.5", "--n", "inf"],
+    ], ids=["a-nan", "q-nan", "a-inf"])
+    def test_pochhammer(self, argv, capsys):
+        assert run_cli(argv) == 2
+        assert "a and q must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("x", ["nan", "inf"])
+    def test_laguerre(self, x, capsys):
+        assert run_cli(["eval", "laguerre", "--q", "0.5", "--n", "5", f"--x={x}"]) == 2
+        assert "x must be finite" in capsys.readouterr().err
+
+
+class TestNegativeDegrees:
+    # a negative degree is a usage error before any row runs, in every case
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--case", "1", "--q", "0.5", "--z=1", "--tau=1", "--n=-3..2"],
+        ["verify", "--case", "2", "--q", "0.5", "--z=1", "--tau", "0", "--theta", "1/3",
+         "--n=-3..2"],
+        ["verify", "--case", "4", "--q", "0.5", "--z=1", "--tau=-1", "--theta", "1/3",
+         "--n=-3..2"],
+        ["sweep", "--q", "0.5", "--z", "1", "--tau-grid", "1/4,1/2", "--n=-3..2"],
+    ], ids=["case1", "case2", "case4", "sweep"])
+    def test_is_usage_error(self, argv, capsys):
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bad degree range '-3..2'" in captured.err

@@ -1,7 +1,9 @@
 """Byte stability of the CLI: small runs whose stdout and exit code must not
 change by a single byte.
 
-One ``verify`` per regime (cases 1-7, q from 0.5 to 0.9, CSV and JSON), three
+One ``verify`` per regime (cases 1-7, q from 0.5 to 0.9, CSV and JSON), a
+case-4 run whose split-sum indices cross the Pochhammer tables' saturation
+index (where the half sums read one factor for all saturated terms), three
 runs that carry a negative zero (beta = -0.0 at a real z, then also z = 2-0j),
 whose main terms are real and must not depend on that sign, ``eval`` of every
 function, a single and a joint ``witness`` scan, and ``sweep`` as CSV and as
@@ -46,6 +48,11 @@ RUNS = {
                      "--theta", "1/4", "--rho", "1", "--nmax", "1000", "--format", "json"],
     "verify_case7": ["verify", "--case", "7", "--q", "0.9", "--z=1.0+0.2j", "--tau=-sqrt3",
                      "--theta", "sqrt2", "--rho", "0.6", "--nmax", "3000"],
+    # q = 0.5 tables saturate at index 59: n - floor(m/2) crosses it near
+    # n = 80, floor(m/2) near n = 236, floor(m/2) - 8 near n = 268
+    "verify_case4_saturation": ["verify", "--case", "4", "--q", "0.5", "--z=0.9+0.3j",
+                                "--tau=-1/2", "--theta", "1/3", "--n", "76..284",
+                                "--n-step", "4"],
     "verify_case3_beta_neg_zero": ["verify", "--case", "3", "--q", "0.9", "--z=2", "--tau",
                                    "0", "--theta", "sqrt2", "--beta", "-0.0", "--rho", "1",
                                    "--nmax", "1000"],

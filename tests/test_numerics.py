@@ -19,6 +19,7 @@ from qpr.numerics import (
     lp_mul,
     lp_pow_int,
     phase,
+    phase_mul_int,
     sum_rescaled,
     wrap_phase,
 )
@@ -222,7 +223,7 @@ def test_to_complex_keeps_exact_zero_component_past_overflow():
 
 
 def _geometric(ratio):
-    return dict(term_log=lambda k: k * math.log(ratio), term_phase=lambda k: 0.0,
+    return dict(term_log=lambda k: k * math.log(ratio), phase_step=0.0,
                 ratio_bound=lambda k: ratio)
 
 
@@ -251,15 +252,28 @@ def test_certified_terms_starting_peak():
     assert seeded[-1] <= 10.0 + math.log(1e-15 / 4) < seeded[-2]
 
 
+@pytest.mark.parametrize("ph", [0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi,
+                                math.nextafter(math.pi, 0.0),
+                                math.nextafter(-math.pi, 0.0), 1.234])
+def test_certified_terms_phase_steps(ph):
+    # term k's phase is phase_mul_int(ph, k), and with the step wrap_phase(-ph)
+    # it is phase_mul_int(ph, -k), bit for bit, sign of zero included
+    kw = dict(term_log=lambda k: 0.0, ratio_bound=lambda k: 1.0, stop=500)
+    _, up = certified_terms(phase_step=ph, **kw)
+    assert [p.hex() for p in up] == [phase_mul_int(ph, k).hex() for k in range(501)]
+    _, down = certified_terms(phase_step=wrap_phase(-ph), start=1, **kw)
+    assert [p.hex() for p in down] == [phase_mul_int(ph, -k).hex() for k in range(1, 501)]
+
+
 def test_certified_terms_tail_majorant():
     # terms vanish at k >= 1, but the majorant 0.25^k must still clear tol
     logs, phases = certified_terms(term_log=lambda k: 0.0 if k == 0 else -math.inf,
-                                   term_phase=lambda k: 0.0, ratio_bound=lambda k: 0.25,
+                                   phase_step=0.0, ratio_bound=lambda k: 0.25,
                                    tail_log=lambda k: k * math.log(0.25))
     assert logs == [0.0] and phases == [0.0]
     # without it the first vanishing term stops the series
     steps = []
     certified_terms(term_log=lambda k: 0.0 if k == 0 else -math.inf,
-                    term_phase=lambda k: 0.0,
+                    phase_step=0.0,
                     ratio_bound=lambda k: steps.append(k) or 0.25)
     assert steps == [0, 1]

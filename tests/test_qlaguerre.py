@@ -4,10 +4,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from qpr.diophantine import RealValue, fixture_irrationals
+from qpr.diophantine import RealValue, chi, fixture_irrationals
 from qpr.numerics import DomainError, RangeGuardError
 from qpr.qlaguerre import (
     ScalingParameter,
+    _log_factor_e,
+    _log_factor_f,
     factor_e,
     factor_f,
     laguerre_direct,
@@ -18,7 +20,7 @@ from qpr.qlaguerre import (
     split_normalizer_lp,
     split_sums,
 )
-from qpr.qseries import QContext, euler_log, pochhammer
+from qpr.qseries import QContext, euler_log, poch_table, pochhammer
 
 import oracles
 from oracles import QI
@@ -185,6 +187,33 @@ class TestSplitSums:
                 CTX, sp, n, res.m, res.c_n, res.d_n).to_complex()
             want = oracles.reversed_normalized(n, 0, F(1, 2), 1, F(-1), F(1, 4)).to_complex()
             assert close(norm, want, rel=1e-10)
+
+    # tau = -1 puts floor(m/2) and n - floor(m/2) at sat + {-1, 0, 1} for n
+    # around 2 sat; tau = -1/2 at n = 4 sat saturates the upper half's
+    # indices but not the lower half's; n = 2 sat + 10 saturates both
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("tau, shift", [(-1, -2), (-1, -1), (-1, 0), (-1, 1), (-1, 2),
+                                            (-1, 10), (F(-1, 2), None)])
+    def test_terms_match_per_term_factors_at_saturation(self, alpha, tau, shift):
+        # the half sums read one float for every saturated Pochhammer factor;
+        # each term must equal the per-term factor expression bit for bit
+        ctx = QContext(0.5, alpha, 0.9 + 0.3j)
+        tq, ta = poch_table(0.5, 0.5), poch_table(0.5 ** (alpha + 1.0), 0.5)
+        n = 2 * tq.sat + shift if shift is not None else 4 * tq.sat
+        res = split_sums(ctx, sp_rat(tau, F(1, 3)), n)
+        p, lq = res.floor_m_half, ctx.log_q
+        if tau == -1:
+            assert abs(p - tq.sat) <= 1 or shift == 10
+            assert abs(n - p - tq.sat) <= 1 or shift == 10
+        log_w1 = math.log(ctx.abs_z) + (alpha + chi(res.m) + res.c_n) * lq
+        args = (tq, ta, 2.0 * euler_log(0.5), ta.log(n), p, n)
+        logs1, logs2 = res.terms1[0], res.terms2[0]
+        assert [t.hex() for t in logs1] == [
+            (k * k * lq + k * log_w1 + _log_factor_e(*args, k)).hex()
+            for k in range(len(logs1))]
+        assert [t.hex() for t in logs2] == [
+            (k * k * lq - k * log_w1 + _log_factor_f(*args, k)).hex()
+            for k in range(1, len(logs2) + 1)]
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -207,8 +207,8 @@ def _bits(w: complex) -> tuple[str, str]:
 
 class TestPhaseConvention:
     """Phases are taken in (-pi, pi], so the sign of a zero imaginary part
-    reaches no value, and every term phase the series hand to
-    certified_terms lies in that range already."""
+    reaches no value, and every term phase certified_terms returns for the
+    series' phase steps lies in that range."""
 
     @pytest.mark.parametrize("fn, x", [
         (ramanujan_a, 0.7), (ramanujan_a, -1.3), (b_function, 0.7), (b_function, -1.3),
@@ -226,12 +226,10 @@ class TestPhaseConvention:
     def test_term_phases_lie_in_range(self, monkeypatch, z):
         seen = []
 
-        def checked(term_log, term_phase, *args, **kwargs):
-            def recorded(k):
-                ph = term_phase(k)
-                seen.append(ph)
-                return ph
-            return numerics.certified_terms(term_log, recorded, *args, **kwargs)
+        def checked(*args, **kwargs):
+            logs, phases = numerics.certified_terms(*args, **kwargs)
+            seen.extend(phases)
+            return logs, phases
 
         monkeypatch.setattr(qseries, "certified_terms", checked)
         monkeypatch.setattr(qlaguerre, "certified_terms", checked)

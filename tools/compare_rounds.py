@@ -1,0 +1,106 @@
+"""Byte comparison of two qpr source trees on the benchmark's round 0.
+
+    python3 tools/compare_rounds.py --parent <other checkout>/src
+
+Replays round 0 of every perfbench workload for seeds 0-31 once with the
+qpr under ./src and once with the qpr under the --parent directory, each
+side in its own process, and prints every operation whose exit code or
+stdout differs (with the first differing stdout line).  Exits 0 when every
+operation matches, 1 otherwise.  Operations are generated by
+perfbench/workloads.py, which is imported and not changed; as in
+perfbench/run.py, each operation is one in-process ``qpr.cli.main(argv)``
+call and a failed parse counts by its SystemExit code.  Use it for
+byte-identity checks of a change that must not alter output.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+SEEDS = range(32)
+
+
+def replay(src: str, out_path: str) -> None:
+    """Run round 0 of every workload and seed with the qpr under src; write
+    one JSON line per operation (workload, seed, index, argv, code, stdout)."""
+    sys.path[:0] = [src, PERFBENCH]
+    from qpr.cli import main
+    import workloads
+
+    with open(out_path, "w", encoding="utf-8") as fh:
+        for name in workloads.WORKLOADS:
+            for seed in SEEDS:
+                for i, op in enumerate(workloads.round_ops(name, seed, 0)):
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out), \
+                            contextlib.redirect_stderr(io.StringIO()):
+                        try:
+                            code = main(op["argv"])
+                        except SystemExit as exc:
+                            code = f"SystemExit({exc.code})"
+                        except Exception as exc:  # an escaped exception is an outcome
+                            code = f"{type(exc).__name__}: {exc}"
+                    fh.write(json.dumps([name, seed, i, op["argv"], code, out.getvalue()]))
+                    fh.write("\n")
+
+
+def _first_diff(a: str, b: str) -> str:
+    for k, (la, lb) in enumerate(zip(a.splitlines(), b.splitlines()), 1):
+        if la != lb:
+            return f"line {k}:\n    parent: {la}\n    change: {lb}"
+    return f"line counts {a.count(chr(10))} (parent) and {b.count(chr(10))} (change)"
+
+
+def compare(parent_src: str) -> int:
+    if not os.path.isfile(os.path.join(parent_src, "qpr", "cli.py")):
+        sys.exit(f"no qpr sources under {parent_src}")
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, "parent.jsonl"), os.path.join(tmp, "change.jsonl")]
+        procs = [subprocess.Popen([sys.executable, os.path.abspath(__file__),
+                                   "--replay", src, "--out", path])
+                 for src, path in zip((os.path.abspath(parent_src),
+                                       os.path.join(ROOT, "src")), paths)]
+        if any(p.wait() != 0 for p in procs):
+            sys.exit("a replay process failed")
+        ops = differ = 0
+        with open(paths[0], encoding="utf-8") as fa, open(paths[1], encoding="utf-8") as fb:
+            for line_a, line_b in zip(fa, fb):
+                ops += 1
+                name, seed, i, argv, code_a, out_a = json.loads(line_a)
+                code_b, out_b = json.loads(line_b)[4:]
+                if code_a != code_b or out_a != out_b:
+                    differ += 1
+                    print(f"{name} seed {seed} op {i}: {' '.join(argv)}")
+                    if code_a != code_b:
+                        print(f"  exit code: parent {code_a!r}, change {code_b!r}")
+                    if out_a != out_b:
+                        print(f"  stdout differs at {_first_diff(out_a, out_b)}")
+    print(f"{ops} operations, {differ} differ")
+    return 1 if differ else 0
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", help="src directory of the tree to compare against")
+    ap.add_argument("--replay", help=argparse.SUPPRESS)
+    ap.add_argument("--out", help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.replay:
+        replay(args.replay, args.out)
+        return 0
+    if not args.parent:
+        ap.error("--parent is required")
+    return compare(args.parent)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
