@@ -44,8 +44,7 @@ from .diophantine import DEFAULT_NMAX, DiophantineWitness, RealValue, chi, decom
     default_rho, joint_witness_search, witness_search
 from .numerics import TWO_PI, DomainError, LogPolarComplex, abs_or_inf, exp_or_inf, lp, \
     lp_from_complex, lp_mul, sum_rescaled
-from .qseries import QContext, aq_series_lp, b_function, euler_log, poch_table, \
-    pochhammer, ramanujan_a, theta
+from .qseries import QContext, aq_series_lp, b_function, pochhammer, ramanujan_a, theta
 from .qlaguerre import ScalingParameter, normalized_laguerre_lp, split_sums
 
 # Observed errors are differences of doubles; bounds below this cannot be
@@ -138,7 +137,7 @@ def _aq_prefactor(ctx: QContext, constant: float) -> float:
     c2 = pochhammer(-ctx.q ** 2, ctx.q, None).real ** 2
     arg = _series_arg(ctx, "B_q argument 1/|z q^alpha|", exp_or_inf(-ctx.log_zqa))
     big_b = b_function(ctx.q, arg).real
-    return constant * c2 * big_b / ((1.0 - ctx.q) ** 3 * math.exp(euler_log(ctx.q)))
+    return constant * c2 * big_b / ((1.0 - ctx.q) ** 3 * math.exp(ctx.tq.log_inf))
 
 
 @lru_cache(maxsize=16)
@@ -146,7 +145,7 @@ def _theta_prefactor(ctx: QContext, constant: float) -> float:
     c3 = pochhammer(-ctx.q ** 2, ctx.q, None).real ** 3
     arg = _series_arg(ctx, "theta argument |z q^alpha|", exp_or_inf(ctx.log_zqa))
     big_t = theta(complex(arg), math.sqrt(ctx.q)).real
-    return constant * c3 * big_t / ((1.0 - ctx.q) ** 4 * math.exp(euler_log(ctx.q)))
+    return constant * c3 * big_t / ((1.0 - ctx.q) ** 4 * math.exp(ctx.tq.log_inf))
 
 
 @lru_cache(maxsize=16)
@@ -275,8 +274,7 @@ def eval_case1(ctx: QContext, sp: ScalingParameter, n: int) -> RegimeReport:
     tau >= 1 (numerically violated at q=1/2, z=1, tau=1).
     """
     _require_case(sp, 1)
-    tq = poch_table(ctx.q, ctx.q)
-    exact = lp_mul(normalized_laguerre_lp(ctx, sp, n), lp(tq.log(n), 0.0))
+    exact = lp_mul(normalized_laguerre_lp(ctx, sp, n), lp(ctx.tq.log(n), 0.0))
     log_bound = ((1.0 - ctx.alpha) * ctx.log_q + _case1_log_b(ctx) - math.log(1.0 - ctx.q)
                  - math.log(ctx.abs_z) + sp.tau.value * n * ctx.log_q)
     return _certify(1, n, exact, 1.0 + 0j, exp_or_inf(log_bound), [], log_bound=log_bound,
@@ -308,7 +306,7 @@ def eval_case_aq(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
 
     target = witness.target_beta
     main = _aq_main(ctx, target)
-    exact = lp_mul(normalized_laguerre_lp(ctx, sp, n), lp(euler_log(q), 0.0))
+    exact = lp_mul(normalized_laguerre_lp(ctx, sp, n), lp(ctx.tq.log_inf, 0.0))
 
     if case_id == 2:
         nu = None
@@ -350,25 +348,24 @@ def eval_case_theta(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
     """
     _require_case(sp, case_id, (4, 5, 6, 7))
     q, tau = ctx.q, sp.tau.value
-    # the exact decomposition -tau n = m + c, with u = c (split_sums gives n theta = m1 + v)
-    m_exact, c = sp.neg_tau.mul_floor_frac(n)
-    m, u = m_exact, c
-    tail = []
+    tail, decomposition = [], None
     if case_id != 4:
         witness = _require_witness(case_id, sp, n, witness)
     if case_id in (6, 7):
         # the witness decomposition -tau n = m + beta + a_n replaces the
         # default one; chi(m) and the split point follow the witness's m
-        m, u = witness.m, witness.target_beta
-        c = u + witness.residual
-        if m != m_exact:
-            tail.append(
-                (f"witness m={m} wraps past floor(-tau n)={m_exact} (still exact)", True))
+        decomposition = (witness.m, witness.target_beta + witness.residual)
+        m_floor, _ = sp.neg_tau.mul_floor_frac(n)
+        if witness.m != m_floor:
+            tail.append((f"witness m={witness.m} wraps past floor(-tau n)={m_floor} "
+                         "(still exact)", True))
 
-    split = split_sums(ctx, sp, n, decomposition=(m, c))
-    exact, m1, v = split.total, split.m1, split.d_n
+    # split_sums owns -tau n = m + c and n theta = m1 + v; u = c outside cases 6-7
+    split = split_sums(ctx, sp, n, decomposition=decomposition)
+    exact, m, m1, v = split.total, split.m, split.m1, split.d_n
+    u = witness.target_beta if case_id in (6, 7) else split.c_n
     if case_id == 4:
-        witness = DiophantineWitness(n=n, m=m, m1=m1, target_beta=c, residual=0.0,
+        witness = DiophantineWitness(n=n, m=m, m1=m1, target_beta=u, residual=0.0,
                                      rho=0.0, target_beta2=v, residual2=0.0)
     elif case_id == 5:
         m1, v = witness.m, witness.target_beta

@@ -94,8 +94,6 @@ class RealValue:
 
     @property
     def value(self) -> float:
-        if self.kind == "rational":
-            return float(self.fraction)
         return self.approx
 
     @property
@@ -141,17 +139,15 @@ class RealValue:
         absolute even when n*x is enormous.
         """
         if self.kind == "rational":
-            y = n * self.fraction
-            f = y.numerator // y.denominator
-            return f, float(y - f)
+            f, r = divmod(n * self.fraction.numerator, self.fraction.denominator)
+            return f, r / self.fraction.denominator
         if self.kind == "surd":
             a, b, c, d = self.surd
             n1 = n * a
             bb = n * b
             if bb == 0:
-                y = Fraction(n1, c)
-                f = y.numerator // y.denominator
-                return f, float(y - f)
+                f, r = divmod(n1, c)
+                return f, r / c
             s = bb * bb * d
             r = math.isqrt(s)
             delta = (s - r * r) / (math.sqrt(s) + r)  # sqrt(s) = r + delta, 0 < delta < 1
@@ -387,14 +383,15 @@ def decompose(th: RealValue, n: int, beta: float,
     """m and residual with n*theta = m + beta + residual, residual in [-1/2, 1/2].
 
     An exact rational theta with an exact target beta_frac is reduced in
-    Fraction arithmetic; every other input through mul_floor_frac and beta.
+    integer arithmetic (n*theta - beta = num/den, rounded half up); every
+    other input through mul_floor_frac and beta.
     """
     if th.kind == "rational" and beta_frac is not None:
-        y = n * th.fraction
-        fl = y.numerator // y.denominator
-        d = y - fl - beta_frac
-        shift = math.floor(d + Fraction(1, 2))
-        return fl + shift, float(d - shift)
+        p, d = th.fraction.numerator, th.fraction.denominator
+        bp, bd = beta_frac.numerator, beta_frac.denominator
+        num, den = n * p * bd - bp * d, d * bd
+        m, r = divmod(2 * num + den, 2 * den)
+        return m, (r - den) / (2 * den)
     fl, fr = th.mul_floor_frac(n)
     d = fr - beta
     shift = math.floor(d + 0.5)

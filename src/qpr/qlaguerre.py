@@ -19,7 +19,6 @@ where n*theta itself has outgrown double resolution.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -29,6 +28,7 @@ from .numerics import (
     LogPolarComplex,
     RangeGuardError,
     TWO_PI,
+    abs_or_inf,
     certified_terms,
     exp_or_inf,
     lp,
@@ -40,7 +40,7 @@ from .numerics import (
     sum_rescaled,
     wrap_phase,
 )
-from .qseries import QContext, euler_log, poch_table
+from .qseries import QContext
 
 # Natural-log headroom for direct evaluation; e^700 is close to the double max.
 _DIRECT_GUARD = 700.0
@@ -96,13 +96,13 @@ def laguerre_direct(ctx: QContext, n: int, x: complex) -> complex:
     """
     if n < 0:
         raise DomainError("degree n must be nonnegative")
-    q, alpha, lq = ctx.q, ctx.alpha, ctx.log_q
+    alpha, lq = ctx.alpha, ctx.log_q
     x = complex(x)
-    if not cmath.isfinite(x):
+    abs_x = abs_or_inf(x)
+    if not math.isfinite(abs_x):
         raise DomainError(f"x must be finite, got {x}")
-    tq = poch_table(q, q)
-    ta = poch_table(q ** (alpha + 1.0), q)
-    log_abs_x = math.log(abs(x)) if x != 0 else -math.inf
+    tq, ta = ctx.tq, ctx.ta
+    log_abs_x = math.log(abs_x) if x != 0 else -math.inf
     ph = wrap_phase(math.pi + phase(x)) if x != 0 else 0.0
 
     def term_log(k: int) -> float:
@@ -111,17 +111,13 @@ def laguerre_direct(ctx: QContext, n: int, x: complex) -> complex:
         return (ta.log(n) - ta.log(k) - tq.log(k) - tq.log(n - k)
                 + (k * k + alpha * k) * lq + (k * log_abs_x if k else 0.0))
 
-    if x == 0 or n <= 64:
-        peak = max(term_log(k) for k in range(n + 1))
-    else:
-        vertex = min(n, max(0, round(-(alpha * lq + log_abs_x) / (2 * lq))))
-        peak = max(term_log(k) for k in (0, vertex, n))
+    logs = [term_log(k) for k in range(n + 1)]
+    peak = max(logs)
     if peak >= _DIRECT_GUARD:
         raise RangeGuardError(
             f"direct evaluation at degree {n} needs log-range {peak:.1f}; "
             "use the normalized or split evaluation paths"
         )
-    logs = [term_log(k) for k in range(n + 1)]
     phases = [phase_mul_int(ph, k) for k in range(n + 1)]
     return sum_rescaled(logs, phases).to_complex()
 
@@ -146,9 +142,8 @@ def normalized_laguerre_lp(ctx: QContext, sp: ScalingParameter, n: int) -> LogPo
             "the plain reversed sum is refused for tau < 0; evaluate via "
             "split_sums, which carries the theta-regime normalization"
         )
-    q, alpha, lq = ctx.q, ctx.alpha, ctx.log_q
-    tq = poch_table(q, q)
-    ta = poch_table(q ** (alpha + 1.0), q)
+    q, lq = ctx.q, ctx.log_q
+    tq, ta = ctx.tq, ctx.ta
     tau_n = sp.tau.value * n
     _, d_n = sp.theta.mul_floor_frac(n)
     log_zqa = ctx.log_zqa
@@ -204,9 +199,7 @@ def _log_factor_f(tq, ta, log_euler2, log_an, p: int, n: int, k: int) -> float:
 def _factor(ctx: QContext, name: str, log_factor, k: int, n: int, m: int) -> float:
     if not (0 <= m <= 2 * n):
         raise DomainError(f"{name} needs 0 <= m <= 2n, got m={m}, n={n}")
-    tq = poch_table(ctx.q, ctx.q)
-    ta = poch_table(ctx.q ** (ctx.alpha + 1.0), ctx.q)
-    return math.exp(log_factor(tq, ta, 2.0 * euler_log(ctx.q), ta.log(n), m // 2, n, k))
+    return math.exp(log_factor(ctx.tq, ctx.ta, 2.0 * ctx.tq.log_inf, ctx.ta.log(n), m // 2, n, k))
 
 
 def factor_e(ctx: QContext, k: int, n: int, m: int) -> float:
@@ -239,7 +232,6 @@ def split_sums(ctx: QContext, sp: ScalingParameter, n: int,
     normalization shifts with it), so the override is checked for
     consistency with tau*n rather than for a particular range.
     """
-    q, alpha = ctx.q, ctx.alpha
     tau = sp.tau.value
     if not (-2.0 < tau < 0.0):
         raise DomainError(f"split evaluation needs -2 < tau < 0, got tau={tau}")
@@ -261,13 +253,12 @@ def split_sums(ctx: QContext, sp: ScalingParameter, n: int,
     parity = chi(m)
 
     lq = ctx.log_q
-    tq = poch_table(q, q)
-    ta = poch_table(q ** (alpha + 1.0), q)
-    log_euler2 = 2.0 * euler_log(q)
+    tq, ta = ctx.tq, ctx.ta
+    log_euler2 = 2.0 * tq.log_inf
     log_an = ta.log(n)
 
     # w1 = -z q^(a + chi(m) + c_n) e^(-2 pi i d_n); w2 = 1/w1.
-    log_w1 = math.log(ctx.abs_z) + (alpha + parity + c_n) * lq
+    log_w1 = math.log(ctx.abs_z) + (ctx.alpha + parity + c_n) * lq
     ph_w1 = wrap_phase(math.pi + phase(ctx.z) - TWO_PI * d_n)
 
     # table.log(i) is logs[sat] for all i >= sat, so for the k whose indices are
@@ -320,7 +311,7 @@ def split_normalizer_lp(ctx: QContext, sp: ScalingParameter, n: int,
     p = m // 2
     lq = ctx.log_q
     base = lp(ctx.log_zqa, math.pi + phase(ctx.z) - TWO_PI * d_n)
-    num = lp_mul(lp(2.0 * euler_log(ctx.q), 0.0), lp_pow_int(base, p))
+    num = lp_mul(lp(2.0 * ctx.tq.log_inf, 0.0), lp_pow_int(base, p))
     # p(tau n + p) = p(p - m) - p*c_n with the integer part exact
     expo = (p * (p - m) - p * c_n) * lq
     return lp_mul(num, lp(-expo, 0.0))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .numerics import (
     MAX_TERMS,
@@ -28,6 +28,8 @@ from .numerics import (
     ConvergenceError,
     DomainError,
     LogPolarComplex,
+    RangeGuardError,
+    abs_or_inf,
     certified_terms,
     exp_or_inf,
     lp,
@@ -43,7 +45,9 @@ _SATURATION = 1e-18
 
 @dataclass(frozen=True)
 class QContext:
-    """Fixed problem data shared by every evaluator.
+    """Fixed problem data shared by every evaluator, and the values that depend
+    on it alone, each computed on first use: the tables tq = log (q;q)_k and
+    ta = log (q^(alpha+1);q)_k stay lazy, since one for q near 1 raises.
 
     q in (0,1), alpha > -1 and z != 0 are hard requirements of the whole theory.
     """
@@ -58,7 +62,7 @@ class QContext:
         if not (self.alpha > -1.0):
             raise DomainError(f"alpha must exceed -1, got {self.alpha}")
         object.__setattr__(self, "z", complex(self.z))
-        if self.z == 0 or not cmath.isfinite(self.z):
+        if self.z == 0 or not math.isfinite(abs_or_inf(self.z)):
             raise DomainError(f"z must be finite and nonzero, got {self.z}")
         try:
             in_range = all(self.q ** e > 0.0
@@ -69,17 +73,25 @@ class QContext:
             raise DomainError(f"alpha = {self.alpha} puts q^alpha, q^(alpha+1) or "
                               f"q^(2-alpha) outside double range at q = {self.q}")
 
-    @property
+    @cached_property
     def log_q(self) -> float:
         return math.log(self.q)
 
-    @property
+    @cached_property
     def abs_z(self) -> float:
         return abs(self.z)
 
-    @property
+    @cached_property
     def log_zqa(self) -> float:
         return math.log(self.abs_z) + self.alpha * self.log_q
+
+    @cached_property
+    def tq(self) -> "_PochTable":
+        return poch_table(self.q, self.q)
+
+    @cached_property
+    def ta(self) -> "_PochTable":
+        return poch_table(self.q ** (self.alpha + 1.0), self.q)
 
 
 class _PochTable:
@@ -90,7 +102,7 @@ class _PochTable:
     converged value, which equals log (a;q)_inf to double precision.
     """
 
-    __slots__ = ("a", "q", "logs", "sat")
+    __slots__ = ("logs", "sat")
 
     def __init__(self, a: float, q: float) -> None:
         if a >= 1.0:
@@ -111,8 +123,6 @@ class _PochTable:
                     f"(a;q)_inf with a={a}, q={q} did not saturate within "
                     f"{MAX_TERMS} factors; q is too close to 1 for doubles"
                 )
-        self.a = a
-        self.q = q
         self.logs = logs
         self.sat = len(logs) - 1
 
@@ -132,17 +142,13 @@ def poch_table(a: float, q: float) -> _PochTable:
     return _PochTable(a, q)
 
 
-def euler_log(q: float) -> float:
-    """log (q;q)_inf."""
-    return poch_table(q, q).log_inf
-
-
 def pochhammer(a: complex, q: float, n: int | float | None) -> complex:
     """(a;q)_n for complex a; n may be a nonnegative integer or infinite.
 
     The infinite case requires |q| < 1 and truncates once the remaining
     factors are within TOL of 1, certified by the geometric tail bound
-    2|a||q|^k/(1-|q|).
+    2|a||q|^k/(1-|q|).  A product that leaves double range raises
+    RangeGuardError.
     """
     infinite = n is None or (isinstance(n, float) and math.isinf(n))
     if not infinite:
@@ -163,13 +169,9 @@ def pochhammer(a: complex, q: float, n: int | float | None) -> complex:
     prod = complex(1.0)
     aqk = a
     k = 0
-    while True:
-        if not infinite and k >= n:
-            return prod
-        if infinite:
-            tail = 2.0 * abs(aqk) / (1.0 - abs(q))
-            if abs(aqk) <= 0.5 and tail <= TOL:
-                return prod
+    while infinite or k < n:
+        if infinite and abs(aqk) <= 0.5 and 2.0 * abs(aqk) / (1.0 - abs(q)) <= TOL:
+            break
         prod *= 1.0 - aqk
         aqk *= q
         k += 1
@@ -177,6 +179,9 @@ def pochhammer(a: complex, q: float, n: int | float | None) -> complex:
             raise ConvergenceError(
                 f"(a;q)_inf with |a|={abs(a):.3g}, q={q} not certified within {MAX_TERMS} factors"
             )
+    if not cmath.isfinite(prod):
+        raise RangeGuardError(f"(a;q)_n with a={a}, q={q} leaves double range")
+    return prod
 
 
 def q_binomial(n: int, k: int, q: float) -> float:
@@ -204,13 +209,13 @@ def aq_series_lp(q: float, z: complex, negate: bool) -> LogPolarComplex:
     if not abs(q) < 1.0:
         raise DomainError(f"series needs |q| < 1, got q={q}")
     z = complex(z)
-    if not cmath.isfinite(z):  # it would only run the term cap
+    abs_z = abs_or_inf(z)
+    if not math.isfinite(abs_z):  # it would only run the term cap
         raise DomainError(f"z must be finite, got {z}")
     if z == 0:
         return lp(0.0, 0.0)
     table = poch_table(q, q)
     lq = math.log(q)
-    abs_z = abs(z)
     lz = math.log(abs_z)
     terms = certified_terms(
         term_log=lambda k: k * k * lq + k * lz - table.log(k),
@@ -270,12 +275,13 @@ def theta_lp(z: complex, q: float) -> LogPolarComplex:
     if not (0.0 < q < 1.0):
         raise DomainError(f"theta needs 0 < q < 1, got q={q}")
     z = complex(z)
-    if not cmath.isfinite(z):  # it would only run the term cap
+    abs_z = abs_or_inf(z)
+    if not math.isfinite(abs_z):  # it would only run the term cap
         raise DomainError(f"z must be finite, got {z}")
     if z == 0:
         raise DomainError("theta is undefined at z = 0")
     lq = math.log(q)
-    lz = math.log(abs(z))
+    lz = math.log(abs_z)
     ph = phase(z)
 
     logs, phases = [0.0], [0.0]

@@ -422,3 +422,43 @@ class TestNegativeDegrees:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "bad degree range '-3..2'" in captured.err
+
+
+class TestMagnitudeBeyondDoubleRange:
+    # both components are finite doubles, but |z| (or |x|) overflows: a domain
+    # error at the input, never a runtime failure from abs()
+    Z = "--z=1.5e308+1.5e308j"
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--case", "4", "--q", "0.5", Z, "--tau=-1", "--theta", "1/3",
+         "--n", "8..10"],
+        ["sweep", "--q", "0.5", Z, "--tau-grid=-1", "--theta", "1/3", "--n", "8..10"],
+        ["verify", "--case", "1", "--q", "0.5", Z, "--tau=1", "--n", "8..10"],
+        ["verify", "--case", "2", "--q", "0.5", Z, "--tau", "0", "--theta", "1/3",
+         "--n", "8..10"],
+    ], ids=["verify-case4", "sweep", "verify-case1", "verify-case2"])
+    def test_context_z(self, argv, capsys):
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "z must be finite and nonzero" in captured.err
+
+    @pytest.mark.parametrize("fn", ["theta", "ramanujan_a", "b_function"])
+    def test_series_z(self, fn, capsys):
+        assert run_cli(["eval", fn, "--q", "0.5", self.Z]) == 2
+        assert "z must be finite" in capsys.readouterr().err
+
+    def test_laguerre_x(self, capsys):
+        assert run_cli(["eval", "laguerre", "--q", "0.5", "--n", "3",
+                        "--x=1.5e308+1.5e308j"]) == 2
+        assert "x must be finite" in capsys.readouterr().err
+
+
+class TestPochhammerRange:
+    def test_overflowing_product_is_a_range_error(self, capsys):
+        # the product's inf * inf cross terms would print (nan+nanj)
+        assert run_cli(["eval", "pochhammer", "--q", "0.5", "--n", "3",
+                        "--a=1.5e308+1.5e308j"]) == 1
+        captured = capsys.readouterr()
+        assert "nan" not in captured.out
+        assert "leaves double range" in captured.err

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,7 @@ from qpr.diophantine import (
     RealValue,
     chi,
     convergents,
+    decompose,
     default_rho,
     fixture_irrationals,
     floor_frac,
@@ -102,6 +104,76 @@ class TestRealValue:
         assert parse_real("0.25", assume="irrational").assumed_rational is False
         with pytest.raises(DomainError):
             parse_real("twelve")
+
+
+def _fraction_mul_floor_frac(x: F, n: int) -> tuple[int, float]:
+    y = n * x
+    f = y.numerator // y.denominator
+    return f, float(y - f)
+
+
+def _fraction_decompose(x: F, n: int, beta: F) -> tuple[int, float]:
+    y = n * x
+    fl = y.numerator // y.denominator
+    d = y - fl - beta
+    shift = math.floor(d + F(1, 2))
+    return fl + shift, float(d - shift)
+
+
+_RNG = random.Random(20261018)
+_ANGLES = [F(_RNG.randrange(-10 ** 6, 10 ** 6), _RNG.randrange(1, 10 ** 6)) for _ in range(40)]
+_ANGLES += [F(5, 13), F(-3, 4), F(1, 2), F(0), F(2 ** 70 + 1, 3 ** 40)]
+_DEGREES = [0, 1, -1, 10 ** 40, -10 ** 40]
+_DEGREES += [_RNG.randrange(-10 ** 40, 10 ** 40) for _ in range(40)]
+_DEGREES += [_RNG.randrange(-10 ** 6, 10 ** 6) for _ in range(20)]
+_BETAS = [F(0), F(2, 7), F(1, 2), F(999_999, 10 ** 6)]
+_BETAS += [F(_RNG.randrange(0, 10 ** 5), 10 ** 5 + 3) for _ in range(5)]
+
+
+class TestIntegerReduction:
+    """The exact reductions run in integer arithmetic; each returns the same
+    integer and the same double (bit for bit) as the Fraction expression of
+    the value it reduces, since both round the same rational correctly."""
+
+    @staticmethod
+    def _same(got, want):
+        assert got[0] == want[0] and got[1].hex() == want[1].hex()
+
+    def test_rational_mul_floor_frac(self):
+        for x in _ANGLES:
+            v = RealValue.from_rational(x)
+            for n in _DEGREES:
+                self._same(v.mul_floor_frac(n), _fraction_mul_floor_frac(x, n))
+
+    def test_surd_at_degree_zero(self):
+        for surd in [(3, 1, 7, 2), (-5, 2, 3, 5)]:
+            v = RealValue.from_surd(*surd)
+            self._same(v.mul_floor_frac(0), (0, 0.0))
+
+    def test_rational_value_is_its_double(self):
+        for x in _ANGLES:
+            assert RealValue.from_rational(x).value.hex() == float(x).hex()
+
+    def test_exact_decompose(self):
+        for x in _ANGLES:
+            v = RealValue.from_rational(x)
+            for beta in _BETAS:
+                for n in _DEGREES:
+                    self._same(decompose(v, n, float(beta), beta),
+                               _fraction_decompose(x, n, beta))
+
+    @pytest.mark.parametrize("x, beta, n", [
+        (F(1, 2), F(0), 1),            # n x - beta = 1/2
+        (F(1, 2), F(0), -1),           # -1/2
+        (F(3, 10), F(1, 10), 7),       # 2, an integer
+        (F(3, 4), F(1, 4), 10 ** 40 + 1),      # an integer + 1/2
+        (F(3, 4), F(1, 4), -(10 ** 40) - 1),   # an integer + 1/2
+    ])
+    def test_ties_round_half_up(self, x, beta, n):
+        got = decompose(RealValue.from_rational(x), n, float(beta), beta)
+        self._same(got, _fraction_decompose(x, n, beta))
+        assert -0.5 <= got[1] < 0.5
+        assert F(n) * x - beta == got[0] + F(got[1])
 
 
 class TestOrbit:

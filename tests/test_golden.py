@@ -7,7 +7,9 @@ index (where the half sums read one factor for all saturated terms), three
 runs that carry a negative zero (beta = -0.0 at a real z, then also z = 2-0j),
 whose main terms are real and must not depend on that sign, ``eval`` of every
 function, a single and a joint ``witness`` scan, and ``sweep`` as CSV and as
-JSON.  Near the end a parse fails (exit 2) after reading ``--format json`` and
+JSON.  Two scans of a rational angle take an exact and a decimal target,
+and two direct Laguerre sums at degree 80 stay within and pass the range
+guard.  Near the end a parse fails (exit 2) after reading ``--format json`` and
 ``--assume-irrational``, and the next run passes neither.  The runs share one
 process in this order, as they would in a long-lived caller, so a per-context
 cache that returned one run's value to another, or an argument parser that
@@ -79,6 +81,16 @@ RUNS = {
                       "--x=1.5-0.5j"],
     "eval_normalized_laguerre": ["eval", "normalized_laguerre", "--q", "0.7",
                                  "--z=0.9+0.4j", "--tau=1/2", "--theta", "1/3", "--n", "25"],
+    # a rational angle reduced against an exact and against a decimal target
+    "witness_rational_exact_beta": ["witness", "--theta", "5/13", "--beta", "2/7", "--rho",
+                                    "0.5", "--nmax", "400"],
+    "witness_rational_float_beta": ["witness", "--theta", "5/13", "--beta", "0.3", "--rho",
+                                    "0.5", "--nmax", "400"],
+    # direct sums past degree 64: one within the range guard, one past it (exit 1)
+    "eval_laguerre_n80": ["eval", "laguerre", "--q", "0.5", "--alpha", "0.5", "--n", "80",
+                          "--x=1e10+3e9j"],
+    "eval_laguerre_n80_guard": ["eval", "laguerre", "--q", "0.5", "--n", "80",
+                                "--x=1e30-2e29j"],
     "verify_bad_n_step": ["verify", "--case", "1", "--q", "0.5", "--z=1", "--tau", "1",
                           "--n", "5..6", "--format", "json", "--assume-irrational",
                           "--n-step", "ten"],

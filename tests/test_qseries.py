@@ -60,6 +60,36 @@ class TestQContext:
             QContext(1e-10, 31.5, 1.0)  # q^(alpha+1) underflows to zero
 
 
+    @pytest.mark.parametrize("q, alpha, z", [(0.5, 0.0, 1.0), (0.9, 0.5, 0.8 + 0.9j),
+                                             (0.97, -0.5, -2e-3j)])
+    def test_cached_values_equal_the_per_call_expressions(self, q, alpha, z):
+        ctx = QContext(q, alpha, z)
+        for _ in range(2):  # first use computes, the second reads the kept value
+            assert ctx.log_q.hex() == math.log(q).hex()
+            assert ctx.abs_z.hex() == abs(complex(z)).hex()
+            assert ctx.log_zqa.hex() == (math.log(abs(complex(z)))
+                                         + alpha * math.log(q)).hex()
+            assert ctx.tq is qseries.poch_table(q, q)
+            assert ctx.ta is qseries.poch_table(q ** (alpha + 1.0), q)
+
+    def test_equal_contexts_compare_and_hash_equal(self):
+        used, fresh = QContext(0.7, 0.5, 1 + 1j), QContext(0.7, 0.5, 1 + 1j)
+        _ = used.log_zqa, used.tq, used.ta
+        assert used == fresh and hash(used) == hash(fresh)
+        assert {used: 1}[fresh] == 1
+        assert used != QContext(0.7, 0.5, 1 - 1j)
+
+    def test_tables_are_built_on_first_use(self):
+        # q this close to 1 cannot saturate a table; constructing the context
+        # must not fail on it, so argument errors are reported first
+        ctx = QContext(0.9999, 0.0, 1.0)
+        with pytest.raises(ConvergenceError):
+            ctx.tq
+
+    def test_magnitude_beyond_double_range_rejected(self):
+        with pytest.raises(DomainError, match="z must be finite and nonzero"):
+            QContext(0.5, 0.0, 1.5e308 + 1.5e308j)
+
 class TestPochhammer:
     def test_empty_product(self):
         assert pochhammer(0.7 + 0.3j, 0.5, 0) == 1
@@ -79,6 +109,11 @@ class TestPochhammer:
     def test_divergent_base_rejected(self):
         with pytest.raises(DomainError):
             pochhammer(0.5, 1.0, None)
+
+    def test_product_beyond_double_range_is_a_range_error(self):
+        # inf * inf cross terms would make the product nan + nan j
+        with pytest.raises(numerics.RangeGuardError, match="leaves double range"):
+            pochhammer(1.5e308 + 1.5e308j, 0.5, 3)
 
     def test_matches_oracle_at_random_rationals(self):
         for a, q, n in [(F(1, 3), F(1, 2), 5), (F(-2, 3), F(2, 5), 7), (F(7, 4), F(1, 3), 4)]:

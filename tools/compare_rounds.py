@@ -10,7 +10,9 @@ operation matches, 1 otherwise.  Operations are generated by
 perfbench/workloads.py, which is imported and not changed; as in
 perfbench/run.py, each operation is one in-process ``qpr.cli.main(argv)``
 call and a failed parse counts by its SystemExit code.  Use it for
-byte-identity checks of a change that must not alter output.
+byte-identity checks of a change that must not alter output.  It also
+prints the line count of the qpr package in both trees (as ``wc -l``
+counts them), so a size figure comes from the same run as the byte check.
 """
 
 from __future__ import annotations
@@ -53,6 +55,17 @@ def replay(src: str, out_path: str) -> None:
                     fh.write("\n")
 
 
+def line_count(src: str) -> int:
+    """Newlines in the .py files of the qpr package under src."""
+    pkg = os.path.join(src, "qpr")
+    total = 0
+    for name in os.listdir(pkg):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+                total += fh.read().count("\n")
+    return total
+
+
 def _first_diff(a: str, b: str) -> str:
     for k, (la, lb) in enumerate(zip(a.splitlines(), b.splitlines()), 1):
         if la != lb:
@@ -85,6 +98,8 @@ def compare(parent_src: str) -> int:
                     if out_a != out_b:
                         print(f"  stdout differs at {_first_diff(out_a, out_b)}")
     print(f"{ops} operations, {differ} differ")
+    print(f"src/qpr lines: parent {line_count(parent_src)}, "
+          f"change {line_count(os.path.join(ROOT, 'src'))}")
     return 1 if differ else 0
 
 
