@@ -420,7 +420,7 @@ def _evaluate(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
 
 def run_verify(ctx: QContext, sp: ScalingParameter, *,
                case_id: int | None = None,
-               n_values: list[int] | None = None,
+               n_values: Sequence[int] | None = None,
                beta: float = 0.0, beta2: float = 0.0,
                rho: float | None = None,
                n_max: int | None = None) -> list[RegimeReport]:
@@ -444,8 +444,8 @@ def run_verify(ctx: QContext, sp: ScalingParameter, *,
         wits = joint_witness_search(angle, sp.theta, beta, beta2, r, top)
     else:
         wits = witness_search(angle, beta, r, top)
-    keep = set(n_values) if n_values else None
-    return [_evaluate(ctx, sp, w.n, cid, w) for w in wits if keep is None or w.n in keep]
+    return [_evaluate(ctx, sp, w.n, cid, w) for w in wits
+            if not n_values or w.n in n_values]
 
 
 def fit_decay_slope(ns: list[int], errors: list[float],

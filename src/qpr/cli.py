@@ -142,7 +142,7 @@ def _beta_value(token: str):
     return float(s)
 
 
-def _parse_n_range(text: str, step: int) -> list[int]:
+def _parse_n_range(text: str, step: int) -> range:
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
         lo, hi = int(lo_s), int(hi_s)
@@ -150,7 +150,7 @@ def _parse_n_range(text: str, step: int) -> list[int]:
         lo = hi = int(text)
     if lo < 0 or hi < lo or step < 1:
         raise DomainError(f"bad degree range {text!r} with step {step} (need 0 <= lo <= hi)")
-    return list(range(lo, hi + 1, step))
+    return range(lo, hi + 1, step)
 
 
 def _assume(args) -> str | None:

@@ -17,8 +17,9 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Generator, Iterator
 
+from .cfrac import convergents_float, convergents_rational, convergents_surd
 from .numerics import DomainError
 
 _EPS = sys.float_info.epsilon
@@ -278,73 +279,13 @@ def convergents(theta: RealValue | Fraction | int | float, count: int) -> list[t
     else:
         th = as_real_value(theta)
     if th.kind == "rational":
-        return _convergents_rational(th.fraction, count)
+        return convergents_rational(th.fraction, count)
     if th.kind == "surd":
-        return _convergents_surd(th.surd, count)
-    return _convergents_float(th.approx, count)
+        return convergents_surd(th.surd, count)
+    return convergents_float(th.approx, count)
 
 
-_CF_SEED = [0, 1, 1, 0]  # p_{-2}, q_{-2}, p_{-1}, q_{-1}
-
-
-def _push(conv: list[tuple[int, int]], state: list[int], a: int) -> None:
-    p0, q0, p1, q1 = state
-    p, q = a * p1 + p0, a * q1 + q0
-    state[:] = [p1, q1, p, q]
-    conv.append((p, q))
-
-
-def _convergents_rational(x: Fraction, count: int) -> list[tuple[int, int]]:
-    conv: list[tuple[int, int]] = []
-    state = list(_CF_SEED)
-    num, den = x.numerator, x.denominator
-    while den != 0 and len(conv) < count:
-        a, rem = divmod(num, den)
-        _push(conv, state, a)
-        num, den = den, rem
-    return conv
-
-
-def _convergents_surd(surd: tuple[int, int, int, int], count: int) -> list[tuple[int, int]]:
-    a0, b0, c0, d = surd
-    # Normalize to (P + sqrt(D))/Q with Q | D - P^2 so the recurrence stays integral.
-    if b0 > 0:
-        p, dd, qq = a0, b0 * b0 * d, c0
-    else:
-        p, dd, qq = -a0, b0 * b0 * d, -c0
-    scale = abs(qq)
-    p, dd, qq = p * scale, dd * scale * scale, qq * scale
-
-    conv: list[tuple[int, int]] = []
-    state = list(_CF_SEED)
-    r_all = math.isqrt(dd)
-    while len(conv) < count:
-        if qq > 0:
-            a = (p + r_all) // qq
-        else:
-            a = -((p + r_all) // (-qq)) - 1
-        _push(conv, state, a)
-        p = a * qq - p
-        qq = (dd - p * p) // qq
-    return conv
-
-
-def _convergents_float(x: float, count: int) -> list[tuple[int, int]]:
-    conv: list[tuple[int, int]] = []
-    state = list(_CF_SEED)
-    y = x
-    for _ in range(count):
-        a = math.floor(y)
-        _push(conv, state, a)
-        rem = y - a
-        q = state[3]
-        if rem < 1e-12 or q > 1e15:  # double fidelity exhausted
-            break
-        y = 1.0 / rem
-    return conv
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiophantineWitness:
     """A certificate n*theta = m + beta + residual with |residual| < n^-rho.
 
@@ -405,10 +346,15 @@ def _trusted(th: RealValue, residual: float, n: int) -> bool:
 
 
 # Widening of every stepping window beyond (2^k)^-rho.  It is far above the
-# ~1e-16 error of mul_floor_frac, so a stepping decision that rounding gets
-# wrong can only concern a degree within that error of the widened window's
-# edge, never a witness.
+# ~1e-13 drift of a carried residual (see _CARRY), so a stepping decision
+# that the drift gets wrong can only concern a degree within that drift of
+# the widened window's edge, never a witness.
 _SLACK = 1e-12
+
+# Steps a carried residual takes between exact reductions.  Each step adds
+# a change accurate to ~1e-16 and one rounding of a sum below 1/2 in
+# magnitude, so the drift stays below 256 * 2^-52 < 1e-13.
+_CARRY = 256
 
 
 class _ThreeGapSteps:
@@ -424,14 +370,15 @@ class _ThreeGapSteps:
     latest record low x = {n_lo theta}, n_hi the latest record high
     y = 1 - {n_hi theta}, and the next record is n_lo + n_hi on the side of
     the larger of x and y.  Windows are requested in nonincreasing width, so
-    the walk only moves forward.
+    the walk only moves forward.  The three steps move the residual by x,
+    -y and x - y.
     """
 
     def __init__(self, th: RealValue, rho: float) -> None:
         self.th = th
         self.rho = rho
         self.halves: dict[int, float] = {}
-        self.gaps: dict[int, tuple[int, float, int, float]] = {}
+        self.gaps: dict[int, tuple] = {}
         self.n_lo = self.n_hi = 1
         self.x = th.mul_floor_frac(1)[1]
         self.y = 1.0 - self.x
@@ -442,12 +389,13 @@ class _ThreeGapSteps:
             h = self.halves[j] = (2 ** j) ** -self.rho + _SLACK
         return h
 
-    def step(self, j: int, residual: float) -> int:
-        """Distance from a degree in window j (of this residual) to the next."""
-        h = self.half_width(j)
-        width = 2.0 * h
+    def step(self, j: int, residual: float) -> tuple[int, float]:
+        """Distance from a degree in window j (of this residual) to the
+        next, and the change of the residual over it."""
         g = self.gaps.get(j)
         if g is None:
+            h = self.half_width(j)
+            width = 2.0 * h
             while self.x >= width or self.y >= width:
                 if self.x > self.y:
                     self.n_lo += self.n_hi
@@ -455,48 +403,101 @@ class _ThreeGapSteps:
                 else:
                     self.n_hi += self.n_lo
                     self.y = 1.0 - self.th.mul_floor_frac(self.n_hi)[1]
-            g = self.gaps[j] = (self.n_lo, self.x, self.n_hi, self.y)
-        a, frac_a, b, gap_b = g
+            a, x, b, y = self.n_lo, self.x, self.n_hi, self.y
+            # the window, x and y, and the (step, change) pair of each gap
+            g = self.gaps[j] = (h, width, x, y, (a, x), (b, -y), (a + b, x - y))
+        h, width, frac_a, gap_b, to_a, to_b, to_ab = g
         u = residual + h  # position in the window [0, width)
         if u + frac_a < width:
-            return a
+            return to_a
         if u >= gap_b:
-            return b
-        return a + b
+            return to_b
+        return to_ab
 
 
 def _candidates(th: RealValue, beta: float, beta_frac: Fraction | None,
-                rho: float, n_max: int) -> Iterator[tuple[int, int, float]]:
+                rho: float, n_max: int,
+                follow: Generator[float, int, None] | None = None
+                ) -> Iterator[tuple[int, int, float]]:
     """Yield decompose(n) for increasing n in [1, n_max]: every n with
     |residual| < n^-rho among others.
 
-    Rational and float angles, and rho <= 0, get every n.  A surd angle is
-    scanned linearly only until the first degree of a dyadic block
-    [2^k, 2^(k+1)) that lies in the block's window |residual| < h_k while
-    that window covers at most half the circle; from there it steps from
-    hit to hit of the window in use, which contains the windows of every
-    later block (they narrow with k).  The window in use narrows to that of
-    a later block at the first of its hits there, so nothing is skipped.
+    Rational and float angles, and rho <= 0, get every n (and follow is
+    not used).  A surd angle is scanned linearly only until the first
+    degree of a dyadic block [2^k, 2^(k+1)) that lies in the block's window
+    |residual| < h_k while that window covers at most half the circle; from
+    there it steps from hit to hit of the window in use, which contains the
+    windows of every later block (they narrow with k).  The window in use
+    narrows to that of a later block at the first of its hits there, so
+    nothing is skipped.
+
+    While it steps, a surd's residual is carried from hit to hit by the
+    change of each step and comes from decompose again every _CARRY steps,
+    so decompose runs only where the carried residual lies within
+    n^-rho + _SLACK.  follow, the _carried residuals of a second angle, is
+    sent every degree the surd's scan visits, and degrees where it lies
+    beyond n^-rho + _SLACK are skipped as well.
     """
-    steps = _ThreeGapSteps(th, rho) if th.kind == "surd" and rho > 0.0 else None
+    if th.kind != "surd" or rho <= 0.0:
+        for n in range(1, n_max + 1):
+            yield n, *decompose(th, n, beta, beta_frac)
+        return
+    steps = _ThreeGapSteps(th, rho)
     j = None  # window in use; None while scanning linearly
-    n = 1
-    while n <= n_max:
-        m, residual = decompose(th, n, beta, beta_frac)
-        yield n, m, residual
-        if steps is None:
-            n += 1
-            continue
+    n, carried = 1, 0
+    m, residual = decompose(th, 1, beta, beta_frac)
+    while True:
+        thr = n ** (-rho) + _SLACK
+        if ((follow is None or abs(follow.send(n)) < thr)
+                and (m is not None or abs(residual) < thr)):
+            if m is None:
+                m, residual = decompose(th, n, beta, beta_frac)
+            yield n, m, residual
         k = n.bit_length() - 1
         if j is None:
             h = steps.half_width(k)
             if h > 0.25 or abs(residual) >= h:
-                n += 1
-                continue
-            j = k
-        while j < k and abs(residual) < steps.half_width(j + 1):
-            j += 1
-        n += steps.step(j, residual)
+                gap, change = 1, None  # the next degree is reduced exactly
+            else:
+                j, h_next = k, steps.half_width(k + 1)
+        if j is not None:
+            while j < k and abs(residual) < h_next:
+                j += 1
+                h_next = steps.half_width(j + 1)
+            gap, change = steps.step(j, residual)
+        n += gap
+        if n > n_max:
+            return
+        carried += 1
+        if change is None or carried == _CARRY:
+            carried = 0
+            m, residual = decompose(th, n, beta, beta_frac)
+        else:
+            m, residual = None, residual + change
+
+
+def _carried(th: RealValue, beta: float,
+             beta_frac: Fraction | None) -> Generator[float, int, None]:
+    """The residual of a surd angle at the increasing degrees sent to it
+    (after a first next()): carried over each gap g by {g theta}, reduced
+    once per distinct gap, and wrapped into [-1/2, 1/2); every _CARRY-th
+    degree, the first included, comes from decompose."""
+    changes: dict[int, float] = {}
+    n, residual, carried = 0, 0.0, _CARRY - 1
+    while True:
+        n_next = yield residual
+        gap, n = n_next - n, n_next
+        carried += 1
+        if carried == _CARRY:
+            carried = 0
+            residual = decompose(th, n, beta, beta_frac)[1]
+            continue
+        change = changes.get(gap)
+        if change is None:
+            change = changes[gap] = th.mul_floor_frac(gap)[1]
+        residual += change
+        if residual >= 0.5:
+            residual -= 1.0
 
 
 def _search_args(n_max: int, rho: float, *betas) -> list[tuple[Fraction | None, float]]:
@@ -516,9 +517,10 @@ def witness_search(theta: RealValue | Fraction | int, beta, rho: float,
     """All n in 1..n_max with |n*theta - beta - m| < n^-rho, m = nearest integer.
 
     For a surd theta the cost grows with the number of hits (three-gap
-    stepping, see _candidates); rational and float angles are scanned
-    linearly.  An empty result is a valid return (rho may simply be too
-    ambitious for this range).
+    stepping, see _candidates) and n*theta is reduced exactly only near a
+    witness; rational and float angles are scanned linearly.  An empty
+    result is a valid return (rho may simply be too ambitious for this
+    range).
     """
     th = as_real_value(theta)
     [(beta_frac, beta_f)] = _search_args(n_max, rho, beta)
@@ -537,17 +539,23 @@ def joint_witness_search(theta1, theta2, beta1, beta2, rho: float,
 
     Degrees are enumerated as in witness_search on theta2 when it alone is
     a surd, so that the scan steps from hit to hit, and on theta1 otherwise;
-    the other angle is reduced only at the hits.  Witnesses come out in
-    increasing n either way, with m/residual from theta1 and m1/residual2
-    from theta2."""
+    the other angle is reduced exactly only at the hits.  When both angles
+    are surds, the other one's residual is carried along the scan
+    (_carried), so that the hits are those near both angles' windows.
+    Witnesses come out in increasing n either way, with m/residual from
+    theta1 and m1/residual2 from theta2."""
     th1 = as_real_value(theta1)
     th2 = as_real_value(theta2)
     (b1_frac, b1), (b2_frac, b2) = _search_args(n_max, rho, beta1, beta2)
     sides = [(th1, b1, b1_frac), (th2, b2, b2_frac)]
     swap = th2.kind == "surd" and th1.kind != "surd"
     lead, (other, b_other, b_other_frac) = sides[::-1] if swap else sides
+    follow = None
+    if lead[0].kind == other.kind == "surd":
+        follow = _carried(other, b_other, b_other_frac)
+        next(follow)
     out: list[DiophantineWitness] = []
-    for n, m_lead, r_lead in _candidates(*lead, rho, n_max):
+    for n, m_lead, r_lead in _candidates(*lead, rho, n_max, follow):
         thr = n ** (-rho)
         if abs(r_lead) >= thr:
             continue

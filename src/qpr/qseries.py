@@ -166,6 +166,10 @@ def pochhammer(a: complex, q: float, n: int | float | None) -> complex:
     a = complex(a)
     if not (cmath.isfinite(a) and math.isfinite(q)):
         raise DomainError(f"a and q must be finite, got a={a}, q={q}")
+    if infinite and abs_or_inf(a) == math.inf:
+        # |a q^k| only shrinks from |a|, so this is the one abs() that can
+        # overflow, and the first factor 1 - a already leaves double range
+        raise RangeGuardError(f"(a;q)_n with a={a}, q={q} leaves double range")
     prod = complex(1.0)
     aqk = a
     k = 0

@@ -266,15 +266,16 @@ def half_sum_normalizer(n: int, alpha: int, q: Fraction, z, tau: Fraction,
     return base ** p * QI(q ** (-e))
 
 
-def linear_witness_search(theta, beta, rho: float, n_max: int) -> list:
-    """Witnesses by testing every degree 1..n_max in turn: the reference that
-    qpr.diophantine.witness_search must equal whatever it enumerates."""
+def linear_witness_search(theta, beta, rho: float, n_max: int, lo: int = 1) -> list:
+    """Witnesses by testing every degree lo..n_max in turn: the reference that
+    qpr.diophantine.witness_search must equal whatever it enumerates (on
+    the window [lo, n_max] of its degrees)."""
     from qpr.diophantine import DiophantineWitness, as_real_value, decompose
     th = as_real_value(theta)
     beta_frac = Fraction(beta) if isinstance(beta, (int, Fraction)) else None
     beta_f = float(beta)
     out = []
-    for n in range(1, n_max + 1):
+    for n in range(lo, n_max + 1):
         m, residual = decompose(th, n, beta_f, beta_frac)
         if abs(residual) < n ** (-rho):
             out.append(DiophantineWitness(n=n, m=m, m1=None, target_beta=beta_f,
@@ -284,15 +285,15 @@ def linear_witness_search(theta, beta, rho: float, n_max: int) -> list:
 
 
 def linear_joint_witness_search(theta1, theta2, beta1, beta2, rho: float,
-                                n_max: int) -> list:
-    """Joint witnesses by testing every degree 1..n_max on both angles; a
+                                n_max: int, lo: int = 1) -> list:
+    """Joint witnesses by testing every degree lo..n_max on both angles; a
     float angle's residual is trusted by qpr's own rule (_trusted)."""
     from qpr.diophantine import DiophantineWitness, _trusted, as_real_value, decompose
     th1, th2 = as_real_value(theta1), as_real_value(theta2)
     pairs = [(Fraction(b) if isinstance(b, (int, Fraction)) else None, float(b))
              for b in (beta1, beta2)]
     out = []
-    for n in range(1, n_max + 1):
+    for n in range(lo, n_max + 1):
         thr = n ** (-rho)
         m, r1 = decompose(th1, n, pairs[0][1], pairs[0][0])
         m1, r2 = decompose(th2, n, pairs[1][1], pairs[1][0])

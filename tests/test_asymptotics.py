@@ -337,6 +337,18 @@ class TestVerifyDriver:
         with pytest.raises(DomainError):
             run_verify(ctx, sp_rat(1, 0), case_id=1)
 
+    def test_witness_case_on_a_range_grid(self):
+        # membership is tested on the grid as given: a stepped range keeps
+        # the same rows as the equal list, and as filtering all witnesses
+        ctx = QContext(0.5, 0.0, 2.0)
+        sp = ScalingParameter(RealValue.from_rational(0), SQRT2)
+        kw = dict(case_id=3, beta=0.3, rho=0.5, n_max=3000)
+        grid = range(5, 2900, 3)
+        rows = run_verify(ctx, sp, n_values=grid, **kw)
+        assert len(rows) > 10
+        assert repr(rows) == repr(run_verify(ctx, sp, n_values=list(grid), **kw))
+        assert repr(rows) == repr([r for r in run_verify(ctx, sp, **kw) if r.n in grid])
+
     def test_reports_sorted_by_n(self):
         ctx = QContext(0.5, 0.0, 1.0)
         rows = run_verify(ctx, sp_rat(1, 0), n_values=[9, 5, 7])

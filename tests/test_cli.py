@@ -106,6 +106,22 @@ class TestVerify:
         rows = read_csv(out)
         assert [int(r["n"]) for r in rows] == list(range(1, 62, 3))
 
+    def test_grid_stays_a_range(self):
+        from qpr.cli import _parse_n_range
+        grid = _parse_n_range("5..40", 3)
+        assert isinstance(grid, range) and grid == range(5, 41, 3)
+        assert _parse_n_range("7", 1) == range(7, 8)
+
+    def test_case3_witnesses_on_a_grid(self, tmp_path):
+        # a witness case keeps the rows of the witnesses that lie on the grid
+        full, on_grid = tmp_path / "full.csv", tmp_path / "grid.csv"
+        argv = ["verify", "--case", "3", "--q", "0.5", "--z", "2", "--tau", "0",
+                "--theta", "sqrt2", "--beta", "0", "--rho", "1", "--nmax", "10000"]
+        assert run_cli(argv + ["--output", str(full)]) == 0
+        assert run_cli(argv + ["--n", "1000..6000", "--output", str(on_grid)]) == 0
+        want = [r for r in read_csv(full) if 1000 <= int(r["n"]) <= 6000]
+        assert len(want) >= 2 and read_csv(on_grid) == want
+
     def test_case3_witness_driven(self, tmp_path):
         out = tmp_path / "r.json"
         code = run_cli(["verify", "--case", "3", "--q", "0.5", "--z", "2",
@@ -462,3 +478,14 @@ class TestPochhammerRange:
         captured = capsys.readouterr()
         assert "nan" not in captured.out
         assert "leaves double range" in captured.err
+
+    @pytest.mark.parametrize("q", ["0.5", "0.99"])
+    def test_infinite_order_with_overflowing_a(self, q, capsys):
+        # |a| overflows though both components are finite: the same range
+        # error as a finite order, not abs()'s message or the factor cap's
+        assert run_cli(["eval", "pochhammer", "--q", q, "--n", "inf",
+                        "--a=1.5e308+1.5e308j"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "leaves double range" in captured.err
+        assert "absolute value too large" not in captured.err

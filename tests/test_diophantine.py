@@ -423,6 +423,19 @@ class TestGapStepping:
         witness_search(F(3, 7), 0.3, 0.5, 500)
         assert calls == list(range(1, 501))
 
+    def test_joint_surd_cost_follows_joint_hits(self, monkeypatch):
+        # two surds: theta2's residual is carried along theta1's steps, so
+        # n*theta is reduced exactly near joint witnesses, not at every hit
+        # of theta1
+        calls = []
+        orig = RealValue.mul_floor_frac
+        monkeypatch.setattr(RealValue, "mul_floor_frac",
+                            lambda self, n: calls.append(n) or orig(self, n))
+        wits = joint_witness_search(fixture_irrationals()["sqrt2"].value,
+                                    fixture_irrationals()["sqrt3"].value, 0, 0, 0.4, 10**6)
+        assert len(wits) > 100
+        assert len(calls) < 4 * len(wits)
+
     @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
     def test_non_finite_rho_rejected(self, rho):
         s2 = fixture_irrationals()["sqrt2"].value
@@ -430,3 +443,71 @@ class TestGapStepping:
             witness_search(s2, 0.5, rho, 10)
         with pytest.raises(DomainError):
             joint_witness_search(s2, s2, 0.5, 0.5, rho, 10)
+
+
+# Long scans: many carry steps and exact re-reductions lie before the last
+# degrees, where the linear scan of a window checks every degree.
+LATE_WINDOW = 4000
+
+
+class TestLateWindows:
+    """Scans to about 10^6 degrees equal the linear scan of their last
+    4000 degrees."""
+
+    @pytest.mark.parametrize("name", ["sqrt2", "sqrt3", "golden"])
+    @pytest.mark.parametrize("beta, rho", [(F(2, 7), 0.5), (0.3, 0.5), (F(1, 3), 0.6)])
+    def test_single(self, name, beta, rho):
+        theta, n_max = fixture_irrationals()[name].value, 1_000_003
+        lo = n_max - LATE_WINDOW
+        want = oracles.linear_witness_search(theta, beta, rho, n_max, lo=lo)
+        assert want
+        got = [w for w in witness_search(theta, beta, rho, n_max) if w.n >= lo]
+        assert _key(got) == _key(want)
+
+    # n_max near 10^6 such that the window holds a joint witness
+    @pytest.mark.parametrize("names, betas, rho, n_max", [
+        (("sqrt2", "sqrt3"), (F(1, 4), F(3, 5)), 0.4, 1_000_000),
+        (("sqrt2", "sqrt3"), (F(0), F(0)), 0.5, 981_000),
+        (("golden", "sqrt3"), (F(1, 2), F(1, 3)), 0.4, 1_000_000),
+        (("golden", "sqrt3"), (F(1, 2), F(1, 3)), 0.5, 950_000),
+    ])
+    def test_joint(self, names, betas, rho, n_max):
+        theta1, theta2 = (fixture_irrationals()[x].value for x in names)
+        lo = n_max - LATE_WINDOW
+        want = oracles.linear_joint_witness_search(theta1, theta2, *betas, rho, n_max, lo=lo)
+        assert want
+        got = [w for w in joint_witness_search(theta1, theta2, *betas, rho, n_max)
+               if w.n >= lo]
+        assert _key(got) == _key(want)
+
+    @pytest.mark.parametrize("beta, rho", [(F(2, 7), 0.5), (0.3, 0.4), (0.7, 0.2)])
+    def test_carried_residuals_stay_within_drift(self, monkeypatch, beta, rho):
+        # the residual a scan carries into each of its steps, and a second
+        # surd's carried along the degrees it visits, stay within 1e-13 of
+        # decompose's
+        import qpr.diophantine as dio
+        s2, s3 = fixture_irrationals()["sqrt2"].value, fixture_irrationals()["sqrt3"].value
+        beta_frac = beta if isinstance(beta, F) else None
+        stepped = []
+        step = dio._ThreeGapSteps.step
+        monkeypatch.setattr(dio._ThreeGapSteps, "step",
+                            lambda self, j, r: stepped.append(r) or step(self, j, r))
+        second = dio._carried(s3, 0.6, None)
+        next(second)
+        visited = []
+
+        def follow():  # records second's residuals and skips no degree
+            while True:
+                n = yield 0.0
+                visited.append((n, second.send(n)))
+
+        passthrough = follow()
+        next(passthrough)
+        list(dio._candidates(s2, float(beta), beta_frac, rho, 10**6, passthrough))
+        assert len(stepped) > 4000
+        # every degree visited while stepping takes one step
+        for (n, _), r in zip(visited[-len(stepped):], stepped):
+            exact = decompose(s2, n, float(beta), beta_frac)[1]
+            assert abs((r - exact + 0.5) % 1.0 - 0.5) < 1e-13
+        for n, r in visited:
+            assert abs((r - decompose(s3, n, 0.6)[1] + 0.5) % 1.0 - 0.5) < 1e-13
