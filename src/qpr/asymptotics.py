@@ -438,7 +438,10 @@ def run_verify(ctx: QContext, sp: ScalingParameter, *,
             raise DomainError("this case needs an explicit n grid")
         return [_evaluate(ctx, sp, n, cid) for n in sorted(n_values) if cid != 4 or n >= 1]
 
-    top = n_max or (max(n_values) if n_values else DEFAULT_NMAX)
+    top = n_max or DEFAULT_NMAX
+    if n_values and not n_max:  # a range's top is an end point: max() walks it all
+        top = (max(n_values[0], n_values[-1]) if isinstance(n_values, range)
+               else max(n_values))
     angle, r = witness_plan(cid, sp, beta, rho)
     if cid == 7:
         wits = joint_witness_search(angle, sp.theta, beta, beta2, r, top)

@@ -74,19 +74,38 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _write_rows(columns: list[str], rows: list[dict], fmt: str, output: str | None) -> None:
-    if fmt == "json":
-        text = json.dumps([{c: row.get(c) for c in columns} for row in rows], indent=2)
-        text += "\n"
-    else:
+def _csv_line(cells: list[str]) -> str:
+    """One line as csv.writer writes it (without the line end); the cells are
+    joined unless one of them may need quoting, when the csv module decides."""
+    line = ",".join(cells)
+    if '"' in line or "\r" in line or "\n" in line or line.count(",") >= len(cells):
         buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(columns)
-        # csv writes None as "" and a float as its repr; only bools need mapping
+        csv.writer(buf, lineterminator="\n").writerow(cells)
+        line = buf.getvalue()[:-1]
+    return line
+
+
+def _write_rows(columns: list[str], rows: list[dict], fmt: str, output: str | None) -> None:
+    """The bytes of csv.writer(lineterminator="\\n") and of json.dumps(rows,
+    indent=2) + "\\n", built by the C encoder and str.join, for the two or
+    more columns every subcommand has."""
+    if fmt == "json":
+        # indent=2 would select the pure-Python encoder; without indent the C
+        # one runs, and its item separator lays out a row's keys as indent=2
+        # does, so only the braces and the list around them are placed here
+        encode = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+        items = [encode(dict(zip(columns, map(row.get, columns))))[1:-1] for row in rows]
+        text = ("[\n  {\n    " + "\n  },\n  {\n    ".join(items) + "\n  }\n]\n"
+                if items else "[]\n")
+    else:
+        lines = [_csv_line(columns)]
         for row in rows:
-            w.writerow(["true" if v is True else "false" if v is False else v
-                        for v in map(row.get, columns)])
-        text = buf.getvalue()
+            # the cells csv.writer is given: None as "", bools as words, and
+            # str() of a number, which for a float is csv's repr
+            lines.append(_csv_line(["" if v is None else "true" if v is True else "false"
+                                    if v is False else str(v) for v in map(row.get, columns)]))
+        lines.append("")
+        text = "\n".join(lines)
     if output:
         with open(output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

@@ -4,12 +4,16 @@ Everything here works over Q or Q(i) (Gaussian rationals), summing and
 multiplying exactly and converting to floats only at the comparison site.
 Scope is deliberately desk-scale: degrees n <= ~12, rational q and z, and
 angle parameters whose phases land on {1, i, -1, -i}.  The linear witness
-scans, and the earlier summation kernel kept verbatim at the end, are the
-references that faster rewrites must match exactly.
+scans, the earlier summation kernel kept verbatim at the end, and the row
+writer as two library calls are the references that faster rewrites must
+match exactly.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 from fractions import Fraction
 
@@ -373,3 +377,23 @@ def sum_rescaled(terms):
         re.add(w * c)
         im.add(w * s)
     return SummationResult(complex(re.result(), im.result()), big, len(items))
+
+
+# ---------------------------------------------------------------------------
+# the row writer as the csv and json modules give it: the output contract
+# that qpr.cli._write_rows keeps byte for byte
+# ---------------------------------------------------------------------------
+
+def write_rows(columns: list[str], rows: list[dict], fmt: str) -> str:
+    """The text of ``qpr.cli._write_rows``: csv.writer with "\\n" line ends
+    (None as an empty cell, bools as true/false, a float as its repr), or
+    json.dumps(rows, indent=2) and a newline."""
+    if fmt == "json":
+        return json.dumps([{c: row.get(c) for c in columns} for row in rows], indent=2) + "\n"
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(columns)
+    for row in rows:
+        w.writerow(["true" if v is True else "false" if v is False else v
+                    for v in map(row.get, columns)])
+    return buf.getvalue()

@@ -349,6 +349,31 @@ class TestVerifyDriver:
         assert repr(rows) == repr(run_verify(ctx, sp, n_values=list(grid), **kw))
         assert repr(rows) == repr([r for r in run_verify(ctx, sp, **kw) if r.n in grid])
 
+    def test_top_of_a_range_grid_is_not_walked(self, monkeypatch):
+        # without --nmax a witness scan stops at the grid's top degree; on a
+        # range that is an end point, so max() must never iterate the range
+        # (max(range(1, 10**8 + 1)) takes seconds); a list grid keeps max()
+        import qpr.asymptotics as asymptotics
+        seen = []
+
+        def spy(*args, **kw):
+            assert not (len(args) == 1 and isinstance(args[0], range)), \
+                "max() walked a range grid"
+            seen.append(args)
+            return max(*args, **kw)
+
+        monkeypatch.setattr(asymptotics, "max", spy, raising=False)
+        ctx = QContext(0.5, 0.0, 2.0)
+        sp = ScalingParameter(RealValue.from_rational(0), SQRT2)
+        kw = dict(case_id=3, beta=0.3, rho=0.5)
+        for grid in (range(5, 2900, 3), range(5, 2900, 3)[::-1]):
+            rows = run_verify(ctx, sp, n_values=grid, **kw)
+            assert len(rows) > 10
+            assert repr(rows) == repr(run_verify(ctx, sp, n_max=2899, n_values=grid, **kw))
+        seen.clear()
+        as_list = run_verify(ctx, sp, n_values=list(range(5, 2900, 3)), **kw)
+        assert seen and repr(as_list) == repr(rows)
+
     def test_reports_sorted_by_n(self):
         ctx = QContext(0.5, 0.0, 1.0)
         rows = run_verify(ctx, sp_rat(1, 0), n_values=[9, 5, 7])

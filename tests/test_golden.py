@@ -10,10 +10,12 @@ function, a single and a joint ``witness`` scan, and ``sweep`` as CSV and as
 JSON.  Two scans of a rational angle take an exact and a decimal target,
 and two direct Laguerre sums at degree 80 stay within and pass the range
 guard.  Near the end a parse fails (exit 2) after reading ``--format json`` and
-``--assume-irrational``, and the next run passes neither.  The runs share one
-process in this order, as they would in a long-lived caller, so a per-context
-cache that returned one run's value to another, or an argument parser that
-carried a setting from one call into the next, would show here.  A change
+``--assume-irrational``, and the next run passes neither.  Last, an advisory
+``verify`` (tau = -2) writes no rows, as CSV (the header alone) and as JSON
+(``[]``).  The runs share one process in this order, as they would in a
+long-lived caller, so a per-context cache that returned one run's value to
+another, or an argument parser that carried a setting from one call into the
+next, would show here.  A change
 that alters output on purpose regenerates the files with
 
     python tests/test_golden.py --regen
@@ -96,6 +98,9 @@ RUNS = {
                           "--n-step", "ten"],
     "verify_after_failed_parse": ["verify", "--case", "1", "--q", "0.5", "--z=1", "--tau",
                                   "1", "--n", "5..6"],
+    # tau = -2 is outside every regime: an advisory, no rows, exit 3
+    "verify_empty_csv": ["verify", "--q", "0.5", "--tau=-2"],
+    "verify_empty_json": ["verify", "--q", "0.5", "--tau=-2", "--format", "json"],
 }
 
 

@@ -5,8 +5,11 @@
 Replays round 0 of every perfbench workload for seeds 0-31 once with the
 qpr under ./src and once with the qpr under the --parent directory, each
 side in its own process, and prints every operation whose exit code or
-stdout differs (with the first differing stdout line).  Exits 0 when every
-operation matches, 1 otherwise.  Operations are generated by
+stdout differs (with the first differing stdout line).  Every ``verify``,
+``witness`` and ``sweep`` operation is replayed a second time in the other
+``--format``, so both writers see every workload's rows (aq-line and
+theta-strip draw no JSON operation).  Exits 0 when every operation
+matches, 1 otherwise.  Operations are generated by
 perfbench/workloads.py, which is imported and not changed; as in
 perfbench/run.py, each operation is one in-process ``qpr.cli.main(argv)``
 call and a failed parse counts by its SystemExit code.  Use it for
@@ -29,6 +32,16 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 SEEDS = range(32)
+ROW_KINDS = ("verify", "witness", "sweep")  # the subcommands that write rows
+
+
+def _runs(op: dict) -> list[list[str]]:
+    """op's argv, then for a row-writing op the same argv in the other
+    format (argparse takes the last --format given)."""
+    argv = op["argv"]
+    if op["kind"] not in ROW_KINDS:
+        return [argv]
+    return [argv, argv + ["--format", "csv" if op["fmt"] == "json" else "json"]]
 
 
 def replay(src: str, out_path: str) -> None:
@@ -42,17 +55,18 @@ def replay(src: str, out_path: str) -> None:
         for name in workloads.WORKLOADS:
             for seed in SEEDS:
                 for i, op in enumerate(workloads.round_ops(name, seed, 0)):
-                    out = io.StringIO()
-                    with contextlib.redirect_stdout(out), \
-                            contextlib.redirect_stderr(io.StringIO()):
-                        try:
-                            code = main(op["argv"])
-                        except SystemExit as exc:
-                            code = f"SystemExit({exc.code})"
-                        except Exception as exc:  # an escaped exception is an outcome
-                            code = f"{type(exc).__name__}: {exc}"
-                    fh.write(json.dumps([name, seed, i, op["argv"], code, out.getvalue()]))
-                    fh.write("\n")
+                    for argv in _runs(op):
+                        out = io.StringIO()
+                        with contextlib.redirect_stdout(out), \
+                                contextlib.redirect_stderr(io.StringIO()):
+                            try:
+                                code = main(argv)
+                            except SystemExit as exc:
+                                code = f"SystemExit({exc.code})"
+                            except Exception as exc:  # an escaped exception is an outcome
+                                code = f"{type(exc).__name__}: {exc}"
+                        fh.write(json.dumps([name, seed, i, argv, code, out.getvalue()]))
+                        fh.write("\n")
 
 
 def line_count(src: str) -> int:
@@ -84,11 +98,14 @@ def compare(parent_src: str) -> int:
                                        os.path.join(ROOT, "src")), paths)]
         if any(p.wait() != 0 for p in procs):
             sys.exit("a replay process failed")
-        ops = differ = 0
+        ops = replays = differ = 0
+        last = None
         with open(paths[0], encoding="utf-8") as fa, open(paths[1], encoding="utf-8") as fb:
             for line_a, line_b in zip(fa, fb):
                 ops += 1
                 name, seed, i, argv, code_a, out_a = json.loads(line_a)
+                replays += (name, seed, i) == last  # an op's other-format replay
+                last = (name, seed, i)
                 code_b, out_b = json.loads(line_b)[4:]
                 if code_a != code_b or out_a != out_b:
                     differ += 1
@@ -97,7 +114,7 @@ def compare(parent_src: str) -> int:
                         print(f"  exit code: parent {code_a!r}, change {code_b!r}")
                     if out_a != out_b:
                         print(f"  stdout differs at {_first_diff(out_a, out_b)}")
-    print(f"{ops} operations, {differ} differ")
+    print(f"{ops} operations ({replays} of them other-format replays), {differ} differ")
     print(f"src/qpr lines: parent {line_count(parent_src)}, "
           f"change {line_count(os.path.join(ROOT, 'src'))}")
     return 1 if differ else 0
