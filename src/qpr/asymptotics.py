@@ -27,9 +27,12 @@ The majorant prefactors are computed once per context.  The main terms are
 memoized per context on the exact quantities their argument is built from
 (lam = {n theta} or the witness target in cases 2 and 3; chi(m), u and v in
 cases 4-7), which recur with period at most 2 lcm of the denominators.
-The q-series take their phases from numerics.phase, in (-pi, pi], so the
-sign of a zero (in z or in a residue) reaches no main term, and memo keys
-that compare 0.0 equal to -0.0 return the right value.
+The exact values of saturated case-4 and case-5 rows reuse their term logs
+the same way: qlaguerre.split_sums keeps them per context on chi(m) and
+c_n = {-tau n}.  The q-series take their phases from numerics.phase, in
+(-pi, pi], so the sign of a zero (in z or in a residue) reaches no main
+term, the term logs do not depend on it, and memo keys that compare 0.0
+equal to -0.0 return the right value.
 """
 
 from __future__ import annotations

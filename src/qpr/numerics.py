@@ -248,6 +248,17 @@ def sum_rescaled(logs: Sequence[float], phases: Sequence[float]) -> SummationRes
     return SummationResult(complex(re + re_comp, im + im_comp), big, len(logs))
 
 
+def step_phases(phase_step: float, start: int, stop: int) -> list[float]:
+    """The phases certified_terms gives terms start..stop of the step
+    phase_step, by its expressions, for terms whose logs were kept apart."""
+    quarter = _QUARTER_STEPS.get(phase_step)
+    if quarter is not None:
+        return [_QUARTER_PHASES[(quarter * k) % 4] for k in range(start, stop + 1)]
+    remainder, neg_pi = math.remainder, -math.pi
+    return [r + TWO_PI if r <= neg_pi else r
+            for r in [remainder(k * phase_step, TWO_PI) for k in range(start, stop + 1)]]
+
+
 def certified_terms(term_log: Callable[[int], float], phase_step: float,
                     ratio_bound: Callable[[int], float], *, start: int = 0,
                     stop: int | None = None, max_log: float = _NEG_INF,

@@ -15,15 +15,23 @@ Pochhammer updates served from saturating log tables, and reduced by
 rescaled compensated summation.  Fractional parts of n*tau and n*theta come
 from the exact RealValue reduction, so phases stay accurate at degrees
 where n*theta itself has outgrown double resolution.
+
+Once a strip row's Pochhammer indices pass the tables' saturation point,
+its half sums' term logs depend on n only through chi(m) and c_n = {-tau*n},
+which for an exact rational tau recur with period at most 2 den(tau).
+split_sums then reads both halves' logs from a per-context memo, computes
+only the row's phases, and sums the same terms: the bytes do not change.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .diophantine import RealValue, as_real_value, chi
 from .numerics import (
+    ConvergenceError,
     DomainError,
     LogPolarComplex,
     RangeGuardError,
@@ -37,6 +45,7 @@ from .numerics import (
     lp_pow_int,
     phase,
     phase_mul_int,
+    step_phases,
     sum_rescaled,
     wrap_phase,
 )
@@ -166,8 +175,8 @@ class SplitSumResult:
     N * (q;q)_inf^2 * (-z q^a e^(-2 pi i d_n))^p / q^(p*(tau*n + p)) with
     p = floor(m/2); m, c_n come from -tau*n = m + c_n and m1, d_n from
     n*theta = m1 + d_n.  total is summed once, over the terms of both
-    halves together; terms1 and terms2 keep each half's (logs, phases), so
-    that s1 and s2 are summed only when they are read.
+    halves together; terms1 and terms2 keep each half's (logs, phases), lists
+    of this result's own, so that s1 and s2 are summed only when they are read.
     """
 
     total: LogPolarComplex
@@ -218,6 +227,66 @@ def factor_f(ctx: QContext, k: int, n: int, m: int) -> float:
     return _factor(ctx, "factor_f", _log_factor_f, k, n, m)
 
 
+def _log_w1(ctx: QContext, parity: int, c_n: float) -> float:
+    """log|w1| of w1 = -z q^(a + chi(m) + c_n) e^(-2 pi i d_n)."""
+    return math.log(ctx.abs_z) + (ctx.alpha + parity + c_n) * ctx.log_q
+
+
+def _half_terms(ctx: QContext, n: int, p: int, log_an: float, log_w1: float, ph_w1: float,
+                windows: tuple, stops: tuple) -> tuple:
+    """Both half sums' (logs, phases), each from certified_terms.  Term k of
+    the lower (upper) half reads one float for its Pochhammer factors where
+    windows' e_lo <= k <= e_hi (f_lo <= k <= f_hi), all its indices being
+    saturated there, and the factor at indices from p and n elsewhere."""
+    lq = ctx.log_q
+    tq, ta = ctx.tq, ctx.ta
+    log_euler2 = 2.0 * tq.log_inf
+    # table.log(i) is logs[sat] for all i >= sat, so for the k whose indices are
+    # all saturated each factor is this float, by the same expression
+    sat_factor = log_euler2 + log_an - tq.log_inf - tq.log_inf - ta.log_inf
+    e_lo, e_hi, f_lo, f_hi = windows
+
+    # Pochhammer factors are <= 1, so q^(k^2) |w1|^(+-k) majorizes each tail.
+    terms1 = certified_terms(
+        term_log=lambda k: (k * k * lq + k * log_w1
+                            + (sat_factor if e_lo <= k <= e_hi else
+                               _log_factor_e(tq, ta, log_euler2, log_an, p, n, k))),
+        phase_step=ph_w1,
+        ratio_bound=lambda k: exp_or_inf((2 * k + 1) * lq + log_w1),
+        stop=stops[0],
+        tail_log=lambda k: k * k * lq + k * log_w1,
+    )
+    terms2 = certified_terms(
+        term_log=lambda k: (k * k * lq - k * log_w1
+                            + (sat_factor if f_lo <= k <= f_hi else
+                               _log_factor_f(tq, ta, log_euler2, log_an, p, n, k))),
+        phase_step=wrap_phase(-ph_w1),
+        ratio_bound=lambda k: exp_or_inf((2 * k + 1) * lq - log_w1),
+        start=1,
+        stop=stops[1],
+        tail_log=lambda k: k * k * lq - k * log_w1,
+    )
+    return terms1, terms2
+
+
+# 256 entries hold a period of (chi(m), c_n), at most 2 den(tau), for the
+# grids in use; a longer period only misses
+@lru_cache(maxsize=256)
+def _saturated_logs(ctx: QContext, parity: int, c_n: float) -> tuple | None:
+    """Both halves' term logs, as tuples, when every factor is saturated: they
+    depend on n only through (chi(m), c_n).  Summed to their certified end,
+    with no stop, by split_sums' expressions at log (q^(a+1);q)_n =
+    log (q^(a+1);q)_inf; None where that end lies past MAX_TERMS."""
+    inf = math.inf
+    try:
+        # every k lies inside the windows, so the indices p = n = 0 are never read
+        terms1, terms2 = _half_terms(ctx, 0, 0, ctx.ta.log_inf, _log_w1(ctx, parity, c_n),
+                                     0.0, (-inf, inf, -inf, inf), (None, None))
+    except ConvergenceError:
+        return None
+    return tuple(terms1[0]), tuple(terms2[0])
+
+
 def split_sums(ctx: QContext, sp: ScalingParameter, n: int,
                decomposition: tuple[int, float] | None = None) -> SplitSumResult:
     """Evaluate the two theta-normalized half sums for -2 < tau < 0.
@@ -231,6 +300,12 @@ def split_sums(ctx: QContext, sp: ScalingParameter, n: int,
     identity behind the split holds for any integer m (only the
     normalization shifts with it), so the override is checked for
     consistency with tau*n rather than for a particular range.
+
+    With the default decomposition of an exact rational tau, a row whose
+    indices n - p and p are past the tables' saturation point takes its term
+    logs from _saturated_logs, if both halves end inside their saturated
+    windows, and computes only its phases; the bits are those of the terms
+    certified_terms would give it.
     """
     tau = sp.tau.value
     if not (-2.0 < tau < 0.0):
@@ -251,42 +326,23 @@ def split_sums(ctx: QContext, sp: ScalingParameter, n: int,
     m1, d_n = sp.theta.mul_floor_frac(n)
     p = m // 2
     parity = chi(m)
-
-    lq = ctx.log_q
     tq, ta = ctx.tq, ctx.ta
-    log_euler2 = 2.0 * tq.log_inf
-    log_an = ta.log(n)
-
+    top = max(tq.sat, ta.sat)
     # w1 = -z q^(a + chi(m) + c_n) e^(-2 pi i d_n); w2 = 1/w1.
-    log_w1 = math.log(ctx.abs_z) + (ctx.alpha + parity + c_n) * lq
     ph_w1 = wrap_phase(math.pi + phase(ctx.z) - TWO_PI * d_n)
 
-    # table.log(i) is logs[sat] for all i >= sat, so for the k whose indices are
-    # all saturated each factor is this float, by the same expression
-    sat_factor = log_euler2 + log_an - tq.log_inf - tq.log_inf - ta.log_inf
-    top = max(tq.sat, ta.sat)
-    e_lo, e_hi, f_lo, f_hi = top - n + p, p - tq.sat, tq.sat - p, n - p - top
-
-    # Pochhammer factors are <= 1, so q^(k^2) |w1|^(+-k) majorizes each tail.
-    terms1 = certified_terms(
-        term_log=lambda k: (k * k * lq + k * log_w1
-                            + (sat_factor if e_lo <= k <= e_hi else
-                               _log_factor_e(tq, ta, log_euler2, log_an, p, n, k))),
-        phase_step=ph_w1,
-        ratio_bound=lambda k: exp_or_inf((2 * k + 1) * lq + log_w1),
-        stop=p,
-        tail_log=lambda k: k * k * lq + k * log_w1,
-    )
-    terms2 = certified_terms(
-        term_log=lambda k: (k * k * lq - k * log_w1
-                            + (sat_factor if f_lo <= k <= f_hi else
-                               _log_factor_f(tq, ta, log_euler2, log_an, p, n, k))),
-        phase_step=wrap_phase(-ph_w1),
-        ratio_bound=lambda k: exp_or_inf((2 * k + 1) * lq - log_w1),
-        start=1,
-        stop=n - p,
-        tail_log=lambda k: k * k * lq - k * log_w1,
-    )
+    halves = None
+    if decomposition is None and sp.tau.kind == "rational" and n - p >= top and p >= tq.sat:
+        halves = _saturated_logs(ctx, parity, c_n)
+    if halves is not None and len(halves[0]) - 1 <= p - tq.sat and len(halves[1]) <= n - p - top:
+        logs1, logs2 = halves
+        phases1 = step_phases(ph_w1, 0, len(logs1) - 1)
+        phases2 = step_phases(wrap_phase(-ph_w1), 1, len(logs2))
+        terms1, terms2 = (list(logs1), phases1), (list(logs2), phases2)
+    else:
+        terms1, terms2 = _half_terms(
+            ctx, n, p, ta.log(n), _log_w1(ctx, parity, c_n), ph_w1,
+            (top - n + p, p - tq.sat, tq.sat - p, n - p - top), (p, n - p))
     total = sum_rescaled(terms1[0] + terms2[0], terms1[1] + terms2[1])
     return SplitSumResult(total=total.to_lp(), terms1=terms1, terms2=terms2,
                           m=m, floor_m_half=p, c_n=c_n, d_n=d_n, m1=m1)

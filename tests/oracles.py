@@ -4,9 +4,9 @@ Everything here works over Q or Q(i) (Gaussian rationals), summing and
 multiplying exactly and converting to floats only at the comparison site.
 Scope is deliberately desk-scale: degrees n <= ~12, rational q and z, and
 angle parameters whose phases land on {1, i, -1, -i}.  The linear witness
-scans, the earlier summation kernel kept verbatim at the end, and the row
-writer as two library calls are the references that faster rewrites must
-match exactly.
+scans, the split sums as every row generated them, the earlier summation
+kernel kept verbatim at the end, and the row writer as two library calls are
+the references that faster rewrites must match exactly.
 """
 
 from __future__ import annotations
@@ -307,6 +307,58 @@ def linear_joint_witness_search(theta1, theta2, beta1, beta2, rho: float,
                                           trusted=_trusted(th1, r1, n) and _trusted(th2, r2, n),
                                           target_beta2=pairs[1][1], residual2=r2))
     return out
+
+
+# ---------------------------------------------------------------------------
+# split_sums as it was before saturated rows reused their term logs: every
+# row generates both halves through certified_terms.  qpr.qlaguerre.split_sums
+# must give the same bits.
+# ---------------------------------------------------------------------------
+
+def split_sums_direct(ctx, sp, n: int):
+    """(total, terms1, terms2) of the default decomposition -tau*n = m + c_n,
+    each half's terms generated with the row's own stops."""
+    from qpr.diophantine import chi
+    from qpr.numerics import TWO_PI, certified_terms, exp_or_inf, phase, sum_rescaled, \
+        wrap_phase
+    m, c_n = sp.neg_tau.mul_floor_frac(n)
+    _, d_n = sp.theta.mul_floor_frac(n)
+    p = m // 2
+    lq = ctx.log_q
+    tq, ta = ctx.tq, ctx.ta
+    log_euler2 = 2.0 * tq.log_inf
+    log_an = ta.log(n)
+
+    def log_factor_e(k):
+        return log_euler2 + log_an - tq.log(p - k) - tq.log(n - p + k) - ta.log(n - p + k)
+
+    def log_factor_f(k):
+        return log_euler2 + log_an - tq.log(p + k) - tq.log(n - p - k) - ta.log(n - p - k)
+
+    log_w1 = math.log(ctx.abs_z) + (ctx.alpha + chi(m) + c_n) * lq
+    ph_w1 = wrap_phase(math.pi + phase(ctx.z) - TWO_PI * d_n)
+    sat_factor = log_euler2 + log_an - tq.log_inf - tq.log_inf - ta.log_inf
+    top = max(tq.sat, ta.sat)
+    e_lo, e_hi, f_lo, f_hi = top - n + p, p - tq.sat, tq.sat - p, n - p - top
+    terms1 = certified_terms(
+        term_log=lambda k: (k * k * lq + k * log_w1
+                            + (sat_factor if e_lo <= k <= e_hi else log_factor_e(k))),
+        phase_step=ph_w1,
+        ratio_bound=lambda k: exp_or_inf((2 * k + 1) * lq + log_w1),
+        stop=p,
+        tail_log=lambda k: k * k * lq + k * log_w1,
+    )
+    terms2 = certified_terms(
+        term_log=lambda k: (k * k * lq - k * log_w1
+                            + (sat_factor if f_lo <= k <= f_hi else log_factor_f(k))),
+        phase_step=wrap_phase(-ph_w1),
+        ratio_bound=lambda k: exp_or_inf((2 * k + 1) * lq - log_w1),
+        start=1,
+        stop=n - p,
+        tail_log=lambda k: k * k * lq - k * log_w1,
+    )
+    total = sum_rescaled(terms1[0] + terms2[0], terms1[1] + terms2[1])
+    return total.to_lp(), terms1, terms2
 
 
 # ---------------------------------------------------------------------------

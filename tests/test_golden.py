@@ -3,7 +3,9 @@ change by a single byte.
 
 One ``verify`` per regime (cases 1-7, q from 0.5 to 0.9, CSV and JSON), a
 case-4 run whose split-sum indices cross the Pochhammer tables' saturation
-index (where the half sums read one factor for all saturated terms), three
+index (where the half sums read one factor for all saturated terms), a
+case-4 run at tau = -3/5 and a case-5 witness run whose rows cross from
+there into the degrees where both halves reuse their residue's term logs, three
 runs that carry a negative zero (beta = -0.0 at a real z, then also z = 2-0j),
 whose main terms are real and must not depend on that sign, ``eval`` of every
 function, a single and a joint ``witness`` scan, and ``sweep`` as CSV and as
@@ -57,6 +59,15 @@ RUNS = {
     "verify_case4_saturation": ["verify", "--case", "4", "--q", "0.5", "--z=0.9+0.3j",
                                 "--tau=-1/2", "--theta", "1/3", "--n", "76..284",
                                 "--n-step", "4"],
+    # tau = -3/5 from n = 110 (near 2 sat): floor(m/2) reaches 59 at n = 197, and
+    # from n = 221 both half sums end inside their saturated windows
+    "verify_case4_tau_3_5_saturation": ["verify", "--case", "4", "--q", "0.5",
+                                        "--z=0.9+0.3j", "--tau=-3/5", "--theta", "1/3",
+                                        "--n", "110..290", "--n-step", "3"],
+    # witnesses from n = 1 to 2992: the split indices cross saturation near n = 160
+    "verify_case5_saturation": ["verify", "--case", "5", "--q", "0.5", "--z=0.9+0.3j",
+                                "--tau=-3/4", "--theta", "sqrt2", "--beta", "1/3",
+                                "--rho", "0.5", "--nmax", "3000"],
     "verify_case3_beta_neg_zero": ["verify", "--case", "3", "--q", "0.9", "--z=2", "--tau",
                                    "0", "--theta", "sqrt2", "--beta", "-0.0", "--rho", "1",
                                    "--nmax", "1000"],

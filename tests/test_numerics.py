@@ -20,6 +20,7 @@ from qpr.numerics import (
     lp_pow_int,
     phase,
     phase_mul_int,
+    step_phases,
     sum_rescaled,
     wrap_phase,
 )
@@ -263,6 +264,12 @@ def test_certified_terms_phase_steps(ph):
     assert [p.hex() for p in up] == [phase_mul_int(ph, k).hex() for k in range(501)]
     _, down = certified_terms(phase_step=wrap_phase(-ph), start=1, **kw)
     assert [p.hex() for p in down] == [phase_mul_int(ph, -k).hex() for k in range(1, 501)]
+    # step_phases gives the phases of terms whose logs were kept apart: the
+    # loop's bits, for a run of terms starting anywhere
+    assert [p.hex() for p in step_phases(ph, 0, 500)] == [p.hex() for p in up]
+    assert [p.hex() for p in step_phases(wrap_phase(-ph), 1, 500)] == [p.hex() for p in down]
+    assert [p.hex() for p in step_phases(ph, 7, 40)] == [p.hex() for p in up[7:41]]
+    assert step_phases(ph, 1, 0) == []
 
 
 def test_certified_terms_tail_majorant():

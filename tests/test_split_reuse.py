@@ -1,0 +1,211 @@
+"""Saturated strip rows reuse their term logs, byte for byte.
+
+Once a row's split indices n - p and p pass the Pochhammer tables'
+saturation point, both half sums' term logs depend on n only through
+(chi(m), c_n), so qpr.qlaguerre.split_sums reads them from a per-context
+memo (_saturated_logs) and computes only the row's phases.  These tests
+hold the reuse path to the direct path kept in oracles.split_sums_direct,
+bit for bit, at the degrees where each side condition of the reuse flips;
+check which rows may create memo entries; and count the term generation
+that a residue class of -tau n costs.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import math
+from fractions import Fraction as F
+
+import pytest
+
+import qpr.asymptotics as asy
+import qpr.qlaguerre as ql
+from qpr.asymptotics import eval_case_theta, run_verify
+from qpr.diophantine import DiophantineWitness, RealValue, chi, decompose, fixture_irrationals
+from qpr.qlaguerre import ScalingParameter, _saturated_logs, laguerre_scaled_lp, split_sums
+from qpr.qseries import QContext
+
+import oracles
+
+SQRT2 = fixture_irrationals()["sqrt2"].value
+SQRT3 = fixture_irrationals()["sqrt3"].value
+
+
+def rational(x) -> RealValue:
+    return RealValue.from_rational(F(x))
+
+
+def assert_same_bits(res, n, ctx, sp):
+    """split_sums' result at n equals the direct path's, every float by hex."""
+    total, terms1, terms2 = oracles.split_sums_direct(ctx, sp, n)
+    assert (res.total.log_mag.hex(), res.total.phase.hex()) == \
+        (total.log_mag.hex(), total.phase.hex()), n
+    for got, want in ((res.terms1, terms1), (res.terms2, terms2)):
+        assert [x.hex() for x in got[0]] == [x.hex() for x in want[0]], n
+        assert [x.hex() for x in got[1]] == [x.hex() for x in want[1]], n
+
+
+def reuse_state(ctx: QContext, sp: ScalingParameter, n: int) -> dict:
+    """The quantities whose comparisons decide whether row n reuses its logs."""
+    tq, ta = ctx.tq, ctx.ta
+    m, c_n = sp.neg_tau.mul_floor_frac(n)
+    p = m // 2
+    logs1, logs2 = _saturated_logs(ctx, chi(m), c_n)
+    return {"p": p, "upper": n - p - max(tq.sat, ta.sat), "lower": p - tq.sat,
+            "k1": len(logs1) - 1, "k2": len(logs2)}
+
+
+def threshold_degrees(ctx: QContext, sp: ScalingParameter) -> tuple[list[int], int]:
+    """Every n where n - p = top, p = tq.sat, K1 = p - tq.sat or
+    K2 = n - p - top, with n - 1 and n + 1; and how many of them reuse."""
+    hits, n = set(), 1
+    while True:
+        s = reuse_state(ctx, sp, n)
+        if s["lower"] >= 60 and s["upper"] >= 60:
+            break
+        assert s["k1"] < 58 and s["k2"] < 58     # so the scan crossed both K thresholds
+        if 0 in (s["upper"], s["lower"], s["lower"] - s["k1"], s["upper"] - s["k2"]):
+            hits.update((n - 1, n, n + 1))
+        n += 1
+    degrees = sorted(k for k in hits if k >= 1)
+    reused = 0
+    for k in degrees:
+        s = reuse_state(ctx, sp, k)
+        reused += s["upper"] >= s["k2"] and s["lower"] >= s["k1"]
+    return degrees, reused
+
+
+TAUS = [F(-1, 4), F(-3, 5), F(-1), F(-7, 4)]
+
+
+class TestReuseIsBitIdentical:
+    # z off the axis with a surd angle gives general phases; z = 2 with
+    # theta = 1/4 gives quarter-turn phase steps
+    @pytest.mark.parametrize("z, theta", [(0.9 + 0.3j, SQRT2), (2.0, rational(F(1, 4)))],
+                             ids=["general", "quarter"])
+    @pytest.mark.parametrize("tau", TAUS, ids=str)
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9])
+    def test_threshold_degrees_match_direct_path(self, q, alpha, tau, z, theta):
+        ctx = QContext(q, alpha, z)
+        sp = ScalingParameter(rational(tau), theta)
+        degrees, reused = threshold_degrees(ctx, sp)
+        assert 0 < reused < len(degrees)
+        for n in degrees + [10 ** 12, 10 ** 12 + 1]:
+            assert_same_bits(split_sums(ctx, sp, n), n, ctx, sp)
+
+
+class TestGating:
+    CTX = QContext(0.5, 0.0, 0.9 + 0.3j)
+
+    def test_only_exact_rational_default_decompositions_create_entries(self):
+        _saturated_logs.cache_clear()
+        # cases 6 and 7 pass a witness decomposition; their degrees reach
+        # past 1000, where both split indices are saturated
+        for case_id, sp in ((6, ScalingParameter(SQRT2.neg(), rational(F(1, 3)))),
+                            (7, ScalingParameter(SQRT3.neg(), SQRT2))):
+            rows = run_verify(self.CTX, sp, case_id=case_id, rho=0.4, n_max=2000)
+            assert max(r.n for r in rows) > 1000
+        # an irrational tau, and a float tau declared rational, with no decomposition
+        for tau in (SQRT2.neg(), RealValue.from_float(-0.75, assumed_rational=True)):
+            sp = ScalingParameter(tau, rational(F(1, 3)))
+            for n in (500, 1001, 10 ** 6):
+                laguerre_scaled_lp(self.CTX, sp, n)
+        # exact rational tau, rows not saturated: p < 59 through n = 235 at
+        # tau = -1/2, and n - p < 59 through n = 464 at tau = -7/4
+        for tau, top_n in ((F(-1, 2), 235), (F(-7, 4), 464)):
+            sp = ScalingParameter(rational(tau), rational(F(1, 3)))
+            for n in range(1, top_n + 1):
+                split_sums(self.CTX, sp, n)
+        info = _saturated_logs.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+        # the next degree of tau = -1/2 is saturated and makes the first entry
+        split_sums(self.CTX, ScalingParameter(rational(F(-1, 2)), rational(F(1, 3))), 236)
+        assert _saturated_logs.cache_info().currsize == 1
+
+    def test_halves_certified_past_max_terms_leave_rows_on_the_direct_path(self):
+        # at |z| = 1e300 and q = 0.97 the lower half's terms peak near
+        # k = 11 300, so no entry is certified within MAX_TERMS; the rows,
+        # saturated from n = 2720, sum their halves up to p as before
+        ctx = QContext(0.97, 0.0, 1e300)
+        sp = ScalingParameter(rational(-1), rational(F(1, 3)))
+        for n in (2800, 2801):
+            res = split_sums(ctx, sp, n)
+            assert _saturated_logs(ctx, chi(res.m), res.c_n) is None
+            assert len(res.terms1[0]) == res.floor_m_half + 1
+            assert_same_bits(res, n, ctx, sp)
+
+    def test_cached_logs_are_tuples_and_results_own_their_lists(self):
+        sp = ScalingParameter(rational(F(-3, 5)), SQRT2)
+        n, period = 1000, 10
+        hits = _saturated_logs.cache_info().hits
+        first = split_sums(self.CTX, sp, n)
+        m, c_n = sp.neg_tau.mul_floor_frac(n)
+        entry = _saturated_logs(self.CTX, chi(m), c_n)
+        assert _saturated_logs.cache_info().hits >= hits + 1
+        assert type(entry) is tuple and all(type(logs) is tuple for logs in entry)
+        for values in (*first.terms1, *first.terms2):
+            assert type(values) is list
+            values[0] = 1e300
+            values.append(0.0)
+        for k in (n, n + period, n + 7 * period):
+            assert_same_bits(split_sums(self.CTX, sp, k), k, self.CTX, sp)
+
+
+def _cli(argv: list[str]) -> tuple[int, str]:
+    from qpr.cli import main
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def _clear_memos() -> None:
+    for memo in (_saturated_logs, asy._theta_main, asy._theta_prefactor):
+        memo.cache_clear()
+
+
+class TestSignedZeroContexts:
+    # QContext compares z = x + 0.0j and x - 0.0j, and alpha = 0.0 and -0.0,
+    # as equal, so these runs share memo keys
+    SIGNS = [["--z=0.9+0j", "--alpha=0.0"], ["--z=0.9-0j", "--alpha=-0.0"],
+             ["--z=0.9-0j", "--alpha=0.0"], ["--z=0.9+0j", "--alpha=-0.0"]]
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--case", "4", "--q", "0.5", "--tau=-3/5", "--theta", "1/3",
+         "--n", "190..400", "--n-step", "3"],
+        ["verify", "--case", "5", "--q", "0.5", "--tau=-3/4", "--theta", "sqrt2",
+         "--beta", "1/3", "--rho", "0.5", "--nmax", "3000"],
+    ], ids=["case4", "case5"])
+    def test_rows_are_byte_identical(self, argv):
+        alone = []
+        for signs in self.SIGNS:
+            _clear_memos()
+            alone.append(_cli(argv + signs))
+        assert alone[0][1].count("\n") > 40
+        assert all(other == alone[0] for other in alone[1:])
+        _clear_memos()
+        assert [_cli(argv + signs) for signs in self.SIGNS] == alone
+
+
+def test_residue_class_generates_terms_once(monkeypatch):
+    # case-5 rows of one residue class of -tau n (n = 0 mod 8 at tau = -3/4),
+    # near 10^4 and near 10^12: only the first row generates terms
+    calls = []
+    real = ql.certified_terms
+    monkeypatch.setattr(ql, "certified_terms",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    ctx = QContext(0.55, 0.25, 0.8 - 0.4j)
+    sp = ScalingParameter(rational(F(-3, 4)), SQRT2)
+    _saturated_logs.cache_clear()
+    counts = []
+    for n in [10 ** 4 + 8 * j for j in range(6)] + [10 ** 12 + 8 * j for j in range(6)]:
+        m, residual = decompose(SQRT2, n, 0.25)
+        witness = DiophantineWitness(n=n, m=m, m1=None, target_beta=0.25,
+                                     residual=residual, rho=0.0)
+        before = len(calls)
+        row = eval_case_theta(ctx, sp, n, 5, witness=witness)
+        assert math.isfinite(row.observed_error)
+        counts.append(len(calls) - before)
+    assert counts == [2] + [0] * 11
