@@ -15,9 +15,7 @@ from .numerics import (
 from .qseries import (
     QContext,
     b_function,
-    euler_product_series_check,
     pochhammer,
-    q_binomial,
     ramanujan_a,
     ramanujan_a_deriv,
     remainder_r1,
@@ -33,7 +31,6 @@ from .diophantine import (
     fixture_irrationals,
     floor_frac,
     joint_witness_search,
-    orbit,
     parse_real,
     witness_search,
 )
@@ -66,11 +63,11 @@ __all__ = [
     "ConvergenceError", "DomainError", "LogPolarComplex", "QprError",
     "RangeGuardError", "SummationResult", "lp_from_complex", "lp_pow_int",
     "sum_rescaled",
-    "QContext", "b_function", "euler_product_series_check", "pochhammer",
-    "q_binomial", "ramanujan_a", "ramanujan_a_deriv", "remainder_r1",
-    "remainder_r2", "theta", "theta_triple_product",
+    "QContext", "b_function", "pochhammer", "ramanujan_a",
+    "ramanujan_a_deriv", "remainder_r1", "remainder_r2", "theta",
+    "theta_triple_product",
     "DiophantineWitness", "RealValue", "chi", "convergents",
-    "fixture_irrationals", "floor_frac", "joint_witness_search", "orbit",
+    "fixture_irrationals", "floor_frac", "joint_witness_search",
     "parse_real", "witness_search",
     "ScalingParameter", "SplitSumResult", "factor_e", "factor_f",
     "laguerre_direct", "laguerre_scaled_lp", "normalized_laguerre",

@@ -226,6 +226,13 @@ def _require_witness(case_id: int, sp: ScalingParameter, n: int,
     return witness
 
 
+def _over(x: float, d: float) -> float:
+    """x / d, read as inf where d, a power n^rho, underflowed to 0 (rho far
+    below 0): the row's bound then leaves double range, as it does in exact
+    arithmetic, instead of dividing by zero."""
+    return x / d if d else math.inf
+
+
 def _certify(case_id: int, n: int, exact: LogPolarComplex, main: complex, bound: float,
              conds: list[tuple[str, bool]], *, log_bound: float | None = None,
              tail: Sequence[tuple[str, bool]] = (), meta: str = "",
@@ -321,14 +328,14 @@ def eval_case_aq(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
         rho = witness.rho
         nu = nu_n(3, n, 0.0, q) if n >= 2 else 0
         logn = math.log(n)
-        bound = _aq_prefactor(ctx, 48.0) * (logn * logn / n ** rho
+        bound = _aq_prefactor(ctx, 48.0) * (_over(logn * logn, n ** rho)
                                             + exp_or_inf(nu * nu * ctx.log_q - nu * lzqa))
         conds = [
             (f"nu = {nu} >= 2", nu >= 2),
             (f"nu <= n^min(1,rho)/(8*{MARGIN:.0f})",
              nu <= n ** min(1.0, rho) / (8.0 * MARGIN)),
             (f"q^(n/2) <= nu/({MARGIN:.0f} n^rho)",
-             math.exp(0.5 * n * ctx.log_q) <= nu / (MARGIN * n ** rho) if nu > 0 else False),
+             math.exp(0.5 * n * ctx.log_q) <= _over(nu, MARGIN * n ** rho) if nu > 0 else False),
             ("witness trusted", witness.trusted),
         ]
     return _certify(case_id, n, exact, main, bound, conds,
@@ -394,13 +401,13 @@ def eval_case_theta(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
         logn = math.log(n)
         bound = _theta_prefactor(ctx, 96.0) * (exp_or_inf(nu * lzqa + nu * nu * lq)
                                                + exp_or_inf(0.5 * nu * nu * lq - nu * lzqa)
-                                               + logn * logn / n ** rho)
+                                               + _over(logn * logn, n ** rho))
         meta = ""
         conds = [
             (f"nu = {nu} >= 2*{MARGIN:.0f}", nu >= 2 * MARGIN),
             (f"nu <= n^rho/(8*{MARGIN:.0f})", nu <= n ** rho / (8.0 * MARGIN)),
             (f"q^nu <= nu/({MARGIN:.0f} n^rho)",
-             q ** nu <= nu / (MARGIN * n ** rho) if nu > 0 else False),
+             q ** nu <= _over(nu, MARGIN * n ** rho) if nu > 0 else False),
             ("m >= 1", m >= 1),
             ("witness trusted", witness.trusted),
         ]

@@ -106,11 +106,44 @@ def _write_rows(columns: list[str], rows: list[dict], fmt: str, output: str | No
                                     if v is False else str(v) for v in map(row.get, columns)]))
         lines.append("")
         text = "\n".join(lines)
+    _emit(text, output)
+
+
+def _emit(text: str, output: str | None) -> None:
     if output:
         with open(output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _witness_text(wits: list[DiophantineWitness], fmt: str) -> str:
+    """The text _write_rows gives for the witness rows (n, m, m1, beta,
+    residual or a joint search's acceptance, rho), one formatted line per
+    witness.  Every cell is an int, the None of a single search's m1, or a
+    finite float, so a CSV line is the plain join of the cells' str() and a
+    JSON item is their repr in the C encoder's layout; beta and rho, the
+    same on every row, are formatted once."""
+    if not wits:
+        return "[]\n" if fmt == "json" else ",".join(WITNESS_COLUMNS) + "\n"
+    w0 = wits[0]
+    # a row's text starts at n's value, and each piece leads to the next value
+    if fmt == "json":
+        head, sep, tail = '[\n  {\n    "n": ', '\n  },\n  {\n    "n": ', "\n  }\n]\n"
+        to_m, to_m1, none = ',\n    "m": ', ',\n    "m1": ', "null"
+        to_residual = f',\n    "beta": {w0.target_beta!r},\n    "residual": '
+        end = f',\n    "rho": {w0.rho!r}'
+    else:
+        head, sep, tail = ",".join(WITNESS_COLUMNS) + "\n", "\n", "\n"
+        to_m, to_m1, none = ",", ",", ""
+        to_residual, end = f",{w0.target_beta!r},", f",{w0.rho!r}"
+    if w0.residual2 is None:
+        to_residual = to_m1 + none + to_residual
+        rows = [f"{w.n}{to_m}{w.m}{to_residual}{w.residual!r}{end}" for w in wits]
+    else:
+        rows = [f"{w.n}{to_m}{w.m}{to_m1}{w.m1}{to_residual}{w.acceptance!r}{end}"
+                for w in wits]
+    return head + sep.join(rows) + tail
 
 
 def _report_row(r: RegimeReport) -> dict:
@@ -141,12 +174,6 @@ def _report_row(r: RegimeReport) -> dict:
         "rho": w.rho if w else None,
         "notes": notes,
     }
-
-
-def _witness_row(w: DiophantineWitness) -> dict:
-    residual = w.residual if w.residual2 is None else w.acceptance
-    return {"n": w.n, "m": w.m, "m1": w.m1, "beta": w.target_beta,
-            "residual": residual, "rho": w.rho}
 
 
 def _beta_value(token: str):
@@ -260,16 +287,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    # an undeclared free decimal is a usage error, as in verify: the
+    # declaration decides whether the residuals are exact
     th1 = parse_real(args.theta, assume=_assume(args))
+    th1.declared_rational()
     joint = args.theta2 is not None
     rho = args.rho if args.rho is not None else default_rho(th1, args.beta, joint=joint)
     if joint:
         th2 = parse_real(args.theta2, assume=_assume(args))
+        th2.declared_rational()
         wits = joint_witness_search(th1, th2, args.beta, args.beta2, rho, args.nmax)
     else:
         wits = witness_search(th1, args.beta, rho, args.nmax)
-    _write_rows(WITNESS_COLUMNS, [_witness_row(w) for w in wits],
-                args.format, args.output)
+    _emit(_witness_text(wits, args.format), args.output)
     return EXIT_OK if wits else EXIT_NO_ELIGIBLE
 
 

@@ -1,7 +1,7 @@
 """Number-theoretic support: exact floor/fractional decomposition of n*x,
-the parity character chi, fractional-part orbits, continued-fraction
-convergents, and the witness searches that certify the arithmetic
-hypotheses of the irrational-parameter asymptotic regimes.
+the parity character chi, continued-fraction convergents, and the witness
+searches that certify the arithmetic hypotheses of the
+irrational-parameter asymptotic regimes.
 
 Scaling parameters are *declared*, never sniffed: a RealValue is either an
 exact rational, an exact quadratic surd (a + b*sqrt(d))/c, or a bare float
@@ -258,14 +258,6 @@ def fixture_irrationals(liouville_depth: int = 4) -> dict[str, IrrationalFixture
     }
 
 
-def orbit(theta: RealValue | Fraction | int, n_max: int) -> list[tuple[int, float]]:
-    """[(n, {n*theta}) for n = 1..n_max]."""
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
-    th = as_real_value(theta)
-    return [(n, th.mul_floor_frac(n)[1]) for n in range(1, n_max + 1)]
-
-
 def convergents(theta: RealValue | Fraction | int | float, count: int) -> list[tuple[int, int]]:
     """Continued-fraction convergents p/q with |theta - p/q| < 1/q^2.
 
@@ -285,13 +277,18 @@ def convergents(theta: RealValue | Fraction | int | float, count: int) -> list[t
     return convergents_float(th.approx, count)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class DiophantineWitness:
     """A certificate n*theta = m + beta + residual with |residual| < n^-rho.
 
     m1/residual2/target_beta2 are filled by joint searches (the second angle's
     components); trusted is False when a float-kind input cannot support the
     claimed residual at this n.
+
+    The record is plain, neither frozen nor hashable: a search builds one per
+    witness, and a frozen dataclass sets each field through
+    object.__setattr__, several times the cost of the slots assignments.
+    Nothing mutates or hashes a witness once it is built.
     """
 
     n: int
@@ -524,12 +521,16 @@ def witness_search(theta: RealValue | Fraction | int, beta, rho: float,
     """
     th = as_real_value(theta)
     [(beta_frac, beta_f)] = _search_args(n_max, rho, beta)
+    # for rho <= 0 every degree is a witness (|residual| <= 1/2 < 1 <= n^-rho),
+    # and the power, which overflows for rho far below 0, is not taken
+    every = rho <= 0.0
+    exact = th.exact  # exact angles are trusted at every n
     out: list[DiophantineWitness] = []
+    append = out.append
     for n, m, residual in _candidates(th, beta_f, beta_frac, rho, n_max):
-        if abs(residual) < n ** (-rho):
-            out.append(DiophantineWitness(
-                n=n, m=m, m1=None, target_beta=beta_f, residual=residual,
-                rho=rho, trusted=_trusted(th, residual, n)))
+        if every or abs(residual) < n ** -rho:
+            append(DiophantineWitness(n, m, None, beta_f, residual, rho,
+                                      exact or _trusted(th, residual, n)))
     return out
 
 
@@ -554,9 +555,11 @@ def joint_witness_search(theta1, theta2, beta1, beta2, rho: float,
     if lead[0].kind == other.kind == "surd":
         follow = _carried(other, b_other, b_other_frac)
         next(follow)
+    every = rho <= 0.0  # as in witness_search
+    exact = th1.exact and th2.exact
     out: list[DiophantineWitness] = []
     for n, m_lead, r_lead in _candidates(*lead, rho, n_max, follow):
-        thr = n ** (-rho)
+        thr = math.inf if every else n ** -rho
         if abs(r_lead) >= thr:
             continue
         m_other, r_other = decompose(other, n, b_other, b_other_frac)
@@ -565,9 +568,8 @@ def joint_witness_search(theta1, theta2, beta1, beta2, rho: float,
         hits = [(m_lead, r_lead), (m_other, r_other)]
         (m, r1), (m1, r2) = hits[::-1] if swap else hits
         out.append(DiophantineWitness(
-            n=n, m=m, m1=m1, target_beta=b1, residual=r1, rho=rho,
-            trusted=_trusted(th1, r1, n) and _trusted(th2, r2, n),
-            target_beta2=b2, residual2=r2))
+            n, m, m1, b1, r1, rho,
+            exact or (_trusted(th1, r1, n) and _trusted(th2, r2, n)), b2, r2))
     return out
 
 

@@ -1,6 +1,6 @@
-"""Base-q special functions: Pochhammer symbols, q-binomials, the entire
-functions A_q and B_q, the bilateral theta series, and the two tail
-remainders R1, R2 with their explicit majorants.
+"""Base-q special functions: Pochhammer symbols, the entire functions A_q
+and B_q, the bilateral theta series, and the two tail remainders R1, R2
+with their explicit majorants.
 
 Conventions.  (a;q)_0 = 1 and (a;q)_n has n factors 1 - a*q^k, k = 0..n-1;
 the n-factor convention is forced by the q-binomial/degree identities this
@@ -188,16 +188,6 @@ def pochhammer(a: complex, q: float, n: int | float | None) -> complex:
     return prod
 
 
-def q_binomial(n: int, k: int, q: float) -> float:
-    """Gaussian binomial coefficient (q;q)_n / ((q;q)_k (q;q)_{n-k}); positive."""
-    if not (0 <= k <= n):
-        raise DomainError(f"q_binomial needs 0 <= k <= n, got n={n}, k={k}")
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"q_binomial needs 0 < q < 1, got q={q}")
-    t = poch_table(q, q)
-    return math.exp(t.log(n) - t.log(k) - t.log(n - k))
-
-
 def ramanujan_a(q: float, z: complex) -> complex:
     """The entire function sum_k q^(k^2) (-z)^k / (q;q)_k."""
     return aq_series_lp(q, z, negate=True).to_complex()
@@ -246,27 +236,6 @@ def ramanujan_a_deriv(q: float, z: complex) -> complex:
         ratio_bound=lambda j: (q ** (2 * j + 3)) * abs(z) * (j + 2) / ((j + 1) * (1.0 - q)),
     )
     return -sum_rescaled(*terms).to_complex()
-
-
-def euler_product_series_check(z: complex, q: float) -> tuple[complex, complex]:
-    """(z;q)_inf two ways: infinite product, and the q-exponential series
-    sum_k q^(k(k-1)/2) (-z)^k / (q;q)_k.  Returned as a cross-check pair."""
-    if not abs(q) < 1.0:
-        raise DomainError(f"identity needs |q| < 1, got q={q}")
-    lhs = pochhammer(z, q, None)
-    z = complex(z)
-    if z == 0:
-        return lhs, 1.0 + 0j
-    table = poch_table(q, q)
-    lq = math.log(q)
-    lz = math.log(abs(z))
-    terms = certified_terms(
-        term_log=lambda k: 0.5 * k * (k - 1) * lq + k * lz - table.log(k),
-        phase_step=phase(-z),
-        ratio_bound=lambda k: (q ** k) * abs(z) / (1.0 - q),
-    )
-    rhs = sum_rescaled(*terms).to_complex()
-    return lhs, rhs
 
 
 def theta_lp(z: complex, q: float) -> LogPolarComplex:

@@ -5,8 +5,11 @@ multiplying exactly and converting to floats only at the comparison site.
 Scope is deliberately desk-scale: degrees n <= ~12, rational q and z, and
 angle parameters whose phases land on {1, i, -1, -i}.  The linear witness
 scans, the split sums as every row generated them, the earlier summation
-kernel kept verbatim at the end, and the row writer as two library calls are
-the references that faster rewrites must match exactly.
+kernel kept verbatim, and the row writer as two library calls are the
+references that faster rewrites must match exactly.  Three cross-checks
+built on qpr's own kernels (q-binomials from the Pochhammer tables, Euler's
+product/series identity, fractional-part orbits) close the file: no row or
+command uses them, only the tests that check the kernels through them.
 """
 
 from __future__ import annotations
@@ -16,6 +19,11 @@ import io
 import json
 import math
 from fractions import Fraction
+
+from qpr.diophantine import as_real_value
+from qpr.numerics import DomainError, certified_terms, phase
+from qpr.numerics import sum_rescaled as qpr_sum_rescaled
+from qpr.qseries import poch_table, pochhammer
 
 
 class QI:
@@ -433,7 +441,7 @@ def sum_rescaled(terms):
 
 # ---------------------------------------------------------------------------
 # the row writer as the csv and json modules give it: the output contract
-# that qpr.cli._write_rows keeps byte for byte
+# that qpr.cli._write_rows, and its witness lines, keep byte for byte
 # ---------------------------------------------------------------------------
 
 def write_rows(columns: list[str], rows: list[dict], fmt: str) -> str:
@@ -449,3 +457,55 @@ def write_rows(columns: list[str], rows: list[dict], fmt: str) -> str:
         w.writerow(["true" if v is True else "false" if v is False else v
                     for v in map(row.get, columns)])
     return buf.getvalue()
+
+
+def witness_row(w) -> dict:
+    """A witness as a row of the ``witness`` subcommand; a joint search
+    reports the larger |residual| of its two angles."""
+    residual = w.residual if w.residual2 is None else max(abs(w.residual), abs(w.residual2))
+    return {"n": w.n, "m": w.m, "m1": w.m1, "beta": w.target_beta,
+            "residual": residual, "rho": w.rho}
+
+
+# ---------------------------------------------------------------------------
+# cross-checks built on qpr's kernels: the Pochhammer log tables, the
+# certified series kernel and the exact reduction of n*theta
+# ---------------------------------------------------------------------------
+
+def q_binomial(n: int, k: int, q: float) -> float:
+    """Gaussian binomial coefficient (q;q)_n / ((q;q)_k (q;q)_{n-k}); positive."""
+    if not (0 <= k <= n):
+        raise DomainError(f"q_binomial needs 0 <= k <= n, got n={n}, k={k}")
+    if not (0.0 < q < 1.0):
+        raise DomainError(f"q_binomial needs 0 < q < 1, got q={q}")
+    t = poch_table(q, q)
+    return math.exp(t.log(n) - t.log(k) - t.log(n - k))
+
+
+def euler_product_series_check(z: complex, q: float) -> tuple[complex, complex]:
+    """(z;q)_inf two ways: infinite product, and the q-exponential series
+    sum_k q^(k(k-1)/2) (-z)^k / (q;q)_k.  Returned as a cross-check pair."""
+    if not abs(q) < 1.0:
+        raise DomainError(f"identity needs |q| < 1, got q={q}")
+    lhs = pochhammer(z, q, None)
+    z = complex(z)
+    if z == 0:
+        return lhs, 1.0 + 0j
+    table = poch_table(q, q)
+    lq = math.log(q)
+    lz = math.log(abs(z))
+    terms = certified_terms(
+        term_log=lambda k: 0.5 * k * (k - 1) * lq + k * lz - table.log(k),
+        phase_step=phase(-z),
+        ratio_bound=lambda k: (q ** k) * abs(z) / (1.0 - q),
+    )
+    rhs = qpr_sum_rescaled(*terms).to_complex()
+    return lhs, rhs
+
+
+def orbit(theta, n_max: int) -> list[tuple[int, float]]:
+    """[(n, {n*theta}) for n = 1..n_max]."""
+    if n_max < 1:
+        raise DomainError("n_max must be >= 1")
+    th = as_real_value(theta)
+    return [(n, th.mul_floor_frac(n)[1]) for n in range(1, n_max + 1)]

@@ -184,6 +184,24 @@ class TestVerify:
                         "--theta", "0.123", "--n", "5..10"])
         assert code == 2
 
+    @pytest.mark.parametrize("case_args", [
+        ["--case", "3", "--tau", "0"], ["--case", "5", "--tau=-1"]])
+    def test_far_negative_rho_reads_underflow_as_inf(self, case_args, capsys):
+        # n^rho underflows to 0 from n = 7 on at rho = -400: those rows' bounds
+        # leave double range, and the rows before them keep their bytes
+        base = ["verify", "--q", "0.5", "--z", "2", "--theta", "sqrt2", "--rho=-400"]
+        assert run_cli(base + case_args + ["--nmax", "5"]) == 3
+        head = capsys.readouterr().out
+        assert run_cli(base + case_args + ["--nmax", "10"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out.startswith(head)
+        assert "no eligible degree" in captured.err
+        rows = list(csv.DictReader(captured.out.splitlines()))
+        assert [int(r["n"]) for r in rows] == list(range(1, 11))
+        for r in rows[6:]:
+            assert r["bound"] == "inf" and r["eligible"] == "false"
+            assert "observed error and bound within double range: FAIL" in r["notes"]
+
     def test_byte_stability(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argsA = ["verify", "--case", "1", "--q", "0.5", "--z", "1", "--tau", "1",
@@ -239,6 +257,39 @@ class TestWitness:
         captured = capsys.readouterr()
         assert "rho must be finite" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("joint", [[], ["--theta2", "sqrt3"]])
+    def test_far_negative_rho_takes_every_degree(self, joint, capsys):
+        # |residual| <= 1/2 < 1 <= n^-rho, so no power is taken (10^400
+        # would overflow) and the rows are those of rho = -1
+        outs = []
+        for rho in ("-400", "-1"):
+            argv = ["witness", "--theta", "sqrt2", "--beta", "1/3", f"--rho={rho}",
+                    "--nmax", "10"] + joint
+            assert run_cli(argv) == 0
+            outs.append(capsys.readouterr().out)
+        rows = [[line.rsplit(",", 1) for line in out.splitlines()[1:]] for out in outs]
+        assert [int(r[0].split(",")[0]) for r in rows[0]] == list(range(1, 11))
+        assert [r[0] for r in rows[0]] == [r[0] for r in rows[1]]
+        assert {r[1] for r in rows[0]} == {"-400.0"}
+
+    @pytest.mark.parametrize("flag", ["--theta", "--theta2"])
+    def test_undeclared_decimal_usage_error(self, flag, capsys):
+        argv = ["witness", "--theta", "sqrt2", "--rho", "0.5", "--nmax", "10"]
+        argv += [flag, "0.3"]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert run_cli(["verify", "--q", "0.5", "--tau", "0", "--theta", "0.3",
+                        "--n", "5..10"]) == 2
+        assert capsys.readouterr().err == captured.err
+
+    def test_declaration_sets_the_residuals(self, capsys):
+        argv = ["witness", "--theta", "0.3", "--rho", "0.5", "--nmax", "4"]
+        assert run_cli(argv + ["--assume-rational"]) == 0
+        assert "3,1,,0.0,-0.1,0.5\n" in capsys.readouterr().out
+        assert run_cli(argv + ["--assume-irrational"]) == 0
+        assert "3,1,,0.0,-0.10000000000000009,0.5\n" in capsys.readouterr().out
 
     def test_empty_exit3(self, tmp_path):
         out = tmp_path / "w.csv"

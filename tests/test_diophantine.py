@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from oracles import orbit
 
 from qpr.diophantine import (
     DiophantineWitness,
@@ -18,7 +19,6 @@ from qpr.diophantine import (
     floor_frac,
     joint_witness_search,
     liouville_truncated,
-    orbit,
     parse_real,
     witness_search,
 )

@@ -15,9 +15,7 @@ from qpr.qseries import (
     QContext,
     aq_series_lp,
     b_function,
-    euler_product_series_check,
     pochhammer,
-    q_binomial,
     ramanujan_a,
     ramanujan_a_deriv,
     remainder_r1,
@@ -28,6 +26,7 @@ from qpr.qseries import (
 )
 
 import oracles
+from oracles import euler_product_series_check, q_binomial
 
 
 REL = 1e-12
@@ -268,6 +267,7 @@ class TestPhaseConvention:
 
         monkeypatch.setattr(qseries, "certified_terms", checked)
         monkeypatch.setattr(qlaguerre, "certified_terms", checked)
+        monkeypatch.setattr(oracles, "certified_terms", checked)
         q = 0.6
         ctx = QContext(q, 0.5, z)
         third = RealValue.from_rational(F(1, 3))

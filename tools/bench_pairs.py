@@ -1,0 +1,93 @@
+"""Paired benchmark runs of two qpr checkouts.
+
+    python3 tools/bench_pairs.py --parent <other checkout> --workload witness-scan \
+        --pairs 5 --seconds 20 [--seed 1]
+
+Runs each checkout's own ``perfbench/run.py --trace 0`` as a subprocess,
+alternating parent and change with the parent first, so that pair k is the
+parent's k-th run and the change's k-th run.  For every pair it prints the
+end-to-end metrics that BENCHMARK.json declares, with each run's attempted
+and failed operation counts; then, per metric, both sides' medians and
+quartiles, the median over pairs of the relative change (change/parent - 1)
+and the number of pairs the change wins (ties count for neither side).
+The runs write only their own ``perfbench/results/`` (git-ignored), and
+bytecode is not cached, so neither tree gains a file.  Exits 1 if a run
+fails or reports a failed operation, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
+    """The result line of one run of tree's perfbench/run.py."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, env=env, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.exit(f"run in {tree} failed ({proc.returncode}):\n{proc.stderr}")
+    return json.loads(lines[-1])
+
+
+def _spread(values: list[float]) -> str:
+    if len(values) < 2:
+        return f"{statistics.median(values):.4g}"
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return f"{q2:.4g} (quartiles {q1:.4g}-{q3:.4g})"
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, help="root of the checkout to compare against")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args()
+    parent = os.path.abspath(args.parent)
+    if not os.path.isfile(os.path.join(parent, "perfbench", "run.py")):
+        ap.error(f"no perfbench/run.py under {parent}")
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        declared = json.load(fh)["end_to_end"]
+
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for k in range(1, args.pairs + 1):
+        for side, tree in (("parent", parent), ("change", ROOT)):
+            runs[side].append(run_once(tree, args.workload, args.seed, args.seconds))
+        cells = []
+        for side in ("parent", "change"):
+            r = runs[side][-1]
+            values = " ".join(f"{m['name']} {r['metrics'][m['name']]['value']:.4g}"
+                              for m in declared)
+            cells.append(f"{side}: {values}, failed {r['failed']}/{r['attempted']}")
+        print(f"pair {k}: " + "; ".join(cells), flush=True)
+
+    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs at --seconds {args.seconds:g}")
+    for m in declared:
+        name, sign = m["name"], 1.0 if m["better"] == "lower" else -1.0
+        p = [r["metrics"][name]["value"] for r in runs["parent"]]
+        c = [r["metrics"][name]["value"] for r in runs["change"]]
+        rel = statistics.median(b / a - 1.0 for a, b in zip(p, c))
+        wins = sum(sign * (a - b) > 0 for a, b in zip(p, c))
+        print(f"{name} ({m['unit']}, {m['better']} is better): parent {_spread(p)}; "
+              f"change {_spread(c)}; median relative change {100 * rel:+.1f} %; "
+              f"change wins {wins} of {args.pairs}")
+    failed = sum(r["failed"] for side in runs.values() for r in side)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
