@@ -14,14 +14,14 @@ Regime map (sigma = tau + 2):
       tau, theta irrational      case 7    ... q^(a+chi(m)+beta1) e^(-2 pi i beta2)
 
 Each evaluator returns a RegimeReport carrying the exact normalized value,
-the main term, the observed error, the stated error majorant (constants
-kept verbatim: 7, 48, 30, 96), and an eligibility flag.  Eligibility
-operationalizes the side conditions reproducibly: every asymptotic "<<"
-becomes "left <= right/4", nu_n >= 2 is always required, and rows whose
-bound sits below the double-precision certification floor are excluded
-rather than asserted, as are rows outside double range whose majorant has
-no log form (see _certify).  Violations on eligible rows are exactly the
-failures a certification run must report.
+the main term, the observed error, the stated error majorant (a
+numerics.Majorant; constants kept verbatim: 7, 48, 30, 96), and an
+eligibility flag.  Eligibility operationalizes the side conditions
+reproducibly: every asymptotic "<<" becomes "left <= right/4", nu_n >= 2 is
+always required, and rows whose bound sits below the double-precision
+certification floor are excluded rather than asserted, as are rows outside
+double range whose majorant has no log form (see _certify).  Violations on
+eligible rows are exactly the failures a certification run must report.
 
 The majorant prefactors are computed once per context.  The main terms are
 memoized per context on the exact quantities their argument is built from
@@ -45,8 +45,8 @@ from typing import Sequence
 
 from .diophantine import DEFAULT_NMAX, DiophantineWitness, RealValue, chi, decompose, \
     default_rho, joint_witness_search, witness_search
-from .numerics import TWO_PI, DomainError, LogPolarComplex, abs_or_inf, exp_or_inf, lp, \
-    lp_from_complex, lp_mul, sum_rescaled
+from .numerics import TWO_PI, DomainError, LogPolarComplex, Majorant, abs_or_inf, exp_or_inf, \
+    lp, lp_from_complex, lp_mul, pow_or_inf, sum_rescaled
 from .qseries import QContext, aq_series_lp, b_function, pochhammer, ramanujan_a, theta
 from .qlaguerre import ScalingParameter, normalized_laguerre_lp, split_sums
 
@@ -56,6 +56,14 @@ NOISE_FLOOR = 1e-13
 
 # Operational margin for every asymptotic "<<": left <= right / MARGIN.
 MARGIN = 4.0
+
+# The side-condition names, but for the row's own values (nu, the bound)
+_NU_FLOOR = f" >= 2*{MARGIN:.0f}"
+_AQ_NU_CAP = f"nu <= n^min(1,rho)/(8*{MARGIN:.0f})"
+_AQ_TAIL = f"q^(n/2) <= nu/({MARGIN:.0f} n^rho)"
+_THETA_NU_CAP = f"nu <= n^rho/(8*{MARGIN:.0f})"
+_THETA_TAIL = f"q^nu <= nu/({MARGIN:.0f} n^rho)"
+_CERT_FLOOR = f" >= certification floor {NOISE_FLOOR:.0e}"
 
 
 @dataclass
@@ -152,14 +160,14 @@ def _theta_prefactor(ctx: QContext, constant: float) -> float:
 
 
 @lru_cache(maxsize=16)
-def _case1_log_b(ctx: QContext) -> float:
-    """log B_q(q^(2-a)/|z|), the n-independent factor of the case-1 majorant;
-    taken from the double value while B_q has one, so in-range bounds keep
-    their last bits."""
+def _case1_log_prefactor(ctx: QContext) -> float:
+    """log of q^(1-a) B_q(q^(2-a)/|z|) / ((1-q)|z|), the n-independent factor of the case-1
+    majorant; log B_q is taken from its double where finite, so in-range bounds keep their bits."""
     arg = _series_arg(ctx, "B_q argument q^(2-alpha)/|z|", ctx.q ** (2.0 - ctx.alpha) / ctx.abs_z)
     b = aq_series_lp(ctx.q, arg, False)
     value = b.to_complex().real
-    return math.log(value) if math.isfinite(value) else b.log_mag
+    log_b = math.log(value) if math.isfinite(value) else b.log_mag
+    return (1.0 - ctx.alpha) * ctx.log_q + log_b - math.log(1.0 - ctx.q) - math.log(ctx.abs_z)
 
 
 # 256 entries hold a period of the residues for the grids in use; a longer
@@ -233,25 +241,33 @@ def _over(x: float, d: float) -> float:
     return x / d if d else math.inf
 
 
-def _certify(case_id: int, n: int, exact: LogPolarComplex, main: complex, bound: float,
-             conds: list[tuple[str, bool]], *, log_bound: float | None = None,
+def _witness_powers(n: int, rho: float) -> tuple[float, float]:
+    """n^rho (inf where it overflows) and the witness piece log^2 n / n^rho."""
+    n_rho, logn = pow_or_inf(n, rho), math.log(n)
+    return n_rho, _over(logn * logn, n_rho)
+
+
+def _certify(case_id: int, n: int, exact: LogPolarComplex, main: complex,
+             majorant: Majorant, conds: list[tuple[str, bool]], *,
              tail: Sequence[tuple[str, bool]] = (), meta: str = "",
              **fields) -> RegimeReport:
     """Observed error, verdict, eligibility and notes of one row.
 
     A row whose observed error and bound are finite doubles compares them
-    as doubles.  Otherwise a case that supplies log_bound (the log of its
-    majorant) compares logarithms, and any other row is ineligible: its
-    comparison would only set inf against inf or nan.  conds are the
-    case's side conditions; the certification floor follows them, then
-    the informational tail.
+    as doubles.  Otherwise a majorant with a log form (a log_prefactor)
+    compares logarithms, and any other row is ineligible: its comparison
+    would only set inf against inf or nan.  conds are the case's side
+    conditions; the certification floor follows them, then the
+    informational tail.
     """
+    bound = majorant.bound
     observed = abs_or_inf(exact.to_complex() - main)
     holds = observed <= bound
     if not (math.isfinite(observed) and math.isfinite(bound)):
-        if log_bound is None:
+        if majorant.log_prefactor is None:
             conds.append(("observed error and bound within double range", False))
         else:
+            log_bound = majorant.log
             neg_main = lp_from_complex(-main)
             log_observed = sum_rescaled([exact.log_mag, neg_main.log_mag],
                                         [exact.phase, neg_main.phase]).to_lp().log_mag
@@ -259,8 +275,7 @@ def _certify(case_id: int, n: int, exact: LogPolarComplex, main: complex, bound:
             note = (f"compared in log space: ln observed {log_observed:.6g}, "
                     f"ln bound {log_bound:.6g}")
             meta = f"{meta}; {note}" if meta else note
-    conds.append((f"bound {bound:.3e} >= certification floor {NOISE_FLOOR:.0e}",
-                  bound >= NOISE_FLOOR))
+    conds.append((f"bound {bound:.3e}{_CERT_FLOOR}", bound >= NOISE_FLOOR))
     conds.extend(tail)
     return RegimeReport(
         case_id=case_id, n=n, exact=exact, main=main, observed_error=observed,
@@ -285,9 +300,9 @@ def eval_case1(ctx: QContext, sp: ScalingParameter, n: int) -> RegimeReport:
     """
     _require_case(sp, 1)
     exact = lp_mul(normalized_laguerre_lp(ctx, sp, n), lp(ctx.tq.log(n), 0.0))
-    log_bound = ((1.0 - ctx.alpha) * ctx.log_q + _case1_log_b(ctx) - math.log(1.0 - ctx.q)
-                 - math.log(ctx.abs_z) + sp.tau.value * n * ctx.log_q)
-    return _certify(1, n, exact, 1.0 + 0j, exp_or_inf(log_bound), [], log_bound=log_bound,
+    majorant = Majorant(None, (sp.tau.value * n * ctx.log_q,),
+                        log_prefactor=_case1_log_prefactor(ctx))
+    return _certify(1, n, exact, 1.0 + 0j, majorant, [],
                     meta="normalized with the finite constant (q;q)_n")
 
 
@@ -304,8 +319,7 @@ def eval_case_aq(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
     witness n*theta = m + beta + gamma_n with |gamma_n| <= n^-rho.
     """
     _require_case(sp, case_id, (2, 3))
-    q = ctx.q
-    lzqa = ctx.log_zqa
+    lq, lzqa = ctx.log_q, ctx.log_zqa
 
     if case_id == 2:
         m_th, lam = sp.theta.mul_floor_frac(n)
@@ -320,25 +334,20 @@ def eval_case_aq(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
 
     if case_id == 2:
         nu = None
-        bound = _aq_prefactor(ctx, 7.0) * (
-            exp_or_inf(0.5 * n * ctx.log_q)
-            + exp_or_inf(0.25 * n * n * ctx.log_q - (n // 2) * lzqa))
+        majorant = Majorant(_aq_prefactor(ctx, 7.0), (
+            0.5 * n * lq, 0.25 * n * n * lq - (n // 2) * lzqa))
         conds = [("n >= 2", n >= 2)]
     else:
-        rho = witness.rho
-        nu = nu_n(3, n, 0.0, q) if n >= 2 else 0
-        logn = math.log(n)
-        bound = _aq_prefactor(ctx, 48.0) * (_over(logn * logn, n ** rho)
-                                            + exp_or_inf(nu * nu * ctx.log_q - nu * lzqa))
+        nu = nu_n(3, n, 0.0, ctx.q) if n >= 2 else 0
+        n_rho, arithmetic = _witness_powers(n, witness.rho)
+        majorant = Majorant(_aq_prefactor(ctx, 48.0), (nu * nu * lq - nu * lzqa,), arithmetic)
         conds = [
             (f"nu = {nu} >= 2", nu >= 2),
-            (f"nu <= n^min(1,rho)/(8*{MARGIN:.0f})",
-             nu <= n ** min(1.0, rho) / (8.0 * MARGIN)),
-            (f"q^(n/2) <= nu/({MARGIN:.0f} n^rho)",
-             math.exp(0.5 * n * ctx.log_q) <= _over(nu, MARGIN * n ** rho) if nu > 0 else False),
+            (_AQ_NU_CAP, nu <= min(n_rho, n) / (8.0 * MARGIN)),  # = n^min(1,rho) at n >= 1
+            (_AQ_TAIL, nu > 0 and math.exp(0.5 * n * lq) <= _over(nu, MARGIN * n_rho)),
             ("witness trusted", witness.trusted),
         ]
-    return _certify(case_id, n, exact, main, bound, conds,
+    return _certify(case_id, n, exact, main, majorant, conds,
                     witness=witness, nu=nu, m=witness.m)
 
 
@@ -384,34 +393,29 @@ def eval_case_theta(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
     main = _theta_main(ctx, chi(m), u, v)
 
     nu = nu_n(case_id, n, tau, q) if n >= 2 else 0
-    lzqa = ctx.log_zqa
-    lq = ctx.log_q
+    lq, lzqa = ctx.log_q, ctx.log_zqa
     if case_id == 4:
-        bound = _theta_prefactor(ctx, 30.0) * (exp_or_inf(0.5 * nu * lq)
-                                               + exp_or_inf(nu * lzqa + nu * nu * lq)
-                                               + exp_or_inf(0.5 * nu * nu * lq - nu * lzqa))
+        majorant = Majorant(_theta_prefactor(ctx, 30.0), (
+            0.5 * nu * lq, nu * lzqa + nu * nu * lq, 0.5 * nu * nu * lq - nu * lzqa))
         meta = ("stated constant 30 retained for the majorant; the underlying "
                 "derivation supports 15")
         conds = [
-            (f"nu = {nu} >= 2*{MARGIN:.0f}", nu >= 2 * MARGIN),
+            (f"nu = {nu}{_NU_FLOOR}", nu >= 2 * MARGIN),
             ("m >= 1", m >= 1),
         ]
     else:
-        rho = witness.rho
-        logn = math.log(n)
-        bound = _theta_prefactor(ctx, 96.0) * (exp_or_inf(nu * lzqa + nu * nu * lq)
-                                               + exp_or_inf(0.5 * nu * nu * lq - nu * lzqa)
-                                               + _over(logn * logn, n ** rho))
+        n_rho, arithmetic = _witness_powers(n, witness.rho)
+        majorant = Majorant(_theta_prefactor(ctx, 96.0), (
+            nu * lzqa + nu * nu * lq, 0.5 * nu * nu * lq - nu * lzqa), arithmetic)
         meta = ""
         conds = [
-            (f"nu = {nu} >= 2*{MARGIN:.0f}", nu >= 2 * MARGIN),
-            (f"nu <= n^rho/(8*{MARGIN:.0f})", nu <= n ** rho / (8.0 * MARGIN)),
-            (f"q^nu <= nu/({MARGIN:.0f} n^rho)",
-             q ** nu <= _over(nu, MARGIN * n ** rho) if nu > 0 else False),
+            (f"nu = {nu}{_NU_FLOOR}", nu >= 2 * MARGIN),
+            (_THETA_NU_CAP, nu <= n_rho / (8.0 * MARGIN)),
+            (_THETA_TAIL, nu > 0 and q ** nu <= _over(nu, MARGIN * n_rho)),
             ("m >= 1", m >= 1),
             ("witness trusted", witness.trusted),
         ]
-    return _certify(case_id, n, exact, main, bound, conds, tail=tail, meta=meta,
+    return _certify(case_id, n, exact, main, majorant, conds, tail=tail, meta=meta,
                     witness=witness, nu=nu, m=m, m1=m1)
 
 

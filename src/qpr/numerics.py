@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 TWO_PI = 2.0 * math.pi
 _NEG_INF = float("-inf")
@@ -58,6 +58,41 @@ def exp_or_inf(x: float) -> float:
         return math.exp(x)
     except OverflowError:
         return math.inf
+
+
+def pow_or_inf(x: float, y: float) -> float:
+    """x ** y, but inf wherever the value overflows; the overflow rule for powers."""
+    try:
+        return x ** y
+    except OverflowError:
+        return math.inf
+
+
+class Majorant(NamedTuple):
+    """A regime's error majorant, prefactor * (e^pieces[0] + ... + witness); witness is
+    log^2 n / n^rho in cases 3 and 5-7.  With log_prefactor, bound is exp_or_inf(log)."""
+
+    prefactor: float | None
+    pieces: tuple[float, ...]
+    witness: float = 0.0
+    log_prefactor: float | None = None
+
+    @property
+    def bound(self) -> float:
+        """The double: pieces summed left to right by + (not sum(), compensated from 3.12)."""
+        if self.log_prefactor is not None:
+            return exp_or_inf(self.log)
+        total = 0.0
+        for x in self.pieces:
+            total += exp_or_inf(x)
+        return self.prefactor * (total + self.witness)
+
+    @property
+    def log(self) -> float:
+        """log_prefactor plus the log-sum-exp of the nonzero pieces (one piece: exactly)."""
+        logs = [*self.pieces, math.log(self.witness)] if self.witness > 0.0 else self.pieces
+        lse = logs[0] if len(logs) == 1 else sum_rescaled(logs, [0.0] * len(logs)).to_lp().log_mag
+        return self.log_prefactor + lse
 
 
 def abs_or_inf(w: complex) -> float:

@@ -5,8 +5,9 @@ multiplying exactly and converting to floats only at the comparison site.
 Scope is deliberately desk-scale: degrees n <= ~12, rational q and z, and
 angle parameters whose phases land on {1, i, -1, -i}.  The linear witness
 scans, the split sums as every row generated them, the earlier summation
-kernel kept verbatim, and the row writer as two library calls are the
-references that faster rewrites must match exactly.  Three cross-checks
+kernel kept verbatim, the row writer as two library calls, and the error
+majorants as one expression per regime are the references that rewrites
+must match exactly.  Three cross-checks
 built on qpr's own kernels (q-binomials from the Pochhammer tables, Euler's
 product/series identity, fractional-part orbits) close the file: no row or
 command uses them, only the tests that check the kernels through them.
@@ -21,9 +22,9 @@ import math
 from fractions import Fraction
 
 from qpr.diophantine import as_real_value
-from qpr.numerics import DomainError, certified_terms, phase
+from qpr.numerics import DomainError, certified_terms, exp_or_inf, phase
 from qpr.numerics import sum_rescaled as qpr_sum_rescaled
-from qpr.qseries import poch_table, pochhammer
+from qpr.qseries import aq_series_lp, poch_table, pochhammer
 
 
 class QI:
@@ -465,6 +466,51 @@ def witness_row(w) -> dict:
     residual = w.residual if w.residual2 is None else max(abs(w.residual), abs(w.residual2))
     return {"n": w.n, "m": w.m, "m1": w.m1, "beta": w.target_beta,
             "residual": residual, "rho": w.rho}
+
+
+# ---------------------------------------------------------------------------
+# the error majorants as the evaluators wrote them inline, one expression per
+# regime: the bits that qpr.numerics.Majorant keeps
+# ---------------------------------------------------------------------------
+
+def _over(x: float, d: float) -> float:
+    return x / d if d else math.inf
+
+
+def _case1_log_b(ctx) -> float:
+    """log B_q(q^(2-a)/|z|), from the double value while B_q has one."""
+    b = aq_series_lp(ctx.q, ctx.q ** (2.0 - ctx.alpha) / ctx.abs_z, False)
+    value = b.to_complex().real
+    return math.log(value) if math.isfinite(value) else b.log_mag
+
+
+def stated_bound(ctx, sp, r) -> tuple[float, float | None]:
+    """(bound, ln bound) of the report r of context ctx and scaling sp, by
+    the expression its case used; ln bound is case 1's only (else None).
+    n ** rho raises OverflowError at a large rho, as it did there."""
+    from qpr.asymptotics import _aq_prefactor, _theta_prefactor
+
+    n, nu, lzqa, lq = r.n, r.nu, ctx.log_zqa, ctx.log_q
+    if r.case_id == 1:
+        log_bound = ((1.0 - ctx.alpha) * ctx.log_q + _case1_log_b(ctx) - math.log(1.0 - ctx.q)
+                     - math.log(ctx.abs_z) + sp.tau.value * n * ctx.log_q)
+        return exp_or_inf(log_bound), log_bound
+    if r.case_id == 2:
+        return _aq_prefactor(ctx, 7.0) * (
+            exp_or_inf(0.5 * n * ctx.log_q)
+            + exp_or_inf(0.25 * n * n * ctx.log_q - (n // 2) * lzqa)), None
+    if r.case_id == 4:
+        return _theta_prefactor(ctx, 30.0) * (exp_or_inf(0.5 * nu * lq)
+                                              + exp_or_inf(nu * lzqa + nu * nu * lq)
+                                              + exp_or_inf(0.5 * nu * nu * lq - nu * lzqa)), None
+    rho = r.witness.rho
+    logn = math.log(n)
+    if r.case_id == 3:
+        return _aq_prefactor(ctx, 48.0) * (_over(logn * logn, n ** rho)
+                                           + exp_or_inf(nu * nu * ctx.log_q - nu * lzqa)), None
+    return _theta_prefactor(ctx, 96.0) * (exp_or_inf(nu * lzqa + nu * nu * lq)
+                                          + exp_or_inf(0.5 * nu * nu * lq - nu * lzqa)
+                                          + _over(logn * logn, n ** rho)), None
 
 
 # ---------------------------------------------------------------------------

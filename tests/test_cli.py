@@ -202,6 +202,26 @@ class TestVerify:
             assert r["bound"] == "inf" and r["eligible"] == "false"
             assert "observed error and bound within double range: FAIL" in r["notes"]
 
+    @pytest.mark.parametrize("case_args", [
+        ["--case", "3", "--tau", "0"], ["--case", "5", "--tau=-1"]])
+    def test_large_rho_reads_overflow_as_inf(self, case_args, capsys):
+        # n^rho overflows at n = 6 (6^400): that row's nu/(4 n^rho) reads 0,
+        # so it is ineligible with a finite bound, and the rows before it
+        # keep their bytes
+        base = ["verify", "--q", "0.5", "--z", "2", "--theta", "0.5", "--assume-irrational",
+                "--rho", "400"]
+        assert run_cli(base + case_args + ["--nmax", "5"]) == 3
+        head = capsys.readouterr().out
+        assert run_cli(base + case_args + ["--nmax", "10"]) == 3
+        captured = capsys.readouterr()
+        assert "Numerical result out of range" not in captured.err
+        assert captured.out.startswith(head)
+        rows = list(csv.DictReader(captured.out.splitlines()))
+        assert [int(r["n"]) for r in rows] == [1, 2, 4, 6]
+        last = rows[-1]
+        assert last["eligible"] == "false" and math.isfinite(float(last["bound"]))
+        assert " n^rho): FAIL" in last["notes"]
+
     def test_byte_stability(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argsA = ["verify", "--case", "1", "--q", "0.5", "--z", "1", "--tau", "1",
