@@ -57,6 +57,9 @@ NOISE_FLOOR = 1e-13
 # Operational margin for every asymptotic "<<": left <= right / MARGIN.
 MARGIN = 4.0
 
+# Regimes certified at searched witness degrees (cases 1, 2, 4 take a dense grid).
+WITNESS_CASES = (3, 5, 6, 7)
+
 # The side-condition names, but for the row's own values (nu, the bound)
 _NU_FLOOR = f" >= 2*{MARGIN:.0f}"
 _AQ_NU_CAP = f"nu <= n^min(1,rho)/(8*{MARGIN:.0f})"
@@ -102,7 +105,7 @@ def nu_n(case_id: int, n: int, tau: float, q: float) -> int:
         if not (-2.0 < tau < 0.0):
             raise DomainError(f"case 4 cutoff needs -2 < tau < 0, got {tau}")
         return min(math.floor((2.0 + tau) * n / 8.0), math.floor(-tau * n / 8.0))
-    if case_id in (3, 5, 6, 7):
+    if case_id in WITNESS_CASES:
         ln = math.log(n)
         return math.floor(q ** 4 * ln * ln / (1.0 + math.log(1.0 / q)))
     raise DomainError(f"no cutoff is defined for case {case_id}")
@@ -447,13 +450,13 @@ def run_verify(ctx: QContext, sp: ScalingParameter, *,
     cid = case_id if case_id is not None else classify_case(sp)
     _require_case(sp, cid)
 
-    if cid in (1, 2, 4):
+    if cid not in WITNESS_CASES:
         if not n_values:
             raise DomainError("this case needs an explicit n grid")
         return [_evaluate(ctx, sp, n, cid) for n in sorted(n_values) if cid != 4 or n >= 1]
 
-    top = n_max or DEFAULT_NMAX
-    if n_values and not n_max:  # a range's top is an end point: max() walks it all
+    top = DEFAULT_NMAX if n_max is None else n_max
+    if n_values and n_max is None:  # a range's top is an end point: max() walks it all
         top = (max(n_values[0], n_values[-1]) if isinstance(n_values, range)
                else max(n_values))
     angle, r = witness_plan(cid, sp, beta, rho)
@@ -500,6 +503,6 @@ def predicted_decay(case_id: int, ctx: QContext, sp: ScalingParameter,
         return "exp_n", 0.5 * rate * ctx.log_q
     if case_id == 2:
         return "exp_n", 0.5 * ctx.log_q
-    if case_id in (3, 5, 6, 7):
+    if case_id in WITNESS_CASES:
         return "pow_n", -rho
     raise DomainError(f"no prediction for case {case_id}")

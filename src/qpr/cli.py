@@ -34,6 +34,7 @@ from typing import Sequence
 
 from .asymptotics import (
     RegimeReport,
+    WITNESS_CASES,
     classify_case,
     fit_decay_slope,
     predicted_decay,
@@ -199,15 +200,9 @@ def _parse_n_range(text: str, step: int) -> range:
     return range(lo, hi + 1, step)
 
 
-def _assume(args) -> str | None:
-    if args.assume_rational:
-        return "rational"
-    return "irrational" if args.assume_irrational else None
-
-
 def _scaling(args) -> ScalingParameter:
-    return ScalingParameter(parse_real(args.tau, assume=_assume(args)),
-                            parse_real(args.theta, assume=_assume(args)))
+    return ScalingParameter(parse_real(args.tau, assume=args.assume),
+                            parse_real(args.theta, assume=args.assume))
 
 
 def _context(args) -> QContext:
@@ -289,12 +284,12 @@ def cmd_verify(args) -> int:
 def cmd_witness(args) -> int:
     # an undeclared free decimal is a usage error, as in verify: the
     # declaration decides whether the residuals are exact
-    th1 = parse_real(args.theta, assume=_assume(args))
+    th1 = parse_real(args.theta, assume=args.assume)
     th1.declared_rational()
     joint = args.theta2 is not None
     rho = args.rho if args.rho is not None else default_rho(th1, args.beta, joint=joint)
     if joint:
-        th2 = parse_real(args.theta2, assume=_assume(args))
+        th2 = parse_real(args.theta2, assume=args.assume)
         th2.declared_rational()
         wits = joint_witness_search(th1, th2, args.beta, args.beta2, rho, args.nmax)
     else:
@@ -304,11 +299,11 @@ def cmd_witness(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    theta_v = parse_real(args.theta, assume=_assume(args))
+    theta_v = parse_real(args.theta, assume=args.assume)
     ctx = _context(args)
     rows = []
     for tok in args.tau_grid.split(","):
-        tau = parse_real(tok.strip(), assume=_assume(args))
+        tau = parse_real(tok.strip(), assume=args.assume)
         sp = ScalingParameter(tau, theta_v)
         advisory = scaling_range_advisory(tau.value)
         if advisory is not None:
@@ -319,7 +314,7 @@ def cmd_sweep(args) -> int:
         # dense cases need a grid (default 5..40); witness-driven cases scan
         # all witnesses up to --nmax unless a grid is given explicitly
         n_spec = args.n if args.n is not None else (
-            "5..40" if case_id in (1, 2, 4) else None)
+            "5..40" if case_id not in WITNESS_CASES else None)
         n_values = _parse_n_range(n_spec, args.n_step) if n_spec else None
         # resolve the witness exponent once so the fit and the prediction
         # describe the same search
@@ -368,10 +363,11 @@ def _add_scaling_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_assume_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--assume-rational", action="store_true",
-                   help="treat free-decimal tau/theta as exact rationals")
-    p.add_argument("--assume-irrational", action="store_true",
-                   help="treat free-decimal tau/theta as irrational")
+    group = p.add_mutually_exclusive_group()  # contradictory declarations exit 2
+    group.add_argument("--assume-rational", dest="assume", action="store_const",
+                       const="rational", help="treat free-decimal tau/theta as exact rationals")
+    group.add_argument("--assume-irrational", dest="assume", action="store_const",
+                       const="irrational", help="treat free-decimal tau/theta as irrational")
 
 
 def _add_output_args(p: argparse.ArgumentParser) -> None:

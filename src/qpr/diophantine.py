@@ -309,13 +309,6 @@ class DiophantineWitness:
         return r
 
 
-def _beta_pair(beta) -> tuple[Fraction | None, float]:
-    if isinstance(beta, Fraction) or isinstance(beta, int):
-        bf = Fraction(beta)
-        return bf, float(bf)
-    return None, float(beta)
-
-
 def decompose(th: RealValue, n: int, beta: float,
               beta_frac: Fraction | None = None) -> tuple[int, float]:
     """m and residual with n*theta = m + beta + residual, residual in [-1/2, 1/2].
@@ -497,21 +490,70 @@ def _carried(th: RealValue, beta: float,
             residual -= 1.0
 
 
-def _search_args(n_max: int, rho: float, *betas) -> list[tuple[Fraction | None, float]]:
+# n^-rho where it underflows to 0: an exact zero residual still passes
+# |0| < n^-rho, and every nonzero double fails, as against the exact power.
+_LEAST = math.ulp(0.0)
+
+
+def _scan(sides, rho: float, n_max: int) -> list[DiophantineWitness]:
+    """All n in 1..n_max where each of one or two sides (theta, beta) has
+    |n*theta - beta - m| < n^-rho, m the nearest integer.
+
+    The rule holds at every finite rho: an exact zero residual always
+    passes, and rho <= 0 passes every degree (|residual| <= 1/2 < 1), the
+    power being taken at exponent 0 so that it cannot overflow.  Degrees
+    come from _candidates on the lead side, the second when it alone is a
+    surd (so that the scan steps from hit to hit), else the first.  The
+    other side is reduced only where the lead passes, and a second surd's
+    residual is carried along the scan (_carried).  Witnesses come out in
+    increasing n, with m/residual from the first side and m1/residual2
+    from the second.
+    """
+    angles = [as_real_value(theta) for theta, _ in sides]
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     if not math.isfinite(rho):
         raise DomainError(f"rho must be finite, got {rho}")
-    pairs = [_beta_pair(b) for b in betas]
-    for _, b in pairs:
+    legs = []  # (angle, target, exact target or None) per side
+    for th, (_, beta) in zip(angles, sides):
+        frac = Fraction(beta) if isinstance(beta, (int, Fraction)) else None
+        legs.append((th, float(beta if frac is None else frac), frac))
+    for _, b, _ in legs:
         if not (0.0 <= b < 1.0):
             raise DomainError(f"beta must lie in [0,1), got {b}")
-    return pairs
+    th1, th2 = angles[0], angles[-1]
+    swap = th2.kind == "surd" and th1.kind != "surd"
+    lead, *rest = legs[::-1] if swap else legs
+    other = rest[0] if rest else None
+    b1, b2 = legs[0][1], (legs[1][1] if rest else None)
+    follow = m1 = r2 = None
+    if other and lead[0].kind == other[0].kind == "surd":
+        follow = _carried(*other)
+        next(follow)
+    exact = all(th.exact for th in angles)  # exact angles are trusted at every n
+    power = -max(rho, 0.0)
+    out: list[DiophantineWitness] = []
+    append = out.append
+    for n, m, r in _candidates(*lead, rho, n_max, follow):
+        thr = n ** power or _LEAST
+        if abs(r) >= thr:
+            continue
+        if other is not None:
+            m1, r2 = decompose(other[0], n, other[1], other[2])
+            if abs(r2) >= thr:
+                continue
+            if swap:
+                m, r, m1, r2 = m1, r2, m, r
+        append(DiophantineWitness(
+            n, m, m1, b1, r, rho,
+            exact or (_trusted(th1, r, n) and (r2 is None or _trusted(th2, r2, n))),
+            b2, r2))
+    return out
 
 
 def witness_search(theta: RealValue | Fraction | int, beta, rho: float,
                    n_max: int) -> list[DiophantineWitness]:
-    """All n in 1..n_max with |n*theta - beta - m| < n^-rho, m = nearest integer.
+    """All n in 1..n_max with |n*theta - beta - m| < n^-rho (_scan of one side).
 
     For a surd theta the cost grows with the number of hits (three-gap
     stepping, see _candidates) and n*theta is reduced exactly only near a
@@ -519,58 +561,15 @@ def witness_search(theta: RealValue | Fraction | int, beta, rho: float,
     result is a valid return (rho may simply be too ambitious for this
     range).
     """
-    th = as_real_value(theta)
-    [(beta_frac, beta_f)] = _search_args(n_max, rho, beta)
-    # for rho <= 0 every degree is a witness (|residual| <= 1/2 < 1 <= n^-rho),
-    # and the power, which overflows for rho far below 0, is not taken
-    every = rho <= 0.0
-    exact = th.exact  # exact angles are trusted at every n
-    out: list[DiophantineWitness] = []
-    append = out.append
-    for n, m, residual in _candidates(th, beta_f, beta_frac, rho, n_max):
-        if every or abs(residual) < n ** -rho:
-            append(DiophantineWitness(n, m, None, beta_f, residual, rho,
-                                      exact or _trusted(th, residual, n)))
-    return out
+    return _scan(((theta, beta),), rho, n_max)
 
 
 def joint_witness_search(theta1, theta2, beta1, beta2, rho: float,
                          n_max: int) -> list[DiophantineWitness]:
-    """Simultaneous acceptance: both residuals below n^-rho at the same n.
-
-    Degrees are enumerated as in witness_search on theta2 when it alone is
-    a surd, so that the scan steps from hit to hit, and on theta1 otherwise;
-    the other angle is reduced exactly only at the hits.  When both angles
-    are surds, the other one's residual is carried along the scan
-    (_carried), so that the hits are those near both angles' windows.
-    Witnesses come out in increasing n either way, with m/residual from
-    theta1 and m1/residual2 from theta2."""
-    th1 = as_real_value(theta1)
-    th2 = as_real_value(theta2)
-    (b1_frac, b1), (b2_frac, b2) = _search_args(n_max, rho, beta1, beta2)
-    sides = [(th1, b1, b1_frac), (th2, b2, b2_frac)]
-    swap = th2.kind == "surd" and th1.kind != "surd"
-    lead, (other, b_other, b_other_frac) = sides[::-1] if swap else sides
-    follow = None
-    if lead[0].kind == other.kind == "surd":
-        follow = _carried(other, b_other, b_other_frac)
-        next(follow)
-    every = rho <= 0.0  # as in witness_search
-    exact = th1.exact and th2.exact
-    out: list[DiophantineWitness] = []
-    for n, m_lead, r_lead in _candidates(*lead, rho, n_max, follow):
-        thr = math.inf if every else n ** -rho
-        if abs(r_lead) >= thr:
-            continue
-        m_other, r_other = decompose(other, n, b_other, b_other_frac)
-        if abs(r_other) >= thr:
-            continue
-        hits = [(m_lead, r_lead), (m_other, r_other)]
-        (m, r1), (m1, r2) = hits[::-1] if swap else hits
-        out.append(DiophantineWitness(
-            n, m, m1, b1, r1, rho,
-            exact or (_trusted(th1, r1, n) and _trusted(th2, r2, n)), b2, r2))
-    return out
+    """Simultaneous acceptance: both residuals below n^-rho at the same n
+    (_scan of two sides), with m/residual from theta1 and m1/residual2 from
+    theta2."""
+    return _scan(((theta1, beta1), (theta2, beta2)), rho, n_max)
 
 
 # Top degree of a witness search when none is given.

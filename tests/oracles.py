@@ -282,7 +282,8 @@ def half_sum_normalizer(n: int, alpha: int, q: Fraction, z, tau: Fraction,
 def linear_witness_search(theta, beta, rho: float, n_max: int, lo: int = 1) -> list:
     """Witnesses by testing every degree lo..n_max in turn: the reference that
     qpr.diophantine.witness_search must equal whatever it enumerates (on
-    the window [lo, n_max] of its degrees)."""
+    the window [lo, n_max] of its degrees).  A residual of exactly 0 passes
+    |0| < n^-rho at every finite rho, also where n^-rho underflows to 0."""
     from qpr.diophantine import DiophantineWitness, as_real_value, decompose
     th = as_real_value(theta)
     beta_frac = Fraction(beta) if isinstance(beta, (int, Fraction)) else None
@@ -290,7 +291,7 @@ def linear_witness_search(theta, beta, rho: float, n_max: int, lo: int = 1) -> l
     out = []
     for n in range(lo, n_max + 1):
         m, residual = decompose(th, n, beta_f, beta_frac)
-        if abs(residual) < n ** (-rho):
+        if residual == 0.0 or abs(residual) < n ** (-rho):
             out.append(DiophantineWitness(n=n, m=m, m1=None, target_beta=beta_f,
                                           residual=residual, rho=rho,
                                           trusted=th.exact))
@@ -299,8 +300,9 @@ def linear_witness_search(theta, beta, rho: float, n_max: int, lo: int = 1) -> l
 
 def linear_joint_witness_search(theta1, theta2, beta1, beta2, rho: float,
                                 n_max: int, lo: int = 1) -> list:
-    """Joint witnesses by testing every degree lo..n_max on both angles; a
-    float angle's residual is trusted by qpr's own rule (_trusted)."""
+    """Joint witnesses by testing every degree lo..n_max on both angles, each
+    by linear_witness_search's rule; a float angle's residual is trusted by
+    qpr's own rule (_trusted)."""
     from qpr.diophantine import DiophantineWitness, _trusted, as_real_value, decompose
     th1, th2 = as_real_value(theta1), as_real_value(theta2)
     pairs = [(Fraction(b) if isinstance(b, (int, Fraction)) else None, float(b))
@@ -310,7 +312,7 @@ def linear_joint_witness_search(theta1, theta2, beta1, beta2, rho: float,
         thr = n ** (-rho)
         m, r1 = decompose(th1, n, pairs[0][1], pairs[0][0])
         m1, r2 = decompose(th2, n, pairs[1][1], pairs[1][0])
-        if abs(r1) < thr and abs(r2) < thr:
+        if (r1 == 0.0 or abs(r1) < thr) and (r2 == 0.0 or abs(r2) < thr):
             out.append(DiophantineWitness(n=n, m=m, m1=m1, target_beta=pairs[0][1],
                                           residual=r1, rho=rho,
                                           trusted=_trusted(th1, r1, n) and _trusted(th2, r2, n),

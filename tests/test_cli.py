@@ -205,9 +205,10 @@ class TestVerify:
     @pytest.mark.parametrize("case_args", [
         ["--case", "3", "--tau", "0"], ["--case", "5", "--tau=-1"]])
     def test_large_rho_reads_overflow_as_inf(self, case_args, capsys):
-        # n^rho overflows at n = 6 (6^400): that row's nu/(4 n^rho) reads 0,
-        # so it is ineligible with a finite bound, and the rows before it
-        # keep their bytes
+        # n^rho overflows from n = 6 on (6^400): those rows' nu/(4 n^rho)
+        # reads 0, so they are ineligible with a finite bound, and the rows
+        # before them keep their bytes; 8 and 10 are witnesses, with a
+        # residual of exactly 0, although n^-400 underflows there
         base = ["verify", "--q", "0.5", "--z", "2", "--theta", "0.5", "--assume-irrational",
                 "--rho", "400"]
         assert run_cli(base + case_args + ["--nmax", "5"]) == 3
@@ -217,7 +218,7 @@ class TestVerify:
         assert "Numerical result out of range" not in captured.err
         assert captured.out.startswith(head)
         rows = list(csv.DictReader(captured.out.splitlines()))
-        assert [int(r["n"]) for r in rows] == [1, 2, 4, 6]
+        assert [int(r["n"]) for r in rows] == [1, 2, 4, 6, 8, 10]
         last = rows[-1]
         assert last["eligible"] == "false" and math.isfinite(float(last["bound"]))
         assert " n^rho): FAIL" in last["notes"]
@@ -310,6 +311,16 @@ class TestWitness:
         assert "3,1,,0.0,-0.1,0.5\n" in capsys.readouterr().out
         assert run_cli(argv + ["--assume-irrational"]) == 0
         assert "3,1,,0.0,-0.10000000000000009,0.5\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, degrees", [
+        (["--theta", "0.5", "--assume-irrational"], [1, 2, 4, 6, 8, 10, 12]),
+        (["--theta", "1/2", "--theta2", "1/4"], [1, 4, 8, 12])])
+    def test_zero_residual_passes_at_large_rho(self, argv, degrees, capsys):
+        # n^-400 underflows to 0 from n = 7 on; |0| < n^-400 still holds
+        assert run_cli(["witness", "--beta", "0", "--rho", "400", "--nmax", "12"]
+                       + argv) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert [int(r["n"]) for r in rows] == degrees
 
     def test_empty_exit3(self, tmp_path):
         out = tmp_path / "w.csv"
@@ -424,6 +435,43 @@ class TestOneParser:
         capsys.readouterr()
         assert run_cli(base) == 2
         assert "rationality of '0.41' is undeclared" in capsys.readouterr().err
+
+
+class TestSearchLimit:
+    def test_zero_is_usage_error_in_every_subcommand(self, capsys):
+        # with or without a degree grid, --nmax 0 scans nothing: it neither
+        # falls back to the default limit nor to the grid's top
+        runs = [
+            ["verify", "--case", "3", "--q", "0.5", "--tau", "0", "--theta", "sqrt2"],
+            ["verify", "--case", "3", "--q", "0.5", "--tau", "0", "--theta", "sqrt2",
+             "--n", "5..40"],
+            ["sweep", "--q", "0.5", "--tau-grid", "0", "--theta", "sqrt2"],
+            ["sweep", "--q", "0.5", "--tau-grid", "0", "--theta", "sqrt2", "--n", "5..40"],
+            ["witness", "--theta", "sqrt2"],
+            ["witness", "--theta", "sqrt2", "--theta2", "sqrt3"],
+        ]
+        for argv in runs:
+            assert run_cli(argv + ["--nmax", "0"]) == 2, argv
+            captured = capsys.readouterr()
+            assert "n_max must be >= 1" in captured.err
+            assert captured.out == ""
+
+
+class TestContradictoryDeclarations:
+    @pytest.mark.parametrize("argv", [
+        ["eval", "theta", "--q", "0.5"],
+        ["verify", "--q", "0.5", "--tau", "0", "--theta", "0.41", "--rho", "1",
+         "--nmax", "20"],
+        ["witness", "--theta", "0.3", "--rho", "0.5", "--nmax", "4"],
+        ["sweep", "--q", "0.5", "--tau-grid", "0.5", "--theta", "0"],
+    ])
+    def test_both_assumptions_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as e:
+            run_cli(argv + ["--assume-rational", "--assume-irrational"])
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert "not allowed with argument" in captured.err
+        assert captured.out == ""
 
 
 class TestSeriesArgumentOutOfRange:

@@ -285,6 +285,36 @@ class TestJointSearch:
         assert [w.n for w in wits] == list(range(1, 41))
 
 
+class TestZeroResidual:
+    """A residual of exactly 0 passes |0| < n^-rho at every finite rho, also
+    from n = 7 on at rho = 400, where n^-400 underflows to 0."""
+
+    @pytest.mark.parametrize("theta, beta", [
+        (F(1, 4), F(1, 4)), (F(1, 4), 0.25),
+        (RealValue.from_float(0.25, assumed_rational=False), 0.25)])
+    def test_single(self, theta, beta):
+        # n = 1 passes by 1^-400 = 1, every n = 1 mod 4 by its zero residual
+        wits = witness_search(theta, beta, 400.0, 40)
+        assert [w.n for w in wits] == list(range(1, 41, 4))
+        assert all(w.residual == 0.0 for w in wits)
+        assert _key(wits) == _key(oracles.linear_witness_search(theta, beta, 400.0, 40))
+
+    def test_float_kind_zero_residual_is_untrusted(self):
+        th = RealValue.from_float(0.5, assumed_rational=False)
+        wits = witness_search(th, 0.0, 400.0, 12)
+        assert [w.n for w in wits] == [1, 2, 4, 6, 8, 10, 12]
+        assert [w.trusted for w in wits] == [True] + [False] * 6
+
+    @pytest.mark.parametrize("theta2", [
+        F(1, 4), RealValue.from_float(0.25, assumed_rational=True)])
+    def test_joint(self, theta2):
+        # n = 1 passes by 1^-400 = 1 on both angles; then n = 0 mod 4
+        wits = joint_witness_search(F(1, 2), theta2, 0, 0, 400.0, 24)
+        assert [w.n for w in wits] == [1, 4, 8, 12, 16, 20, 24]
+        want = oracles.linear_joint_witness_search(F(1, 2), theta2, 0, 0, 400.0, 24)
+        assert _key(wits) == _key(want)
+
+
 class TestFixtures:
     def test_sqrt2_declared_measure(self):
         assert fixture_irrationals()["sqrt2"].irrationality_measure == 2.0
