@@ -24,11 +24,11 @@ from .qseries import (
     theta_triple_product,
 )
 from .diophantine import (
+    FIXTURES,
     DiophantineWitness,
     RealValue,
     chi,
     convergents,
-    fixture_irrationals,
     floor_frac,
     joint_witness_search,
     parse_real,
@@ -66,8 +66,8 @@ __all__ = [
     "QContext", "b_function", "pochhammer", "ramanujan_a",
     "ramanujan_a_deriv", "remainder_r1", "remainder_r2", "theta",
     "theta_triple_product",
-    "DiophantineWitness", "RealValue", "chi", "convergents",
-    "fixture_irrationals", "floor_frac", "joint_witness_search",
+    "FIXTURES", "DiophantineWitness", "RealValue", "chi", "convergents",
+    "floor_frac", "joint_witness_search",
     "parse_real", "witness_search",
     "ScalingParameter", "SplitSumResult", "factor_e", "factor_f",
     "laguerre_direct", "laguerre_scaled_lp", "normalized_laguerre",

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .diophantine import DEFAULT_NMAX, DiophantineWitness, RealValue, chi, decompose, \
+from .diophantine import DiophantineWitness, RealValue, check_search, chi, decompose, \
     default_rho, joint_witness_search, witness_search
 from .numerics import TWO_PI, DomainError, LogPolarComplex, Majorant, abs_or_inf, exp_or_inf, \
     lp, lp_from_complex, lp_mul, pow_or_inf, sum_rescaled
@@ -445,17 +445,19 @@ def run_verify(ctx: QContext, sp: ScalingParameter, *,
 
     Cases 1, 2, 4 run at every requested n (case 4 from n = 1).  Cases 3,
     5, 6, 7 run at the witnesses found up to n_max (default: top of the n
-    grid, else DEFAULT_NMAX), optionally intersected with an explicit n grid.
+    grid, else the search's default), optionally intersected with an
+    explicit n grid.  The search settings are checked in every case.
     """
     cid = case_id if case_id is not None else classify_case(sp)
     _require_case(sp, cid)
+    check_search((beta, beta2), rho, n_max)
 
     if cid not in WITNESS_CASES:
         if not n_values:
             raise DomainError("this case needs an explicit n grid")
         return [_evaluate(ctx, sp, n, cid) for n in sorted(n_values) if cid != 4 or n >= 1]
 
-    top = DEFAULT_NMAX if n_max is None else n_max
+    top = n_max
     if n_values and n_max is None:  # a range's top is an end point: max() walks it all
         top = (max(n_values[0], n_values[-1]) if isinstance(n_values, range)
                else max(n_values))

@@ -43,7 +43,6 @@ from .asymptotics import (
     witness_plan,
 )
 from .diophantine import (
-    DEFAULT_NMAX,
     DiophantineWitness,
     default_rho,
     joint_witness_search,
@@ -112,8 +111,11 @@ def _write_rows(columns: list[str], rows: list[dict], fmt: str, output: str | No
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write --output {output!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -370,6 +372,18 @@ def _add_assume_args(p: argparse.ArgumentParser) -> None:
                        const="irrational", help="treat free-decimal tau/theta as irrational")
 
 
+def _add_search_args(p: argparse.ArgumentParser, joint: bool) -> None:
+    p.add_argument("--beta", type=_beta_value, default=Fraction(0),
+                   help="witness target in [0,1); accepts a/b or decimal")
+    if joint:
+        p.add_argument("--beta2", type=_beta_value, default=Fraction(0),
+                       help="second witness target (joint search, case 7)")
+    p.add_argument("--rho", type=float, default=None,
+                   help="witness exponent (default: by angle and target)")
+    p.add_argument("--nmax", type=int, default=None,
+                   help="witness search limit >= 1 (default: top of --n, else the search default)")
+
+
 def _add_output_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", type=str, default=None, help="write to file instead of stdout")
@@ -406,12 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="regime 1..7, or auto to dispatch from declarations")
     pv.add_argument("--n", type=str, default=None, help="degree grid 'lo..hi'")
     pv.add_argument("--n-step", type=int, default=1, help="stride through the grid")
-    pv.add_argument("--beta", type=_beta_value, default=Fraction(0),
-                    help="witness target in [0,1); accepts a/b or decimal")
-    pv.add_argument("--beta2", type=_beta_value, default=Fraction(0),
-                    help="second witness target (case 7)")
-    pv.add_argument("--rho", type=float, default=None, help="witness exponent")
-    pv.add_argument("--nmax", type=int, default=None, help="witness search limit")
+    _add_search_args(pv, joint=True)
     _add_output_args(pv)
     pv.set_defaults(func=cmd_verify)
 
@@ -424,10 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--theta", type=str, required=True)
     pw.add_argument("--theta2", type=str, default=None,
                     help="second angle for a joint search")
-    pw.add_argument("--beta", type=_beta_value, default=Fraction(0))
-    pw.add_argument("--beta2", type=_beta_value, default=Fraction(0))
-    pw.add_argument("--rho", type=float, default=None)
-    pw.add_argument("--nmax", type=int, default=DEFAULT_NMAX)
+    _add_search_args(pw, joint=True)
     _add_assume_args(pw)
     _add_output_args(pw)
     pw.set_defaults(func=cmd_witness)
@@ -445,9 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--n", type=str, default=None,
                     help="degree grid; defaults to 5..40 for dense regimes")
     ps.add_argument("--n-step", type=int, default=1)
-    ps.add_argument("--beta", type=_beta_value, default=Fraction(0))
-    ps.add_argument("--rho", type=float, default=None)
-    ps.add_argument("--nmax", type=int, default=None)
+    _add_search_args(ps, joint=False)
     _add_output_args(ps)
     ps.set_defaults(func=cmd_sweep)
     return top

@@ -58,7 +58,7 @@ class RealValue:
     kind: str
     fraction: Fraction | None = None
     surd: tuple[int, int, int, int] | None = None
-    approx: float = 0.0
+    value: float = 0.0
     assumed_rational: bool | None = None
     label: str = ""
 
@@ -67,7 +67,7 @@ class RealValue:
     @staticmethod
     def from_rational(x: Fraction | int | str, label: str = "") -> "RealValue":
         f = Fraction(x)
-        return RealValue(kind="rational", fraction=f, approx=float(f),
+        return RealValue(kind="rational", fraction=f, value=float(f),
                          label=label or str(f))
 
     @staticmethod
@@ -81,21 +81,16 @@ class RealValue:
             return RealValue.from_rational(Fraction(a + b * r, c), label=label)
         if c < 0:
             a, b, c = -a, -b, -c
-        approx = (a + b * math.sqrt(d)) / c
-        return RealValue(kind="surd", surd=(a, b, c, d), approx=approx,
+        return RealValue(kind="surd", surd=(a, b, c, d), value=(a + b * math.sqrt(d)) / c,
                          label=label or f"({a}+{b}*sqrt({d}))/{c}")
 
     @staticmethod
     def from_float(x: float, assumed_rational: bool | None = None,
                    label: str = "") -> "RealValue":
-        return RealValue(kind="float", approx=float(x),
+        return RealValue(kind="float", value=float(x),
                          assumed_rational=assumed_rational, label=label or repr(float(x)))
 
     # -- basic queries -------------------------------------------------
-
-    @property
-    def value(self) -> float:
-        return self.approx
 
     @property
     def exact(self) -> bool:
@@ -118,7 +113,7 @@ class RealValue:
             return self.fraction == 0
         if self.kind == "surd":
             return False
-        return self.approx == 0.0
+        return self.value == 0.0
 
     def neg(self) -> "RealValue":
         if self.kind == "rational":
@@ -126,7 +121,7 @@ class RealValue:
         if self.kind == "surd":
             a, b, c, d = self.surd
             return RealValue.from_surd(-a, -b, c, d, label=f"-({self.label})")
-        return RealValue.from_float(-self.approx, self.assumed_rational,
+        return RealValue.from_float(-self.value, self.assumed_rational,
                                     label=f"-({self.label})")
 
     # -- exact reduction of n*x ----------------------------------------
@@ -165,7 +160,7 @@ class RealValue:
             if frac >= 1.0:
                 frac = math.nextafter(1.0, 0.0)
             return f, frac
-        return floor_frac(n * self.approx)
+        return floor_frac(n * self.value)
 
 
 def as_real_value(x) -> RealValue:
@@ -184,22 +179,32 @@ def as_real_value(x) -> RealValue:
     raise DomainError(f"cannot interpret {x!r} as a real parameter")
 
 
-_FIXTURE_TOKENS = ("sqrt2", "sqrt3", "golden", "phi", "liouville")
+# The named reals, built once.  The quadratic surds have irrationality measure
+# exactly 2; liouville is the rational truncation sum_{k=1}^{4} 10^(-k!) of
+# Liouville's constant, whose infinite measure is that of the limit.
+FIXTURES = {
+    "sqrt2": RealValue.from_surd(0, 1, 1, 2, label="sqrt2"),
+    "sqrt3": RealValue.from_surd(0, 1, 1, 3, label="sqrt3"),
+    "golden": RealValue.from_surd(1, 1, 2, 5, label="golden"),
+    "liouville": RealValue.from_rational(
+        sum(Fraction(1, 10 ** math.factorial(k)) for k in range(1, 5)), label="liouville[4]"),
+}
 
 
 def parse_real(token: str, assume: str | None = None) -> RealValue:
-    """Parse a CLI-style real token: fixture name, 'a/b', integer, or decimal.
+    """Parse a CLI-style real token: a FIXTURES name (phi for golden, -name
+    for its negation), 'a/b', integer, or decimal.
 
     Free decimals are only accepted when assume is 'rational' or
     'irrational'; rationality drives case dispatch and cannot be guessed
     from a double.
     """
     t = token.strip().lower()
-    neg = t.startswith("-") and t[1:] in _FIXTURE_TOKENS
+    neg = t[:1] == "-"
     name = t[1:] if neg else t
-    if name in _FIXTURE_TOKENS:
-        fx = fixture_irrationals()["golden" if name == "phi" else name]
-        return fx.value.neg() if neg else fx.value
+    fixture = FIXTURES.get("golden" if name == "phi" else name)
+    if fixture is not None:
+        return fixture.neg() if neg else fixture
     if "." not in t and "e" not in t:  # integer or a/b: exact by syntax
         try:
             return RealValue.from_rational(Fraction(t), label=token.strip())
@@ -217,47 +222,6 @@ def parse_real(token: str, assume: str | None = None) -> RealValue:
     return RealValue.from_float(x, assumed_rational=None, label=token.strip())
 
 
-@dataclass(frozen=True)
-class IrrationalFixture:
-    name: str
-    value: RealValue
-    irrationality_measure: float
-    truncation_depth: int | None = None
-    note: str = ""
-
-
-def liouville_truncated(depth: int = 4) -> Fraction:
-    """sum_{k=1}^{depth} 10^(-k!), an exact rational stand-in whose limit is
-    approximable to every polynomial order."""
-    if depth < 1:
-        raise DomainError("truncation depth must be >= 1")
-    return sum(Fraction(1, 10 ** math.factorial(k)) for k in range(1, depth + 1))
-
-
-def fixture_irrationals(liouville_depth: int = 4) -> dict[str, IrrationalFixture]:
-    """Named constants for tests and the CLI.
-
-    The quadratic surds carry irrationality measure exactly 2; the Liouville
-    entry is a rational truncation (measure of its limit is infinite) and
-    records its depth.
-    """
-    return {
-        "sqrt2": IrrationalFixture(
-            "sqrt2", RealValue.from_surd(0, 1, 1, 2, label="sqrt2"), 2.0),
-        "sqrt3": IrrationalFixture(
-            "sqrt3", RealValue.from_surd(0, 1, 1, 3, label="sqrt3"), 2.0),
-        "golden": IrrationalFixture(
-            "golden", RealValue.from_surd(1, 1, 2, 5, label="golden"), 2.0),
-        "liouville": IrrationalFixture(
-            "liouville",
-            RealValue.from_rational(liouville_truncated(liouville_depth),
-                                    label=f"liouville[{liouville_depth}]"),
-            math.inf,
-            truncation_depth=liouville_depth,
-            note="rational truncation; the declared measure is that of the limit"),
-    }
-
-
 def convergents(theta: RealValue | Fraction | int | float, count: int) -> list[tuple[int, int]]:
     """Continued-fraction convergents p/q with |theta - p/q| < 1/q^2.
 
@@ -266,15 +230,12 @@ def convergents(theta: RealValue | Fraction | int | float, count: int) -> list[t
     """
     if count < 1:
         raise DomainError("count must be >= 1")
-    if isinstance(theta, float) and not isinstance(theta, bool):
-        th = RealValue.from_float(theta)
-    else:
-        th = as_real_value(theta)
+    th = RealValue.from_float(theta) if isinstance(theta, float) else as_real_value(theta)
     if th.kind == "rational":
         return convergents_rational(th.fraction, count)
     if th.kind == "surd":
         return convergents_surd(th.surd, count)
-    return convergents_float(th.approx, count)
+    return convergents_float(th.value, count)
 
 
 @dataclass(slots=True)
@@ -495,9 +456,32 @@ def _carried(th: RealValue, beta: float,
 _LEAST = math.ulp(0.0)
 
 
-def _scan(sides, rho: float, n_max: int) -> list[DiophantineWitness]:
-    """All n in 1..n_max where each of one or two sides (theta, beta) has
-    |n*theta - beta - m| < n^-rho, m the nearest integer.
+# Top degree of a witness search when none is given.
+DEFAULT_NMAX = 10_000
+
+
+def check_search(betas, rho: float | None,
+                 n_max: int | None) -> list[tuple[float, Fraction | None]]:
+    """The witness targets as (double, exact Fraction or None), once n_max
+    is at least 1, rho finite (either may be None: not given) and every
+    target in [0,1); DomainError otherwise."""
+    if n_max is not None and n_max < 1:
+        raise DomainError("n_max must be >= 1")
+    if rho is not None and not math.isfinite(rho):
+        raise DomainError(f"rho must be finite, got {rho}")
+    targets = []
+    for beta in betas:
+        frac = Fraction(beta) if isinstance(beta, (int, Fraction)) else None
+        b = float(beta if frac is None else frac)
+        if not (0.0 <= b < 1.0):
+            raise DomainError(f"beta must lie in [0,1), got {b}")
+        targets.append((b, frac))
+    return targets
+
+
+def _scan(sides, rho: float, n_max: int | None) -> list[DiophantineWitness]:
+    """All n in 1..n_max (None: DEFAULT_NMAX) where each of one or two sides
+    (theta, beta) has |n*theta - beta - m| < n^-rho, m the nearest integer.
 
     The rule holds at every finite rho: an exact zero residual always
     passes, and rho <= 0 passes every degree (|residual| <= 1/2 < 1), the
@@ -510,17 +494,10 @@ def _scan(sides, rho: float, n_max: int) -> list[DiophantineWitness]:
     from the second.
     """
     angles = [as_real_value(theta) for theta, _ in sides]
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
-    if not math.isfinite(rho):
-        raise DomainError(f"rho must be finite, got {rho}")
-    legs = []  # (angle, target, exact target or None) per side
-    for th, (_, beta) in zip(angles, sides):
-        frac = Fraction(beta) if isinstance(beta, (int, Fraction)) else None
-        legs.append((th, float(beta if frac is None else frac), frac))
-    for _, b, _ in legs:
-        if not (0.0 <= b < 1.0):
-            raise DomainError(f"beta must lie in [0,1), got {b}")
+    targets = check_search([beta for _, beta in sides], rho, n_max)
+    n_max = DEFAULT_NMAX if n_max is None else n_max
+    # (angle, target, exact target or None) per side
+    legs = [(th, *target) for th, target in zip(angles, targets)]
     th1, th2 = angles[0], angles[-1]
     swap = th2.kind == "surd" and th1.kind != "surd"
     lead, *rest = legs[::-1] if swap else legs
@@ -552,7 +529,7 @@ def _scan(sides, rho: float, n_max: int) -> list[DiophantineWitness]:
 
 
 def witness_search(theta: RealValue | Fraction | int, beta, rho: float,
-                   n_max: int) -> list[DiophantineWitness]:
+                   n_max: int | None) -> list[DiophantineWitness]:
     """All n in 1..n_max with |n*theta - beta - m| < n^-rho (_scan of one side).
 
     For a surd theta the cost grows with the number of hits (three-gap
@@ -565,15 +542,11 @@ def witness_search(theta: RealValue | Fraction | int, beta, rho: float,
 
 
 def joint_witness_search(theta1, theta2, beta1, beta2, rho: float,
-                         n_max: int) -> list[DiophantineWitness]:
+                         n_max: int | None) -> list[DiophantineWitness]:
     """Simultaneous acceptance: both residuals below n^-rho at the same n
     (_scan of two sides), with m/residual from theta1 and m1/residual2 from
     theta2."""
     return _scan(((theta1, beta1), (theta2, beta2)), rho, n_max)
-
-
-# Top degree of a witness search when none is given.
-DEFAULT_NMAX = 10_000
 
 
 def default_rho(theta: RealValue, beta: float, joint: bool = False) -> float:

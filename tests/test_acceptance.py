@@ -15,8 +15,7 @@ from fractions import Fraction as F
 
 from qpr.asymptotics import eval_case1, eval_case_aq, eval_case_theta, \
     fit_decay_slope, run_verify
-from qpr.diophantine import RealValue, convergents, fixture_irrationals, \
-    witness_search
+from qpr.diophantine import FIXTURES, RealValue, convergents, witness_search
 from qpr.qlaguerre import ScalingParameter, laguerre_direct, normalizer_lp, \
     scale_point, split_normalizer_lp, split_sums
 from qpr.qseries import QContext, b_function, ramanujan_a, ramanujan_a_deriv, \
@@ -25,8 +24,8 @@ from qpr.qseries import QContext, b_function, ramanujan_a, ramanujan_a_deriv, \
 import oracles
 from oracles import QI
 
-FX = fixture_irrationals()
-SQRT2, SQRT3, GOLDEN = FX["sqrt2"].value, FX["sqrt3"].value, FX["golden"].value
+FX = FIXTURES
+SQRT2, SQRT3, GOLDEN = FX["sqrt2"], FX["sqrt3"], FX["golden"]
 
 
 class _Timer:

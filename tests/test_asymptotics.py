@@ -17,16 +17,16 @@ from qpr.asymptotics import (
     run_verify,
     scaling_range_advisory,
 )
-from qpr.diophantine import DiophantineWitness, RealValue, fixture_irrationals, \
+from qpr.diophantine import FIXTURES, DiophantineWitness, RealValue, \
     joint_witness_search, witness_search
 from qpr.numerics import DomainError
 from qpr.qlaguerre import ScalingParameter
 from qpr.qseries import QContext, b_function, ramanujan_a, theta
 
 
-FX = fixture_irrationals()
-SQRT2 = FX["sqrt2"].value
-SQRT3 = FX["sqrt3"].value
+FX = FIXTURES
+SQRT2 = FX["sqrt2"]
+SQRT3 = FX["sqrt3"]
 
 
 def sp_rat(tau, theta) -> ScalingParameter:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -437,6 +438,18 @@ class TestOneParser:
         assert "rationality of '0.41' is undeclared" in capsys.readouterr().err
 
 
+# runs of the dense cases 1, 2 and 4, which take a degree grid and no search
+DENSE_RUNS = [
+    ["verify", "--case", "1", "--q", "0.5", "--z", "1", "--tau", "1", "--theta", "0",
+     "--n", "5..7"],
+    ["verify", "--case", "2", "--q", "0.5", "--z", "1", "--tau", "0", "--theta", "1/3",
+     "--n", "5..7"],
+    ["verify", "--case", "4", "--q", "0.5", "--z", "1", "--tau=-1", "--theta", "1/3",
+     "--n", "8..9"],
+    ["sweep", "--q", "0.5", "--z", "1", "--tau-grid", "1", "--theta", "0"],
+]
+
+
 class TestSearchLimit:
     def test_zero_is_usage_error_in_every_subcommand(self, capsys):
         # with or without a degree grid, --nmax 0 scans nothing: it neither
@@ -449,12 +462,68 @@ class TestSearchLimit:
             ["sweep", "--q", "0.5", "--tau-grid", "0", "--theta", "sqrt2", "--n", "5..40"],
             ["witness", "--theta", "sqrt2"],
             ["witness", "--theta", "sqrt2", "--theta2", "sqrt3"],
-        ]
+        ] + DENSE_RUNS
         for argv in runs:
             assert run_cli(argv + ["--nmax", "0"]) == 2, argv
             captured = capsys.readouterr()
             assert "n_max must be >= 1" in captured.err
             assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, flags, message", [
+        pytest.param(argv, flags, message, id=f"{' '.join(argv[:3])}-{flags[0]}")
+        for argv in DENSE_RUNS for flags, message in [
+            (["--nmax=-5"], "n_max must be >= 1"),
+            (["--beta", "7"], "beta must lie in [0,1), got 7.0"),
+            (["--beta2", "3/2"], "beta must lie in [0,1), got 1.5"),
+            (["--rho", "nan"], "rho must be finite, got nan"),
+        ] if argv[0] == "verify" or flags[0] != "--beta2"])  # sweep has no --beta2
+    def test_dense_cases_check_the_search_settings(self, argv, flags, message, capsys):
+        # cases 1, 2 and 4 search nothing, yet reject what a search would
+        assert run_cli(argv + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_default_is_10000(self, capsys):
+        # rho = 0 takes every degree, so the last row is the limit
+        argv = ["witness", "--theta", "sqrt2", "--beta", "0.3", "--rho", "0"]
+        assert run_cli(argv) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1].startswith("10000,")
+        assert run_cli(argv + ["--nmax", "10000"]) == 0
+        assert capsys.readouterr().out == out
+
+
+class TestSearchOptions:
+    def test_one_help_text_per_option(self):
+        top = build_parser()
+        commands = next(a for a in top._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        for option in ("--beta", "--rho", "--nmax"):
+            helps = set()
+            for name in ("verify", "witness", "sweep"):
+                sub = commands[name]
+                action = next(a for a in sub._actions if option in a.option_strings)
+                assert action.help
+                assert " ".join(action.help.split()) in " ".join(sub.format_help().split())
+                helps.add(action.help)
+            assert len(helps) == 1, option
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--case", "1", "--q", "0.5", "--tau", "1", "--theta", "0", "--n", "5..7"],
+        ["witness", "--theta", "sqrt2", "--nmax", "5"],
+        ["sweep", "--q", "0.5", "--tau-grid", "1", "--theta", "0"],
+    ])
+    def test_is_usage_error(self, argv, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.csv"
+        assert run_cli(argv + ["--output", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write --output ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not path.parent.exists()
 
 
 class TestContradictoryDeclarations:

@@ -9,16 +9,15 @@ import oracles
 from oracles import orbit
 
 from qpr.diophantine import (
+    FIXTURES,
     DiophantineWitness,
     RealValue,
     chi,
     convergents,
     decompose,
     default_rho,
-    fixture_irrationals,
     floor_frac,
     joint_witness_search,
-    liouville_truncated,
     parse_real,
     witness_search,
 )
@@ -60,7 +59,7 @@ class TestChi:
 
 class TestRealValue:
     def test_surd_fractional_parts_match_float_at_small_n(self):
-        s2 = fixture_irrationals()["sqrt2"].value
+        s2 = FIXTURES["sqrt2"]
         for n in (1, 7, 100, 12345):
             f, r = s2.mul_floor_frac(n)
             assert f == math.floor(n * math.sqrt(2))
@@ -68,14 +67,14 @@ class TestRealValue:
 
     def test_surd_large_n_precision(self):
         # {n*sqrt(2)} at a convergent denominator: residual ~ 1/(2 sqrt(2) n)
-        s2 = fixture_irrationals()["sqrt2"].value
+        s2 = FIXTURES["sqrt2"]
         n = 470832
         f, r = s2.mul_floor_frac(n)
         resid = min(r, 1.0 - r)
         assert abs(resid - 1.0 / ((math.sqrt(2) * n + f) )) < 1e-12
 
     def test_golden_ratio_descriptor(self):
-        g = fixture_irrationals()["golden"].value
+        g = FIXTURES["golden"]
         assert math.isclose(g.value, (1 + math.sqrt(5)) / 2, rel_tol=1e-15)
         f, r = g.mul_floor_frac(10)
         assert f == 16 and math.isclose(r, 10 * (1 + math.sqrt(5)) / 2 - 16, abs_tol=1e-12)
@@ -85,7 +84,7 @@ class TestRealValue:
         assert v.kind == "rational" and v.fraction == F(5, 3)
 
     def test_neg_roundtrip(self):
-        s3 = fixture_irrationals()["sqrt3"].value
+        s3 = FIXTURES["sqrt3"]
         assert math.isclose(s3.neg().value, -math.sqrt(3), rel_tol=1e-15)
         n, r = s3.neg().mul_floor_frac(5)
         assert n + r == pytest.approx(-5 * math.sqrt(3), abs=1e-12)
@@ -190,18 +189,18 @@ class TestOrbit:
         assert distinct == {k / 7 for k in range(7)}
 
     def test_sqrt2_density(self):
-        vals = sorted({r for _, r in orbit(fixture_irrationals()["sqrt2"].value, 10_000)})
+        vals = sorted({r for _, r in orbit(FIXTURES["sqrt2"], 10_000)})
         gaps = [b - a for a, b in zip(vals, vals[1:])]
         assert max(gaps) < 1e-3
 
 
 class TestConvergents:
     def test_sqrt2_prefix(self):
-        got = convergents(fixture_irrationals()["sqrt2"].value, 5)
+        got = convergents(FIXTURES["sqrt2"], 5)
         assert got == [(1, 1), (3, 2), (7, 5), (17, 12), (41, 29)]
 
     def test_golden_is_fibonacci(self):
-        got = convergents(fixture_irrationals()["golden"].value, 8)
+        got = convergents(FIXTURES["golden"], 8)
         fib = [1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
         want = [(fib[i + 1], fib[i]) for i in range(8)]
         assert got == want
@@ -212,9 +211,9 @@ class TestConvergents:
         assert len(got) == 3
 
     def test_quality_bound_for_fixtures(self):
-        for name, fx in fixture_irrationals().items():
-            th = fx.value.value
-            for p, q in convergents(fx.value, 8):
+        for name, fx in FIXTURES.items():
+            th = fx.value
+            for p, q in convergents(fx, 8):
                 assert abs(th - p / q) < 1.0 / q ** 2, (name, p, q)
 
     def test_float_path_tracks_value(self):
@@ -225,7 +224,7 @@ class TestConvergents:
 
 class TestWitnessSearch:
     def test_sqrt2_includes_convergent_row(self):
-        wits = witness_search(fixture_irrationals()["sqrt2"].value, 0.0, 1.0, 100)
+        wits = witness_search(FIXTURES["sqrt2"], 0.0, 1.0, 100)
         by_n = {w.n: w for w in wits}
         assert 12 in by_n
         w = by_n[12]
@@ -234,14 +233,14 @@ class TestWitnessSearch:
         assert abs(w.residual) <= 1.0 / 12
 
     def test_all_convergent_denominators_appear(self):
-        s2 = fixture_irrationals()["sqrt2"].value
+        s2 = FIXTURES["sqrt2"]
         wits = {w.n for w in witness_search(s2, 0.0, 1.0, 100)}
         for _, q in convergents(s2, 6):
             if q <= 100:
                 assert q in wits
 
     def test_inhomogeneous_target_nonempty(self):
-        wits = witness_search(fixture_irrationals()["sqrt2"].value, 0.3, 1.0, 100_000)
+        wits = witness_search(FIXTURES["sqrt2"], 0.3, 1.0, 100_000)
         assert wits
         for w in wits:
             assert abs(w.residual) < w.n ** -1.0
@@ -252,7 +251,7 @@ class TestWitnessSearch:
         assert all(w.residual == 0.0 for w in wits)
 
     def test_witness_identity(self):
-        th = fixture_irrationals()["sqrt3"].value
+        th = FIXTURES["sqrt3"]
         for w in witness_search(th, 0.25, 0.8, 5000):
             assert abs(w.n * math.sqrt(3) - w.m - 0.25 - w.residual) < 1e-9
 
@@ -264,8 +263,7 @@ class TestWitnessSearch:
 
 class TestJointSearch:
     def test_sqrt2_sqrt3_dirichlet_regime(self):
-        fx = fixture_irrationals()
-        wits = joint_witness_search(fx["sqrt2"].value, fx["sqrt3"].value,
+        wits = joint_witness_search(FIXTURES["sqrt2"], FIXTURES["sqrt3"],
                                     0.0, 0.0, 0.4, 10_000)
         assert wits
         for w in wits:
@@ -273,14 +271,13 @@ class TestJointSearch:
             assert abs(w.residual) < thr and abs(w.residual2) < thr
 
     def test_degenerates_to_single_search(self):
-        s2 = fixture_irrationals()["sqrt2"].value
+        s2 = FIXTURES["sqrt2"]
         single = witness_search(s2, 0.0, 1.0, 500)
         joint = joint_witness_search(s2, s2, 0.0, 0.0, 1.0, 500)
         assert [w.n for w in joint] == [w.n for w in single]
 
     def test_rho_zero_accepts_every_n(self):
-        fx = fixture_irrationals()
-        wits = joint_witness_search(fx["sqrt2"].value, fx["sqrt3"].value,
+        wits = joint_witness_search(FIXTURES["sqrt2"], FIXTURES["sqrt3"],
                                     0.0, 0.0, 0.0, 40)
         assert [w.n for w in wits] == list(range(1, 41))
 
@@ -316,29 +313,36 @@ class TestZeroResidual:
 
 
 class TestFixtures:
-    def test_sqrt2_declared_measure(self):
-        assert fixture_irrationals()["sqrt2"].irrationality_measure == 2.0
+    def test_names_parse_to_the_table(self):
+        for name, fixture in FIXTURES.items():
+            assert parse_real(name) is fixture
+            assert parse_real(name.upper()) is fixture
+            assert parse_real(f"-{name}") == fixture.neg()
+        assert parse_real("phi") is FIXTURES["golden"]
+        assert parse_real("-phi") == FIXTURES["golden"].neg()
+
+    def test_same_token_same_object(self):
+        assert parse_real("sqrt2") is parse_real("sqrt2")
+
+    def test_double_minus_is_not_a_name(self):
+        with pytest.raises(DomainError):
+            parse_real("--sqrt2")
 
     def test_liouville_truncation_decimal(self):
-        x = liouville_truncated(4)
+        x = FIXTURES["liouville"].fraction
         assert x == F(110001000000000000000001, 10 ** 24)
         assert f"{float(x):.24f}".startswith("0.110001")
 
-    def test_liouville_records_depth(self):
-        fx = fixture_irrationals()["liouville"]
-        assert fx.truncation_depth == 4
-        assert math.isinf(fx.irrationality_measure)
-
     def test_default_rho(self):
-        fx = fixture_irrationals()
-        assert default_rho(fx["sqrt2"].value, 0.0) == 1.0
-        assert default_rho(fx["sqrt2"].value, 0.3) == 0.5
-        assert default_rho(fx["sqrt2"].value, 0.0, joint=True) == 0.4
+        s2 = FIXTURES["sqrt2"]
+        assert default_rho(s2, 0.0) == 1.0
+        assert default_rho(s2, 0.3) == 0.5
+        assert default_rho(s2, 0.0, joint=True) == 0.4
 
 
 class TestTrust:
     def test_exact_kinds_always_trusted(self):
-        wits = witness_search(fixture_irrationals()["sqrt2"].value, 0.0, 1.0, 10_000)
+        wits = witness_search(FIXTURES["sqrt2"], 0.0, 1.0, 10_000)
         assert all(w.trusted for w in wits)
 
     def test_float_kind_flags_tiny_residuals(self):
@@ -352,10 +356,10 @@ class TestTrust:
 # Angles for the enumeration property: the fixtures, a negated surd, surds
 # with c > 1 and a large radicand, and rationals (scanned linearly).
 ANGLES = [
-    fixture_irrationals()["sqrt2"].value,
-    fixture_irrationals()["sqrt3"].value,
-    fixture_irrationals()["golden"].value,
-    fixture_irrationals()["sqrt2"].value.neg(),
+    FIXTURES["sqrt2"],
+    FIXTURES["sqrt3"],
+    FIXTURES["golden"],
+    FIXTURES["sqrt2"].neg(),
     RealValue.from_surd(1, 3, 7, 5),
     RealValue.from_surd(-2, 1, 3, 7),
     RealValue.from_surd(0, 1, 1, 1_000_001),
@@ -429,7 +433,7 @@ class TestGapStepping:
         orig_decompose = dio.decompose
         monkeypatch.setattr(dio, "decompose", lambda th, n, *a: (
             on_theta1.append(n) if th is one else None) or orig_decompose(th, n, *a))
-        wits = joint_witness_search(one, fixture_irrationals()["sqrt2"].value, F(0), 0.3,
+        wits = joint_witness_search(one, FIXTURES["sqrt2"], F(0), 0.3,
                                     0.5, 1_000_000)
         assert len(wits) > 3000
         assert len(calls) < 2 * len(wits)
@@ -441,7 +445,7 @@ class TestGapStepping:
         orig = RealValue.mul_floor_frac
         monkeypatch.setattr(RealValue, "mul_floor_frac",
                             lambda self, n: calls.append(n) or orig(self, n))
-        wits = witness_search(fixture_irrationals()["sqrt2"].value, 0.3, 0.5, 1_000_000)
+        wits = witness_search(FIXTURES["sqrt2"], 0.3, 0.5, 1_000_000)
         assert len(wits) > 3000
         assert len(calls) < 2 * len(wits)
 
@@ -461,14 +465,14 @@ class TestGapStepping:
         orig = RealValue.mul_floor_frac
         monkeypatch.setattr(RealValue, "mul_floor_frac",
                             lambda self, n: calls.append(n) or orig(self, n))
-        wits = joint_witness_search(fixture_irrationals()["sqrt2"].value,
-                                    fixture_irrationals()["sqrt3"].value, 0, 0, 0.4, 10**6)
+        wits = joint_witness_search(FIXTURES["sqrt2"],
+                                    FIXTURES["sqrt3"], 0, 0, 0.4, 10**6)
         assert len(wits) > 100
         assert len(calls) < 4 * len(wits)
 
     @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
     def test_non_finite_rho_rejected(self, rho):
-        s2 = fixture_irrationals()["sqrt2"].value
+        s2 = FIXTURES["sqrt2"]
         with pytest.raises(DomainError):
             witness_search(s2, 0.5, rho, 10)
         with pytest.raises(DomainError):
@@ -487,7 +491,7 @@ class TestLateWindows:
     @pytest.mark.parametrize("name", ["sqrt2", "sqrt3", "golden"])
     @pytest.mark.parametrize("beta, rho", [(F(2, 7), 0.5), (0.3, 0.5), (F(1, 3), 0.6)])
     def test_single(self, name, beta, rho):
-        theta, n_max = fixture_irrationals()[name].value, 1_000_003
+        theta, n_max = FIXTURES[name], 1_000_003
         lo = n_max - LATE_WINDOW
         want = oracles.linear_witness_search(theta, beta, rho, n_max, lo=lo)
         assert want
@@ -502,7 +506,7 @@ class TestLateWindows:
         (("golden", "sqrt3"), (F(1, 2), F(1, 3)), 0.5, 950_000),
     ])
     def test_joint(self, names, betas, rho, n_max):
-        theta1, theta2 = (fixture_irrationals()[x].value for x in names)
+        theta1, theta2 = (FIXTURES[x] for x in names)
         lo = n_max - LATE_WINDOW
         want = oracles.linear_joint_witness_search(theta1, theta2, *betas, rho, n_max, lo=lo)
         assert want
@@ -516,7 +520,7 @@ class TestLateWindows:
         # surd's carried along the degrees it visits, stay within 1e-13 of
         # decompose's
         import qpr.diophantine as dio
-        s2, s3 = fixture_irrationals()["sqrt2"].value, fixture_irrationals()["sqrt3"].value
+        s2, s3 = FIXTURES["sqrt2"], FIXTURES["sqrt3"]
         beta_frac = beta if isinstance(beta, F) else None
         stepped = []
         step = dio._ThreeGapSteps.step

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qpr.diophantine import RealValue, chi, fixture_irrationals
+from qpr.diophantine import FIXTURES, RealValue, chi
 from qpr.numerics import DomainError, RangeGuardError
 from qpr.qlaguerre import (
     ScalingParameter,
@@ -46,7 +46,7 @@ class TestScalingParameter:
         assert s.imag == 2 * 0.4 * math.pi / math.log(0.5)
 
     def test_declarations_flow_through(self):
-        sp = ScalingParameter(fixture_irrationals()["sqrt2"].value.neg(),
+        sp = ScalingParameter(FIXTURES["sqrt2"].neg(),
                               RealValue.from_rational(0))
         assert sp.tau.declared_rational() is False
         assert sp.theta.declared_rational() is True

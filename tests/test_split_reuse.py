@@ -22,14 +22,14 @@ import pytest
 import qpr.asymptotics as asy
 import qpr.qlaguerre as ql
 from qpr.asymptotics import eval_case_theta, run_verify
-from qpr.diophantine import DiophantineWitness, RealValue, chi, decompose, fixture_irrationals
+from qpr.diophantine import FIXTURES, DiophantineWitness, RealValue, chi, decompose
 from qpr.qlaguerre import ScalingParameter, _saturated_logs, laguerre_scaled_lp, split_sums
 from qpr.qseries import QContext
 
 import oracles
 
-SQRT2 = fixture_irrationals()["sqrt2"].value
-SQRT3 = fixture_irrationals()["sqrt3"].value
+SQRT2 = FIXTURES["sqrt2"]
+SQRT3 = FIXTURES["sqrt3"]
 
 
 def rational(x) -> RealValue:

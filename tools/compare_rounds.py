@@ -15,7 +15,9 @@ perfbench/run.py, each operation is one in-process ``qpr.cli.main(argv)``
 call and a failed parse counts by its SystemExit code.  Use it for
 byte-identity checks of a change that must not alter output.  It also
 prints the line count of the qpr package in both trees (as ``wc -l``
-counts them), so a size figure comes from the same run as the byte check.
+counts them) and each module's lines and tokens (counted by ``tokenize``
+as tests/test_module_size.py counts them, against its 4096 step), so size
+figures come from the same run as the byte check.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tokenize
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -69,15 +72,21 @@ def replay(src: str, out_path: str) -> None:
                         fh.write("\n")
 
 
-def line_count(src: str) -> int:
-    """Newlines in the .py files of the qpr package under src."""
+TOKEN_STEP = 4096  # tests/test_module_size.py: every module stays below it
+
+
+def module_sizes(src: str) -> dict[str, tuple[int, int]]:
+    """Lines (newlines) and tokenize tokens of each .py file of the qpr
+    package under src."""
     pkg = os.path.join(src, "qpr")
-    total = 0
-    for name in os.listdir(pkg):
+    sizes = {}
+    for name in sorted(os.listdir(pkg)):
         if name.endswith(".py"):
-            with open(os.path.join(pkg, name), encoding="utf-8") as fh:
-                total += fh.read().count("\n")
-    return total
+            with open(os.path.join(pkg, name), "rb") as fh:
+                lines = fh.read().count(b"\n")
+                fh.seek(0)
+                sizes[name] = lines, sum(1 for _ in tokenize.tokenize(fh.readline))
+    return sizes
 
 
 def _first_diff(a: str, b: str) -> str:
@@ -115,8 +124,13 @@ def compare(parent_src: str) -> int:
                     if out_a != out_b:
                         print(f"  stdout differs at {_first_diff(out_a, out_b)}")
     print(f"{ops} operations ({replays} of them other-format replays), {differ} differ")
-    print(f"src/qpr lines: parent {line_count(parent_src)}, "
-          f"change {line_count(os.path.join(ROOT, 'src'))}")
+    parent, change = module_sizes(parent_src), module_sizes(os.path.join(ROOT, "src"))
+    print(f"src/qpr lines: parent {sum(v[0] for v in parent.values())}, "
+          f"change {sum(v[0] for v in change.values())}")
+    print(f"lines and tokens (below {TOKEN_STEP}) per module, parent -> change:")
+    for name in sorted(parent.keys() | change.keys()):
+        (la, ta), (lb, tb) = parent.get(name, (0, 0)), change.get(name, (0, 0))
+        print(f"  {name:16} {la:5} -> {lb:5} lines  {ta:5} -> {tb:5} tokens")
     return 1 if differ else 0
 
 
