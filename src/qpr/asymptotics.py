@@ -13,15 +13,16 @@ Regime map (sigma = tau + 2):
       tau irr, theta rat         case 6    ... q^(a+chi(m)+beta) e^(-2 pi i lam)
       tau, theta irrational      case 7    ... q^(a+chi(m)+beta1) e^(-2 pi i beta2)
 
-Each evaluator returns a RegimeReport carrying the exact normalized value,
-the main term, the observed error, the stated error majorant (a
-numerics.Majorant; constants kept verbatim: 7, 48, 30, 96), and an
-eligibility flag.  Eligibility operationalizes the side conditions
-reproducibly: every asymptotic "<<" becomes "left <= right/4", nu_n >= 2 is
-always required, and rows whose bound sits below the double-precision
-certification floor are excluded rather than asserted, as are rows outside
-double range whose majorant has no log form (see _certify).  Violations on
-eligible rows are exactly the failures a certification run must report.
+Each evaluator returns a RegimeReport, whose fields are the verify columns:
+the exact normalized value and the main term in parts, the observed error,
+the stated error majorant (a numerics.Majorant; constants kept verbatim: 7,
+48, 30, 96), an eligibility flag and the notes behind it.  Eligibility
+operationalizes the side conditions reproducibly: every asymptotic "<<"
+becomes "left <= right/4", nu_n >= 2 is always required, and rows whose
+bound sits below the double-precision certification floor are excluded
+rather than asserted, as are rows outside double range whose majorant has no
+log form (see _certify).  Violations on eligible rows are exactly the
+failures a certification run must report.
 
 The majorant prefactors are computed once per context.  The main terms are
 memoized per context on the exact quantities their argument is built from
@@ -39,9 +40,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .diophantine import DiophantineWitness, RealValue, check_search, chi, decompose, \
     default_rho, joint_witness_search, witness_search
@@ -69,28 +69,33 @@ _THETA_TAIL = f"q^nu <= nu/({MARGIN:.0f} n^rho)"
 _CERT_FLOOR = f" >= certification floor {NOISE_FLOOR:.0e}"
 
 
-@dataclass
-class RegimeReport:
-    """One certified comparison at a single degree n."""
+class RegimeReport(NamedTuple):
+    """One certified row at a single degree n: the verify columns in order
+    (the exact value's parts are None outside double range), then the
+    witness the row was certified at, which is not a column."""
 
     case_id: int
     n: int
-    exact: LogPolarComplex
-    main: complex
+    eligible: bool
+    bound_holds: bool
     observed_error: float
     bound: float
-    eligible: bool
-    eligibility_notes: str
-    bound_holds: bool
-    witness: DiophantineWitness | None = None
-    nu: int | None = None
-    m: int | None = None
-    m1: int | None = None
-    meta: str = ""
-
-    @property
-    def exact_complex(self) -> complex:
-        return self.exact.to_complex()
+    main_re: float
+    main_im: float
+    exact_re: float | None
+    exact_im: float | None
+    exact_log10_mag: float
+    exact_phase_rad: float
+    nu: int | None
+    m: int | None
+    m1: int | None
+    beta: float | None
+    residual: float | None
+    beta2: float | None
+    residual2: float | None
+    rho: float | None
+    notes: str
+    witness: DiophantineWitness | None
 
 
 def nu_n(case_id: int, n: int, tau: float, q: float) -> int:
@@ -253,18 +258,21 @@ def _witness_powers(n: int, rho: float) -> tuple[float, float]:
 def _certify(case_id: int, n: int, exact: LogPolarComplex, main: complex,
              majorant: Majorant, conds: list[tuple[str, bool]], *,
              tail: Sequence[tuple[str, bool]] = (), meta: str = "",
-             **fields) -> RegimeReport:
-    """Observed error, verdict, eligibility and notes of one row.
+             witness: DiophantineWitness | None = None, nu: int | None = None,
+             m: int | None = None, m1: int | None = None) -> RegimeReport:
+    """The record of one row: its observed error, verdict, eligibility and
+    notes, beside the exact value, the main term and the witness cells.
 
     A row whose observed error and bound are finite doubles compares them
     as doubles.  Otherwise a majorant with a log form (a log_prefactor)
     compares logarithms, and any other row is ineligible: its comparison
     would only set inf against inf or nan.  conds are the case's side
     conditions; the certification floor follows them, then the
-    informational tail.
+    informational tail.  The notes are the conditions, then meta.
     """
     bound = majorant.bound
-    observed = abs_or_inf(exact.to_complex() - main)
+    value = exact.to_complex()
+    observed = abs_or_inf(value - main)
     holds = observed <= bound
     if not (math.isfinite(observed) and math.isfinite(bound)):
         if majorant.log_prefactor is None:
@@ -280,12 +288,16 @@ def _certify(case_id: int, n: int, exact: LogPolarComplex, main: complex,
             meta = f"{meta}; {note}" if meta else note
     conds.append((f"bound {bound:.3e}{_CERT_FLOOR}", bound >= NOISE_FLOOR))
     conds.extend(tail)
+    notes = "; ".join(f"{name}: {'ok' if flag else 'FAIL'}" for name, flag in conds)
+    finite = cmath.isfinite(value)
+    w = witness
+    cells = ((None,) * 5 if w is None else
+             (w.target_beta, w.residual, w.target_beta2, w.residual2, w.rho))
     return RegimeReport(
-        case_id=case_id, n=n, exact=exact, main=main, observed_error=observed,
-        bound=bound, eligible=all(flag for _, flag in conds),
-        eligibility_notes="; ".join(f"{name}: {'ok' if flag else 'FAIL'}"
-                                    for name, flag in conds),
-        bound_holds=holds, meta=meta, **fields)
+        case_id, n, all(flag for _, flag in conds), holds, observed, bound, main.real,
+        main.imag, value.real if finite else None, value.imag if finite else None,
+        exact.log10_mag(), exact.phase, nu, m, m1, *cells,
+        f"{notes}; {meta}" if meta else notes, witness)
 
 
 # ---------------------------------------------------------------------------

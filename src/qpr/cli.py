@@ -30,7 +30,7 @@ import math
 import sys
 from fractions import Fraction
 from functools import cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .asymptotics import (
     RegimeReport,
@@ -44,6 +44,7 @@ from .asymptotics import (
 )
 from .diophantine import (
     DiophantineWitness,
+    check_search,
     default_rho,
     joint_witness_search,
     parse_real,
@@ -58,20 +59,30 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_NO_ELIGIBLE = 3
 
-VERIFY_COLUMNS = [
-    "case_id", "n", "eligible", "bound_holds", "observed_error", "bound",
-    "main_re", "main_im", "exact_re", "exact_im", "exact_log10_mag",
-    "exact_phase_rad", "nu", "m", "m1", "beta", "residual", "beta2",
-    "residual2", "rho", "notes",
-]
+VERIFY_COLUMNS = RegimeReport._fields[:-1]  # the last field, the witness, is no column
 
 WITNESS_COLUMNS = ["n", "m", "m1", "beta", "residual", "rho"]
 
-SWEEP_COLUMNS = [
-    "tau", "theta", "case_id", "points", "n_lo", "n_hi", "fitted_slope",
-    "predicted_kind", "predicted_slope", "ratio", "first_observed_error",
-    "first_bound",
-]
+
+class SweepRow(NamedTuple):
+    """One sweep row: a tau of the grid, its fit and the predicted decay.
+    The defaults are the row of a tau outside the regimes."""
+
+    tau: float
+    theta: float
+    case_id: int | None = None
+    points: int = 0
+    n_lo: int | None = None
+    n_hi: int | None = None
+    fitted_slope: float | None = None
+    predicted_kind: str = "out-of-range"
+    predicted_slope: float | None = None
+    ratio: float | None = None
+    first_observed_error: float | None = None
+    first_bound: float | None = None
+
+
+SWEEP_COLUMNS = SweepRow._fields
 
 
 def _csv_line(cells: list[str]) -> str:
@@ -85,16 +96,18 @@ def _csv_line(cells: list[str]) -> str:
     return line
 
 
-def _write_rows(columns: list[str], rows: list[dict], fmt: str, output: str | None) -> None:
+def _write_rows(columns: Sequence[str], rows: Sequence[tuple], fmt: str,
+                output: str | None) -> None:
     """The bytes of csv.writer(lineterminator="\\n") and of json.dumps(rows,
     indent=2) + "\\n", built by the C encoder and str.join, for the two or
-    more columns every subcommand has."""
+    more columns every subcommand has.  A row holds its cells in column
+    order; what follows the last column is not a cell."""
     if fmt == "json":
         # indent=2 would select the pure-Python encoder; without indent the C
         # one runs, and its item separator lays out a row's keys as indent=2
         # does, so only the braces and the list around them are placed here
         encode = json.JSONEncoder(separators=(",\n    ", ": ")).encode
-        items = [encode(dict(zip(columns, map(row.get, columns))))[1:-1] for row in rows]
+        items = [encode(dict(zip(columns, row)))[1:-1] for row in rows]
         text = ("[\n  {\n    " + "\n  },\n  {\n    ".join(items) + "\n  }\n]\n"
                 if items else "[]\n")
     else:
@@ -103,7 +116,7 @@ def _write_rows(columns: list[str], rows: list[dict], fmt: str, output: str | No
             # the cells csv.writer is given: None as "", bools as words, and
             # str() of a number, which for a float is csv's repr
             lines.append(_csv_line(["" if v is None else "true" if v is True else "false"
-                                    if v is False else str(v) for v in map(row.get, columns)]))
+                                    if v is False else str(v) for v in row[:len(columns)]]))
         lines.append("")
         text = "\n".join(lines)
     _emit(text, output)
@@ -147,36 +160,6 @@ def _witness_text(wits: list[DiophantineWitness], fmt: str) -> str:
         rows = [f"{w.n}{to_m}{w.m}{to_m1}{w.m1}{to_residual}{w.acceptance!r}{end}"
                 for w in wits]
     return head + sep.join(rows) + tail
-
-
-def _report_row(r: RegimeReport) -> dict:
-    exact = r.exact_complex
-    finite = math.isfinite(exact.real) and math.isfinite(exact.imag)
-    w = r.witness
-    notes = r.eligibility_notes if not r.meta else f"{r.eligibility_notes}; {r.meta}"
-    return {
-        "case_id": r.case_id,
-        "n": r.n,
-        "eligible": r.eligible,
-        "bound_holds": r.bound_holds,
-        "observed_error": r.observed_error,
-        "bound": r.bound,
-        "main_re": r.main.real,
-        "main_im": r.main.imag,
-        "exact_re": exact.real if finite else None,
-        "exact_im": exact.imag if finite else None,
-        "exact_log10_mag": r.exact.log10_mag(),
-        "exact_phase_rad": r.exact.phase,
-        "nu": r.nu,
-        "m": r.m,
-        "m1": r.m1,
-        "beta": w.target_beta if w else None,
-        "residual": w.residual if w else None,
-        "beta2": w.target_beta2 if w else None,
-        "residual2": w.residual2 if w else None,
-        "rho": w.rho if w else None,
-        "notes": notes,
-    }
 
 
 def _beta_value(token: str):
@@ -261,6 +244,7 @@ def cmd_verify(args) -> int:
     ctx = _context(args)
     case_id = None if args.case == "auto" else int(args.case)
     n_values = _parse_n_range(args.n, args.n_step) if args.n else None
+    check_search((args.beta, args.beta2), args.rho, args.nmax)
     advisory = scaling_range_advisory(sp.tau.value)
     if advisory is not None:
         print(f"advisory: {advisory}", file=sys.stderr)
@@ -268,8 +252,7 @@ def cmd_verify(args) -> int:
         return EXIT_NO_ELIGIBLE
     reports = run_verify(ctx, sp, case_id=case_id, n_values=n_values,
                          beta=args.beta, beta2=args.beta2, rho=args.rho, n_max=args.nmax)
-    _write_rows(VERIFY_COLUMNS, [_report_row(r) for r in reports],
-                args.format, args.output)
+    _write_rows(VERIFY_COLUMNS, reports, args.format, args.output)
     eligible = [r for r in reports if r.eligible]
     if not eligible:
         print("no eligible degree in this run", file=sys.stderr)
@@ -303,14 +286,14 @@ def cmd_witness(args) -> int:
 def cmd_sweep(args) -> int:
     theta_v = parse_real(args.theta, assume=args.assume)
     ctx = _context(args)
+    check_search((args.beta,), args.rho, args.nmax)
     rows = []
     for tok in args.tau_grid.split(","):
         tau = parse_real(tok.strip(), assume=args.assume)
         sp = ScalingParameter(tau, theta_v)
         advisory = scaling_range_advisory(tau.value)
         if advisory is not None:
-            rows.append({**dict.fromkeys(SWEEP_COLUMNS), "tau": tau.value,
-                         "theta": theta_v.value, "points": 0, "predicted_kind": "out-of-range"})
+            rows.append(SweepRow(tau.value, theta_v.value))
             continue
         case_id = classify_case(sp)
         # dense cases need a grid (default 5..40); witness-driven cases scan
@@ -326,20 +309,13 @@ def cmd_sweep(args) -> int:
         kind, predicted = predicted_decay(case_id, ctx, sp, rho_eff)
         ns = [r.n for r in reports]
         errs = [r.observed_error for r in reports]
-        fitted = None
         usable = sum(1 for e in errs if e > 0 and math.isfinite(e))
-        if usable >= 2:
-            fitted = fit_decay_slope(ns, errs, log_abscissa=(kind == "pow_n"))
-        ratio = (fitted / predicted) if (fitted is not None and predicted != 0) else None
-        rows.append({
-            "tau": tau.value, "theta": theta_v.value, "case_id": case_id,
-            "points": len(reports),
-            "n_lo": ns[0] if ns else None, "n_hi": ns[-1] if ns else None,
-            "fitted_slope": fitted, "predicted_kind": kind,
-            "predicted_slope": predicted, "ratio": ratio,
-            "first_observed_error": errs[0] if errs else None,
-            "first_bound": reports[0].bound if reports else None,
-        })
+        fitted = fit_decay_slope(ns, errs, log_abscissa=kind == "pow_n") if usable >= 2 else None
+        ratio = fitted / predicted if fitted is not None and predicted != 0 else None
+        rows.append(SweepRow(
+            tau.value, theta_v.value, case_id, len(reports),
+            ns[0] if ns else None, ns[-1] if ns else None, fitted, kind, predicted, ratio,
+            errs[0] if errs else None, reports[0].bound if reports else None))
     _write_rows(SWEEP_COLUMNS, rows, args.format, args.output)
     return EXIT_OK
 

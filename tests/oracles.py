@@ -447,27 +447,27 @@ def sum_rescaled(terms):
 # that qpr.cli._write_rows, and its witness lines, keep byte for byte
 # ---------------------------------------------------------------------------
 
-def write_rows(columns: list[str], rows: list[dict], fmt: str) -> str:
+def write_rows(columns: list[str] | tuple[str, ...], rows: list[tuple], fmt: str) -> str:
     """The text of ``qpr.cli._write_rows``: csv.writer with "\\n" line ends
     (None as an empty cell, bools as true/false, a float as its repr), or
-    json.dumps(rows, indent=2) and a newline."""
+    json.dumps(rows, indent=2) and a newline.  A row holds its cells in
+    column order; what follows the last column is not a cell."""
+    rows = [row[:len(columns)] for row in rows]
     if fmt == "json":
-        return json.dumps([{c: row.get(c) for c in columns} for row in rows], indent=2) + "\n"
+        return json.dumps([dict(zip(columns, row)) for row in rows], indent=2) + "\n"
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(columns)
     for row in rows:
-        w.writerow(["true" if v is True else "false" if v is False else v
-                    for v in map(row.get, columns)])
+        w.writerow(["true" if v is True else "false" if v is False else v for v in row])
     return buf.getvalue()
 
 
-def witness_row(w) -> dict:
+def witness_row(w) -> tuple:
     """A witness as a row of the ``witness`` subcommand; a joint search
     reports the larger |residual| of its two angles."""
     residual = w.residual if w.residual2 is None else max(abs(w.residual), abs(w.residual2))
-    return {"n": w.n, "m": w.m, "m1": w.m1, "beta": w.target_beta,
-            "residual": residual, "rho": w.rho}
+    return w.n, w.m, w.m1, w.target_beta, residual, w.rho
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ import sys
 import pytest
 
 import qpr
+import qpr.asymptotics
+import qpr.cli
 from qpr.cli import build_parser, main
 
 
@@ -80,6 +82,32 @@ class TestVerify:
         rows = read_csv(out)
         assert len(rows) == 36
         assert all(r["bound_holds"] == "true" for r in rows)
+
+    def test_eligible_violation_exits_1_and_names_the_worst_degree(self, monkeypatch,
+                                                                    capsys):
+        # real rows, two of them made eligible with a bound the observed error
+        # exceeds twice (n = 6) and three times (n = 7)
+        real = qpr.asymptotics.run_verify
+
+        def violated(*args, **kw):
+            rows = real(*args, **kw)
+            for i, (n, k) in enumerate([(6, 2.0), (7, 3.0)], start=1):
+                assert rows[i].n == n
+                rows[i] = rows[i]._replace(eligible=True, bound_holds=False,
+                                           bound=rows[i].observed_error / k)
+            return rows
+
+        monkeypatch.setattr(qpr.cli, "run_verify", violated)
+        argv = ["verify", "--case", "1", "--q", "0.5", "--z", "1", "--tau", "1",
+                "--theta", "0", "--n", "5..8"]
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        rows = list(csv.DictReader(captured.out.splitlines()))
+        assert [r["n"] for r in rows] == ["5", "6", "7", "8"]
+        assert [r["bound_holds"] for r in rows] == ["true", "false", "false", "true"]
+        worst = rows[2]
+        assert captured.err == (f"BOUND VIOLATION at n=7: observed {worst['observed_error']} "
+                                f"> bound {worst['bound']}\n")
 
     def test_case4_grid_exit_zero(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -360,6 +388,16 @@ class TestSweep:
         assert srow["first_observed_error"] == vrow["observed_error"]
         assert srow["first_bound"] == vrow["bound"]
 
+    def test_witness_case_decays_as_predicted(self, capsys):
+        # case 3 over its witnesses up to 8000: the fitted power of n is
+        # within 20 % of the predicted -rho
+        assert run_cli(["sweep", "--q", "0.5", "--z", "2", "--tau-grid", "0", "--theta",
+                        "sqrt2", "--rho", "1", "--nmax", "8000"]) == 0
+        (row,) = csv.DictReader(capsys.readouterr().out.splitlines())
+        assert (row["case_id"], row["predicted_kind"]) == ("3", "pow_n")
+        assert float(row["predicted_slope"]) == -1.0
+        assert 0.8 <= float(row["ratio"]) <= 1.2
+
     def test_theta_regime_point(self, tmp_path):
         out = tmp_path / "s.csv"
         code = run_cli(["sweep", "--q", "0.5", "--z", "1", "--tau-grid", "-1",
@@ -480,6 +518,20 @@ class TestSearchLimit:
     def test_dense_cases_check_the_search_settings(self, argv, flags, message, capsys):
         # cases 1, 2 and 4 search nothing, yet reject what a search would
         assert run_cli(argv + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--q", "0.5", "--tau=-3", "--theta", "0", "--n", "5..7", "--nmax", "0"],
+         "n_max must be >= 1"),
+        (["sweep", "--q", "0.5", "--tau-grid=-3", "--theta", "0", "--beta", "7"],
+         "beta must lie in [0,1), got 7.0"),
+    ], ids=["verify", "sweep"])
+    def test_out_of_range_tau_checks_the_search_settings(self, argv, message, capsys):
+        # tau <= -2 has no regime and searches nothing, yet the settings are
+        # checked before its advisory (verify) or out-of-range row (sweep)
+        assert run_cli(argv) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""

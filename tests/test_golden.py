@@ -8,10 +8,10 @@ case-4 run at tau = -3/5 and a case-5 witness run whose rows cross from
 there into the degrees where both halves reuse their residue's term logs, three
 runs that carry a negative zero (beta = -0.0 at a real z, then also z = 2-0j),
 whose main terms are real and must not depend on that sign, ``eval`` of every
-function, a single and a joint ``witness`` scan, and ``sweep`` as CSV and as
-JSON.  Two scans of a rational angle take an exact and a decimal target,
-and two direct Laguerre sums at degree 80 stay within and pass the range
-guard.  Near the end a parse fails (exit 2) after reading ``--format json`` and
+function, a single and a joint ``witness`` scan, and ``sweep`` as CSV, as
+JSON and over a witness case (the README's case-3 example).  Two scans of
+a rational angle take an exact and a decimal target, and two direct
+Laguerre sums at degree 80 stay within and pass the range guard.  Near the end a parse fails (exit 2) after reading ``--format json`` and
 ``--assume-irrational``, and the next run passes neither.  Last, an advisory
 ``verify`` (tau = -2) writes no rows, as CSV (the header alone) and as JSON
 (``[]``).  The runs share one process in this order, as they would in a
@@ -89,6 +89,9 @@ RUNS = {
                   "0", "--n", "10..20"],
     "sweep_json": ["sweep", "--q", "0.6", "--z=0.8+0.3j", "--tau-grid", "0,-1,-3",
                    "--theta", "1/3", "--n", "8..40", "--n-step", "4", "--format", "json"],
+    # the README's example: case 3 over its witness degrees, predicted n^-1
+    "sweep_witness": ["sweep", "--q", "0.5", "--z", "2", "--tau-grid", "0", "--theta",
+                      "sqrt2", "--rho", "1", "--nmax", "8000"],
     "eval_pochhammer": ["eval", "pochhammer", "--a=-0.25+0.5j", "--q", "0.6", "--n", "inf"],
     "eval_laguerre": ["eval", "laguerre", "--q", "0.5", "--alpha", "0.5", "--n", "6",
                       "--x=1.5-0.5j"],

@@ -70,7 +70,7 @@ def test_every_case_and_edge_is_covered(rows):
     assert {r.case_id for *_, r in rows} == set(range(1, 8))
     assert any(math.isinf(r.bound) for *_, r in rows if r.case_id == 2)
     assert any(math.isinf(r.bound) for *_, r in rows if r.case_id in (3, 5))
-    assert any("log space" in r.meta for *_, r in rows if r.case_id == 1)
+    assert any("log space" in r.notes for *_, r in rows if r.case_id == 1)
 
 
 def test_bound_is_the_stated_expression_bit_for_bit(rows):

@@ -36,6 +36,16 @@ def close(a, b, rel=REL, abs_tol=1e-14):
     return abs(a - b) <= max(rel * max(abs(a), abs(b)), abs_tol)
 
 
+# (q, z = (re, im)) at rational q and Gaussian-rational z, for the exact
+# partial sums of tests/oracles
+GAUSSIAN_POINTS = [
+    (F(2, 5), (F(1, 3), F(1, 2))),
+    (F(1, 2), (F(-3, 2), F(2))),
+    (F(3, 5), (F(7, 10), F(1, 5))),
+    (F(9, 10), (F(1, 4), F(-6, 5))),
+]
+
+
 class TestQContext:
     def test_validation(self):
         QContext(0.5, 0.0, 1.0)
@@ -178,6 +188,13 @@ class TestRamanujanA:
         got = ramanujan_a(0.4, complex(1 / 3, 0.5))
         assert close(got, want, rel=1e-12)
 
+    @pytest.mark.parametrize("q, z", GAUSSIAN_POINTS)
+    def test_b_oracle_cross_check_complex(self, q, z):
+        # B_q enters the majorants of cases 1-3
+        want = oracles.bq_partial(q, oracles.QI(*z)).to_complex()
+        got = b_function(float(q), complex(*map(float, z)))
+        assert close(got, want, rel=1e-12)
+
 
 class TestTheta:
     def test_frozen_value(self):
@@ -202,6 +219,13 @@ class TestTheta:
             return
         v = theta_lp(z, 0.5)
         assert math.isfinite(v.log_mag) and math.isfinite(v.phase)
+
+    @pytest.mark.parametrize("q, z", GAUSSIAN_POINTS)
+    def test_oracle_cross_check_complex(self, q, z):
+        # Theta is the main term of cases 4-7
+        want = oracles.theta_partial(oracles.QI(*z), q).to_complex()
+        got = theta(complex(*map(float, z)), float(q))
+        assert close(got, want, rel=1e-12)
 
     def test_triple_product_reference_point(self):
         z, q = 0.7 + 0.2j, 0.6
