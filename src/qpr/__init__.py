@@ -40,9 +40,6 @@ from .qlaguerre import (
     factor_e,
     factor_f,
     laguerre_direct,
-    laguerre_scaled_lp,
-    normalized_laguerre,
-    scale_point,
     split_sums,
 )
 from .asymptotics import (
@@ -70,8 +67,7 @@ __all__ = [
     "floor_frac", "joint_witness_search",
     "parse_real", "witness_search",
     "ScalingParameter", "SplitSumResult", "factor_e", "factor_f",
-    "laguerre_direct", "laguerre_scaled_lp", "normalized_laguerre",
-    "scale_point", "split_sums",
+    "laguerre_direct", "split_sums",
     "RegimeReport", "classify_case", "eval_case1", "eval_case_aq",
     "eval_case_theta", "fit_decay_slope", "nu_n", "run_verify",
     "scaling_range_advisory",

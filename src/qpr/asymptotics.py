@@ -288,7 +288,7 @@ def _certify(case_id: int, n: int, exact: LogPolarComplex, main: complex,
             meta = f"{meta}; {note}" if meta else note
     conds.append((f"bound {bound:.3e}{_CERT_FLOOR}", bound >= NOISE_FLOOR))
     conds.extend(tail)
-    notes = "; ".join(f"{name}: {'ok' if flag else 'FAIL'}" for name, flag in conds)
+    notes = "; ".join([name + (": ok" if flag else ": FAIL") for name, flag in conds])
     finite = cmath.isfinite(value)
     w = witness
     cells = ((None,) * 5 if w is None else
@@ -314,6 +314,10 @@ def eval_case1(ctx: QContext, sp: ScalingParameter, n: int) -> RegimeReport:
     tau >= 1 (numerically violated at q=1/2, z=1, tau=1).
     """
     _require_case(sp, 1)
+    return _case1_row(ctx, sp, n)
+
+
+def _case1_row(ctx: QContext, sp: ScalingParameter, n: int) -> RegimeReport:
     exact = lp_mul(normalized_laguerre_lp(ctx, sp, n), lp(ctx.tq.log(n), 0.0))
     majorant = Majorant(None, (sp.tau.value * n * ctx.log_q,),
                         log_prefactor=_case1_log_prefactor(ctx))
@@ -334,17 +338,20 @@ def eval_case_aq(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
     witness n*theta = m + beta + gamma_n with |gamma_n| <= n^-rho.
     """
     _require_case(sp, case_id, (2, 3))
-    lq, lzqa = ctx.log_q, ctx.log_zqa
+    if case_id == 3:
+        witness = _require_witness(3, sp, n, witness)
+    return _aq_row(ctx, sp, n, case_id, witness)
 
+
+def _aq_row(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
+            witness: DiophantineWitness | None) -> RegimeReport:
+    lq, lzqa = ctx.log_q, ctx.log_zqa
     if case_id == 2:
         m_th, lam = sp.theta.mul_floor_frac(n)
         witness = DiophantineWitness(n=n, m=m_th, m1=None, target_beta=lam,
                                      residual=0.0, rho=0.0)
-    else:
-        witness = _require_witness(3, sp, n, witness)
 
-    target = witness.target_beta
-    main = _aq_main(ctx, target)
+    main = _aq_main(ctx, witness.target_beta)
     exact = lp_mul(normalized_laguerre_lp(ctx, sp, n), lp(ctx.tq.log_inf, 0.0))
 
     if case_id == 2:
@@ -381,10 +388,15 @@ def eval_case_theta(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
     (u, v) the case's pair of q-power and phase offsets.
     """
     _require_case(sp, case_id, (4, 5, 6, 7))
-    q, tau = ctx.q, sp.tau.value
-    tail, decomposition = [], None
     if case_id != 4:
         witness = _require_witness(case_id, sp, n, witness)
+    return _theta_row(ctx, sp, n, case_id, witness)
+
+
+def _theta_row(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
+               witness: DiophantineWitness | None) -> RegimeReport:
+    q = ctx.q
+    tail, decomposition = [], None
     if case_id in (6, 7):
         # the witness decomposition -tau n = m + beta + a_n replaces the
         # default one; chi(m) and the split point follow the witness's m
@@ -407,7 +419,7 @@ def eval_case_theta(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
         m1, v = witness.m1, witness.target_beta2
     main = _theta_main(ctx, chi(m), u, v)
 
-    nu = nu_n(case_id, n, tau, q) if n >= 2 else 0
+    nu = nu_n(case_id, n, sp.tau.value, q) if n >= 2 else 0
     lq, lzqa = ctx.log_q, ctx.log_zqa
     if case_id == 4:
         majorant = Majorant(_theta_prefactor(ctx, 30.0), (
@@ -440,11 +452,14 @@ def eval_case_theta(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
 
 def _evaluate(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
               witness: DiophantineWitness | None = None) -> RegimeReport:
+    """The row of a case run_verify has checked, at a witness of its own
+    search: _scan reports decompose's (m, residual) on witness_plan's angle
+    at every hit, so the witness is consistent by construction."""
     if case_id == 1:
-        return eval_case1(ctx, sp, n)
+        return _case1_row(ctx, sp, n)
     if case_id in (2, 3):
-        return eval_case_aq(ctx, sp, n, case_id, witness)
-    return eval_case_theta(ctx, sp, n, case_id, witness)
+        return _aq_row(ctx, sp, n, case_id, witness)
+    return _theta_row(ctx, sp, n, case_id, witness)
 
 
 def run_verify(ctx: QContext, sp: ScalingParameter, *,

@@ -15,7 +15,6 @@ phase_mul_int(phi, k) of one phase step phi; walking -k passes wrap_phase(-phi).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 TWO_PI = 2.0 * math.pi
@@ -141,10 +140,10 @@ def cis(phi: float) -> tuple[float, float]:
     return cs if cs is not None else (math.cos(phi), math.sin(phi))
 
 
-@dataclass(frozen=True, slots=True)
-class LogPolarComplex:
+class LogPolarComplex(NamedTuple):
     """A complex number stored as log|w| and arg(w) in (-pi, pi], the range
-    that lp, lp_from_complex and SummationResult.to_lp all keep.
+    that lp, lp_from_complex and SummationResult.to_lp all keep.  A plain
+    record: a NamedTuple is built without a per-field setattr.
 
     log_mag = -inf encodes zero (phase fixed at 0).  The representation is
     exact under multiplication and integer powers, which is what the huge
@@ -221,8 +220,7 @@ def lp_pow_int(b: LogPolarComplex, k: int) -> LogPolarComplex:
     return LogPolarComplex(k * b.log_mag, phase_mul_int(b.phase, k))
 
 
-@dataclass(frozen=True, slots=True)
-class SummationResult:
+class SummationResult(NamedTuple):
     """Result of a rescaled compensated sum.
 
     The represented value is ``value * exp(rescale_log)``; ``value`` itself
@@ -292,6 +290,19 @@ def step_phases(phase_step: float, start: int, stop: int) -> list[float]:
     remainder, neg_pi = math.remainder, -math.pi
     return [r + TWO_PI if r <= neg_pi else r
             for r in [remainder(k * phase_step, TWO_PI) for k in range(start, stop + 1)]]
+
+
+def mirrored_phases(phase_step: float, phases: list[float], stop: int) -> list[float]:
+    """step_phases(wrap_phase(-phase_step), 1, stop) for phase_step in
+    (-pi, pi], read from phases = step_phases(phase_step, 0, K), K >= stop.
+    Outside the quarter steps wrap_phase(-phase_step) = -phase_step, and
+    remainder is odd (remainder(-x, 2 pi) = -remainder(x, 2 pi) exactly), so
+    each phase is the negated one, except that pi stays pi.  Quarter steps
+    read their table."""
+    if phase_step in _QUARTER_STEPS:
+        return step_phases(wrap_phase(-phase_step), 1, stop)
+    pi = math.pi
+    return [ph if ph == pi else -ph for ph in phases[1:stop + 1]]
 
 
 def certified_terms(term_log: Callable[[int], float], phase_step: float,

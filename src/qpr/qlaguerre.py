@@ -4,7 +4,7 @@ Three routes to the same polynomial, each owning a regime:
 
 * ``laguerre_direct`` - the defining degree-n sum at an explicit argument,
   range-guarded because its terms overflow doubles quickly;
-* ``normalized_laguerre`` - the reversed normalized sum
+* ``normalized_laguerre_lp`` - the reversed normalized sum
   L_n(x_n)/((-z q^a)^n q^(n^2(1-s))), whose terms stay tame for tau >= 0;
 * ``split_sums`` - the two theta-normalized half sums used when
   -2 < tau < 0, where the reversed sum's terms span hundreds of decades and
@@ -20,7 +20,8 @@ Once a strip row's Pochhammer indices pass the tables' saturation point,
 its half sums' term logs depend on n only through chi(m) and c_n = {-tau*n},
 which for an exact rational tau recur with period at most 2 den(tau).
 split_sums then reads both halves' logs from a per-context memo, computes
-only the row's phases, and sums the same terms: the bytes do not change.
+only the row's phases (both halves' from one pass), and sums the same
+terms, the memo's logs as they are: the bytes do not change.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 from .diophantine import RealValue, as_real_value, chi
 from .numerics import (
@@ -39,10 +41,7 @@ from .numerics import (
     abs_or_inf,
     certified_terms,
     exp_or_inf,
-    lp,
-    lp_mul,
-    lp_div,
-    lp_pow_int,
+    mirrored_phases,
     phase,
     phase_mul_int,
     step_phases,
@@ -84,19 +83,6 @@ class ScalingParameter:
         return complex(self.sigma, self.t(q))
 
 
-def scale_point(ctx: QContext, sp: ScalingParameter, n: int) -> LogPolarComplex:
-    """x_n(z,s) = z*q^(-n*s) in log-polar form.
-
-    log|x_n| = log|z| - n*sigma*log q and arg x_n = arg z - 2*pi*{n*theta};
-    the fractional-part reduction keeps the phase exact for large n.
-    """
-    if n < 0:
-        raise DomainError("degree n must be nonnegative")
-    log_mag = math.log(ctx.abs_z) - n * sp.sigma * ctx.log_q
-    _, frac = sp.theta.mul_floor_frac(n)
-    return lp(log_mag, phase(ctx.z) - TWO_PI * frac)
-
-
 def laguerre_direct(ctx: QContext, n: int, x: complex) -> complex:
     """The degree-n sum with prefactor (q^(a+1);q)_n/(q;q)_n at argument x.
 
@@ -131,19 +117,15 @@ def laguerre_direct(ctx: QContext, n: int, x: complex) -> complex:
     return sum_rescaled(logs, phases).to_complex()
 
 
-def normalized_laguerre(ctx: QContext, sp: ScalingParameter, n: int) -> complex:
-    """L_n(x_n(z,s);q) / ((-z q^a)^n q^(n^2 (1-s))) by the reversed sum.
+def normalized_laguerre_lp(ctx: QContext, sp: ScalingParameter, n: int) -> LogPolarComplex:
+    """L_n(x_n(z,s);q) / ((-z q^a)^n q^(n^2 (1-s))) by the reversed sum, in
+    log-polar form.
 
     Only for tau >= 0: in the strip -2 < tau < 0 the reversed sum's terms
     grow like q^(-(tau n)^2/4) and this path silently loses the
     normalization the theory wants, so it refuses and points at
     :func:`split_sums` instead.
     """
-    return normalized_laguerre_lp(ctx, sp, n).to_complex()
-
-
-def normalized_laguerre_lp(ctx: QContext, sp: ScalingParameter, n: int) -> LogPolarComplex:
-    """:func:`normalized_laguerre` in log-polar form."""
     if n < 0:
         raise DomainError("degree n must be nonnegative")
     if sp.tau.value < 0.0:
@@ -167,34 +149,26 @@ def normalized_laguerre_lp(ctx: QContext, sp: ScalingParameter, n: int) -> LogPo
     return sum_rescaled(*terms).to_lp()
 
 
-@dataclass(frozen=True)
-class SplitSumResult:
+class SplitSumResult(NamedTuple):
     """Both theta-normalized half sums plus the decomposition bookkeeping.
 
-    total = s1 + s2 is the polynomial's value in the normalization
-    N * (q;q)_inf^2 * (-z q^a e^(-2 pi i d_n))^p / q^(p*(tau*n + p)) with
-    p = floor(m/2); m, c_n come from -tau*n = m + c_n and m1, d_n from
-    n*theta = m1 + d_n.  total is summed once, over the terms of both
-    halves together; terms1 and terms2 keep each half's (logs, phases), lists
-    of this result's own, so that s1 and s2 are summed only when they are read.
+    total is the sum of both halves, the polynomial's value in the
+    normalization N * (q;q)_inf^2 * (-z q^a e^(-2 pi i d_n))^p /
+    q^(p*(tau*n + p)) with p = floor(m/2); m, c_n come from
+    -tau*n = m + c_n and m1, d_n from n*theta = m1 + d_n.  total is summed
+    once, over the terms of both halves together; terms1 and terms2 keep each
+    half's (logs, phases).  The phases are lists of this result's own; the
+    logs of a saturated row are the memo's tuples, which no result can change.
     """
 
     total: LogPolarComplex
-    terms1: tuple[list[float], list[float]]
-    terms2: tuple[list[float], list[float]]
+    terms1: tuple[Sequence[float], list[float]]
+    terms2: tuple[Sequence[float], list[float]]
     m: int
     floor_m_half: int
     c_n: float
     d_n: float
     m1: int
-
-    @property
-    def s1(self) -> LogPolarComplex:
-        return sum_rescaled(*self.terms1).to_lp()
-
-    @property
-    def s2(self) -> LogPolarComplex:
-        return sum_rescaled(*self.terms2).to_lp()
 
 
 def _log_factor_e(tq, ta, log_euler2, log_an, p: int, n: int, k: int) -> float:
@@ -273,7 +247,8 @@ def _half_terms(ctx: QContext, n: int, p: int, log_an: float, log_w1: float, ph_
 # grids in use; a longer period only misses
 @lru_cache(maxsize=256)
 def _saturated_logs(ctx: QContext, parity: int, c_n: float) -> tuple | None:
-    """Both halves' term logs, as tuples, when every factor is saturated: they
+    """Both halves' term logs, then the two joined, as tuples, when every
+    factor is saturated: they
     depend on n only through (chi(m), c_n).  Summed to their certified end,
     with no stop, by split_sums' expressions at log (q^(a+1);q)_n =
     log (q^(a+1);q)_inf; None where that end lies past MAX_TERMS."""
@@ -284,7 +259,8 @@ def _saturated_logs(ctx: QContext, parity: int, c_n: float) -> tuple | None:
                                      0.0, (-inf, inf, -inf, inf), (None, None))
     except ConvergenceError:
         return None
-    return tuple(terms1[0]), tuple(terms2[0])
+    logs1, logs2 = tuple(terms1[0]), tuple(terms2[0])
+    return logs1, logs2, logs1 + logs2
 
 
 def split_sums(ctx: QContext, sp: ScalingParameter, n: int,
@@ -304,8 +280,9 @@ def split_sums(ctx: QContext, sp: ScalingParameter, n: int,
     With the default decomposition of an exact rational tau, a row whose
     indices n - p and p are past the tables' saturation point takes its term
     logs from _saturated_logs, if both halves end inside their saturated
-    windows, and computes only its phases; the bits are those of the terms
-    certified_terms would give it.
+    windows, and computes only its phases, both halves' from one
+    step_phases pass; the bits are those of the terms certified_terms would
+    give it.
     """
     tau = sp.tau.value
     if not (-2.0 < tau < 0.0):
@@ -335,56 +312,16 @@ def split_sums(ctx: QContext, sp: ScalingParameter, n: int,
     if decomposition is None and sp.tau.kind == "rational" and n - p >= top and p >= tq.sat:
         halves = _saturated_logs(ctx, parity, c_n)
     if halves is not None and len(halves[0]) - 1 <= p - tq.sat and len(halves[1]) <= n - p - top:
-        logs1, logs2 = halves
-        phases1 = step_phases(ph_w1, 0, len(logs1) - 1)
-        phases2 = step_phases(wrap_phase(-ph_w1), 1, len(logs2))
-        terms1, terms2 = (list(logs1), phases1), (list(logs2), phases2)
+        logs1, logs2, logs = halves
+        k1, k2 = len(logs1) - 1, len(logs2)
+        phases1 = step_phases(ph_w1, 0, max(k1, k2))
+        phases2 = mirrored_phases(ph_w1, phases1, k2)
+        del phases1[k1 + 1:]
+        terms1, terms2 = (logs1, phases1), (logs2, phases2)
     else:
         terms1, terms2 = _half_terms(
             ctx, n, p, ta.log(n), _log_w1(ctx, parity, c_n), ph_w1,
             (top - n + p, p - tq.sat, tq.sat - p, n - p - top), (p, n - p))
-    total = sum_rescaled(terms1[0] + terms2[0], terms1[1] + terms2[1])
-    return SplitSumResult(total=total.to_lp(), terms1=terms1, terms2=terms2,
-                          m=m, floor_m_half=p, c_n=c_n, d_n=d_n, m1=m1)
-
-
-def normalizer_lp(ctx: QContext, sp: ScalingParameter, n: int) -> LogPolarComplex:
-    """(-z q^a)^n * q^(n^2 (1-s)) in log-polar form, phases reduced exactly."""
-    lq = ctx.log_q
-    base = lp(ctx.log_zqa, math.pi + phase(ctx.z))
-    first = lp_pow_int(base, n)
-    # q^(n^2 (1-s)) = q^(-n^2 (1+tau)) * e^(-2 pi i theta n^2)
-    _, frac = sp.theta.mul_floor_frac(n * n)
-    second = lp(-(1.0 + sp.tau.value) * n * n * lq, -TWO_PI * frac)
-    return lp_mul(first, second)
-
-
-def split_normalizer_lp(ctx: QContext, sp: ScalingParameter, n: int,
-                        m: int, c_n: float, d_n: float) -> LogPolarComplex:
-    """(q;q)_inf^2 (-z q^a e^(-2 pi i d_n))^p / q^(p(tau n + p)), p = floor(m/2).
-
-    split_sums().total equals normalized_laguerre times this factor."""
-    p = m // 2
-    lq = ctx.log_q
-    base = lp(ctx.log_zqa, math.pi + phase(ctx.z) - TWO_PI * d_n)
-    num = lp_mul(lp(2.0 * ctx.tq.log_inf, 0.0), lp_pow_int(base, p))
-    # p(tau n + p) = p(p - m) - p*c_n with the integer part exact
-    expo = (p * (p - m) - p * c_n) * lq
-    return lp_mul(num, lp(-expo, 0.0))
-
-
-def laguerre_scaled_lp(ctx: QContext, sp: ScalingParameter, n: int) -> LogPolarComplex:
-    """L_n at the scaled point x_n(z,s), reconstructed in log-polar form."""
-    tau = sp.tau.value
-    if tau >= 0.0:
-        norm = normalized_laguerre_lp(ctx, sp, n)
-    elif tau > -2.0 and n >= 1:
-        res = split_sums(ctx, sp, n)
-        norm = lp_div(res.total,
-                      split_normalizer_lp(ctx, sp, n, res.m, res.c_n, res.d_n))
-    else:
-        raise RangeGuardError(
-            "no overflow-safe path at tau <= -2; only direct evaluation at "
-            "small degree applies there"
-        )
-    return lp_mul(norm, normalizer_lp(ctx, sp, n))
+        logs = terms1[0] + terms2[0]
+    total = sum_rescaled(logs, terms1[1] + terms2[1])
+    return SplitSumResult(total.to_lp(), terms1, terms2, m, p, c_n, d_n, m1)

@@ -48,6 +48,8 @@ class QContext:
     """Fixed problem data shared by every evaluator, and the values that depend
     on it alone, each computed on first use: the tables tq = log (q;q)_k and
     ta = log (q^(alpha+1);q)_k stay lazy, since one for q near 1 raises.
+    The hash, hash((q, alpha, z)) as the dataclass would give it, is computed
+    once: every per-context memo lookup reads it.
 
     q in (0,1), alpha > -1 and z != 0 are hard requirements of the whole theory.
     """
@@ -72,6 +74,10 @@ class QContext:
         if not in_range:
             raise DomainError(f"alpha = {self.alpha} puts q^alpha, q^(alpha+1) or "
                               f"q^(2-alpha) outside double range at q = {self.q}")
+        object.__setattr__(self, "_hash", hash((self.q, self.alpha, self.z)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @cached_property
     def log_q(self) -> float:

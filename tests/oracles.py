@@ -9,7 +9,8 @@ kernel kept verbatim, the row writer as two library calls, and the error
 majorants as one expression per regime are the references that rewrites
 must match exactly.  Three cross-checks
 built on qpr's own kernels (q-binomials from the Pochhammer tables, Euler's
-product/series identity, fractional-part orbits) close the file: no row or
+product/series identity, fractional-part orbits) and the reconstruction of
+L_n at the scaled point from qpr's normalized paths close the file: no row or
 command uses them, only the tests that check the kernels through them.
 """
 
@@ -22,8 +23,10 @@ import math
 from fractions import Fraction
 
 from qpr.diophantine import as_real_value
-from qpr.numerics import DomainError, certified_terms, exp_or_inf, phase
+from qpr.numerics import TWO_PI, DomainError, RangeGuardError, certified_terms, \
+    exp_or_inf, lp, lp_div, lp_mul, lp_pow_int, phase
 from qpr.numerics import sum_rescaled as qpr_sum_rescaled
+from qpr.qlaguerre import normalized_laguerre_lp, split_sums
 from qpr.qseries import aq_series_lp, poch_table, pochhammer
 
 
@@ -557,3 +560,77 @@ def orbit(theta, n_max: int) -> list[tuple[int, float]]:
         raise DomainError("n_max must be >= 1")
     th = as_real_value(theta)
     return [(n, th.mul_floor_frac(n)[1]) for n in range(1, n_max + 1)]
+
+
+# ---------------------------------------------------------------------------
+# reconstruction of L_n at the scaled point from qpr's normalized paths:
+# the scaled point, both normalizers, the reassembled value and each split
+# half summed on its own.  No row or command reads them, only the tests that
+# check qpr.qlaguerre's paths against laguerre_direct and the exact oracles.
+# ---------------------------------------------------------------------------
+
+def scale_point_lp(ctx, sp, n: int):
+    """x_n(z,s) = z*q^(-n*s) in log-polar form.
+
+    log|x_n| = log|z| - n*sigma*log q and arg x_n = arg z - 2*pi*{n*theta};
+    the fractional-part reduction keeps the phase exact for large n.
+    """
+    if n < 0:
+        raise DomainError("degree n must be nonnegative")
+    log_mag = math.log(ctx.abs_z) - n * sp.sigma * ctx.log_q
+    _, frac = sp.theta.mul_floor_frac(n)
+    return lp(log_mag, phase(ctx.z) - TWO_PI * frac)
+
+
+def normalized_laguerre(ctx, sp, n: int) -> complex:
+    """L_n(x_n(z,s);q) / ((-z q^a)^n q^(n^2 (1-s))) by the reversed sum, as a
+    complex number; qpr.qlaguerre.normalized_laguerre_lp gives it in
+    log-polar form, and refuses tau < 0."""
+    return normalized_laguerre_lp(ctx, sp, n).to_complex()
+
+
+def normalizer_lp(ctx, sp, n: int):
+    """(-z q^a)^n * q^(n^2 (1-s)) in log-polar form, phases reduced exactly."""
+    lq = ctx.log_q
+    base = lp(ctx.log_zqa, math.pi + phase(ctx.z))
+    first = lp_pow_int(base, n)
+    # q^(n^2 (1-s)) = q^(-n^2 (1+tau)) * e^(-2 pi i theta n^2)
+    _, frac = sp.theta.mul_floor_frac(n * n)
+    second = lp(-(1.0 + sp.tau.value) * n * n * lq, -TWO_PI * frac)
+    return lp_mul(first, second)
+
+
+def split_normalizer_lp(ctx, sp, n: int, m: int, c_n: float, d_n: float):
+    """(q;q)_inf^2 (-z q^a e^(-2 pi i d_n))^p / q^(p(tau n + p)), p = floor(m/2).
+
+    split_sums().total equals normalized_laguerre times this factor."""
+    p = m // 2
+    lq = ctx.log_q
+    base = lp(ctx.log_zqa, math.pi + phase(ctx.z) - TWO_PI * d_n)
+    num = lp_mul(lp(2.0 * ctx.tq.log_inf, 0.0), lp_pow_int(base, p))
+    # p(tau n + p) = p(p - m) - p*c_n with the integer part exact
+    expo = (p * (p - m) - p * c_n) * lq
+    return lp_mul(num, lp(-expo, 0.0))
+
+
+def laguerre_scaled_lp(ctx, sp, n: int):
+    """L_n at the scaled point x_n(z,s), reconstructed in log-polar form."""
+    tau = sp.tau.value
+    if tau >= 0.0:
+        norm = normalized_laguerre_lp(ctx, sp, n)
+    elif tau > -2.0 and n >= 1:
+        res = split_sums(ctx, sp, n)
+        norm = lp_div(res.total,
+                      split_normalizer_lp(ctx, sp, n, res.m, res.c_n, res.d_n))
+    else:
+        raise RangeGuardError(
+            "no overflow-safe path at tau <= -2; only direct evaluation at "
+            "small degree applies there"
+        )
+    return lp_mul(norm, normalizer_lp(ctx, sp, n))
+
+
+def half_sum(terms):
+    """One split half, (logs, phases) from SplitSumResult.terms1 or .terms2,
+    summed on its own."""
+    return qpr_sum_rescaled(*terms).to_lp()

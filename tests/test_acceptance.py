@@ -16,13 +16,12 @@ from fractions import Fraction as F
 from qpr.asymptotics import eval_case1, eval_case_aq, eval_case_theta, \
     fit_decay_slope, run_verify
 from qpr.diophantine import FIXTURES, RealValue, convergents, witness_search
-from qpr.qlaguerre import ScalingParameter, laguerre_direct, normalizer_lp, \
-    scale_point, split_normalizer_lp, split_sums
+from qpr.qlaguerre import ScalingParameter, laguerre_direct, split_sums
 from qpr.qseries import QContext, b_function, ramanujan_a, ramanujan_a_deriv, \
     remainder_r1, remainder_r2, theta, theta_triple_product
 
 import oracles
-from oracles import QI
+from oracles import QI, normalizer_lp, scale_point_lp, split_normalizer_lp
 
 FX = FIXTURES
 SQRT2, SQRT3, GOLDEN = FX["sqrt2"], FX["sqrt3"], FX["golden"]
@@ -229,7 +228,7 @@ def test_ac9_exact_oracle_equivalence():
             ctx = QContext(float(q), float(alpha), complex(float(z)))
             sp = ScalingParameter(RealValue.from_rational(tau),
                                   RealValue.from_rational(theta_v))
-            x = scale_point(ctx, sp, n).to_complex()
+            x = scale_point_lp(ctx, sp, n).to_complex()
             got_direct = laguerre_direct(ctx, n, x)
             err = abs(got_direct - L.to_complex()) / max(abs(L.to_complex()), 1e-300)
             float_worst = max(float_worst, err)

@@ -593,3 +593,60 @@ class TestWitnessCheck:
     def test_missing_witness_rejected(self, case_id):
         with pytest.raises(DomainError, match="needs a witness"):
             self.evaluate(case_id, 12, None)
+
+
+def _cells(r) -> list:
+    """Every field of the row r and of its witness, floats by their hex."""
+    witness = () if r.witness is None else dataclasses.astuple(r.witness)
+    return [v.hex() if isinstance(v, float) else v for v in (*r[:-1], *witness)]
+
+
+class TestPerRunChecks:
+    # run_verify checks the case once per run, and its own search's witnesses
+    # are consistent by construction; its rows must equal the public
+    # evaluators', which check both on every call
+    CTX = QContext(0.71, 0.25, -0.6 + 1.1j)
+    SCENARIOS = [
+        (1, sp_rat(1, F(1, 3)), {"n_values": list(range(2, 40, 3))}),
+        (2, sp_rat(0, F(1, 3)), {"n_values": list(range(2, 40, 3))}),
+        (3, ScalingParameter(RealValue.from_rational(0), SQRT2), {"rho": 1.0, "n_max": 3000}),
+        (4, sp_rat(-1, F(1, 4)), {"n_values": list(range(1, 90, 4))}),
+        (5, ScalingParameter(RealValue.from_rational(F(-3, 4)), SQRT2),
+         {"beta": 0.25, "rho": 0.5, "n_max": 2000}),
+        (6, ScalingParameter(SQRT2.neg(), RealValue.from_rational(F(1, 2))),
+         {"rho": 0.5, "n_max": 2000}),
+        (7, ScalingParameter(SQRT2.neg(), SQRT3), {"rho": 0.4, "n_max": 300}),
+    ]
+
+    @staticmethod
+    def public(ctx, sp, case_id, n, witness):
+        if case_id == 1:
+            return eval_case1(ctx, sp, n)
+        if case_id in (2, 3):
+            return eval_case_aq(ctx, sp, n, case_id, witness)
+        return eval_case_theta(ctx, sp, n, case_id, witness)
+
+    @pytest.mark.parametrize("case_id, sp, kw", SCENARIOS,
+                             ids=[f"case{c}" for c, *_ in SCENARIOS])
+    def test_rows_equal_the_public_evaluators(self, case_id, sp, kw):
+        rows = run_verify(self.CTX, sp, case_id=case_id, **kw)
+        assert len(rows) >= 5
+        for r in rows:
+            witness = r.witness if case_id in (3, 5, 6, 7) else None
+            assert _cells(r) == _cells(self.public(self.CTX, sp, case_id, r.n, witness)), r.n
+        if case_id == 6:
+            # a witness m = floor(-tau n) + 1 moves the split point and chi(m)
+            assert any("wraps past floor(-tau n)" in r.notes for r in rows)
+
+    def test_checks_run_once_per_run(self, monkeypatch):
+        import qpr.asymptotics as asy
+        calls = Counter()
+        for name in ("classify_case", "decompose"):
+            real = getattr(asy, name)
+            monkeypatch.setattr(asy, name, lambda *a, _n=name, _f=real: (
+                calls.update([_n]), _f(*a))[1])
+        case_id, sp, kw = self.SCENARIOS[4]
+        rows = run_verify(self.CTX, sp, case_id=case_id, **kw)
+        assert len(rows) >= 5 and calls == Counter(classify_case=1)
+        self.public(self.CTX, sp, case_id, rows[0].n, rows[0].witness)
+        assert calls == Counter(classify_case=2, decompose=1)

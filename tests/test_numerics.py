@@ -18,6 +18,7 @@ from qpr.numerics import (
     lp_from_complex,
     lp_mul,
     lp_pow_int,
+    mirrored_phases,
     phase,
     phase_mul_int,
     step_phases,
@@ -270,6 +271,25 @@ def test_certified_terms_phase_steps(ph):
     assert [p.hex() for p in step_phases(wrap_phase(-ph), 1, 500)] == [p.hex() for p in down]
     assert [p.hex() for p in step_phases(ph, 7, 40)] == [p.hex() for p in up[7:41]]
     assert step_phases(ph, 1, 0) == []
+    # and the -k phases read from the +k ones, to any shorter stop
+    assert [p.hex() for p in mirrored_phases(ph, up, 500)] == [p.hex() for p in down]
+    assert [p.hex() for p in mirrored_phases(ph, up, 9)] == [p.hex() for p in down[:9]]
+
+
+# steps pi/3, -pi/4 and 3 pi/4, whose multiples k = 3, 4, 4 land on pi
+# exactly (the phase that stays pi), the step of the rational angle 1/3 at
+# z = 1, and the edges of (-pi, pi]
+@given(st.floats(min_value=-math.pi, max_value=math.pi, exclude_min=True))
+@example(math.pi / 3.0)
+@example(-math.pi / 4.0)
+@example(3.0 * math.pi / 4.0)
+@example(wrap_phase(math.pi - 2.0 * math.pi / 3.0))
+@example(math.nextafter(-math.pi, 0.0))
+@example(math.nextafter(math.pi, 0.0))
+def test_mirrored_phases_are_the_negated_step(ph):
+    want = step_phases(wrap_phase(-ph), 1, 200)
+    got = mirrored_phases(ph, step_phases(ph, 0, 200), 200)
+    assert [p.hex() for p in got] == [p.hex() for p in want]
 
 
 def test_certified_terms_tail_majorant():

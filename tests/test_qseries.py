@@ -397,3 +397,49 @@ class TestInequalities:
     @given(st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infinity=False))
     def test_exp_minus_one_inequality(self, w):
         assert abs(cmath.exp(w) - 1) <= abs(w) * math.exp(abs(w)) + 1e-15
+
+
+class TestExportedGuards:
+    # one line per argument guard of an exported q-series function
+    @pytest.mark.parametrize("call", [
+        lambda: aq_series_lp(1.0, 0.5, True),
+        lambda: ramanujan_a_deriv(1.0, 0.5),
+        lambda: theta_lp(0.5, 1.0),
+        lambda: theta_triple_product(0.5, 1.0),
+        lambda: remainder_r1(0.5, 2, 1.0),
+        lambda: remainder_r2(0.5, 2, 1.0),
+    ], ids=["aq_series_lp", "ramanujan_a_deriv", "theta_lp", "theta_triple_product",
+            "remainder_r1", "remainder_r2"])
+    def test_q_outside_the_unit_interval_rejected(self, call):
+        with pytest.raises(DomainError, match=r"q\|? < 1"):
+            call()
+
+    def test_triple_product_rejects_zero(self):
+        with pytest.raises(DomainError, match="z = 0"):
+            theta_triple_product(0.0, 0.5)
+
+    @pytest.mark.parametrize("remainder", [remainder_r1, remainder_r2])
+    def test_remainders_reject_negative_n(self, remainder):
+        with pytest.raises(DomainError, match="n >= 0"):
+            remainder(0.5, -1, 0.5)
+
+    def test_pochhammer_rejects_a_fractional_order(self):
+        with pytest.raises(DomainError, match="integer or infinity"):
+            pochhammer(0.3, 0.5, 2.5)
+
+    def test_pochhammer_reads_an_integral_float_order_as_an_integer(self):
+        assert pochhammer(0.3, 0.5, 3.0) == pochhammer(0.3, 0.5, 3)
+
+    def test_pochhammer_not_certified_near_q_one(self):
+        # the tail bound needs about 5e7 factors at q = 1 - 1e-6
+        with pytest.raises(ConvergenceError):
+            pochhammer(0.5, 1.0 - 1e-6, None)
+
+    def test_derivative_at_zero_is_minus_q_over_one_minus_q(self):
+        assert ramanujan_a_deriv(0.5, 0) == -1.0
+
+    def test_alpha_whose_power_overflows_rejected(self):
+        # q^alpha and q^(alpha+1) are subnormal; q^(2-alpha) = 2^1048 raises
+        # OverflowError, which reads as out of range
+        with pytest.raises(DomainError, match="outside double range"):
+            QContext(0.5, 1050, 1)

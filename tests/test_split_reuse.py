@@ -23,7 +23,7 @@ import qpr.asymptotics as asy
 import qpr.qlaguerre as ql
 from qpr.asymptotics import eval_case_theta, run_verify
 from qpr.diophantine import FIXTURES, DiophantineWitness, RealValue, chi, decompose
-from qpr.qlaguerre import ScalingParameter, _saturated_logs, laguerre_scaled_lp, split_sums
+from qpr.qlaguerre import ScalingParameter, _saturated_logs, split_sums
 from qpr.qseries import QContext
 
 import oracles
@@ -51,7 +51,7 @@ def reuse_state(ctx: QContext, sp: ScalingParameter, n: int) -> dict:
     tq, ta = ctx.tq, ctx.ta
     m, c_n = sp.neg_tau.mul_floor_frac(n)
     p = m // 2
-    logs1, logs2 = _saturated_logs(ctx, chi(m), c_n)
+    logs1, logs2, _ = _saturated_logs(ctx, chi(m), c_n)
     return {"p": p, "upper": n - p - max(tq.sat, ta.sat), "lower": p - tq.sat,
             "k1": len(logs1) - 1, "k2": len(logs2)}
 
@@ -111,7 +111,7 @@ class TestGating:
         for tau in (SQRT2.neg(), RealValue.from_float(-0.75, assumed_rational=True)):
             sp = ScalingParameter(tau, rational(F(1, 3)))
             for n in (500, 1001, 10 ** 6):
-                laguerre_scaled_lp(self.CTX, sp, n)
+                oracles.laguerre_scaled_lp(self.CTX, sp, n)
         # exact rational tau, rows not saturated: p < 59 through n = 235 at
         # tau = -1/2, and n - p < 59 through n = 464 at tau = -7/4
         for tau, top_n in ((F(-1, 2), 235), (F(-7, 4), 464)):
@@ -136,7 +136,7 @@ class TestGating:
             assert len(res.terms1[0]) == res.floor_m_half + 1
             assert_same_bits(res, n, ctx, sp)
 
-    def test_cached_logs_are_tuples_and_results_own_their_lists(self):
+    def test_cached_logs_cannot_be_changed_through_a_result(self):
         sp = ScalingParameter(rational(F(-3, 5)), SQRT2)
         n, period = 1000, 10
         hits = _saturated_logs.cache_info().hits
@@ -145,10 +145,16 @@ class TestGating:
         entry = _saturated_logs(self.CTX, chi(m), c_n)
         assert _saturated_logs.cache_info().hits >= hits + 1
         assert type(entry) is tuple and all(type(logs) is tuple for logs in entry)
-        for values in (*first.terms1, *first.terms2):
-            assert type(values) is list
-            values[0] = 1e300
-            values.append(0.0)
+        # the result holds the memo's logs, which are tuples; its phases are
+        # lists of its own
+        assert (first.terms1[0], first.terms2[0]) == entry[:2]
+        for logs in (first.terms1[0], first.terms2[0]):
+            with pytest.raises(TypeError):
+                logs[0] = 1e300
+        for phases in (first.terms1[1], first.terms2[1]):
+            assert type(phases) is list
+            phases[0] = 1e300
+            phases.append(0.0)
         for k in (n, n + period, n + 7 * period):
             assert_same_bits(split_sums(self.CTX, sp, k), k, self.CTX, sp)
 

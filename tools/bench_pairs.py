@@ -4,12 +4,20 @@
         --pairs 5 --seconds 20 [--seed 1]
 
 Runs each checkout's own ``perfbench/run.py --trace 0`` as a subprocess,
-alternating parent and change with the parent first, so that pair k is the
-parent's k-th run and the change's k-th run.  For every pair it prints the
-end-to-end metrics that BENCHMARK.json declares, with each run's attempted
-and failed operation counts; then, per metric, both sides' medians and
-quartiles, the median over pairs of the relative change (change/parent - 1)
-and the number of pairs the change wins (ties count for neither side).
+pair k being the parent's k-th run and the change's k-th run; the parent
+runs first in odd pairs and the change first in even ones.  For every pair
+it prints the end-to-end metrics that BENCHMARK.json declares, with each
+run's attempted and failed operation counts; then, per metric, both sides'
+medians and quartiles, the median over pairs of the relative change
+(change/parent - 1) and the number of pairs the change wins (ties count for
+neither side).  Each metric's line closes with two verdicts:
+
+* gain shown: at least ten pairs ran, the change wins at least nine tenths
+  of them, and the medians differ, in its favour, by more than the parent's
+  interquartile range;
+* worse beyond bound: the change's median is worse than the parent's by more
+  than the metric's BENCHMARK.json bound, a fraction of the parent's median.
+
 The runs write only their own ``perfbench/results/`` (git-ignored), and
 bytecode is not cached, so neither tree gains a file.  Exits 1 if a run
 fails or reports a failed operation, 0 otherwise.
@@ -40,11 +48,30 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
-def _spread(values: list[float]) -> str:
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
     if len(values) < 2:
-        return f"{statistics.median(values):.4g}"
+        return (values[0],) * 3
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return f"{q2:.4g} (quartiles {q1:.4g}-{q3:.4g})"
+    return q1, q2, q3
+
+
+def _spread(values: list[float]) -> str:
+    q1, q2, q3 = _quartiles(values)
+    return f"{q2:.4g}" if len(values) < 2 else f"{q2:.4g} (quartiles {q1:.4g}-{q3:.4g})"
+
+
+def verdicts(parent: list[float], change: list[float], lower_is_better: bool,
+             bound: float) -> tuple[int, bool, bool]:
+    """(pairs the change wins, gain shown, worse beyond bound) for one
+    metric's paired runs."""
+    sign = 1.0 if lower_is_better else -1.0
+    p1, p_med, p3 = _quartiles(parent)
+    c_med = _quartiles(change)[1]
+    wins = sum(sign * (a - b) > 0 for a, b in zip(parent, change))
+    gain = (len(parent) >= 10 and 10 * wins >= 9 * len(parent)
+            and sign * (p_med - c_med) > p3 - p1)
+    worse = sign * (c_med - p_med) > bound * abs(p_med)
+    return wins, gain, worse
 
 
 def main() -> int:
@@ -65,7 +92,8 @@ def main() -> int:
 
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for k in range(1, args.pairs + 1):
-        for side, tree in (("parent", parent), ("change", ROOT)):
+        order = (("parent", parent), ("change", ROOT))
+        for side, tree in order if k % 2 else order[::-1]:
             runs[side].append(run_once(tree, args.workload, args.seed, args.seconds))
         cells = []
         for side in ("parent", "change"):
@@ -77,14 +105,15 @@ def main() -> int:
 
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs at --seconds {args.seconds:g}")
     for m in declared:
-        name, sign = m["name"], 1.0 if m["better"] == "lower" else -1.0
+        name = m["name"]
         p = [r["metrics"][name]["value"] for r in runs["parent"]]
         c = [r["metrics"][name]["value"] for r in runs["change"]]
         rel = statistics.median(b / a - 1.0 for a, b in zip(p, c))
-        wins = sum(sign * (a - b) > 0 for a, b in zip(p, c))
+        wins, gain, worse = verdicts(p, c, m["better"] == "lower", m["bound"])
         print(f"{name} ({m['unit']}, {m['better']} is better): parent {_spread(p)}; "
               f"change {_spread(c)}; median relative change {100 * rel:+.1f} %; "
-              f"change wins {wins} of {args.pairs}")
+              f"change wins {wins} of {args.pairs}; gain shown: {'yes' if gain else 'no'}; "
+              f"worse beyond bound {m['bound']:g}: {'yes' if worse else 'no'}")
     failed = sum(r["failed"] for side in runs.values() for r in side)
     return 1 if failed else 0
 
