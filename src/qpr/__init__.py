@@ -28,7 +28,6 @@ from .diophantine import (
     DiophantineWitness,
     RealValue,
     chi,
-    convergents,
     floor_frac,
     joint_witness_search,
     parse_real,
@@ -43,16 +42,15 @@ from .qlaguerre import (
     split_sums,
 )
 from .asymptotics import (
-    RegimeReport,
     classify_case,
     eval_case1,
     eval_case_aq,
     eval_case_theta,
-    fit_decay_slope,
     nu_n,
     run_verify,
     scaling_range_advisory,
 )
+from .certify import RegimeReport, fit_decay_slope
 
 __version__ = "0.1.0"
 
@@ -63,9 +61,8 @@ __all__ = [
     "QContext", "b_function", "pochhammer", "ramanujan_a",
     "ramanujan_a_deriv", "remainder_r1", "remainder_r2", "theta",
     "theta_triple_product",
-    "FIXTURES", "DiophantineWitness", "RealValue", "chi", "convergents",
-    "floor_frac", "joint_witness_search",
-    "parse_real", "witness_search",
+    "FIXTURES", "DiophantineWitness", "RealValue", "chi", "floor_frac",
+    "joint_witness_search", "parse_real", "witness_search",
     "ScalingParameter", "SplitSumResult", "factor_e", "factor_f",
     "laguerre_direct", "split_sums",
     "RegimeReport", "classify_case", "eval_case1", "eval_case_aq",

@@ -13,16 +13,8 @@ Regime map (sigma = tau + 2):
       tau irr, theta rat         case 6    ... q^(a+chi(m)+beta) e^(-2 pi i lam)
       tau, theta irrational      case 7    ... q^(a+chi(m)+beta1) e^(-2 pi i beta2)
 
-Each evaluator returns a RegimeReport, whose fields are the verify columns:
-the exact normalized value and the main term in parts, the observed error,
-the stated error majorant (a numerics.Majorant; constants kept verbatim: 7,
-48, 30, 96), an eligibility flag and the notes behind it.  Eligibility
-operationalizes the side conditions reproducibly: every asymptotic "<<"
-becomes "left <= right/4", nu_n >= 2 is always required, and rows whose
-bound sits below the double-precision certification floor are excluded
-rather than asserted, as are rows outside double range whose majorant has no
-log form (see _certify).  Violations on eligible rows are exactly the
-failures a certification run must report.
+Each evaluator returns the row record of qpr.certify, a RegimeReport, from
+certify_row, which holds the verdict and the eligibility rules.
 
 The majorant prefactors are computed once per context.  The main terms are
 memoized per context on the exact quantities their argument is built from
@@ -41,61 +33,24 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
+from .certify import MARGIN, RegimeReport, certify_row
 from .diophantine import DiophantineWitness, RealValue, check_search, chi, decompose, \
     default_rho, joint_witness_search, witness_search
-from .numerics import TWO_PI, DomainError, LogPolarComplex, Majorant, abs_or_inf, exp_or_inf, \
-    lp, lp_from_complex, lp_mul, pow_or_inf, sum_rescaled
+from .numerics import TWO_PI, DomainError, Majorant, exp_or_inf, lp, lp_mul, pow_or_inf
 from .qseries import QContext, aq_series_lp, b_function, pochhammer, ramanujan_a, theta
 from .qlaguerre import ScalingParameter, normalized_laguerre_lp, split_sums
-
-# Observed errors are differences of doubles; bounds below this cannot be
-# certified in this arithmetic, so such rows are reported but not asserted.
-NOISE_FLOOR = 1e-13
-
-# Operational margin for every asymptotic "<<": left <= right / MARGIN.
-MARGIN = 4.0
 
 # Regimes certified at searched witness degrees (cases 1, 2, 4 take a dense grid).
 WITNESS_CASES = (3, 5, 6, 7)
 
-# The side-condition names, but for the row's own values (nu, the bound)
+# The side-condition names, but for the row's own value of nu
 _NU_FLOOR = f" >= 2*{MARGIN:.0f}"
 _AQ_NU_CAP = f"nu <= n^min(1,rho)/(8*{MARGIN:.0f})"
 _AQ_TAIL = f"q^(n/2) <= nu/({MARGIN:.0f} n^rho)"
 _THETA_NU_CAP = f"nu <= n^rho/(8*{MARGIN:.0f})"
 _THETA_TAIL = f"q^nu <= nu/({MARGIN:.0f} n^rho)"
-_CERT_FLOOR = f" >= certification floor {NOISE_FLOOR:.0e}"
-
-
-class RegimeReport(NamedTuple):
-    """One certified row at a single degree n: the verify columns in order
-    (the exact value's parts are None outside double range), then the
-    witness the row was certified at, which is not a column."""
-
-    case_id: int
-    n: int
-    eligible: bool
-    bound_holds: bool
-    observed_error: float
-    bound: float
-    main_re: float
-    main_im: float
-    exact_re: float | None
-    exact_im: float | None
-    exact_log10_mag: float
-    exact_phase_rad: float
-    nu: int | None
-    m: int | None
-    m1: int | None
-    beta: float | None
-    residual: float | None
-    beta2: float | None
-    residual2: float | None
-    rho: float | None
-    notes: str
-    witness: DiophantineWitness | None
 
 
 def nu_n(case_id: int, n: int, tau: float, q: float) -> int:
@@ -103,9 +58,10 @@ def nu_n(case_id: int, n: int, tau: float, q: float) -> int:
 
     Cases 3, 5, 6, 7: floor(q^4 log^2 n / (1 + log(1/q))), natural logs.
     Case 4: min(floor((2+tau)n/8), floor(-tau*n/8)), requiring -2 < tau < 0.
+    Both give 0 at n = 1.
     """
-    if n < 2:
-        raise DomainError("nu_n needs n >= 2")
+    if n < 1:
+        raise DomainError("nu_n needs n >= 1")
     if case_id == 4:
         if not (-2.0 < tau < 0.0):
             raise DomainError(f"case 4 cutoff needs -2 < tau < 0, got {tau}")
@@ -196,19 +152,21 @@ def _theta_main(ctx: QContext, parity: int, u: float, v: float) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# the shared row steps: case check, witness check, verdict
+# the shared row steps: case check, witness check
 # ---------------------------------------------------------------------------
 
 def _require_case(sp: ScalingParameter, case_id: int,
-                  cases: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7)) -> None:
-    """case_id is one of the caller's cases and the one the (tau, theta)
-    declarations give; this covers every range and rationality condition."""
+                  cases: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7)) -> int:
+    """case_id, checked to be one of the caller's cases and the one the (tau,
+    theta) declarations give; this covers every range and rationality
+    condition."""
     if case_id not in cases:
         raise DomainError(f"expected one of cases {cases}, got {case_id}")
     declared = classify_case(sp)
     if case_id != declared:
         raise DomainError(f"requested case {case_id} but (tau, theta) declarations "
                           f"give case {declared}")
+    return case_id
 
 
 def witness_plan(case_id: int, sp: ScalingParameter, beta: float,
@@ -255,51 +213,6 @@ def _witness_powers(n: int, rho: float) -> tuple[float, float]:
     return n_rho, _over(logn * logn, n_rho)
 
 
-def _certify(case_id: int, n: int, exact: LogPolarComplex, main: complex,
-             majorant: Majorant, conds: list[tuple[str, bool]], *,
-             tail: Sequence[tuple[str, bool]] = (), meta: str = "",
-             witness: DiophantineWitness | None = None, nu: int | None = None,
-             m: int | None = None, m1: int | None = None) -> RegimeReport:
-    """The record of one row: its observed error, verdict, eligibility and
-    notes, beside the exact value, the main term and the witness cells.
-
-    A row whose observed error and bound are finite doubles compares them
-    as doubles.  Otherwise a majorant with a log form (a log_prefactor)
-    compares logarithms, and any other row is ineligible: its comparison
-    would only set inf against inf or nan.  conds are the case's side
-    conditions; the certification floor follows them, then the
-    informational tail.  The notes are the conditions, then meta.
-    """
-    bound = majorant.bound
-    value = exact.to_complex()
-    observed = abs_or_inf(value - main)
-    holds = observed <= bound
-    if not (math.isfinite(observed) and math.isfinite(bound)):
-        if majorant.log_prefactor is None:
-            conds.append(("observed error and bound within double range", False))
-        else:
-            log_bound = majorant.log
-            neg_main = lp_from_complex(-main)
-            log_observed = sum_rescaled([exact.log_mag, neg_main.log_mag],
-                                        [exact.phase, neg_main.phase]).to_lp().log_mag
-            holds = log_observed <= log_bound
-            note = (f"compared in log space: ln observed {log_observed:.6g}, "
-                    f"ln bound {log_bound:.6g}")
-            meta = f"{meta}; {note}" if meta else note
-    conds.append((f"bound {bound:.3e}{_CERT_FLOOR}", bound >= NOISE_FLOOR))
-    conds.extend(tail)
-    notes = "; ".join([name + (": ok" if flag else ": FAIL") for name, flag in conds])
-    finite = cmath.isfinite(value)
-    w = witness
-    cells = ((None,) * 5 if w is None else
-             (w.target_beta, w.residual, w.target_beta2, w.residual2, w.rho))
-    return RegimeReport(
-        case_id, n, all(flag for _, flag in conds), holds, observed, bound, main.real,
-        main.imag, value.real if finite else None, value.imag if finite else None,
-        exact.log10_mag(), exact.phase, nu, m, m1, *cells,
-        f"{notes}; {meta}" if meta else notes, witness)
-
-
 # ---------------------------------------------------------------------------
 # case 1: tau > 0
 # ---------------------------------------------------------------------------
@@ -321,7 +234,7 @@ def _case1_row(ctx: QContext, sp: ScalingParameter, n: int) -> RegimeReport:
     exact = lp_mul(normalized_laguerre_lp(ctx, sp, n), lp(ctx.tq.log(n), 0.0))
     majorant = Majorant(None, (sp.tau.value * n * ctx.log_q,),
                         log_prefactor=_case1_log_prefactor(ctx))
-    return _certify(1, n, exact, 1.0 + 0j, majorant, [],
+    return certify_row(1, n, exact, 1.0 + 0j, majorant, [],
                     meta="normalized with the finite constant (q;q)_n")
 
 
@@ -360,7 +273,7 @@ def _aq_row(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
             0.5 * n * lq, 0.25 * n * n * lq - (n // 2) * lzqa))
         conds = [("n >= 2", n >= 2)]
     else:
-        nu = nu_n(3, n, 0.0, ctx.q) if n >= 2 else 0
+        nu = nu_n(3, n, 0.0, ctx.q)
         n_rho, arithmetic = _witness_powers(n, witness.rho)
         majorant = Majorant(_aq_prefactor(ctx, 48.0), (nu * nu * lq - nu * lzqa,), arithmetic)
         conds = [
@@ -369,7 +282,7 @@ def _aq_row(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
             (_AQ_TAIL, nu > 0 and math.exp(0.5 * n * lq) <= _over(nu, MARGIN * n_rho)),
             ("witness trusted", witness.trusted),
         ]
-    return _certify(case_id, n, exact, main, majorant, conds,
+    return certify_row(case_id, n, exact, main, majorant, conds,
                     witness=witness, nu=nu, m=witness.m)
 
 
@@ -419,7 +332,7 @@ def _theta_row(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
         m1, v = witness.m1, witness.target_beta2
     main = _theta_main(ctx, chi(m), u, v)
 
-    nu = nu_n(case_id, n, sp.tau.value, q) if n >= 2 else 0
+    nu = nu_n(case_id, n, sp.tau.value, q)
     lq, lzqa = ctx.log_q, ctx.log_zqa
     if case_id == 4:
         majorant = Majorant(_theta_prefactor(ctx, 30.0), (
@@ -442,7 +355,7 @@ def _theta_row(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
             ("m >= 1", m >= 1),
             ("witness trusted", witness.trusted),
         ]
-    return _certify(case_id, n, exact, main, majorant, conds, tail=tail, meta=meta,
+    return certify_row(case_id, n, exact, main, majorant, conds, tail=tail, meta=meta,
                     witness=witness, nu=nu, m=m, m1=m1)
 
 
@@ -475,8 +388,7 @@ def run_verify(ctx: QContext, sp: ScalingParameter, *,
     grid, else the search's default), optionally intersected with an
     explicit n grid.  The search settings are checked in every case.
     """
-    cid = case_id if case_id is not None else classify_case(sp)
-    _require_case(sp, cid)
+    cid = classify_case(sp) if case_id is None else _require_case(sp, case_id)
     check_search((beta, beta2), rho, n_max)
 
     if cid not in WITNESS_CASES:
@@ -495,25 +407,6 @@ def run_verify(ctx: QContext, sp: ScalingParameter, *,
         wits = witness_search(angle, beta, r, top)
     return [_evaluate(ctx, sp, w.n, cid, w) for w in wits
             if not n_values or w.n in n_values]
-
-
-def fit_decay_slope(ns: list[int], errors: list[float],
-                    log_abscissa: bool = False) -> float:
-    """Least-squares slope of log(error) against n (or log n)."""
-    xs, ys = [], []
-    for n, e in zip(ns, errors):
-        if e > 0.0 and math.isfinite(e):
-            xs.append(math.log(n) if log_abscissa else float(n))
-            ys.append(math.log(e))
-    if len(xs) < 2:
-        raise DomainError("need at least two positive errors to fit a slope")
-    mx = sum(xs) / len(xs)
-    my = sum(ys) / len(ys)
-    sxx = sum((x - mx) ** 2 for x in xs)
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    if sxx == 0.0:
-        raise DomainError("degenerate abscissa for slope fit")
-    return sxy / sxx
 
 
 def predicted_decay(case_id: int, ctx: QContext, sp: ScalingParameter,

@@ -33,15 +33,14 @@ from functools import cache
 from typing import NamedTuple, Sequence
 
 from .asymptotics import (
-    RegimeReport,
     WITNESS_CASES,
     classify_case,
-    fit_decay_slope,
     predicted_decay,
     run_verify,
     scaling_range_advisory,
     witness_plan,
 )
+from .certify import RegimeReport, fit_decay_slope
 from .diophantine import (
     DiophantineWitness,
     check_search,
@@ -447,8 +446,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    # the console script's entry: tests reach main() in-process, never this call
     sys.exit(main())
 
 
-if __name__ == "__main__":
+if __name__ == "__main__":  # python -m qpr.cli, run by the tests in a subprocess only
     entrypoint()

@@ -1,7 +1,6 @@
 """Number-theoretic support: exact floor/fractional decomposition of n*x,
-the parity character chi, continued-fraction convergents, and the witness
-searches that certify the arithmetic hypotheses of the
-irrational-parameter asymptotic regimes.
+the parity character chi, and the witness searches that certify the
+arithmetic hypotheses of the irrational-parameter asymptotic regimes.
 
 Scaling parameters are *declared*, never sniffed: a RealValue is either an
 exact rational, an exact quadratic surd (a + b*sqrt(d))/c, or a bare float
@@ -19,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Generator, Iterator
 
-from .cfrac import convergents_float, convergents_rational, convergents_surd
 from .numerics import DomainError
 
 _EPS = sys.float_info.epsilon
@@ -220,22 +218,6 @@ def parse_real(token: str, assume: str | None = None) -> RealValue:
     if assume == "irrational":
         return RealValue.from_float(x, assumed_rational=False, label=token.strip())
     return RealValue.from_float(x, assumed_rational=None, label=token.strip())
-
-
-def convergents(theta: RealValue | Fraction | int | float, count: int) -> list[tuple[int, int]]:
-    """Continued-fraction convergents p/q with |theta - p/q| < 1/q^2.
-
-    Rational inputs terminate at the exact value; surds iterate with exact
-    integer state; bare floats run Euclid until double precision runs out.
-    """
-    if count < 1:
-        raise DomainError("count must be >= 1")
-    th = RealValue.from_float(theta) if isinstance(theta, float) else as_real_value(theta)
-    if th.kind == "rational":
-        return convergents_rational(th.fraction, count)
-    if th.kind == "surd":
-        return convergents_surd(th.surd, count)
-    return convergents_float(th.value, count)
 
 
 @dataclass(slots=True)

@@ -195,14 +195,6 @@ def lp_mul(a: LogPolarComplex, b: LogPolarComplex) -> LogPolarComplex:
     return lp(a.log_mag + b.log_mag, a.phase + b.phase)
 
 
-def lp_div(a: LogPolarComplex, b: LogPolarComplex) -> LogPolarComplex:
-    if b.is_zero:
-        raise DomainError("division by log-polar zero")
-    if a.is_zero:
-        return LP_ZERO
-    return lp(a.log_mag - b.log_mag, a.phase - b.phase)
-
-
 def lp_pow_int(b: LogPolarComplex, k: int) -> LogPolarComplex:
     """Integer power of a log-polar value.
 

@@ -72,16 +72,6 @@ class ScalingParameter:
         object.__setattr__(self, "theta", as_real_value(self.theta))
         object.__setattr__(self, "neg_tau", self.tau.neg())
 
-    @property
-    def sigma(self) -> float:
-        return self.tau.value + 2.0
-
-    def t(self, q: float) -> float:
-        return 2.0 * self.theta.value * math.pi / math.log(q)
-
-    def s_complex(self, q: float) -> complex:
-        return complex(self.sigma, self.t(q))
-
 
 def laguerre_direct(ctx: QContext, n: int, x: complex) -> complex:
     """The degree-n sum with prefactor (q^(a+1);q)_n/(q;q)_n at argument x.

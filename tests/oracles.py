@@ -9,9 +9,10 @@ kernel kept verbatim, the row writer as two library calls, and the error
 majorants as one expression per regime are the references that rewrites
 must match exactly.  Three cross-checks
 built on qpr's own kernels (q-binomials from the Pochhammer tables, Euler's
-product/series identity, fractional-part orbits) and the reconstruction of
-L_n at the scaled point from qpr's normalized paths close the file: no row or
-command uses them, only the tests that check the kernels through them.
+product/series identity, fractional-part orbits), the reconstruction of
+L_n at the scaled point from qpr's normalized paths and the continued-fraction
+convergents close the file: no row or command uses them, only the tests that
+check the kernels through them.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ import json
 import math
 from fractions import Fraction
 
-from qpr.diophantine import as_real_value
-from qpr.numerics import TWO_PI, DomainError, RangeGuardError, certified_terms, \
-    exp_or_inf, lp, lp_div, lp_mul, lp_pow_int, phase
+from qpr.diophantine import RealValue, as_real_value
+from qpr.numerics import LP_ZERO, TWO_PI, DomainError, RangeGuardError, certified_terms, \
+    exp_or_inf, lp, lp_mul, lp_pow_int, phase
 from qpr.numerics import sum_rescaled as qpr_sum_rescaled
 from qpr.qlaguerre import normalized_laguerre_lp, split_sums
 from qpr.qseries import aq_series_lp, poch_table, pochhammer
@@ -564,10 +565,17 @@ def orbit(theta, n_max: int) -> list[tuple[int, float]]:
 
 # ---------------------------------------------------------------------------
 # reconstruction of L_n at the scaled point from qpr's normalized paths:
-# the scaled point, both normalizers, the reassembled value and each split
-# half summed on its own.  No row or command reads them, only the tests that
-# check qpr.qlaguerre's paths against laguerre_direct and the exact oracles.
+# the scaling exponent, the scaled point, both normalizers, the reassembled
+# value and each split half summed on its own.  No row or command reads them,
+# only the tests that check qpr.qlaguerre's paths against laguerre_direct and
+# the exact oracles.
 # ---------------------------------------------------------------------------
+
+def s_complex(sp, q: float) -> complex:
+    """The scaling exponent s = sigma + i t, sigma = tau + 2 and
+    t = 2 theta pi / log q."""
+    return complex(sp.tau.value + 2.0, 2.0 * sp.theta.value * math.pi / math.log(q))
+
 
 def scale_point_lp(ctx, sp, n: int):
     """x_n(z,s) = z*q^(-n*s) in log-polar form.
@@ -577,7 +585,7 @@ def scale_point_lp(ctx, sp, n: int):
     """
     if n < 0:
         raise DomainError("degree n must be nonnegative")
-    log_mag = math.log(ctx.abs_z) - n * sp.sigma * ctx.log_q
+    log_mag = math.log(ctx.abs_z) - n * (sp.tau.value + 2.0) * ctx.log_q
     _, frac = sp.theta.mul_floor_frac(n)
     return lp(log_mag, phase(ctx.z) - TWO_PI * frac)
 
@@ -613,6 +621,15 @@ def split_normalizer_lp(ctx, sp, n: int, m: int, c_n: float, d_n: float):
     return lp_mul(num, lp(-expo, 0.0))
 
 
+def lp_div(a, b):
+    """a / b of two log-polar values."""
+    if b.is_zero:
+        raise DomainError("division by log-polar zero")
+    if a.is_zero:
+        return LP_ZERO
+    return lp(a.log_mag - b.log_mag, a.phase - b.phase)
+
+
 def laguerre_scaled_lp(ctx, sp, n: int):
     """L_n at the scaled point x_n(z,s), reconstructed in log-polar form."""
     tau = sp.tau.value
@@ -634,3 +651,87 @@ def half_sum(terms):
     """One split half, (logs, phases) from SplitSumResult.terms1 or .terms2,
     summed on its own."""
     return qpr_sum_rescaled(*terms).to_lp()
+
+
+# ---------------------------------------------------------------------------
+# continued-fraction convergents p/q, each kind of number by its own
+# recurrence: rationals by Euclid's algorithm, quadratic surds by the exact
+# integer recurrence of (P + sqrt(D))/Q, doubles until double precision runs
+# out.  No row or command reads them, only the tests that find the convergent
+# denominators among the witnesses.
+# ---------------------------------------------------------------------------
+
+_CF_SEED = [0, 1, 1, 0]  # p_{-2}, q_{-2}, p_{-1}, q_{-1}
+
+
+def _push(conv: list[tuple[int, int]], state: list[int], a: int) -> None:
+    p0, q0, p1, q1 = state
+    p, q = a * p1 + p0, a * q1 + q0
+    state[:] = [p1, q1, p, q]
+    conv.append((p, q))
+
+
+def convergents_rational(x: Fraction, count: int) -> list[tuple[int, int]]:
+    conv: list[tuple[int, int]] = []
+    state = list(_CF_SEED)
+    num, den = x.numerator, x.denominator
+    while den != 0 and len(conv) < count:
+        a, rem = divmod(num, den)
+        _push(conv, state, a)
+        num, den = den, rem
+    return conv
+
+
+def convergents_surd(surd: tuple[int, int, int, int], count: int) -> list[tuple[int, int]]:
+    a0, b0, c0, d = surd
+    # Normalize to (P + sqrt(D))/Q with Q | D - P^2 so the recurrence stays integral.
+    if b0 > 0:
+        p, dd, qq = a0, b0 * b0 * d, c0
+    else:
+        p, dd, qq = -a0, b0 * b0 * d, -c0
+    scale = abs(qq)
+    p, dd, qq = p * scale, dd * scale * scale, qq * scale
+
+    conv: list[tuple[int, int]] = []
+    state = list(_CF_SEED)
+    r_all = math.isqrt(dd)
+    while len(conv) < count:
+        if qq > 0:
+            a = (p + r_all) // qq
+        else:
+            a = -((p + r_all) // (-qq)) - 1
+        _push(conv, state, a)
+        p = a * qq - p
+        qq = (dd - p * p) // qq
+    return conv
+
+
+def convergents_float(x: float, count: int) -> list[tuple[int, int]]:
+    conv: list[tuple[int, int]] = []
+    state = list(_CF_SEED)
+    y = x
+    for _ in range(count):
+        a = math.floor(y)
+        _push(conv, state, a)
+        rem = y - a
+        q = state[3]
+        if rem < 1e-12 or q > 1e15:  # double fidelity exhausted
+            break
+        y = 1.0 / rem
+    return conv
+
+
+def convergents(theta, count: int) -> list[tuple[int, int]]:
+    """Continued-fraction convergents p/q with |theta - p/q| < 1/q^2.
+
+    Rational inputs terminate at the exact value; surds iterate with exact
+    integer state; bare floats run Euclid until double precision runs out.
+    """
+    if count < 1:
+        raise DomainError("count must be >= 1")
+    th = RealValue.from_float(theta) if isinstance(theta, float) else as_real_value(theta)
+    if th.kind == "rational":
+        return convergents_rational(th.fraction, count)
+    if th.kind == "surd":
+        return convergents_surd(th.surd, count)
+    return convergents_float(th.value, count)

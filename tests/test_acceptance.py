@@ -13,15 +13,15 @@ import random
 import time
 from fractions import Fraction as F
 
-from qpr.asymptotics import eval_case1, eval_case_aq, eval_case_theta, \
-    fit_decay_slope, run_verify
-from qpr.diophantine import FIXTURES, RealValue, convergents, witness_search
+from qpr.asymptotics import eval_case1, eval_case_aq, eval_case_theta, run_verify
+from qpr.certify import fit_decay_slope
+from qpr.diophantine import FIXTURES, RealValue, witness_search
 from qpr.qlaguerre import ScalingParameter, laguerre_direct, split_sums
 from qpr.qseries import QContext, b_function, ramanujan_a, ramanujan_a_deriv, \
     remainder_r1, remainder_r2, theta, theta_triple_product
 
 import oracles
-from oracles import QI, normalizer_lp, scale_point_lp, split_normalizer_lp
+from oracles import QI, convergents, normalizer_lp, scale_point_lp, split_normalizer_lp
 
 FX = FIXTURES
 SQRT2, SQRT3, GOLDEN = FX["sqrt2"], FX["sqrt3"], FX["golden"]

@@ -7,16 +7,16 @@ from fractions import Fraction as F
 import pytest
 
 from qpr.asymptotics import (
-    NOISE_FLOOR,
     classify_case,
     eval_case1,
     eval_case_aq,
     eval_case_theta,
-    fit_decay_slope,
     nu_n,
+    predicted_decay,
     run_verify,
     scaling_range_advisory,
 )
+from qpr.certify import NOISE_FLOOR, fit_decay_slope
 from qpr.diophantine import FIXTURES, DiophantineWitness, RealValue, \
     joint_witness_search, witness_search
 from qpr.numerics import DomainError
@@ -55,6 +55,16 @@ class TestNu:
             nu_n(1, 10, 1.0, 0.5)
         with pytest.raises(DomainError):
             nu_n(4, 10, 0.5, 0.5)
+
+    @pytest.mark.parametrize("case_id, tau", [(3, 0.0), (4, -1.0), (4, -0.25), (4, -1.75),
+                                              (5, -1.0), (6, -2 ** -0.5), (7, -2 ** -0.5)])
+    def test_zero_at_degree_one(self, case_id, tau):
+        # log 1 = 0, and floor((2+tau)/8) = floor(-tau/8) = 0 in the strip
+        assert nu_n(case_id, 1, tau, 0.5) == 0
+
+    def test_rejects_degree_zero(self):
+        with pytest.raises(DomainError, match="n >= 1"):
+            nu_n(4, 0, -1.0, 0.5)
 
 
 class TestDispatch:
@@ -650,3 +660,33 @@ class TestPerRunChecks:
         assert len(rows) >= 5 and calls == Counter(classify_case=1)
         self.public(self.CTX, sp, case_id, rows[0].n, rows[0].witness)
         assert calls == Counter(classify_case=2, decompose=1)
+
+    @pytest.mark.parametrize("case_id, sp, kw", SCENARIOS,
+                             ids=[f"case{c}" for c, *_ in SCENARIOS])
+    def test_case_read_from_the_declarations_is_classified_once(self, monkeypatch,
+                                                                case_id, sp, kw):
+        import qpr.asymptotics as asy
+        calls = []
+        real = asy.classify_case
+        monkeypatch.setattr(asy, "classify_case", lambda s: calls.append(s) or real(s))
+        rows = run_verify(self.CTX, sp, **kw)
+        assert rows and {r.case_id for r in rows} == {case_id} and calls == [sp]
+
+
+class TestExportedGuards:
+    # one line per guard of an exported regime function
+    def test_aq_evaluator_refuses_a_strip_case(self):
+        with pytest.raises(DomainError, match=r"expected one of cases \(2, 3\), got 4"):
+            eval_case_aq(QContext(0.5, 0.0, 1.0), sp_rat(-1, F(1, 3)), 10, 4)
+
+    def test_no_prediction_for_an_unknown_case(self):
+        with pytest.raises(DomainError, match="no prediction for case 8"):
+            predicted_decay(8, QContext(0.5, 0.0, 1.0), sp_rat(1, 0), 1.0)
+
+    def test_slope_needs_two_positive_errors(self):
+        with pytest.raises(DomainError, match="at least two positive errors"):
+            fit_decay_slope([1, 2, 3], [1e-3, 0.0, math.inf])
+
+    def test_slope_needs_two_abscissae(self):
+        with pytest.raises(DomainError, match="degenerate abscissa"):
+            fit_decay_slope([5, 5], [1e-3, 1e-4])

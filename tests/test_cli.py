@@ -71,6 +71,11 @@ class TestEval:
             run_cli(["eval", "gamma", "--q", "0.5"])
         assert e.value.code == 2
 
+    @pytest.mark.parametrize("fn", ["laguerre", "normalized_laguerre"])
+    def test_degree_required(self, fn, capsys):
+        assert run_cli(["eval", fn, "--q", "0.5", "--x", "1"]) == 2
+        assert f"{fn} needs a degree: pass --n" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_case1_grid_exit_zero(self, tmp_path):
@@ -259,6 +264,16 @@ class TestVerify:
         argsB = argsA[:-1] + [str(b)]
         assert run_cli(argsA) == 0 and run_cli(argsB) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+    def test_unparsable_beta_is_usage_error(self, capsys):
+        # the type function's DomainError is a ValueError, which argparse reports
+        with pytest.raises(SystemExit) as e:
+            run_cli(["verify", "--q", "0.5", "--z=1", "--tau", "0", "--theta", "sqrt2",
+                     "--beta", "1/0"])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --beta" in err and "'1/0'" in err
 
 
 class TestWitness:

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from oracles import orbit
+from oracles import convergents, orbit
 
 from qpr.diophantine import (
     FIXTURES,
     DiophantineWitness,
     RealValue,
+    as_real_value,
     chi,
-    convergents,
     decompose,
     default_rho,
     floor_frac,
@@ -103,6 +103,37 @@ class TestRealValue:
         assert parse_real("0.25", assume="irrational").assumed_rational is False
         with pytest.raises(DomainError):
             parse_real("twelve")
+
+    def test_surd_with_negative_denominator_is_normalized(self):
+        assert RealValue.from_surd(1, 1, -2, 5).surd == (-1, -1, 2, 5)
+
+    @pytest.mark.parametrize("c, d, message", [(0, 2, "denominator"), (1, -2, "radicand")])
+    def test_surd_guards(self, c, d, message):
+        with pytest.raises(DomainError, match=message):
+            RealValue.from_surd(0, 1, c, d)
+
+    def test_float_zero_test(self):
+        assert [RealValue.from_float(x, True).is_zero() for x in (0.0, -0.0, 0.5)] == \
+            [True, True, False]
+
+    def test_surd_fraction_below_one_at_a_pell_degree(self):
+        # x^2 - 2 n^2 = 1 with x > 2^55: n sqrt2 = x - 1/(2x) - ..., whose
+        # fractional part rounds to 1.0 and is returned as the double below it
+        x, n = 3, 2
+        while x <= 2 ** 55:
+            x, n = 3 * x + 4 * n, 2 * x + 3 * n
+        assert FIXTURES["sqrt2"].mul_floor_frac(n) == (x - 1, math.nextafter(1.0, 0.0))
+
+
+class TestAsRealValue:
+    def test_integral_float_is_an_exact_integer(self):
+        assert as_real_value(2.0) == RealValue.from_rational(2)
+
+    @pytest.mark.parametrize("x, message", [(0.5, "undeclared rationality"),
+                                            ("x", "cannot interpret")])
+    def test_refused(self, x, message):
+        with pytest.raises(DomainError, match=message):
+            as_real_value(x)
 
 
 def _fraction_mul_floor_frac(x: F, n: int) -> tuple[int, float]:
@@ -220,6 +251,14 @@ class TestConvergents:
         got = convergents(math.e, 6)
         for p, q in got:
             assert abs(math.e - p / q) < 1.0 / q ** 2
+
+    @pytest.mark.parametrize("name", ["sqrt2", "sqrt3", "golden"])
+    def test_quality_bound_for_negated_fixtures(self, name):
+        neg = FIXTURES[name].neg()
+        got = convergents(neg, 10)
+        assert len(got) == 10 and got[0][0] < 0
+        for p, q in got:
+            assert abs(neg.value - p / q) < 1.0 / q ** 2, (name, p, q)
 
 
 class TestWitnessSearch:

@@ -39,9 +39,9 @@ RUNS = [
 
 def _rows():
     """(ctx, sp, majorant, report) of every row of RUNS, the majorant as
-    the evaluator handed it to _certify."""
+    the evaluator handed it to certify_row."""
     seen = []
-    real = asy._certify
+    real = asy.certify_row
 
     def spy(case_id, n, exact, main, majorant, conds, **kw):
         r = real(case_id, n, exact, main, majorant, conds, **kw)
@@ -50,7 +50,7 @@ def _rows():
 
     out = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(asy, "_certify", spy)
+        mp.setattr(asy, "certify_row", spy)
         for q, z, tau, theta, kw in RUNS:
             ctx = QContext(q, 0.0, z)
             sp = ScalingParameter(parse_real(tau), parse_real(theta))

@@ -98,6 +98,20 @@ def test_pow_int_cube_root_of_unity():
     assert abs(v.to_complex() - 1.0) < 1e-14
 
 
+def test_log_polar_zero_from_log_minus_inf():
+    assert lp(-math.inf, 1.0) == lp_from_complex(0)
+
+
+def test_mul_by_log_polar_zero():
+    zero, two = lp_from_complex(0), lp(math.log(2.0), 0.5)
+    assert lp_mul(zero, two).is_zero and lp_mul(two, zero).is_zero
+
+
+def test_pow_int_rejects_a_float_exponent():
+    with pytest.raises(DomainError, match="exponent must be an integer"):
+        lp_pow_int(lp(0.0, 1.0), 2.0)
+
+
 def test_pow_int_zero_base():
     zero = lp_from_complex(0)
     assert lp_pow_int(zero, 3).is_zero

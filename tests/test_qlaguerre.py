@@ -13,6 +13,7 @@ from qpr.qlaguerre import (
     factor_e,
     factor_f,
     laguerre_direct,
+    normalized_laguerre_lp,
     split_sums,
 )
 from qpr.qseries import QContext, poch_table, pochhammer
@@ -37,7 +38,7 @@ CTX = QContext(0.5, 0.0, 1.0)
 class TestScalingParameter:
     def test_s_reconstruction(self):
         sp = sp_rat(F(-3, 4), F(2, 5))
-        s = sp.s_complex(0.5)
+        s = oracles.s_complex(sp, 0.5)
         assert s.real == -0.75 + 2.0
         assert s.imag == 2 * 0.4 * math.pi / math.log(0.5)
 
@@ -105,6 +106,15 @@ class TestLaguerreDirect:
         with pytest.raises(RangeGuardError):
             laguerre_direct(CTX, 50, 1e30)
 
+    def test_value_at_zero_is_the_constant_term(self):
+        # (q^(a+1);q)_n / (q;q)_n = (1 - q^(n+1)) / (1 - q) at alpha = 1
+        want = oracles.laguerre_direct(3, 1, F(1, 2), QI(0)).to_complex()
+        assert want == 15 / 8 and close(laguerre_direct(QContext(0.5, 1.0, 1.0), 3, 0), want)
+
+    def test_rejects_negative_degree(self):
+        with pytest.raises(DomainError, match="nonnegative"):
+            laguerre_direct(CTX, -1, 1.0)
+
 
 class TestNormalized:
     def test_degree_zero(self):
@@ -136,8 +146,21 @@ class TestNormalized:
         with pytest.raises(RangeGuardError):
             normalized_laguerre(CTX, sp_rat(-1, 0), 4)
 
+    def test_rejects_negative_degree(self):
+        with pytest.raises(DomainError, match="nonnegative"):
+            normalized_laguerre_lp(CTX, sp_rat(1, 0), -1)
+
 
 class TestSplitSums:
+    @pytest.mark.parametrize("tau, n, decomposition, message", [
+        (-1, 0, None, "n >= 1"),
+        (-1, 7, (6, 0.5), "inconsistent"),
+        (F(-3, 2), 1, (3, -1.5), "incompatible"),
+    ], ids=["degree-zero", "inconsistent", "m-past-2n"])
+    def test_guards(self, tau, n, decomposition, message):
+        with pytest.raises(DomainError, match=message):
+            split_sums(CTX, sp_rat(tau, 0), n, decomposition=decomposition)
+
     def test_bookkeeping_integer_tau(self):
         res = split_sums(CTX, sp_rat(-1, 0), 7)
         assert res.m == 7 and res.floor_m_half == 3 and res.c_n == 0.0
@@ -299,6 +322,10 @@ class TestFactors:
             factor_e(CTX, 5, 10, 4)
         with pytest.raises(DomainError):
             factor_f(CTX, 0, 10, 4)
+
+    def test_split_integer_domain(self):
+        with pytest.raises(DomainError, match="0 <= m <= 2n"):
+            factor_e(CTX, 0, 2, 6)
 
 
 class TestPochhammerRatioBounds:

@@ -15,6 +15,7 @@ from qpr.qseries import (
     QContext,
     aq_series_lp,
     b_function,
+    poch_table,
     pochhammer,
     ramanujan_a,
     ramanujan_a_deriv,
@@ -443,3 +444,19 @@ class TestExportedGuards:
         # OverflowError, which reads as out of range
         with pytest.raises(DomainError, match="outside double range"):
             QContext(0.5, 1050, 1)
+
+    @pytest.mark.parametrize("call", [
+        lambda: aq_series_lp(-0.5, 1.0, True),
+        lambda: ramanujan_a_deriv(0.0, 1.0),
+    ], ids=["aq_series_lp", "ramanujan_a_deriv"])
+    def test_q_at_or_below_zero_rejected_by_the_log_table(self, call):
+        with pytest.raises(DomainError, match="log table requires 0 < q < 1"):
+            call()
+
+    def test_log_table_rejects_a_at_or_above_one(self):
+        with pytest.raises(DomainError, match="log table requires a < 1"):
+            poch_table(1.0, 0.5)
+
+    def test_log_table_rejects_a_negative_index(self):
+        with pytest.raises(DomainError, match="index must be nonnegative"):
+            QContext(0.5, 0.0, 1.0).tq.log(-1)
