@@ -98,10 +98,14 @@ def classify_case(sp: ScalingParameter) -> int:
 # bound prefactors and pieces
 # ---------------------------------------------------------------------------
 
-def _series_arg(ctx: QContext, name: str, w: complex) -> complex:
-    """w, a q-series argument built from z, checked to lie in double range."""
+def _series_arg(ctx: QContext, name: str, w: complex, den: complex | None = None) -> complex:
+    """w, or w / den, a q-series argument built from z, checked to lie in double range (den = 0
+    is checked before dividing); a theta argument that underflowed to 0 is refused too."""
+    w = w if den is None else w / den if den else math.inf
     if not cmath.isfinite(w):
         raise DomainError(f"{name} must be finite, got {w} at z = {ctx.z}")
+    if w == 0 and name.startswith("theta"):
+        raise DomainError(f"{name} underflows to 0 at z = {ctx.z}")
     return w
 
 
@@ -139,8 +143,9 @@ def _case1_log_prefactor(ctx: QContext) -> float:
 @lru_cache(maxsize=256)
 def _aq_main(ctx: QContext, target: float) -> complex:
     """A_q(e^(2 pi i target)/(z q^a)), the main term of cases 2 and 3."""
-    arg = cmath.exp(complex(0.0, TWO_PI * target)) / (ctx.z * ctx.q ** ctx.alpha)
-    return ramanujan_a(ctx.q, _series_arg(ctx, "A_q argument e^(2 pi i lam)/(z q^alpha)", arg))
+    return ramanujan_a(ctx.q, _series_arg(ctx, "A_q argument e^(2 pi i lam)/(z q^alpha)",
+                                          cmath.exp(complex(0.0, TWO_PI * target)),
+                                          ctx.z * ctx.q ** ctx.alpha))
 
 
 @lru_cache(maxsize=256)

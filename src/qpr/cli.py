@@ -162,15 +162,14 @@ def _witness_text(wits: list[DiophantineWitness], fmt: str) -> str:
 
 
 def _beta_value(token: str):
-    """Witness targets accept exact 'a/b' syntax or plain decimals."""
+    """Witness targets accept exact 'a/b' syntax or plain decimals; others are usage errors."""
     s = str(token).strip()
-    if "/" in s or ("." not in s and "e" not in s.lower()):
-        try:
-            f = Fraction(s)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"cannot parse beta {token!r}") from exc
-        return f
-    return float(s)
+    try:
+        if "/" in s or ("." not in s and "e" not in s.lower()):
+            return Fraction(s)
+        return float(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"cannot parse beta {token!r}") from exc
 
 
 def _parse_n_range(text: str, step: int) -> range:

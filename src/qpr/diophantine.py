@@ -310,17 +310,13 @@ class _ThreeGapSteps:
     def __init__(self, th: RealValue, rho: float) -> None:
         self.th = th
         self.rho = rho
-        self.halves: dict[int, float] = {}
         self.gaps: dict[int, tuple] = {}
         self.n_lo = self.n_hi = 1
         self.x = th.mul_floor_frac(1)[1]
         self.y = 1.0 - self.x
 
     def half_width(self, j: int) -> float:
-        h = self.halves.get(j)
-        if h is None:
-            h = self.halves[j] = (2 ** j) ** -self.rho + _SLACK
-        return h
+        return (2 ** j) ** -self.rho + _SLACK
 
     def step(self, j: int, residual: float) -> tuple[int, float]:
         """Distance from a degree in window j (of this residual) to the

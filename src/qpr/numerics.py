@@ -9,7 +9,7 @@ rescaled residuals in a deterministic order.  The summation kernel works on
 parallel lists of logs and phases, as certified_terms produces them, so no
 per-term object is built on the way.
 certified_terms, the one truncation loop, gives term k the phase
-phase_mul_int(phi, k) of one phase step phi; walking -k passes wrap_phase(-phi).
+step_phases(phi, k, k)[0] of one phase step phi; walking -k passes wrap_phase(-phi).
 """
 
 from __future__ import annotations
@@ -122,14 +122,6 @@ _QUARTER_STEPS = {0.0: 0, _HALF_PI: 1, math.pi: 2, -_HALF_PI: 3}
 _QUARTER_PHASES = (0.0, _HALF_PI, math.pi, -_HALF_PI)
 
 
-def phase_mul_int(phi: float, k: int) -> float:
-    """wrap_phase(k * phi), exact when phi is a multiple of pi/2."""
-    step = _QUARTER_STEPS.get(phi)
-    if step is not None:
-        return _QUARTER_PHASES[(step * k) % 4]
-    return wrap_phase(k * phi)
-
-
 _CARDINAL = {0.0: (1.0, 0.0), math.pi: (-1.0, 0.0), _HALF_PI: (0.0, 1.0),
              -_HALF_PI: (0.0, -1.0)}
 
@@ -209,7 +201,7 @@ def lp_pow_int(b: LogPolarComplex, k: int) -> LogPolarComplex:
         if k < 0:
             raise DomainError("zero base with negative integer exponent")
         return LP_ZERO
-    return LogPolarComplex(k * b.log_mag, phase_mul_int(b.phase, k))
+    return LogPolarComplex(k * b.log_mag, step_phases(b.phase, k, k)[0])
 
 
 class SummationResult(NamedTuple):
@@ -274,27 +266,14 @@ def sum_rescaled(logs: Sequence[float], phases: Sequence[float]) -> SummationRes
 
 
 def step_phases(phase_step: float, start: int, stop: int) -> list[float]:
-    """The phases certified_terms gives terms start..stop of the step
-    phase_step, by its expressions, for terms whose logs were kept apart."""
+    """wrap_phase(k * phase_step) for k = start..stop, exact on quarter steps: by its
+    expressions, the phases certified_terms gives terms whose logs were kept apart."""
     quarter = _QUARTER_STEPS.get(phase_step)
     if quarter is not None:
         return [_QUARTER_PHASES[(quarter * k) % 4] for k in range(start, stop + 1)]
     remainder, neg_pi = math.remainder, -math.pi
     return [r + TWO_PI if r <= neg_pi else r
             for r in [remainder(k * phase_step, TWO_PI) for k in range(start, stop + 1)]]
-
-
-def mirrored_phases(phase_step: float, phases: list[float], stop: int) -> list[float]:
-    """step_phases(wrap_phase(-phase_step), 1, stop) for phase_step in
-    (-pi, pi], read from phases = step_phases(phase_step, 0, K), K >= stop.
-    Outside the quarter steps wrap_phase(-phase_step) = -phase_step, and
-    remainder is odd (remainder(-x, 2 pi) = -remainder(x, 2 pi) exactly), so
-    each phase is the negated one, except that pi stays pi.  Quarter steps
-    read their table."""
-    if phase_step in _QUARTER_STEPS:
-        return step_phases(wrap_phase(-phase_step), 1, stop)
-    pi = math.pi
-    return [ph if ph == pi else -ph for ph in phases[1:stop + 1]]
 
 
 def certified_terms(term_log: Callable[[int], float], phase_step: float,
@@ -306,9 +285,9 @@ def certified_terms(term_log: Callable[[int], float], phase_step: float,
     lists (logs, phases) ready for :func:`sum_rescaled`.
 
     term_log(k) is term k's log-magnitude (-inf terms are left out) and
-    phase_mul_int(phase_step, k), computed inline, its phase; for phi in
-    (-pi, pi] the step wrap_phase(-phi) gives phase_mul_int(phi, -k) bit for
-    bit at k >= 1.  ratio_bound(k) must majorize |t_{k+1}/t_k|.  Generation
+    step_phases(phase_step, k, k)[0], computed inline, its phase; for phi in
+    (-pi, pi] the step wrap_phase(-phi) gives step_phases(phi, -k, -k)[0] bit
+    for bit at k >= 1.  ratio_bound(k) must majorize |t_{k+1}/t_k|.  Generation
     stops once the ratio bound is <= 1/2 and the tail majorant at k
     (tail_log(k), by default the term itself) sits TOL/4 below the largest
     term seen, so the discarded tail is at most 2|t_k| <= (TOL/2) * max-term.

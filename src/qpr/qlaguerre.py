@@ -20,8 +20,8 @@ Once a strip row's Pochhammer indices pass the tables' saturation point,
 its half sums' term logs depend on n only through chi(m) and c_n = {-tau*n},
 which for an exact rational tau recur with period at most 2 den(tau).
 split_sums then reads both halves' logs from a per-context memo, computes
-only the row's phases (both halves' from one pass), and sums the same
-terms, the memo's logs as they are: the bytes do not change.
+only the row's phases, and sums the same terms, the memo's logs as they
+are: the bytes do not change.
 """
 
 from __future__ import annotations
@@ -41,9 +41,7 @@ from .numerics import (
     abs_or_inf,
     certified_terms,
     exp_or_inf,
-    mirrored_phases,
     phase,
-    phase_mul_int,
     step_phases,
     sum_rescaled,
     wrap_phase,
@@ -103,8 +101,7 @@ def laguerre_direct(ctx: QContext, n: int, x: complex) -> complex:
             f"direct evaluation at degree {n} needs log-range {peak:.1f}; "
             "use the normalized or split evaluation paths"
         )
-    phases = [phase_mul_int(ph, k) for k in range(n + 1)]
-    return sum_rescaled(logs, phases).to_complex()
+    return sum_rescaled(logs, step_phases(ph, 0, n)).to_complex()
 
 
 def normalized_laguerre_lp(ctx: QContext, sp: ScalingParameter, n: int) -> LogPolarComplex:
@@ -270,9 +267,8 @@ def split_sums(ctx: QContext, sp: ScalingParameter, n: int,
     With the default decomposition of an exact rational tau, a row whose
     indices n - p and p are past the tables' saturation point takes its term
     logs from _saturated_logs, if both halves end inside their saturated
-    windows, and computes only its phases, both halves' from one
-    step_phases pass; the bits are those of the terms certified_terms would
-    give it.
+    windows, and computes only its phases, each half's by step_phases; the
+    bits are those of the terms certified_terms would give it.
     """
     tau = sp.tau.value
     if not (-2.0 < tau < 0.0):
@@ -303,11 +299,8 @@ def split_sums(ctx: QContext, sp: ScalingParameter, n: int,
         halves = _saturated_logs(ctx, parity, c_n)
     if halves is not None and len(halves[0]) - 1 <= p - tq.sat and len(halves[1]) <= n - p - top:
         logs1, logs2, logs = halves
-        k1, k2 = len(logs1) - 1, len(logs2)
-        phases1 = step_phases(ph_w1, 0, max(k1, k2))
-        phases2 = mirrored_phases(ph_w1, phases1, k2)
-        del phases1[k1 + 1:]
-        terms1, terms2 = (logs1, phases1), (logs2, phases2)
+        terms1 = (logs1, step_phases(ph_w1, 0, len(logs1) - 1))
+        terms2 = (logs2, step_phases(wrap_phase(-ph_w1), 1, len(logs2)))
     else:
         terms1, terms2 = _half_terms(
             ctx, n, p, ta.log(n), _log_w1(ctx, parity, c_n), ph_w1,

@@ -205,9 +205,9 @@ def b_function(q: float, z: complex) -> complex:
 
 
 def aq_series_lp(q: float, z: complex, negate: bool) -> LogPolarComplex:
-    """A_q(z) (negate) or B_q(z) in log-polar form."""
-    if not abs(q) < 1.0:
-        raise DomainError(f"series needs |q| < 1, got q={q}")
+    """A_q(z) (negate) or B_q(z) in log-polar form, for 0 < q < 1."""
+    if not (0.0 < q < 1.0):
+        raise DomainError(f"A_q/B_q series needs 0 < q < 1, got q={q}")
     z = complex(z)
     abs_z = abs_or_inf(z)
     if not math.isfinite(abs_z):  # it would only run the term cap
@@ -227,9 +227,9 @@ def aq_series_lp(q: float, z: complex, negate: bool) -> LogPolarComplex:
 
 def ramanujan_a_deriv(q: float, z: complex) -> complex:
     """Termwise derivative of ramanujan_a: -sum_{k>=1} k q^(k^2) (-z)^(k-1) / (q;q)_k,
-    summed over j = k - 1 and negated."""
-    if not abs(q) < 1.0:
-        raise DomainError(f"series needs |q| < 1, got q={q}")
+    summed over j = k - 1 and negated, for 0 < q < 1."""
+    if not (0.0 < q < 1.0):
+        raise DomainError(f"A_q derivative series needs 0 < q < 1, got q={q}")
     z = complex(z)
     table = poch_table(q, q)
     lq = math.log(q)

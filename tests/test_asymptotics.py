@@ -687,6 +687,13 @@ class TestExportedGuards:
         with pytest.raises(DomainError, match="at least two positive errors"):
             fit_decay_slope([1, 2, 3], [1e-3, 0.0, math.inf])
 
+    def test_theta_prefactor_argument_underflowing_to_zero(self):
+        # |z q^alpha| = 1.2e-324 rounds to 0, where Theta is undefined; z is not 0
+        import qpr.asymptotics as asy
+        with pytest.raises(DomainError, match=r"theta argument \|z q\^alpha\| underflows "
+                                              r"to 0 at z = \(5e-324\+0j\)"):
+            asy._theta_prefactor(QContext(0.5, 2.0, 5e-324), 30.0)
+
     def test_slope_needs_two_abscissae(self):
         with pytest.raises(DomainError, match="degenerate abscissa"):
             fit_decay_slope([5, 5], [1e-3, 1e-4])

@@ -267,13 +267,15 @@ class TestVerify:
 
 
     def test_unparsable_beta_is_usage_error(self, capsys):
-        # the type function's DomainError is a ValueError, which argparse reports
-        with pytest.raises(SystemExit) as e:
-            run_cli(["verify", "--q", "0.5", "--z=1", "--tau", "0", "--theta", "sqrt2",
-                     "--beta", "1/0"])
-        assert e.value.code == 2
-        err = capsys.readouterr().err
-        assert "argument --beta" in err and "'1/0'" in err
+        # argparse prints the type function's ArgumentTypeError message as it is
+        for token in ("1/0", "1.2.3"):
+            with pytest.raises(SystemExit) as e:
+                run_cli(["verify", "--q", "0.5", "--z=1", "--tau", "0", "--theta", "sqrt2",
+                         "--beta", token])
+            assert e.value.code == 2
+            err = capsys.readouterr().err
+            assert f"argument --beta: cannot parse beta '{token}'" in err
+            assert "_beta_value" not in err
 
 
 class TestWitness:
@@ -634,6 +636,23 @@ class TestSeriesArgumentOutOfRange:
         err = capsys.readouterr().err
         assert f"{name} must be finite" in err and "z = (1e-310+0j)" in err
         assert "z must be finite, got" not in err
+
+    # |z| = 5e-324 underflows z q^alpha to 0: the A_q argument of cases 2 and
+    # 3 is refused before its division, the theta argument of case 4 as zero
+    @pytest.mark.parametrize("argv, message", [
+        (["--case", "2", "--tau", "0", "--theta", "1/3"],
+         "A_q argument e^(2 pi i lam)/(z q^alpha) must be finite, got inf"),
+        (["--case", "3", "--tau", "0", "--theta", "sqrt2", "--rho", "1", "--nmax", "50"],
+         "A_q argument e^(2 pi i lam)/(z q^alpha) must be finite, got inf"),
+        (["--case", "4", "--tau=-1/2", "--theta", "1/3"],
+         "theta argument -z q^(alpha+chi+u) e^(-2 pi i v) underflows to 0"),
+    ], ids=["case2", "case3", "case4"])
+    def test_underflowing_argument_is_usage_error(self, argv, message, capsys):
+        assert run_cli(["verify", "--q", "0.5", "--alpha", "1", "--z=5e-324", "--n", "5..8",
+                        *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {message} at z = (5e-324+0j)"]
+        assert captured.out == ""
 
 
 class TestFixedTruncation:

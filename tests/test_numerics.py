@@ -18,9 +18,7 @@ from qpr.numerics import (
     lp_from_complex,
     lp_mul,
     lp_pow_int,
-    mirrored_phases,
     phase,
-    phase_mul_int,
     step_phases,
     sum_rescaled,
     wrap_phase,
@@ -268,42 +266,33 @@ def test_certified_terms_starting_peak():
     assert seeded[-1] <= 10.0 + math.log(1e-15 / 4) < seeded[-2]
 
 
+def _phase_of_step(ph, k):
+    """The rule, stated apart from the package: the k-th multiple of a quarter
+    step from the table of quarter turns, of any other step wrap_phase(k * ph)."""
+    quarter = {0.0: 0, math.pi / 2: 1, math.pi: 2, -math.pi / 2: 3}.get(ph)
+    if quarter is not None:
+        return (0.0, math.pi / 2, math.pi, -math.pi / 2)[(quarter * k) % 4]
+    return wrap_phase(k * ph)
+
+
 @pytest.mark.parametrize("ph", [0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi,
                                 math.nextafter(math.pi, 0.0),
                                 math.nextafter(-math.pi, 0.0), 1.234])
 def test_certified_terms_phase_steps(ph):
-    # term k's phase is phase_mul_int(ph, k), and with the step wrap_phase(-ph)
-    # it is phase_mul_int(ph, -k), bit for bit, sign of zero included
+    # term k's phase is the rule's, and with the step wrap_phase(-ph) it is
+    # the rule's at -k, bit for bit, sign of zero included
     kw = dict(term_log=lambda k: 0.0, ratio_bound=lambda k: 1.0, stop=500)
     _, up = certified_terms(phase_step=ph, **kw)
-    assert [p.hex() for p in up] == [phase_mul_int(ph, k).hex() for k in range(501)]
+    assert [p.hex() for p in up] == [_phase_of_step(ph, k).hex() for k in range(501)]
     _, down = certified_terms(phase_step=wrap_phase(-ph), start=1, **kw)
-    assert [p.hex() for p in down] == [phase_mul_int(ph, -k).hex() for k in range(1, 501)]
+    assert [p.hex() for p in down] == [_phase_of_step(ph, -k).hex() for k in range(1, 501)]
     # step_phases gives the phases of terms whose logs were kept apart: the
-    # loop's bits, for a run of terms starting anywhere
+    # loop's bits, for a run of terms starting anywhere, negative k included
     assert [p.hex() for p in step_phases(ph, 0, 500)] == [p.hex() for p in up]
     assert [p.hex() for p in step_phases(wrap_phase(-ph), 1, 500)] == [p.hex() for p in down]
     assert [p.hex() for p in step_phases(ph, 7, 40)] == [p.hex() for p in up[7:41]]
+    assert [p.hex() for p in step_phases(ph, -500, -1)] == [p.hex() for p in down[::-1]]
     assert step_phases(ph, 1, 0) == []
-    # and the -k phases read from the +k ones, to any shorter stop
-    assert [p.hex() for p in mirrored_phases(ph, up, 500)] == [p.hex() for p in down]
-    assert [p.hex() for p in mirrored_phases(ph, up, 9)] == [p.hex() for p in down[:9]]
-
-
-# steps pi/3, -pi/4 and 3 pi/4, whose multiples k = 3, 4, 4 land on pi
-# exactly (the phase that stays pi), the step of the rational angle 1/3 at
-# z = 1, and the edges of (-pi, pi]
-@given(st.floats(min_value=-math.pi, max_value=math.pi, exclude_min=True))
-@example(math.pi / 3.0)
-@example(-math.pi / 4.0)
-@example(3.0 * math.pi / 4.0)
-@example(wrap_phase(math.pi - 2.0 * math.pi / 3.0))
-@example(math.nextafter(-math.pi, 0.0))
-@example(math.nextafter(math.pi, 0.0))
-def test_mirrored_phases_are_the_negated_step(ph):
-    want = step_phases(wrap_phase(-ph), 1, 200)
-    got = mirrored_phases(ph, step_phases(ph, 0, 200), 200)
-    assert [p.hex() for p in got] == [p.hex() for p in want]
 
 
 def test_certified_terms_tail_majorant():

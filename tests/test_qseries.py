@@ -449,9 +449,15 @@ class TestExportedGuards:
         lambda: aq_series_lp(-0.5, 1.0, True),
         lambda: ramanujan_a_deriv(0.0, 1.0),
     ], ids=["aq_series_lp", "ramanujan_a_deriv"])
-    def test_q_at_or_below_zero_rejected_by_the_log_table(self, call):
-        with pytest.raises(DomainError, match="log table requires 0 < q < 1"):
+    def test_q_at_or_below_zero_rejected_by_the_series(self, call):
+        # the series check 0 < q < 1 themselves, before any log table is built
+        with pytest.raises(DomainError, match=r"series needs 0 < q < 1, got q=-?0\."):
             call()
+
+    def test_log_table_rejects_q_outside_the_unit_interval(self):
+        # the series check q first, so only a direct call reaches this guard
+        with pytest.raises(DomainError, match="log table requires 0 < q < 1"):
+            poch_table(0.5, -0.5)
 
     def test_log_table_rejects_a_at_or_above_one(self):
         with pytest.raises(DomainError, match="log table requires a < 1"):
