@@ -62,6 +62,9 @@ class RegimeReport(NamedTuple):
     witness: DiophantineWitness | None
 
 
+_make = RegimeReport._make
+
+
 def certify_row(case_id: int, n: int, exact: LogPolarComplex, main: complex,
                 majorant: Majorant, conds: list[tuple[str, bool]], *,
                 tail: Sequence[tuple[str, bool]] = (), meta: str = "",
@@ -95,16 +98,21 @@ def certify_row(case_id: int, n: int, exact: LogPolarComplex, main: complex,
             meta = f"{meta}; {note}" if meta else note
     conds.append((f"bound {bound:.3e}{_CERT_FLOOR}", bound >= NOISE_FLOOR))
     conds.extend(tail)
-    notes = "; ".join([name + (": ok" if flag else ": FAIL") for name, flag in conds])
+    eligible, parts = True, []
+    for name, flag in conds:
+        if not flag:
+            eligible = False
+        parts.append(name + (": ok" if flag else ": FAIL"))
+    notes = "; ".join(parts)
     finite = cmath.isfinite(value)
     w = witness
-    cells = ((None,) * 5 if w is None else
-             (w.target_beta, w.residual, w.target_beta2, w.residual2, w.rho))
-    return RegimeReport(
-        case_id, n, all(flag for _, flag in conds), holds, observed, bound, main.real,
-        main.imag, value.real if finite else None, value.imag if finite else None,
-        exact.log10_mag(), exact.phase, nu, m, m1, *cells,
-        f"{notes}; {meta}" if meta else notes, witness)
+    return _make((
+        case_id, n, eligible, holds, observed, bound, main.real, main.imag,
+        value.real if finite else None, value.imag if finite else None,
+        exact.log10_mag(), exact.phase, nu, m, m1,
+        None if w is None else w.target_beta, None if w is None else w.residual,
+        None if w is None else w.target_beta2, None if w is None else w.residual2,
+        None if w is None else w.rho, f"{notes}; {meta}" if meta else notes, witness))
 
 
 def fit_decay_slope(ns: list[int], errors: list[float],

@@ -172,12 +172,19 @@ def _beta_value(token: str):
         raise argparse.ArgumentTypeError(f"cannot parse beta {token!r}") from exc
 
 
+def _degree(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise DomainError(f"cannot parse degree {token!r}") from None
+
+
 def _parse_n_range(text: str, step: int) -> range:
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
+        lo, hi = _degree(lo_s), _degree(hi_s)
     else:
-        lo = hi = int(text)
+        lo = hi = _degree(text)
     if lo < 0 or hi < lo or step < 1:
         raise DomainError(f"bad degree range {text!r} with step {step} (need 0 <= lo <= hi)")
     return range(lo, hi + 1, step)
@@ -217,7 +224,7 @@ def cmd_eval(args) -> int:
     if fn in ("laguerre", "normalized_laguerre") and args.n is None:
         raise DomainError(f"{fn} needs a degree: pass --n")
     if fn == "pochhammer":
-        n = None if args.n in (None, "inf") else int(args.n)
+        n = None if args.n in (None, "inf") else _degree(args.n)
         v = pochhammer(complex(args.a), args.q, n)
         _print_value(f"pochhammer(a={args.a}, q={args.q}, n={args.n})", v)
     elif fn == "theta":
@@ -227,10 +234,10 @@ def cmd_eval(args) -> int:
         v = aq_series_lp(args.q, complex(args.z), fn == "ramanujan_a")
         _print_value(f"{fn}(q={args.q}, z={args.z})", v)
     elif fn == "laguerre":
-        v = laguerre_direct(_context(args), int(args.n), complex(args.x))
+        v = laguerre_direct(_context(args), _degree(args.n), complex(args.x))
         _print_value(f"laguerre(n={args.n}, alpha={args.alpha}, x={args.x}, q={args.q})", v)
     elif fn == "normalized_laguerre":
-        v = normalized_laguerre_lp(_context(args), _scaling(args), int(args.n))
+        v = normalized_laguerre_lp(_context(args), _scaling(args), _degree(args.n))
         _print_value(
             f"normalized_laguerre(n={args.n}, tau={args.tau}, theta={args.theta})", v)
     return EXIT_OK

@@ -15,14 +15,18 @@ step_phases(phi, k, k)[0] of one phase step phi; walking -k passes wrap_phase(-p
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 TWO_PI = 2.0 * math.pi
 _NEG_INF = float("-inf")
+_LN10 = math.log(10.0)
+_first = itemgetter(0)
 
 # The one truncation policy of every infinite series and product (certified_terms)
 TOL = 1e-15
 MAX_TERMS = 10_000
+_LOG_TOL = math.log(TOL) - math.log(4.0)
 
 
 class QprError(Exception):
@@ -132,6 +136,18 @@ def cis(phi: float) -> tuple[float, float]:
     return cs if cs is not None else (math.cos(phi), math.sin(phi))
 
 
+# math.cos and math.sin are exact at +-0.0 already; only these need the table
+_AXIS_PHASES = frozenset((math.pi, _HALF_PI, -_HALF_PI))
+
+
+def _cis_cos(phi: float) -> float:
+    return cis(phi)[0]
+
+
+def _cis_sin(phi: float) -> float:
+    return cis(phi)[1]
+
+
 class LogPolarComplex(NamedTuple):
     """A complex number stored as log|w| and arg(w) in (-pi, pi], the range
     that lp, lp_from_complex and SummationResult.to_lp all keep.  A plain
@@ -160,7 +176,7 @@ class LogPolarComplex(NamedTuple):
         return self.log_mag == _NEG_INF
 
     def log10_mag(self) -> float:
-        return self.log_mag / math.log(10.0)
+        return self.log_mag / _LN10
 
 
 LP_ONE = LogPolarComplex(0.0, 0.0)
@@ -235,27 +251,26 @@ def sum_rescaled(logs: Sequence[float], phases: Sequence[float]) -> SummationRes
     Kahan-Babuska-Neumaier compensated summation on each axis.  For a fixed
     multiset of inputs the result is reproducible bit for bit.
     """
-    order = [i for i, lm in enumerate(logs) if lm != _NEG_INF]
-    if not order:
+    # a stable descending sort keeps tied logs in index order; zeros sort last
+    pairs = sorted(zip(logs, phases), key=_first, reverse=True)
+    del pairs[len(pairs) - logs.count(_NEG_INF):]
+    if not pairs:
         return SummationResult(0j, 0.0, len(logs))
-    # a stable descending sort keeps tied logs in index order
-    order.sort(key=logs.__getitem__, reverse=True)
-    big = logs[order[0]]
-    exp, cos, sin, cardinal = math.exp, math.cos, math.sin, _CARDINAL.get
+    big = pairs[0][0]
+    exp, cos, sin = math.exp, math.cos, math.sin
+    if not _AXIS_PHASES.isdisjoint(phases):
+        cos, sin = _cis_cos, _cis_sin
     re = re_comp = im = im_comp = 0.0
-    for i in order:
-        w = exp(logs[i] - big)
-        ph = phases[i]
-        cs = cardinal(ph)
-        c, s = cs if cs is not None else (cos(ph), sin(ph))
-        x = w * c
+    for lm, ph in pairs:
+        w = exp(lm - big)
+        x = w * cos(ph)
         t = re + x
         if abs(re) >= abs(x):
             re_comp += (re - t) + x
         else:
             re_comp += (x - t) + re
         re = t
-        x = w * s
+        x = w * sin(ph)
         t = im + x
         if abs(im) >= abs(x):
             im_comp += (im - t) + x
@@ -295,7 +310,6 @@ def certified_terms(term_log: Callable[[int], float], phase_step: float,
     at the inclusive index stop; an infinite one raises ConvergenceError
     after MAX_TERMS + 1 terms.
     """
-    log_tol = math.log(TOL) - math.log(4.0)
     logs: list[float] = []
     phases: list[float] = []
     quarter, remainder, neg_pi = _QUARTER_STEPS.get(phase_step), math.remainder, -math.pi
@@ -310,7 +324,8 @@ def certified_terms(term_log: Callable[[int], float], phase_step: float,
             if tl > max_log:
                 max_log = tl
         tail = tl if tail_log is None else tail_log(k)
-        if ratio_bound(k) <= 0.5 and (tail == _NEG_INF or tail <= max_log + log_tol):
+        # both tests are pure: the tail's, almost always false, spares ratio_bound
+        if (tail == _NEG_INF or tail <= max_log + _LOG_TOL) and ratio_bound(k) <= 0.5:
             return logs, phases
     if stop is not None:
         return logs, phases

@@ -110,16 +110,14 @@ def normalized_laguerre_lp(ctx: QContext, sp: ScalingParameter, n: int) -> LogPo
 
     Only for tau >= 0: in the strip -2 < tau < 0 the reversed sum's terms
     grow like q^(-(tau n)^2/4) and this path silently loses the
-    normalization the theory wants, so it refuses and points at
-    :func:`split_sums` instead.
+    normalization the theory wants, so it refuses them as outside its domain;
+    :func:`split_sums` carries that strip.
     """
     if n < 0:
         raise DomainError("degree n must be nonnegative")
     if sp.tau.value < 0.0:
-        raise RangeGuardError(
-            "the plain reversed sum is refused for tau < 0; evaluate via "
-            "split_sums, which carries the theta-regime normalization"
-        )
+        raise DomainError("normalized_laguerre needs tau >= 0: for tau < 0 the reversed "
+                          "sum loses the theta-regime normalization; use verify there")
     q, lq = ctx.q, ctx.log_q
     tq, ta = ctx.tq, ctx.ta
     tau_n = sp.tau.value * n

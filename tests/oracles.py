@@ -5,9 +5,9 @@ multiplying exactly and converting to floats only at the comparison site.
 Scope is deliberately desk-scale: degrees n <= ~12, rational q and z, and
 angle parameters whose phases land on {1, i, -1, -i}.  The linear witness
 scans, the split sums as every row generated them, the earlier summation
-kernel kept verbatim, the row writer as two library calls, and the error
-majorants as one expression per regime are the references that rewrites
-must match exactly.  Three cross-checks
+kernels and series stop test kept verbatim, the row writer as two library
+calls, and the error majorants as one expression per regime are the
+references that rewrites must match exactly.  Three cross-checks
 built on qpr's own kernels (q-binomials from the Pochhammer tables, Euler's
 product/series identity, fractional-part orbits), the reconstruction of
 L_n at the scaled point from qpr's normalized paths and the continued-fraction
@@ -444,6 +444,68 @@ def sum_rescaled(terms):
         re.add(w * c)
         im.add(w * s)
     return SummationResult(complex(re.result(), im.result()), big, len(items))
+
+
+# ---------------------------------------------------------------------------
+# the two series kernels as they were before the stop test read the tail
+# first and the sum sorted (log, phase) pairs: an index sort, the cardinal
+# table on every term, and ratio_bound consulted at every k.
+# qpr.numerics.sum_rescaled and certified_terms must give the same bits.
+# ---------------------------------------------------------------------------
+
+def sum_rescaled_indexed(logs, phases):
+    """sum_rescaled over parallel lists, with the cardinal table per term."""
+    from qpr.numerics import SummationResult
+    order = [i for i, lm in enumerate(logs) if lm != _NEG_INF]
+    if not order:
+        return SummationResult(0j, 0.0, len(logs))
+    order.sort(key=logs.__getitem__, reverse=True)
+    big = logs[order[0]]
+    re = re_comp = im = im_comp = 0.0
+    for i in order:
+        w = math.exp(logs[i] - big)
+        c, s = cis(phases[i])
+        x = w * c
+        t = re + x
+        if abs(re) >= abs(x):
+            re_comp += (re - t) + x
+        else:
+            re_comp += (x - t) + re
+        re = t
+        x = w * s
+        t = im + x
+        if abs(im) >= abs(x):
+            im_comp += (im - t) + x
+        else:
+            im_comp += (x - t) + im
+        im = t
+    return SummationResult(complex(re + re_comp, im + im_comp), big, len(logs))
+
+
+def certified_terms_ratio_first(term_log, phase_step, ratio_bound, *, start=0, stop=None,
+                                max_log=_NEG_INF, tail_log=None):
+    """certified_terms with ratio_bound(k) tested before the tail at every k."""
+    from qpr.numerics import _QUARTER_PHASES, _QUARTER_STEPS, MAX_TERMS, TOL, \
+        ConvergenceError
+    log_tol = math.log(TOL) - math.log(4.0)
+    logs, phases = [], []
+    quarter, remainder, neg_pi = _QUARTER_STEPS.get(phase_step), math.remainder, -math.pi
+    last = start + MAX_TERMS if stop is None else stop
+    for k in range(start, last + 1):
+        tl = term_log(k)
+        if tl != _NEG_INF:
+            logs.append(tl)
+            r = remainder(k * phase_step, TWO_PI) if quarter is None else \
+                _QUARTER_PHASES[(quarter * k) % 4]
+            phases.append(r + TWO_PI if r <= neg_pi else r)
+            if tl > max_log:
+                max_log = tl
+        tail = tl if tail_log is None else tail_log(k)
+        if ratio_bound(k) <= 0.5 and (tail == _NEG_INF or tail <= max_log + log_tol):
+            return logs, phases
+    if stop is not None:
+        return logs, phases
+    raise ConvergenceError(f"series not certified within {MAX_TERMS} terms")
 
 
 # ---------------------------------------------------------------------------

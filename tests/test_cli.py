@@ -714,6 +714,37 @@ class TestNegativeDegrees:
         assert "bad degree range '-3..2'" in captured.err
 
 
+class TestDegreeTokens:
+    # a degree that is not an integer is a usage error naming the token,
+    # not Python's int() message
+    @pytest.mark.parametrize("argv, token", [
+        (["verify", "--case", "1", "--q", "0.5", "--z=1", "--tau=1", "--n", "5..x"], "x"),
+        (["sweep", "--q", "0.5", "--z", "1", "--tau-grid", "1/4,1/2", "--n", "1e3"], "1e3"),
+        (["eval", "laguerre", "--q", "0.5", "--x", "1", "--n", "2.0"], "2.0"),
+        (["eval", "normalized_laguerre", "--q", "0.5", "--z", "1", "--tau", "1",
+          "--n", "three"], "three"),
+        (["eval", "pochhammer", "--a", "0.5", "--q", "0.5", "--n=2.5"], "2.5"),
+    ], ids=["verify", "sweep", "eval-laguerre", "eval-normalized", "eval-pochhammer"])
+    def test_is_usage_error(self, argv, token, capsys):
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot parse degree '{token}'\n"
+
+
+class TestNegativeTauNormalizedLaguerre:
+    def test_is_usage_error(self, capsys):
+        # a domain refusal, not an overflow: exit 2 and one error line that
+        # names no internal function
+        assert run_cli(["eval", "normalized_laguerre", "--tau=-1", "--q", "0.5", "--z", "1",
+                        "--theta", "0", "--n", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "needs tau >= 0" in lines[0] and "split_sums" not in lines[0]
+
+
 class TestMagnitudeBeyondDoubleRange:
     # both components are finite doubles, but |z| (or |x|) overflows: a domain
     # error at the input, never a runtime failure from abs()

@@ -207,6 +207,62 @@ def test_sum_rescaled_bit_identical_to_reference(pairs):
     assert got.term_count == want.term_count == len(pairs)
 
 
+def _hexes(values):
+    return [v.hex() for v in values]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(_LOGS, _PHASES), max_size=60))
+@example([(-math.inf, 0.0), (-math.inf, math.pi)])
+@example([(1.5, -0.0), (1.5, 0.0), (-math.inf, -0.0), (0.0, 1.0), (1.5, -2.0)])
+@example([(2.0, math.pi), (-math.inf, 0.5 * math.pi), (2.0, -0.0), (700.0, 0.25)])
+def test_sum_rescaled_bit_identical_to_indexed_loop(pairs):
+    # the pair sort, and the cardinal table read only when a phase lies on an
+    # axis, give the index loop's bits: -0.0 phases go to math.sin there
+    logs = [lm for lm, _ in pairs]
+    phases = [ph for _, ph in pairs]
+    got = sum_rescaled(logs, phases)
+    want = oracles.sum_rescaled_indexed(logs, phases)
+    assert _hexes([got.value.real, got.value.imag, got.rescale_log]) == \
+        _hexes([want.value.real, want.value.imag, want.rescale_log])
+    assert got.term_count == want.term_count == len(pairs)
+
+
+# the tails include the stop threshold itself below a peak of 0.0
+_SERIES_LOGS = st.one_of(st.just(-math.inf), st.floats(-60.0, 60.0),
+                         st.sampled_from([*_TIED_LOGS[:4], math.log(1e-15) - math.log(4.0)]))
+
+
+@settings(max_examples=300)
+@given(st.lists(_SERIES_LOGS, min_size=1, max_size=30),
+       st.none() | st.lists(_SERIES_LOGS, min_size=1, max_size=30),
+       st.lists(st.sampled_from([0.0, 0.25, 0.5, math.nextafter(0.5, 1.0), 1.0, 3.0]),
+                min_size=1, max_size=30),
+       _PHASES, st.integers(0, 1), st.none() | st.integers(-1, 40),
+       st.sampled_from([-math.inf, 0.0, 30.0]))
+def test_certified_terms_identical_to_ratio_first_stop(tls, tails, ratios, step, start,
+                                                       stop, max_log):
+    # past the drawn lists every term vanishes and the ratio is 1/4, so each
+    # series stops; before that the two stop-test orders must agree
+    def drawn(values, past):
+        return lambda k: values[k - start] if k - start < len(values) else past
+    kw = dict(term_log=drawn(tls, -math.inf), phase_step=step,
+              ratio_bound=drawn(ratios, 0.25), start=start,
+              stop=None if stop is None else start + stop, max_log=max_log,
+              tail_log=None if tails is None else drawn(tails, -math.inf))
+    got = certified_terms(**kw)
+    want = oracles.certified_terms_ratio_first(**kw)
+    assert [_hexes(got[0]), _hexes(got[1])] == [_hexes(want[0]), _hexes(want[1])]
+
+
+def test_certified_terms_uncertified_like_ratio_first_stop():
+    kw = dict(term_log=lambda k: 0.0, phase_step=1.0, ratio_bound=lambda k: 1.0)
+    with pytest.raises(ConvergenceError):
+        certified_terms(**kw)
+    with pytest.raises(ConvergenceError):
+        oracles.certified_terms_ratio_first(**kw)
+
+
 def test_sum_value_finite_for_finite_inputs():
     terms = [lp(600.0, 0.1 * k) for k in range(50)]
     r = _sum(terms)
@@ -301,9 +357,11 @@ def test_certified_terms_tail_majorant():
                                    phase_step=0.0, ratio_bound=lambda k: 0.25,
                                    tail_log=lambda k: k * math.log(0.25))
     assert logs == [0.0] and phases == [0.0]
-    # without it the first vanishing term stops the series
+    # without it the first vanishing term stops the series; ratio_bound is
+    # consulted only where the tail test passed, at k = 1, not at k = 0
     steps = []
-    certified_terms(term_log=lambda k: 0.0 if k == 0 else -math.inf,
-                    phase_step=0.0,
-                    ratio_bound=lambda k: steps.append(k) or 0.25)
-    assert steps == [0, 1]
+    logs, phases = certified_terms(term_log=lambda k: 0.0 if k == 0 else -math.inf,
+                                   phase_step=0.0,
+                                   ratio_bound=lambda k: steps.append(k) or 0.25)
+    assert logs == [0.0] and phases == [0.0]
+    assert steps == [1]

@@ -143,7 +143,7 @@ class TestNormalized:
             assert close(got, want, rel=1e-10)
 
     def test_refuses_negative_tau(self):
-        with pytest.raises(RangeGuardError):
+        with pytest.raises(DomainError, match="needs tau >= 0"):
             normalized_laguerre(CTX, sp_rat(-1, 0), 4)
 
     def test_rejects_negative_degree(self):

@@ -2,6 +2,7 @@
 
     python3 tools/bench_pairs.py --parent <other checkout> --workload witness-scan \
         --pairs 5 --seconds 20 [--seed 1]
+    python3 tools/bench_pairs.py --parent <other checkout> --workload all --pairs 10
 
 Runs each checkout's own ``perfbench/run.py --trace 0`` as a subprocess,
 pair k being the parent's k-th run and the change's k-th run; the parent
@@ -17,6 +18,11 @@ neither side).  Each metric's line closes with two verdicts:
   interquartile range;
 * worse beyond bound: the change's median is worse than the parent's by more
   than the metric's BENCHMARK.json bound, a fraction of the parent's median.
+
+With ``--workload all`` it does this for every workload that BENCHMARK.json
+lists, in file order, and closes with one line per workload and metric: the
+median relative change, the wins and whether the change is worse beyond the
+bound, so one command shows whether any metric got worse on any workload.
 
 The runs write only their own ``perfbench/results/`` (git-ignored), and
 bytecode is not cached, so neither tree gains a file.  Exits 1 if a run
@@ -74,10 +80,43 @@ def verdicts(parent: list[float], change: list[float], lower_is_better: bool,
     return wins, gain, worse
 
 
+def run_pairs(parent: str, workload: str, pairs: int, seed: int, seconds: float,
+              declared: list[dict]) -> tuple[list[tuple], int]:
+    """Run and report one workload's pairs; return (name, relative change,
+    wins, worse) per declared metric and the number of failed operations."""
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for k in range(1, pairs + 1):
+        order = (("parent", parent), ("change", ROOT))
+        for side, tree in order if k % 2 else order[::-1]:
+            runs[side].append(run_once(tree, workload, seed, seconds))
+        cells = []
+        for side in ("parent", "change"):
+            r = runs[side][-1]
+            values = " ".join(f"{m['name']} {r['metrics'][m['name']]['value']:.4g}"
+                              for m in declared)
+            cells.append(f"{side}: {values}, failed {r['failed']}/{r['attempted']}")
+        print(f"pair {k}: " + "; ".join(cells), flush=True)
+
+    print(f"{workload}, seed {seed}, {pairs} pairs at --seconds {seconds:g}")
+    summary = []
+    for m in declared:
+        name = m["name"]
+        p = [r["metrics"][name]["value"] for r in runs["parent"]]
+        c = [r["metrics"][name]["value"] for r in runs["change"]]
+        rel = statistics.median(b / a - 1.0 for a, b in zip(p, c))
+        wins, gain, worse = verdicts(p, c, m["better"] == "lower", m["bound"])
+        print(f"{name} ({m['unit']}, {m['better']} is better): parent {_spread(p)}; "
+              f"change {_spread(c)}; median relative change {100 * rel:+.1f} %; "
+              f"change wins {wins} of {pairs}; gain shown: {'yes' if gain else 'no'}; "
+              f"worse beyond bound {m['bound']:g}: {'yes' if worse else 'no'}", flush=True)
+        summary.append((name, rel, wins, worse))
+    return summary, sum(r["failed"] for side in runs.values() for r in side)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="root of the checkout to compare against")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, help="a BENCHMARK.json workload, or all")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--seed", type=int, default=1)
@@ -88,33 +127,23 @@ def main() -> int:
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        declared = json.load(fh)["end_to_end"]
+        bench = json.load(fh)
+    declared = bench["end_to_end"]
+    workloads = ([w["name"] for w in bench["workloads"]] if args.workload == "all"
+                 else [args.workload])
 
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    for k in range(1, args.pairs + 1):
-        order = (("parent", parent), ("change", ROOT))
-        for side, tree in order if k % 2 else order[::-1]:
-            runs[side].append(run_once(tree, args.workload, args.seed, args.seconds))
-        cells = []
-        for side in ("parent", "change"):
-            r = runs[side][-1]
-            values = " ".join(f"{m['name']} {r['metrics'][m['name']]['value']:.4g}"
-                              for m in declared)
-            cells.append(f"{side}: {values}, failed {r['failed']}/{r['attempted']}")
-        print(f"pair {k}: " + "; ".join(cells), flush=True)
-
-    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs at --seconds {args.seconds:g}")
-    for m in declared:
-        name = m["name"]
-        p = [r["metrics"][name]["value"] for r in runs["parent"]]
-        c = [r["metrics"][name]["value"] for r in runs["change"]]
-        rel = statistics.median(b / a - 1.0 for a, b in zip(p, c))
-        wins, gain, worse = verdicts(p, c, m["better"] == "lower", m["bound"])
-        print(f"{name} ({m['unit']}, {m['better']} is better): parent {_spread(p)}; "
-              f"change {_spread(c)}; median relative change {100 * rel:+.1f} %; "
-              f"change wins {wins} of {args.pairs}; gain shown: {'yes' if gain else 'no'}; "
-              f"worse beyond bound {m['bound']:g}: {'yes' if worse else 'no'}")
-    failed = sum(r["failed"] for side in runs.values() for r in side)
+    failed, closing = 0, []
+    for workload in workloads:
+        summary, n_failed = run_pairs(parent, workload, args.pairs, args.seed,
+                                      args.seconds, declared)
+        failed += n_failed
+        closing += [(workload, *row) for row in summary]
+    if len(workloads) > 1:
+        print(f"all workloads, seed {args.seed}, {args.pairs} pairs each")
+        for workload, name, rel, wins, worse in closing:
+            print(f"{workload} {name}: median relative change {100 * rel:+.1f} %; "
+                  f"change wins {wins} of {args.pairs}; "
+                  f"worse beyond bound: {'yes' if worse else 'no'}")
     return 1 if failed else 0
 
 
