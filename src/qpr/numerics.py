@@ -136,18 +136,6 @@ def cis(phi: float) -> tuple[float, float]:
     return cs if cs is not None else (math.cos(phi), math.sin(phi))
 
 
-# math.cos and math.sin are exact at +-0.0 already; only these need the table
-_AXIS_PHASES = frozenset((math.pi, _HALF_PI, -_HALF_PI))
-
-
-def _cis_cos(phi: float) -> float:
-    return cis(phi)[0]
-
-
-def _cis_sin(phi: float) -> float:
-    return cis(phi)[1]
-
-
 class LogPolarComplex(NamedTuple):
     """A complex number stored as log|w| and arg(w) in (-pi, pi], the range
     that lp, lp_from_complex and SummationResult.to_lp all keep.  A plain
@@ -252,25 +240,31 @@ def sum_rescaled(logs: Sequence[float], phases: Sequence[float]) -> SummationRes
     multiset of inputs the result is reproducible bit for bit.
     """
     # a stable descending sort keeps tied logs in index order; zeros sort last
+    # unless a NaN log breaks the order, so only trailing ones are dropped
     pairs = sorted(zip(logs, phases), key=_first, reverse=True)
-    del pairs[len(pairs) - logs.count(_NEG_INF):]
+    while pairs and pairs[-1][0] == _NEG_INF:
+        pairs.pop()
     if not pairs:
         return SummationResult(0j, 0.0, len(logs))
     big = pairs[0][0]
-    exp, cos, sin = math.exp, math.cos, math.sin
-    if not _AXIS_PHASES.isdisjoint(phases):
-        cos, sin = _cis_cos, _cis_sin
+    exp, cos, sin, cardinal = math.exp, math.cos, math.sin, _CARDINAL.get
     re = re_comp = im = im_comp = 0.0
     for lm, ph in pairs:
         w = exp(lm - big)
-        x = w * cos(ph)
+        cs = cardinal(ph)
+        if cs is None:
+            c = cos(ph)
+            s = sin(ph)
+        else:
+            c, s = cs
+        x = w * c
         t = re + x
         if abs(re) >= abs(x):
             re_comp += (re - t) + x
         else:
             re_comp += (x - t) + re
         re = t
-        x = w * sin(ph)
+        x = w * s
         t = im + x
         if abs(im) >= abs(x):
             im_comp += (im - t) + x

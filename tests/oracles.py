@@ -5,7 +5,7 @@ multiplying exactly and converting to floats only at the comparison site.
 Scope is deliberately desk-scale: degrees n <= ~12, rational q and z, and
 angle parameters whose phases land on {1, i, -1, -i}.  The linear witness
 scans, the split sums as every row generated them, the earlier summation
-kernels and series stop test kept verbatim, the row writer as two library
+kernel and series stop test kept verbatim, the row writer as two library
 calls, and the error majorants as one expression per regime are the
 references that rewrites must match exactly.  Three cross-checks
 built on qpr's own kernels (q-binomials from the Pochhammer tables, Euler's
@@ -447,40 +447,9 @@ def sum_rescaled(terms):
 
 
 # ---------------------------------------------------------------------------
-# the two series kernels as they were before the stop test read the tail
-# first and the sum sorted (log, phase) pairs: an index sort, the cardinal
-# table on every term, and ratio_bound consulted at every k.
-# qpr.numerics.sum_rescaled and certified_terms must give the same bits.
+# the series stop test as it was before it read the tail first: ratio_bound
+# consulted at every k.  qpr.numerics.certified_terms must give the same bits.
 # ---------------------------------------------------------------------------
-
-def sum_rescaled_indexed(logs, phases):
-    """sum_rescaled over parallel lists, with the cardinal table per term."""
-    from qpr.numerics import SummationResult
-    order = [i for i, lm in enumerate(logs) if lm != _NEG_INF]
-    if not order:
-        return SummationResult(0j, 0.0, len(logs))
-    order.sort(key=logs.__getitem__, reverse=True)
-    big = logs[order[0]]
-    re = re_comp = im = im_comp = 0.0
-    for i in order:
-        w = math.exp(logs[i] - big)
-        c, s = cis(phases[i])
-        x = w * c
-        t = re + x
-        if abs(re) >= abs(x):
-            re_comp += (re - t) + x
-        else:
-            re_comp += (x - t) + re
-        re = t
-        x = w * s
-        t = im + x
-        if abs(im) >= abs(x):
-            im_comp += (im - t) + x
-        else:
-            im_comp += (x - t) + im
-        im = t
-    return SummationResult(complex(re + re_comp, im + im_comp), big, len(logs))
-
 
 def certified_terms_ratio_first(term_log, phase_step, ratio_bound, *, start=0, stop=None,
                                 max_log=_NEG_INF, tail_log=None):
