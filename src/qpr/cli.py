@@ -185,8 +185,10 @@ def _parse_n_range(text: str, step: int) -> range:
         lo, hi = _degree(lo_s), _degree(hi_s)
     else:
         lo = hi = _degree(text)
-    if lo < 0 or hi < lo or step < 1:
-        raise DomainError(f"bad degree range {text!r} with step {step} (need 0 <= lo <= hi)")
+    if lo < 0 or hi < lo:
+        raise DomainError(f"bad degree range {text!r} (need 0 <= lo <= hi)")
+    if step < 1:
+        raise DomainError(f"bad degree step {step} (need --n-step >= 1)")
     return range(lo, hi + 1, step)
 
 
@@ -276,6 +278,7 @@ def cmd_witness(args) -> int:
     # declaration decides whether the residuals are exact
     th1 = parse_real(args.theta, assume=args.assume)
     th1.declared_rational()
+    check_search((args.beta, args.beta2), args.rho, args.nmax)
     joint = args.theta2 is not None
     rho = args.rho if args.rho is not None else default_rho(th1, args.beta, joint=joint)
     if joint:

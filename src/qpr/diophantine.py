@@ -310,7 +310,6 @@ class _ThreeGapSteps:
     def __init__(self, th: RealValue, rho: float) -> None:
         self.th = th
         self.rho = rho
-        self.gaps: dict[int, tuple] = {}
         self.n_lo = self.n_hi = 1
         self.x = th.mul_floor_frac(1)[1]
         self.y = 1.0 - self.x
@@ -318,30 +317,21 @@ class _ThreeGapSteps:
     def half_width(self, j: int) -> float:
         return (2 ** j) ** -self.rho + _SLACK
 
-    def step(self, j: int, residual: float) -> tuple[int, float]:
-        """Distance from a degree in window j (of this residual) to the
-        next, and the change of the residual over it."""
-        g = self.gaps.get(j)
-        if g is None:
-            h = self.half_width(j)
-            width = 2.0 * h
-            while self.x >= width or self.y >= width:
-                if self.x > self.y:
-                    self.n_lo += self.n_hi
-                    self.x = self.th.mul_floor_frac(self.n_lo)[1]
-                else:
-                    self.n_hi += self.n_lo
-                    self.y = 1.0 - self.th.mul_floor_frac(self.n_hi)[1]
-            a, x, b, y = self.n_lo, self.x, self.n_hi, self.y
-            # the window, x and y, and the (step, change) pair of each gap
-            g = self.gaps[j] = (h, width, x, y, (a, x), (b, -y), (a + b, x - y))
-        h, width, frac_a, gap_b, to_a, to_b, to_ab = g
-        u = residual + h  # position in the window [0, width)
-        if u + frac_a < width:
-            return to_a
-        if u >= gap_b:
-            return to_b
-        return to_ab
+    def window(self, j: int) -> tuple:
+        """Window j as (h, width, x, y, (a, x), (b, -y), (a + b, x - y)):
+        the half width, the width, x and y, and the (step, change) pair of
+        each gap."""
+        h = self.half_width(j)
+        width = 2.0 * h
+        while self.x >= width or self.y >= width:
+            if self.x > self.y:
+                self.n_lo += self.n_hi
+                self.x = self.th.mul_floor_frac(self.n_lo)[1]
+            else:
+                self.n_hi += self.n_lo
+                self.y = 1.0 - self.th.mul_floor_frac(self.n_hi)[1]
+        a, x, b, y = self.n_lo, self.x, self.n_hi, self.y
+        return h, width, x, y, (a, x), (b, -y), (a + b, x - y)
 
 
 def _candidates(th: RealValue, beta: float, beta_frac: Fraction | None,
@@ -373,6 +363,7 @@ def _candidates(th: RealValue, beta: float, beta_frac: Fraction | None,
         return
     steps = _ThreeGapSteps(th, rho)
     j = None  # window in use; None while scanning linearly
+    held = None  # the window whose tuple is unpacked in locals
     n, carried = 1, 0
     m, residual = decompose(th, 1, beta, beta_frac)
     while True:
@@ -393,7 +384,16 @@ def _candidates(th: RealValue, beta: float, beta_frac: Fraction | None,
             while j < k and abs(residual) < h_next:
                 j += 1
                 h_next = steps.half_width(j + 1)
-            gap, change = steps.step(j, residual)
+            if j != held:
+                held = j
+                h, width, frac_a, gap_b, to_a, to_b, to_ab = steps.window(j)
+            u = residual + h  # position in the window [0, width)
+            if u + frac_a < width:
+                gap, change = to_a
+            elif u >= gap_b:
+                gap, change = to_b
+            else:
+                gap, change = to_ab
         n += gap
         if n > n_max:
             return

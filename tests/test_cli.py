@@ -539,6 +539,13 @@ class TestSearchLimit:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
+    def test_single_witness_search_checks_the_second_target(self, capsys):
+        # a single search has no use for --beta2, yet rejects it as verify does
+        assert run_cli(["witness", "--theta", "sqrt2", "--beta2", "5", "--nmax", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: beta must lie in [0,1), got 5.0\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("argv, message", [
         (["verify", "--q", "0.5", "--tau=-3", "--theta", "0", "--n", "5..7", "--nmax", "0"],
          "n_max must be >= 1"),
@@ -712,6 +719,20 @@ class TestNegativeDegrees:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "bad degree range '-3..2'" in captured.err
+
+
+class TestDegreeStep:
+    # a step below 1 is a usage error naming the step, not the valid range
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--case", "1", "--q", "0.5", "--z=1", "--tau=1", "--n", "5..7"],
+        ["sweep", "--q", "0.5", "--z", "1", "--tau-grid", "1/4,1/2", "--n", "5..7"],
+    ], ids=["verify", "sweep"])
+    @pytest.mark.parametrize("step", ["0", "-2"])
+    def test_is_usage_error(self, argv, step, capsys):
+        assert run_cli(argv + ["--n-step", step]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad degree step {step} (need --n-step >= 1)\n"
 
 
 class TestDegreeTokens:

@@ -562,9 +562,19 @@ class TestLateWindows:
         s2, s3 = FIXTURES["sqrt2"], FIXTURES["sqrt3"]
         beta_frac = beta if isinstance(beta, F) else None
         stepped = []
-        step = dio._ThreeGapSteps.step
-        monkeypatch.setattr(dio._ThreeGapSteps, "step",
-                            lambda self, j, r: stepped.append(r) or step(self, j, r))
+
+        class Half(float):  # a window's half width, recording each residual added to it
+            def __radd__(self, other):
+                stepped.append(other)
+                return other + float(self)
+
+        window = dio._ThreeGapSteps.window
+
+        def recording(self, j):
+            h, *rest = window(self, j)
+            return Half(h), *rest
+
+        monkeypatch.setattr(dio._ThreeGapSteps, "window", recording)
         second = dio._carried(s3, 0.6, None)
         next(second)
         visited = []

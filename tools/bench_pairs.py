@@ -3,6 +3,8 @@
     python3 tools/bench_pairs.py --parent <other checkout> --workload witness-scan \
         --pairs 5 --seconds 20 [--seed 1]
     python3 tools/bench_pairs.py --parent <other checkout> --workload all --pairs 10
+    python3 tools/bench_pairs.py --parent <other checkout> --workload witness-scan \
+        --save BENCH_witness_scan.json
 
 Runs each checkout's own ``perfbench/run.py --trace 0`` as a subprocess,
 pair k being the parent's k-th run and the change's k-th run; the parent
@@ -24,6 +26,12 @@ lists, in file order, and closes with one line per workload and metric: the
 median relative change, the wins and whether the change is worse beyond the
 bound, so one command shows whether any metric got worse on any workload.
 
+``--save FILE`` also writes the runs as JSON: the Python version, machine
+and CPU count, then per workload the seed, the number of pairs, the
+seconds, every pair's runs (metrics and attempted/failed counts of each
+side, and which side ran first) in pair order, and per metric the summary
+line printed above.
+
 The runs write only their own ``perfbench/results/`` (git-ignored), and
 bytecode is not cached, so neither tree gains a file.  Exits 1 if a run
 fails or reports a failed operation, 0 otherwise.
@@ -34,6 +42,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -81,21 +90,26 @@ def verdicts(parent: list[float], change: list[float], lower_is_better: bool,
 
 
 def run_pairs(parent: str, workload: str, pairs: int, seed: int, seconds: float,
-              declared: list[dict]) -> tuple[list[tuple], int]:
+              declared: list[dict]) -> tuple[list[tuple], int, dict]:
     """Run and report one workload's pairs; return (name, relative change,
-    wins, worse) per declared metric and the number of failed operations."""
+    wins, worse) per declared metric, the number of failed operations and
+    the record that --save writes."""
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    record = {"seed": seed, "pairs": pairs, "seconds": seconds, "runs": [], "summary": {}}
     for k in range(1, pairs + 1):
         order = (("parent", parent), ("change", ROOT))
         for side, tree in order if k % 2 else order[::-1]:
             runs[side].append(run_once(tree, workload, seed, seconds))
+        entry = {"pair": k, "first": "parent" if k % 2 else "change"}
         cells = []
         for side in ("parent", "change"):
             r = runs[side][-1]
+            entry[side] = {key: r[key] for key in ("metrics", "attempted", "failed")}
             values = " ".join(f"{m['name']} {r['metrics'][m['name']]['value']:.4g}"
                               for m in declared)
             cells.append(f"{side}: {values}, failed {r['failed']}/{r['attempted']}")
         print(f"pair {k}: " + "; ".join(cells), flush=True)
+        record["runs"].append(entry)
 
     print(f"{workload}, seed {seed}, {pairs} pairs at --seconds {seconds:g}")
     summary = []
@@ -105,12 +119,14 @@ def run_pairs(parent: str, workload: str, pairs: int, seed: int, seconds: float,
         c = [r["metrics"][name]["value"] for r in runs["change"]]
         rel = statistics.median(b / a - 1.0 for a, b in zip(p, c))
         wins, gain, worse = verdicts(p, c, m["better"] == "lower", m["bound"])
-        print(f"{name} ({m['unit']}, {m['better']} is better): parent {_spread(p)}; "
-              f"change {_spread(c)}; median relative change {100 * rel:+.1f} %; "
-              f"change wins {wins} of {pairs}; gain shown: {'yes' if gain else 'no'}; "
-              f"worse beyond bound {m['bound']:g}: {'yes' if worse else 'no'}", flush=True)
+        line = (f"{name} ({m['unit']}, {m['better']} is better): parent {_spread(p)}; "
+                f"change {_spread(c)}; median relative change {100 * rel:+.1f} %; "
+                f"change wins {wins} of {pairs}; gain shown: {'yes' if gain else 'no'}; "
+                f"worse beyond bound {m['bound']:g}: {'yes' if worse else 'no'}")
+        print(line, flush=True)
+        record["summary"][name] = line
         summary.append((name, rel, wins, worse))
-    return summary, sum(r["failed"] for side in runs.values() for r in side)
+    return summary, sum(r["failed"] for side in runs.values() for r in side), record
 
 
 def main() -> int:
@@ -120,6 +136,7 @@ def main() -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--save", metavar="FILE", help="also write the runs as JSON to FILE")
     args = ap.parse_args()
     parent = os.path.abspath(args.parent)
     if not os.path.isfile(os.path.join(parent, "perfbench", "run.py")):
@@ -133,17 +150,24 @@ def main() -> int:
                  else [args.workload])
 
     failed, closing = 0, []
+    saved = {"python": platform.python_version(), "machine": platform.machine(),
+             "cpus": os.cpu_count(), "workloads": {}}
     for workload in workloads:
-        summary, n_failed = run_pairs(parent, workload, args.pairs, args.seed,
-                                      args.seconds, declared)
+        summary, n_failed, record = run_pairs(parent, workload, args.pairs, args.seed,
+                                              args.seconds, declared)
         failed += n_failed
         closing += [(workload, *row) for row in summary]
+        saved["workloads"][workload] = record
     if len(workloads) > 1:
         print(f"all workloads, seed {args.seed}, {args.pairs} pairs each")
         for workload, name, rel, wins, worse in closing:
             print(f"{workload} {name}: median relative change {100 * rel:+.1f} %; "
                   f"change wins {wins} of {args.pairs}; "
                   f"worse beyond bound: {'yes' if worse else 'no'}")
+    if args.save:
+        with open(args.save, "w", encoding="utf-8") as fh:
+            json.dump(saved, fh, indent=1)
+            fh.write("\n")
     return 1 if failed else 0
 
 
