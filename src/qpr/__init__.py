@@ -41,15 +41,7 @@ from .qlaguerre import (
     laguerre_direct,
     split_sums,
 )
-from .asymptotics import (
-    classify_case,
-    eval_case1,
-    eval_case_aq,
-    eval_case_theta,
-    nu_n,
-    run_verify,
-    scaling_range_advisory,
-)
+from .asymptotics import classify_case, nu_n, run_verify, scaling_range_advisory
 from .certify import RegimeReport, fit_decay_slope
 
 __version__ = "0.1.0"
@@ -65,7 +57,6 @@ __all__ = [
     "joint_witness_search", "parse_real", "witness_search",
     "ScalingParameter", "SplitSumResult", "factor_e", "factor_f",
     "laguerre_direct", "split_sums",
-    "RegimeReport", "classify_case", "eval_case1", "eval_case_aq",
-    "eval_case_theta", "fit_decay_slope", "nu_n", "run_verify",
+    "RegimeReport", "classify_case", "fit_decay_slope", "nu_n", "run_verify",
     "scaling_range_advisory",
 ]

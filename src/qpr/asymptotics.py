@@ -13,8 +13,9 @@ Regime map (sigma = tau + 2):
       tau irr, theta rat         case 6    ... q^(a+chi(m)+beta) e^(-2 pi i lam)
       tau, theta irrational      case 7    ... q^(a+chi(m)+beta1) e^(-2 pi i beta2)
 
-Each evaluator returns the row record of qpr.certify, a RegimeReport, from
-certify_row, which holds the verdict and the eligibility rules.
+One function per regime row, eval_case1, eval_case_aq or eval_case_theta,
+returns the row record of qpr.certify, a RegimeReport, from certify_row,
+which holds the verdict and the eligibility rules; run_verify calls them.
 
 The majorant prefactors are computed once per context.  The main terms are
 memoized per context on the exact quantities their argument is built from
@@ -36,8 +37,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from .certify import MARGIN, RegimeReport, certify_row
-from .diophantine import DiophantineWitness, RealValue, check_search, chi, decompose, \
-    default_rho, joint_witness_search, witness_search
+from .diophantine import DiophantineWitness, RealValue, check_search, chi, default_rho, \
+    joint_witness_search, witness_search
 from .numerics import TWO_PI, DomainError, Majorant, exp_or_inf, lp, lp_mul, pow_or_inf
 from .qseries import QContext, aq_series_lp, b_function, pochhammer, ramanujan_a, theta
 from .qlaguerre import ScalingParameter, normalized_laguerre_lp, split_sums
@@ -157,16 +158,14 @@ def _theta_main(ctx: QContext, parity: int, u: float, v: float) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# the shared row steps: case check, witness check
+# the shared row steps: case check, witness plan
 # ---------------------------------------------------------------------------
 
-def _require_case(sp: ScalingParameter, case_id: int,
-                  cases: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7)) -> int:
-    """case_id, checked to be one of the caller's cases and the one the (tau,
-    theta) declarations give; this covers every range and rationality
-    condition."""
-    if case_id not in cases:
-        raise DomainError(f"expected one of cases {cases}, got {case_id}")
+def _require_case(sp: ScalingParameter, case_id: int) -> int:
+    """case_id, checked to be one of the seven cases and the one the (tau, theta)
+    declarations give, which covers every range and rationality condition."""
+    if case_id not in (1, 2, 3, 4, 5, 6, 7):
+        raise DomainError(f"expected one of cases (1, 2, 3, 4, 5, 6, 7), got {case_id}")
     declared = classify_case(sp)
     if case_id != declared:
         raise DomainError(f"requested case {case_id} but (tau, theta) declarations "
@@ -183,26 +182,6 @@ def witness_plan(case_id: int, sp: ScalingParameter, beta: float,
     if rho is None:
         rho = default_rho(angle, beta, joint=case_id == 7)
     return angle, rho
-
-
-def _require_witness(case_id: int, sp: ScalingParameter, n: int,
-                     witness: DiophantineWitness | None) -> DiophantineWitness:
-    """The witness of cases 3, 5, 6, 7 sits at n, and each of its
-    decompositions recomputes from the angle witness_plan names (plus theta
-    as the second angle in case 7)."""
-    if witness is None or witness.n != n or (case_id == 7 and witness.m1 is None):
-        raise DomainError(f"case {case_id} needs a witness at this n")
-    angle, _ = witness_plan(case_id, sp, witness.target_beta, witness.rho)
-    sides = [(angle, witness.target_beta, witness.m, witness.residual)]
-    if case_id == 7:
-        sides.append((sp.theta, witness.target_beta2, witness.m1, witness.residual2))
-    for th, beta, m, residual in sides:
-        got_m, got_r = decompose(th, n, beta)
-        if got_m != m or abs(got_r - residual) > 1e-9:
-            raise DomainError(
-                f"witness (n={n}, m={m}, residual={residual}) is inconsistent with "
-                f"the declared angle: recomputed (m={got_m}, residual={got_r})")
-    return witness
 
 
 def _over(x: float, d: float) -> float:
@@ -222,20 +201,16 @@ def _witness_powers(n: int, rho: float) -> tuple[float, float]:
 # case 1: tau > 0
 # ---------------------------------------------------------------------------
 
+# The three row functions' names are the spans perfbench/tracer.py reads.
 def eval_case1(ctx: QContext, sp: ScalingParameter, n: int) -> RegimeReport:
-    """Main term 1; error majorant q^(1-a) B_q(q^(2-a)/|z|) q^(tau n) / ((1-q)|z|).
-
-    The normalization constant is the finite (q;q)_n, which makes the k = 0
+    """The case-1 row at n, a case run_verify has checked: main term 1, error
+    majorant q^(1-a) B_q(q^(2-a)/|z|) q^(tau n) / ((1-q)|z|).  The
+    normalization constant is the finite (q;q)_n, which makes the k = 0
     term of the reversed sum exactly 1 and is what the stated majorant
     provably dominates; with (q;q)_inf the k = 0 term deviates by
     (q^(n+1);q)_inf - 1, a q^n-sized error the majorant cannot absorb once
     tau >= 1 (numerically violated at q=1/2, z=1, tau=1).
     """
-    _require_case(sp, 1)
-    return _case1_row(ctx, sp, n)
-
-
-def _case1_row(ctx: QContext, sp: ScalingParameter, n: int) -> RegimeReport:
     exact = lp_mul(normalized_laguerre_lp(ctx, sp, n), lp(ctx.tq.log(n), 0.0))
     majorant = Majorant(None, (sp.tau.value * n * ctx.log_q,),
                         log_prefactor=_case1_log_prefactor(ctx))
@@ -249,20 +224,13 @@ def _case1_row(ctx: QContext, sp: ScalingParameter, n: int) -> RegimeReport:
 
 def eval_case_aq(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
                  witness: DiophantineWitness | None = None) -> RegimeReport:
-    """tau = 0 regimes: main term A_q at a root-of-unity-twisted argument.
-
-    Case 2 (theta rational) uses the exact fractional part lam = {n theta}
-    and carries no arithmetic error term; case 3 (theta irrational) needs a
-    witness n*theta = m + beta + gamma_n with |gamma_n| <= n^-rho.
+    """The row at n of case 2 or 3 (tau = 0), a case run_verify has checked:
+    main term A_q at a root-of-unity-twisted argument.  Case 2 (theta
+    rational) uses the exact fractional part lam = {n theta} and carries no
+    arithmetic error term; case 3 (theta irrational) runs at a witness
+    n*theta = m + beta + gamma_n with |gamma_n| <= n^-rho that run_verify
+    supplies from its own search.
     """
-    _require_case(sp, case_id, (2, 3))
-    if case_id == 3:
-        witness = _require_witness(3, sp, n, witness)
-    return _aq_row(ctx, sp, n, case_id, witness)
-
-
-def _aq_row(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
-            witness: DiophantineWitness | None) -> RegimeReport:
     lq, lzqa = ctx.log_q, ctx.log_zqa
     if case_id == 2:
         m_th, lam = sp.theta.mul_floor_frac(n)
@@ -297,22 +265,16 @@ def _aq_row(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
 
 def eval_case_theta(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
                     witness: DiophantineWitness | None = None) -> RegimeReport:
-    """Theta-regime evaluation in the bilateral-theta normalization.
+    """The row at n of case 4, 5, 6 or 7 (-2 < tau < 0), a case run_verify
+    has checked; cases 5-7 run at a witness it supplies from its own search.
 
     The exact value is the split-sum total, i.e. L_n divided by the full
     prefactor (-z q^a)^n q^(n^2(1-s) + p(tau n + p)) / ((q;q)_inf^2
-    (-z q^a e^(-2 n theta pi i))^p), carried in log-polar form throughout.
-    The main term is Theta(-z q^(a + chi(m) + u) e^(-2 pi i v) | q) with
-    (u, v) the case's pair of q-power and phase offsets.
+    (-z q^a e^(-2 n theta pi i))^p), carried in log-polar form throughout
+    (the bilateral-theta normalization).  The main term is
+    Theta(-z q^(a + chi(m) + u) e^(-2 pi i v) | q) with (u, v) the case's
+    pair of q-power and phase offsets.
     """
-    _require_case(sp, case_id, (4, 5, 6, 7))
-    if case_id != 4:
-        witness = _require_witness(case_id, sp, n, witness)
-    return _theta_row(ctx, sp, n, case_id, witness)
-
-
-def _theta_row(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
-               witness: DiophantineWitness | None) -> RegimeReport:
     q = ctx.q
     tail, decomposition = [], None
     if case_id in (6, 7):
@@ -374,10 +336,10 @@ def _evaluate(ctx: QContext, sp: ScalingParameter, n: int, case_id: int,
     search: _scan reports decompose's (m, residual) on witness_plan's angle
     at every hit, so the witness is consistent by construction."""
     if case_id == 1:
-        return _case1_row(ctx, sp, n)
+        return eval_case1(ctx, sp, n)
     if case_id in (2, 3):
-        return _aq_row(ctx, sp, n, case_id, witness)
-    return _theta_row(ctx, sp, n, case_id, witness)
+        return eval_case_aq(ctx, sp, n, case_id, witness)
+    return eval_case_theta(ctx, sp, n, case_id, witness)
 
 
 def run_verify(ctx: QContext, sp: ScalingParameter, *,

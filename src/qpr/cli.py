@@ -172,19 +172,19 @@ def _beta_value(token: str):
         raise argparse.ArgumentTypeError(f"cannot parse beta {token!r}") from exc
 
 
-def _degree(token: str) -> int:
+def _integer(token: str, what: str = "degree") -> int:
     try:
         return int(token)
     except ValueError:
-        raise DomainError(f"cannot parse degree {token!r}") from None
+        raise DomainError(f"cannot parse {what} {token!r}") from None
 
 
 def _parse_n_range(text: str, step: int) -> range:
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
-        lo, hi = _degree(lo_s), _degree(hi_s)
+        lo, hi = _integer(lo_s), _integer(hi_s)
     else:
-        lo = hi = _degree(text)
+        lo = hi = _integer(text)
     if lo < 0 or hi < lo:
         raise DomainError(f"bad degree range {text!r} (need 0 <= lo <= hi)")
     if step < 1:
@@ -226,7 +226,7 @@ def cmd_eval(args) -> int:
     if fn in ("laguerre", "normalized_laguerre") and args.n is None:
         raise DomainError(f"{fn} needs a degree: pass --n")
     if fn == "pochhammer":
-        n = None if args.n in (None, "inf") else _degree(args.n)
+        n = None if args.n in (None, "inf") else _integer(args.n)
         v = pochhammer(complex(args.a), args.q, n)
         _print_value(f"pochhammer(a={args.a}, q={args.q}, n={args.n})", v)
     elif fn == "theta":
@@ -236,10 +236,10 @@ def cmd_eval(args) -> int:
         v = aq_series_lp(args.q, complex(args.z), fn == "ramanujan_a")
         _print_value(f"{fn}(q={args.q}, z={args.z})", v)
     elif fn == "laguerre":
-        v = laguerre_direct(_context(args), _degree(args.n), complex(args.x))
+        v = laguerre_direct(_context(args), _integer(args.n), complex(args.x))
         _print_value(f"laguerre(n={args.n}, alpha={args.alpha}, x={args.x}, q={args.q})", v)
     elif fn == "normalized_laguerre":
-        v = normalized_laguerre_lp(_context(args), _scaling(args), _degree(args.n))
+        v = normalized_laguerre_lp(_context(args), _scaling(args), _integer(args.n))
         _print_value(
             f"normalized_laguerre(n={args.n}, tau={args.tau}, theta={args.theta})", v)
     return EXIT_OK
@@ -249,7 +249,7 @@ def cmd_verify(args) -> int:
     # every context and scaling invariant is checked before any row runs
     sp = _scaling(args)
     ctx = _context(args)
-    case_id = None if args.case == "auto" else int(args.case)
+    case_id = None if args.case == "auto" else _integer(args.case, "case")
     n_values = _parse_n_range(args.n, args.n_step) if args.n else None
     check_search((args.beta, args.beta2), args.rho, args.nmax)
     advisory = scaling_range_advisory(sp.tau.value)

@@ -195,7 +195,7 @@ def parse_real(token: str, assume: str | None = None) -> RealValue:
 
     Free decimals are only accepted when assume is 'rational' or
     'irrational'; rationality drives case dispatch and cannot be guessed
-    from a double.
+    from a double.  A token whose double is not finite is refused.
     """
     t = token.strip().lower()
     neg = t[:1] == "-"
@@ -208,10 +208,14 @@ def parse_real(token: str, assume: str | None = None) -> RealValue:
             return RealValue.from_rational(Fraction(t), label=token.strip())
         except (ValueError, ZeroDivisionError):
             pass
+        except OverflowError:  # exact, but its double is not finite
+            raise DomainError(f"real parameter {token!r} must be finite") from None
     try:
         x = float(t)
     except ValueError as exc:
         raise DomainError(f"cannot parse real parameter {token!r}") from exc
+    if not math.isfinite(x):  # nan, inf, or a decimal past double range
+        raise DomainError(f"real parameter {token!r} must be finite")
     if assume == "rational":
         # a decimal literal denotes an exact rational once declared so
         return RealValue.from_rational(Fraction(t), label=token.strip())

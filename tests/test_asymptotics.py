@@ -17,8 +17,7 @@ from qpr.asymptotics import (
     scaling_range_advisory,
 )
 from qpr.certify import NOISE_FLOOR, fit_decay_slope
-from qpr.diophantine import FIXTURES, DiophantineWitness, RealValue, \
-    joint_witness_search, witness_search
+from qpr.diophantine import FIXTURES, RealValue
 from qpr.numerics import DomainError
 from qpr.qlaguerre import ScalingParameter
 from qpr.qseries import QContext, b_function, ramanujan_a, theta
@@ -121,8 +120,8 @@ class TestCase1:
         assert r10.bound < r1.bound / 9.0
 
     def test_rejects_nonpositive_tau(self):
-        with pytest.raises(DomainError):
-            eval_case1(self.CTX, sp_rat(0, 0), 5)
+        with pytest.raises(DomainError, match="requested case 1 but .* give case 2"):
+            run_verify(self.CTX, sp_rat(0, 0), case_id=1, n_values=[5])
 
     def test_out_of_range_sides_compared_in_log_space(self):
         # |exact| ~ 1e984 and the uncapped bound ~ 1e33219 both leave double range
@@ -176,13 +175,13 @@ class TestCase2:
         assert r.witness.residual == 0.0
 
     def test_rejects_nonzero_tau(self):
-        with pytest.raises(DomainError):
-            eval_case_aq(self.CTX, sp_rat(1, 0), 5, 2)
+        with pytest.raises(DomainError, match="requested case 2 but .* give case 1"):
+            run_verify(self.CTX, sp_rat(1, 0), case_id=2, n_values=[5])
 
     def test_rejects_irrational_theta(self):
         sp = ScalingParameter(RealValue.from_rational(0), SQRT2)
-        with pytest.raises(DomainError):
-            eval_case_aq(self.CTX, sp, 5, 2)
+        with pytest.raises(DomainError, match="requested case 2 but .* give case 3"):
+            run_verify(self.CTX, sp, case_id=2, n_values=[5])
 
 
 class TestCase3:
@@ -195,13 +194,6 @@ class TestCase3:
         assert eligible, "expected eligible witnesses below 10^4"
         assert all(r.bound_holds for r in eligible)
         assert {2378, 5741} <= {r.n for r in eligible}
-
-    def test_witness_mismatch_rejected(self):
-        sp = ScalingParameter(RealValue.from_rational(0), SQRT2)
-        fake = DiophantineWitness(n=12, m=20, m1=None, target_beta=0.0,
-                                  residual=0.001, rho=1.0)
-        with pytest.raises(DomainError):
-            eval_case_aq(self.CTX, sp, 12, 3, witness=fake)
 
 
 class TestCase4:
@@ -246,11 +238,11 @@ class TestCase4:
                                 "underlying derivation supports 15")
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            eval_case_theta(self.CTX, sp_rat(1, 0), 8, 4)
+        with pytest.raises(DomainError, match="requested case 4 but .* give case 1"):
+            run_verify(self.CTX, sp_rat(1, 0), case_id=4, n_values=[8])
         sp5 = ScalingParameter(RealValue.from_rational(-1), SQRT2)
-        with pytest.raises(DomainError):
-            eval_case_theta(self.CTX, sp5, 8, 4)
+        with pytest.raises(DomainError, match="requested case 4 but .* give case 5"):
+            run_verify(self.CTX, sp5, case_id=4, n_values=[8])
 
 
 class TestThetaIrrationalCases:
@@ -561,50 +553,6 @@ class TestOverflowRule:
             assert r.notes.count("FAIL") == 1
 
 
-class TestWitnessCheck:
-    CTX = QContext(0.5, 0.0, 1.0)
-    SP = {
-        3: ScalingParameter(RealValue.from_rational(0), SQRT2),
-        5: ScalingParameter(RealValue.from_rational(-1), SQRT2),
-        6: ScalingParameter(SQRT2.neg(), RealValue.from_rational(F(1, 2))),
-        7: ScalingParameter(SQRT2.neg(), SQRT3),
-    }
-
-    def genuine(self, case_id):
-        if case_id == 7:
-            wits = joint_witness_search(SQRT2, SQRT3, 0.0, 0.0, 0.4, 200)
-        else:
-            wits = witness_search(SQRT2, 0.0, 1.0, 200)
-        return next(w for w in wits if w.n >= 8)
-
-    def evaluate(self, case_id, n, witness):
-        if case_id == 3:
-            return eval_case_aq(self.CTX, self.SP[3], n, 3, witness=witness)
-        return eval_case_theta(self.CTX, self.SP[case_id], n, case_id, witness=witness)
-
-    @pytest.mark.parametrize("case_id, forgery", [
-        *[(c, f) for c in (3, 5, 6, 7) for f in ("m", "residual", "n")],
-        (7, "m1"), (7, "residual2"),
-    ])
-    def test_forged_witness_rejected(self, case_id, forgery):
-        w = self.genuine(case_id)
-        assert self.evaluate(case_id, w.n, w).witness == w
-        n, match = w.n, "inconsistent with the declared angle"
-        if forgery == "n":
-            n, match = n + 1, "needs a witness at this n"
-        elif forgery in ("m", "m1"):
-            w = dataclasses.replace(w, **{forgery: getattr(w, forgery) + 1})
-        else:
-            w = dataclasses.replace(w, **{forgery: getattr(w, forgery) + 0.01})
-        with pytest.raises(DomainError, match=match):
-            self.evaluate(case_id, n, w)
-
-    @pytest.mark.parametrize("case_id", [3, 5, 6, 7])
-    def test_missing_witness_rejected(self, case_id):
-        with pytest.raises(DomainError, match="needs a witness"):
-            self.evaluate(case_id, 12, None)
-
-
 def _cells(r) -> list:
     """Every field of the row r and of its witness, floats by their hex."""
     witness = () if r.witness is None else dataclasses.astuple(r.witness)
@@ -613,8 +561,8 @@ def _cells(r) -> list:
 
 class TestPerRunChecks:
     # run_verify checks the case once per run, and its own search's witnesses
-    # are consistent by construction; its rows must equal the public
-    # evaluators', which check both on every call
+    # are consistent by construction; its rows must equal those of the row
+    # functions called one degree at a time
     CTX = QContext(0.71, 0.25, -0.6 + 1.1j)
     SCENARIOS = [
         (1, sp_rat(1, F(1, 3)), {"n_values": list(range(2, 40, 3))}),
@@ -650,16 +598,12 @@ class TestPerRunChecks:
 
     def test_checks_run_once_per_run(self, monkeypatch):
         import qpr.asymptotics as asy
-        calls = Counter()
-        for name in ("classify_case", "decompose"):
-            real = getattr(asy, name)
-            monkeypatch.setattr(asy, name, lambda *a, _n=name, _f=real: (
-                calls.update([_n]), _f(*a))[1])
+        calls = []
+        real = asy.classify_case
+        monkeypatch.setattr(asy, "classify_case", lambda s: calls.append(s) or real(s))
         case_id, sp, kw = self.SCENARIOS[4]
         rows = run_verify(self.CTX, sp, case_id=case_id, **kw)
-        assert len(rows) >= 5 and calls == Counter(classify_case=1)
-        self.public(self.CTX, sp, case_id, rows[0].n, rows[0].witness)
-        assert calls == Counter(classify_case=2, decompose=1)
+        assert len(rows) >= 5 and calls == [sp]
 
     @pytest.mark.parametrize("case_id, sp, kw", SCENARIOS,
                              ids=[f"case{c}" for c, *_ in SCENARIOS])
@@ -675,10 +619,6 @@ class TestPerRunChecks:
 
 class TestExportedGuards:
     # one line per guard of an exported regime function
-    def test_aq_evaluator_refuses_a_strip_case(self):
-        with pytest.raises(DomainError, match=r"expected one of cases \(2, 3\), got 4"):
-            eval_case_aq(QContext(0.5, 0.0, 1.0), sp_rat(-1, F(1, 3)), 10, 4)
-
     def test_no_prediction_for_an_unknown_case(self):
         with pytest.raises(DomainError, match="no prediction for case 8"):
             predicted_decay(8, QContext(0.5, 0.0, 1.0), sp_rat(1, 0), 1.0)

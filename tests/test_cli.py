@@ -753,6 +753,49 @@ class TestDegreeTokens:
         assert captured.err == f"error: cannot parse degree '{token}'\n"
 
 
+class TestCaseToken:
+    # a --case that is not an integer names the token, as a degree does; a
+    # case outside 1-7 keeps the case check's message
+    @pytest.mark.parametrize("token, message", [
+        ("x", "cannot parse case 'x'"),
+        ("2.0", "cannot parse case '2.0'"),
+        ("8", "expected one of cases (1, 2, 3, 4, 5, 6, 7), got 8"),
+    ])
+    def test_is_usage_error(self, token, message, capsys):
+        assert run_cli(["verify", "--case", token, "--q", "0.5", "--z=1", "--tau=1",
+                        "--n", "5..7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
+class TestNonFiniteScalingTokens:
+    # nan, inf and a decimal past double range are usage errors naming the
+    # token under either declaration, never a bound violation or nan rows
+    ARGV = {
+        "verify-tau": ["verify", "--q", "0.5", "--theta", "0", "--n", "5..7", "--tau={}"],
+        "verify-theta": ["verify", "--q", "0.5", "--tau", "0", "--n", "5..7", "--theta={}"],
+        "witness-theta": ["witness", "--nmax", "100", "--theta={}"],
+        "witness-theta2": ["witness", "--nmax", "100", "--theta", "sqrt2", "--theta2={}"],
+        "sweep-tau-grid": ["sweep", "--q", "0.5", "--theta", "0", "--tau-grid={}"],
+    }
+
+    @pytest.mark.parametrize("where", ARGV)
+    @pytest.mark.parametrize("token", ["nan", "inf", "1e400"])
+    @pytest.mark.parametrize("assume", ["--assume-rational", "--assume-irrational"])
+    def test_is_usage_error(self, where, token, assume, capsys):
+        assert run_cli([arg.format(token) for arg in self.ARGV[where]] + [assume]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: real parameter '{token}' must be finite\n"
+
+    def test_exact_integer_past_double_range(self, capsys):
+        token = "1" + "0" * 400
+        assert run_cli(["verify", "--q", "0.5", "--theta", "0", "--n", "5..7",
+                        f"--tau={token}"]) == 2
+        assert capsys.readouterr().err == f"error: real parameter '{token}' must be finite\n"
+
+
 class TestNegativeTauNormalizedLaguerre:
     def test_is_usage_error(self, capsys):
         # a domain refusal, not an overflow: exit 2 and one error line that
