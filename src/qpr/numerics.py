@@ -285,6 +285,28 @@ def step_phases(phase_step: float, start: int, stop: int) -> list[float]:
             for r in [remainder(k * phase_step, TWO_PI) for k in range(start, stop + 1)]]
 
 
+def _ratio_threshold(ratio_bound: Callable[[int], float], k: int, last: int) -> int:
+    """The first j in [k, last] with ratio_bound(j) <= 1/2, for a non-increasing
+    ratio_bound, by doubling from k and then bisection; last + 1 where none is.
+    A nan bound fails the test, so it never stops a series."""
+    if ratio_bound(k) <= 0.5:
+        return k
+    lo, hi = k, k + 1  # ratio_bound(lo) fails; hi - k doubles until it holds
+    while hi < last and not ratio_bound(hi) <= 0.5:
+        lo, hi = hi, 2 * hi - k
+    if hi >= last:
+        if lo == last or not ratio_bound(last) <= 0.5:
+            return last + 1
+        hi = last
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ratio_bound(mid) <= 0.5:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def certified_terms(term_log: Callable[[int], float], phase_step: float,
                     ratio_bound: Callable[[int], float], *, start: int = 0,
                     stop: int | None = None, max_log: float = _NEG_INF,
@@ -296,18 +318,22 @@ def certified_terms(term_log: Callable[[int], float], phase_step: float,
     term_log(k) is term k's log-magnitude (-inf terms are left out) and
     step_phases(phase_step, k, k)[0], computed inline, its phase; for phi in
     (-pi, pi] the step wrap_phase(-phi) gives step_phases(phi, -k, -k)[0] bit
-    for bit at k >= 1.  ratio_bound(k) must majorize |t_{k+1}/t_k|.  Generation
-    stops once the ratio bound is <= 1/2 and the tail majorant at k
-    (tail_log(k), by default the term itself) sits TOL/4 below the largest
-    term seen, so the discarded tail is at most 2|t_k| <= (TOL/2) * max-term.
-    max_log seeds that peak with terms summed elsewhere.  A finite sum ends
-    at the inclusive index stop; an infinite one raises ConvergenceError
-    after MAX_TERMS + 1 terms.
+    for bit at k >= 1.  ratio_bound(k) must majorize |t_{k+1}/t_k| and be
+    non-increasing in k.  Generation stops at the first k where the ratio
+    bound is <= 1/2 and the tail majorant at k (tail_log(k), by default the
+    term itself) sits TOL/4 below the largest term seen, so the discarded tail
+    is at most 2|t_k| <= (TOL/2) * max-term.  The ratio bound is located once
+    per sum, where the tail test first holds: the first index at which it is
+    <= 1/2, found in O(log) calls; every later term pays the tail test and an
+    index compare.  max_log seeds the peak with terms summed elsewhere.  A
+    finite sum ends at the inclusive index stop; an infinite one raises
+    ConvergenceError after MAX_TERMS + 1 terms.
     """
     logs: list[float] = []
     phases: list[float] = []
     quarter, remainder, neg_pi = _QUARTER_STEPS.get(phase_step), math.remainder, -math.pi
     last = start + MAX_TERMS if stop is None else stop
+    threshold = None  # the ratio bound's first index <= 1/2, once the tail test held
     for k in range(start, last + 1):
         tl = term_log(k)
         if tl != _NEG_INF:
@@ -318,9 +344,11 @@ def certified_terms(term_log: Callable[[int], float], phase_step: float,
             if tl > max_log:
                 max_log = tl
         tail = tl if tail_log is None else tail_log(k)
-        # both tests are pure: the tail's, almost always false, spares ratio_bound
-        if (tail == _NEG_INF or tail <= max_log + _LOG_TOL) and ratio_bound(k) <= 0.5:
-            return logs, phases
+        if tail == _NEG_INF or tail <= max_log + _LOG_TOL:
+            if threshold is None:
+                threshold = _ratio_threshold(ratio_bound, k, last)
+            if k >= threshold:
+                return logs, phases
     if stop is not None:
         return logs, phases
     raise ConvergenceError(f"series not certified within {MAX_TERMS} terms")

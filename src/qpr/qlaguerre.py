@@ -124,9 +124,17 @@ def normalized_laguerre_lp(ctx: QContext, sp: ScalingParameter, n: int) -> LogPo
     _, d_n = sp.theta.mul_floor_frac(n)
     log_zqa = ctx.log_zqa
     log_1mq = math.log1p(-q)
+    log_an = ta.log(n)
+    tql, tqs, tal, tas = tq.logs, tq.sat, ta.logs, ta.sat
+
+    def term_log(k: int) -> float:
+        # the tables read by index, clamped at sat as _PochTable.log clamps
+        j = n - k
+        return (log_an - tql[k if k < tqs else tqs] - tql[j if j < tqs else tqs]
+                - tal[j if j < tas else tas] + (k * k + tau_n * k) * lq - k * log_zqa)
+
     terms = certified_terms(
-        term_log=lambda k: (ta.log(n) - tq.log(k) - tq.log(n - k) - ta.log(n - k)
-                            + (k * k + tau_n * k) * lq - k * log_zqa),
+        term_log=term_log,
         phase_step=wrap_phase(math.pi - phase(ctx.z) + TWO_PI * d_n),
         ratio_bound=lambda k: exp_or_inf((2 * k + 1 + tau_n) * lq - log_zqa - log_1mq),
         stop=n,

@@ -447,13 +447,15 @@ def sum_rescaled(terms):
 
 
 # ---------------------------------------------------------------------------
-# the series stop test as it was before it read the tail first: ratio_bound
-# consulted at every k.  qpr.numerics.certified_terms must give the same bits.
+# the series stop test as it was before the ratio bound was located once per
+# sum: ratio_bound consulted at every k where the tail test holds.  For a
+# non-increasing ratio_bound, qpr.numerics.certified_terms must give the same
+# bits and raise the same errors.
 # ---------------------------------------------------------------------------
 
-def certified_terms_ratio_first(term_log, phase_step, ratio_bound, *, start=0, stop=None,
-                                max_log=_NEG_INF, tail_log=None):
-    """certified_terms with ratio_bound(k) tested before the tail at every k."""
+def certified_terms_per_term(term_log, phase_step, ratio_bound, *, start=0, stop=None,
+                             max_log=_NEG_INF, tail_log=None):
+    """certified_terms with ratio_bound(k) tested at every k whose tail test holds."""
     from qpr.numerics import _QUARTER_PHASES, _QUARTER_STEPS, MAX_TERMS, TOL, \
         ConvergenceError
     log_tol = math.log(TOL) - math.log(4.0)
@@ -470,7 +472,7 @@ def certified_terms_ratio_first(term_log, phase_step, ratio_bound, *, start=0, s
             if tl > max_log:
                 max_log = tl
         tail = tl if tail_log is None else tail_log(k)
-        if ratio_bound(k) <= 0.5 and (tail == _NEG_INF or tail <= max_log + log_tol):
+        if (tail == _NEG_INF or tail <= max_log + log_tol) and ratio_bound(k) <= 0.5:
             return logs, phases
     if stop is not None:
         return logs, phases

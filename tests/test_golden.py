@@ -5,7 +5,9 @@ One ``verify`` per regime (cases 1-7, q from 0.5 to 0.9, CSV and JSON), a
 case-4 run whose split-sum indices cross the Pochhammer tables' saturation
 index (where the half sums read one factor for all saturated terms), a
 case-4 run at tau = -3/5 and a case-5 witness run whose rows cross from
-there into the degrees where both halves reuse their residue's term logs, three
+there into the degrees where both halves reuse their residue's term logs, a
+case-1 and a case-2 run at z = 1 whose reversed sums' indices cross the
+saturation index with every term on the real axis, three
 runs that carry a negative zero (beta = -0.0 at a real z, then also z = 2-0j),
 whose main terms are real and must not depend on that sign, ``eval`` of every
 function, a single and a joint ``witness`` scan, and ``sweep`` as CSV, as
@@ -68,6 +70,14 @@ RUNS = {
     "verify_case5_saturation": ["verify", "--case", "5", "--q", "0.5", "--z=0.9+0.3j",
                                 "--tau=-3/4", "--theta", "sqrt2", "--beta", "1/3",
                                 "--rho", "0.5", "--nmax", "3000"],
+    # reversed sums at a real z, every term on an axis, whose indices k, n - k
+    # cross the q = 0.5 tables' saturation index 59
+    "verify_case2_real_z_saturation": ["verify", "--case", "2", "--q", "0.5", "--alpha",
+                                       "0.5", "--z=1", "--theta", "0", "--n", "40..120",
+                                       "--n-step", "8"],
+    "verify_case1_real_z_saturation": ["verify", "--case", "1", "--q", "0.5", "--z=1",
+                                       "--tau=1/4", "--theta", "0", "--n", "40..120",
+                                       "--n-step", "20"],
     "verify_case3_beta_neg_zero": ["verify", "--case", "3", "--q", "0.9", "--z=2", "--tau",
                                    "0", "--theta", "sqrt2", "--beta", "-0.0", "--rho", "1",
                                    "--nmax", "1000"],

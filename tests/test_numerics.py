@@ -229,34 +229,94 @@ _SERIES_LOGS = st.one_of(st.just(-math.inf), st.floats(-60.0, 60.0),
                          st.sampled_from([*_TIED_LOGS[:4], math.log(1e-15) - math.log(4.0)]))
 
 
-@settings(max_examples=300)
-@given(st.lists(_SERIES_LOGS, min_size=1, max_size=30),
-       st.none() | st.lists(_SERIES_LOGS, min_size=1, max_size=30),
-       st.lists(st.sampled_from([0.0, 0.25, 0.5, math.nextafter(0.5, 1.0), 1.0, 3.0]),
-                min_size=1, max_size=30),
-       _PHASES, st.integers(0, 1), st.none() | st.integers(-1, 40),
-       st.sampled_from([-math.inf, 0.0, 30.0]))
-def test_certified_terms_identical_to_ratio_first_stop(tls, tails, ratios, step, start,
-                                                       stop, max_log):
-    # past the drawn lists every term vanishes and the ratio is 1/4, so each
-    # series stops; before that the two stop-test orders must agree
-    def drawn(values, past):
-        return lambda k: values[k - start] if k - start < len(values) else past
-    kw = dict(term_log=drawn(tls, -math.inf), phase_step=step,
-              ratio_bound=drawn(ratios, 0.25), start=start,
-              stop=None if stop is None else start + stop, max_log=max_log,
-              tail_log=None if tails is None else drawn(tails, -math.inf))
+_RATIOS = [math.inf, 3.0, 1.0, math.nextafter(0.5, 1.0), 0.5, 0.25, 0.0]
+
+
+def _same_as_per_term(**kw):
+    """certified_terms and the per-term reference give the same bits, or the
+    same ConvergenceError."""
+    try:
+        want = oracles.certified_terms_per_term(**kw)
+    except ConvergenceError as exc:
+        with pytest.raises(ConvergenceError) as got:
+            certified_terms(**kw)
+        assert str(got.value) == str(exc)
+        return
     got = certified_terms(**kw)
-    want = oracles.certified_terms_ratio_first(**kw)
     assert [_hexes(got[0]), _hexes(got[1])] == [_hexes(want[0]), _hexes(want[1])]
 
 
-def test_certified_terms_uncertified_like_ratio_first_stop():
-    kw = dict(term_log=lambda k: 0.0, phase_step=1.0, ratio_bound=lambda k: 1.0)
-    with pytest.raises(ConvergenceError):
-        certified_terms(**kw)
-    with pytest.raises(ConvergenceError):
-        oracles.certified_terms_ratio_first(**kw)
+@settings(max_examples=300)
+@given(st.lists(_SERIES_LOGS, min_size=1, max_size=30),
+       st.none() | st.lists(_SERIES_LOGS, min_size=1, max_size=30),
+       st.lists(st.sampled_from(_RATIOS), min_size=1, max_size=30), st.integers(0, 5),
+       _PHASES, st.integers(0, 1), st.none() | st.integers(-1, 40),
+       st.sampled_from([-math.inf, 0.0, 30.0]))
+def test_certified_terms_identical_to_per_term_stop(tls, tails, ratios, nans, step, start,
+                                                    stop, max_log):
+    # a non-increasing bound, after up to five nan ones that never stop a
+    # series; past the drawn lists every term vanishes and the ratio is at
+    # most 1/4, so each series stops
+    ratios = [math.nan] * nans + sorted(ratios, reverse=True)
+
+    def drawn(values, past):
+        return lambda k: values[k - start] if k - start < len(values) else past
+    _same_as_per_term(term_log=drawn(tls, -math.inf), phase_step=step,
+                      ratio_bound=drawn(ratios, min(ratios[-1], 0.25)), start=start,
+                      stop=None if stop is None else start + stop, max_log=max_log,
+                      tail_log=None if tails is None else drawn(tails, -math.inf))
+
+
+def _bound_from(threshold, above=1.0):
+    """A non-increasing ratio bound: above before the index threshold, 1/4 from it."""
+    return lambda k: above if k < threshold else 0.25
+
+
+@pytest.mark.parametrize("term_log, ratio_bound, kw", [
+    # the threshold at start, where the seeded peak lets the tail test hold
+    (lambda k: 0.0, _bound_from(0), dict(max_log=40.0)),
+    (lambda k: 0.0, _bound_from(3), dict(start=3, max_log=40.0)),
+    # the tail test first holds at k = 36: the threshold there, one and two
+    # past it, and far past it
+    (lambda k: -1.0 * k, _bound_from(36), {}),
+    (lambda k: -1.0 * k, _bound_from(37), {}),
+    (lambda k: -1.0 * k, _bound_from(38), {}),
+    (lambda k: -1.0 * k, _bound_from(1000), {}),
+    # the threshold at, and one past, a finite stop: the sum ends there either way
+    (lambda k: -1.0 * k, _bound_from(60), dict(stop=60)),
+    (lambda k: -1.0 * k, _bound_from(61), dict(stop=60)),
+    (lambda k: -1.0 * k, _bound_from(10**6), dict(stop=60)),
+    # the threshold at the term cap, where the last term stops the sum, and
+    # past it, where both raise the same ConvergenceError
+    (lambda k: -1.0 * k, _bound_from(10_000), {}),
+    (lambda k: -1.0 * k, _bound_from(10_001), {}),
+    (lambda k: -1.0 * k, _bound_from(10_002), dict(start=1)),
+    # infinite bounds before the threshold, and nan ones that never stop a sum
+    (lambda k: -1.0 * k, _bound_from(500, math.inf), {}),
+    (lambda k: -1.0 * k, _bound_from(500, math.nan), {}),
+    (lambda k: -1.0 * k, lambda k: math.nan, dict(stop=80)),
+    (lambda k: -1.0 * k, lambda k: math.nan, {}),
+    # -inf terms: the tail test holds at once, and the terms kept are few
+    (lambda k: -math.inf, _bound_from(20), {}),
+    (lambda k: 0.0 if k % 7 == 0 else -math.inf, _bound_from(45), {}),
+    (lambda k: 0.0 if k < 3 else -math.inf, _bound_from(45),
+     dict(tail_log=lambda k: -1.0 * k)),
+], ids=["at-start", "at-start-3", "at-tail-pass", "next", "next-but-one", "far", "at-stop",
+        "past-stop", "far-past-stop", "at-cap", "past-cap", "past-cap-start-1",
+        "inf-bound", "nan-prefix", "nan-finite", "nan-infinite", "neg-inf-terms",
+        "sparse-terms", "neg-inf-with-tail"])
+def test_certified_terms_threshold_like_per_term_stop(term_log, ratio_bound, kw):
+    _same_as_per_term(term_log=term_log, phase_step=0.5, ratio_bound=ratio_bound, **kw)
+
+
+def test_certified_terms_locates_ratio_threshold_in_log_calls():
+    # the tail test holds from k = 36; the bound reaches 1/2 at k = 5000
+    calls = []
+    logs, _ = certified_terms(term_log=lambda k: -1.0 * k, phase_step=0.0,
+                              ratio_bound=lambda k: calls.append(k) or
+                              (1.0 if k < 5000 else 0.25))
+    assert len(logs) == 5001
+    assert calls[0] == 36 and len(calls) <= 2 * math.ceil(math.log2(5000)) + 2
 
 
 def test_sum_value_finite_for_finite_inputs():
