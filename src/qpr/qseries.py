@@ -106,9 +106,9 @@ class _PochTable:
     All factors 1 - a*q^k are then positive, so the product is a positive
     real carried as a log.  Indices past the saturation point return the
     converged value, which equals log (a;q)_inf to double precision: log(k)
-    reads logs[k if k < sat else sat].  The series kernels read logs by
-    index with that same clamp, on indices they know to be nonnegative;
-    log(k) is the checked reader for every other caller.
+    reads logs[k if k < sat else sat].  The reversed normalized sum reads
+    logs by index with that same clamp, on indices it knows to be
+    nonnegative; log(k) is the checked reader for every other caller.
     """
 
     __slots__ = ("logs", "sat")
@@ -218,11 +218,10 @@ def aq_series_lp(q: float, z: complex, negate: bool) -> LogPolarComplex:
     if z == 0:
         return lp(0.0, 0.0)
     table = poch_table(q, q)
-    logs, sat = table.logs, table.sat
     lq = math.log(q)
     lz = math.log(abs_z)
     terms = certified_terms(
-        term_log=lambda k: k * k * lq + k * lz - logs[k if k < sat else sat],
+        term_log=lambda k: k * k * lq + k * lz - table.log(k),
         phase_step=phase(-z if negate else z),
         ratio_bound=lambda k: (q ** (2 * k + 1)) * abs_z / (1.0 - q),
     )
@@ -236,14 +235,12 @@ def ramanujan_a_deriv(q: float, z: complex) -> complex:
         raise DomainError(f"A_q derivative series needs 0 < q < 1, got q={q}")
     z = complex(z)
     table = poch_table(q, q)
-    logs, sat = table.logs, table.sat
     lq = math.log(q)
     if z == 0:
         return -q / (1.0 - q) + 0j
     lz = math.log(abs(z))
     terms = certified_terms(
-        term_log=lambda j: ((j + 1) * (j + 1) * lq + j * lz + math.log(j + 1)
-                            - logs[j + 1 if j + 1 < sat else sat]),
+        term_log=lambda j: (j + 1) * (j + 1) * lq + j * lz + math.log(j + 1) - table.log(j + 1),
         phase_step=phase(-z),
         ratio_bound=lambda j: (q ** (2 * j + 3)) * abs(z) * (j + 2) / ((j + 1) * (1.0 - q)),
     )
