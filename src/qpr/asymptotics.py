@@ -23,10 +23,12 @@ memoized per context on the exact quantities their argument is built from
 cases 4-7), which recur with period at most 2 lcm of the denominators.
 The exact values of saturated case-4 and case-5 rows reuse their term logs
 the same way: qlaguerre.split_sums keeps them per context on chi(m) and
-c_n = {-tau n}.  The q-series take their phases from numerics.phase, in
-(-pi, pi], so the sign of a zero (in z or in a residue) reaches no main
-term, the term logs do not depend on it, and memo keys that compare 0.0
-equal to -0.0 return the right value.
+c_n = {-tau n}; saturated tau = 0 rows reuse their whole reversed sum, which
+qlaguerre.normalized_laguerre_lp keeps per context on {n theta}.  The
+q-series take their phases from numerics.phase, in (-pi, pi], so the sign
+of a zero (in z or in a residue) reaches no main term, the term logs do
+not depend on it, and memo keys that compare 0.0 equal to -0.0 return the
+right value.
 """
 
 from __future__ import annotations

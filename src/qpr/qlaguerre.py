@@ -22,6 +22,12 @@ which for an exact rational tau recur with period at most 2 den(tau).
 split_sums then reads both halves' logs from a per-context memo, computes
 only the row's phases, and sums the same terms, the memo's logs as they
 are: the bytes do not change.
+
+The reversed sum of a tau = 0 row, once its degree n and every index n - k
+it reads are past saturation, depends on n only through d_n = {n theta},
+which for a rational theta recurs with period den(theta).
+normalized_laguerre_lp then reads the value from a per-context memo,
+_saturated_reversed, summed by the same helper over the same terms.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from typing import NamedTuple, Sequence
 
 from .diophantine import RealValue, as_real_value, chi
 from .numerics import (
+    MAX_TERMS,
     ConvergenceError,
     DomainError,
     LogPolarComplex,
@@ -112,16 +119,33 @@ def normalized_laguerre_lp(ctx: QContext, sp: ScalingParameter, n: int) -> LogPo
     grow like q^(-(tau n)^2/4) and this path silently loses the
     normalization the theory wants, so it refuses them as outside its domain;
     :func:`split_sums` carries that strip.
+
+    A tau = 0 row of an exact rational theta with n >= top and n - K >= top,
+    top = max(tq.sat, ta.sat) and K the last index of its residue's sum,
+    reads the value that _saturated_reversed keeps for d_n = {n theta}; every
+    other row sums its own terms, to n at most.  Both are summed by
+    _reversed_lp.
     """
     if n < 0:
         raise DomainError("degree n must be nonnegative")
     if sp.tau.value < 0.0:
         raise DomainError("normalized_laguerre needs tau >= 0: for tau < 0 the reversed "
                           "sum loses the theta-regime normalization; use verify there")
-    q, lq = ctx.q, ctx.log_q
-    tq, ta = ctx.tq, ctx.ta
     tau_n = sp.tau.value * n
     _, d_n = sp.theta.mul_floor_frac(n)
+    if tau_n == 0.0 and sp.theta.kind == "rational":
+        top = max(ctx.tq.sat, ctx.ta.sat)
+        saved = _saturated_reversed(ctx, d_n) if n >= top else None
+        if saved is not None and n - saved[1] >= top:
+            return saved[0]
+    return _reversed_lp(ctx, n, tau_n, d_n, n)[0]
+
+
+def _reversed_lp(ctx: QContext, n: int, tau_n: float, d_n: float, stop: int | None) -> tuple:
+    """The reversed sum at degree n, with tau*n = tau_n and {n theta} = d_n,
+    summed to its certified end or to stop, and its last index."""
+    q, lq = ctx.q, ctx.log_q
+    tq, ta = ctx.tq, ctx.ta
     log_zqa = ctx.log_zqa
     log_1mq = math.log1p(-q)
     log_an = ta.log(n)
@@ -133,13 +157,29 @@ def normalized_laguerre_lp(ctx: QContext, sp: ScalingParameter, n: int) -> LogPo
         return (log_an - tql[k if k < tqs else tqs] - tql[j if j < tqs else tqs]
                 - tal[j if j < tas else tas] + (k * k + tau_n * k) * lq - k * log_zqa)
 
-    terms = certified_terms(
+    logs, phases = certified_terms(
         term_log=term_log,
         phase_step=wrap_phase(math.pi - phase(ctx.z) + TWO_PI * d_n),
         ratio_bound=lambda k: exp_or_inf((2 * k + 1 + tau_n) * lq - log_zqa - log_1mq),
-        stop=n,
+        stop=stop,
     )
-    return sum_rescaled(*terms).to_lp()
+    return sum_rescaled(logs, phases).to_lp(), len(logs) - 1
+
+
+# 256 entries hold the residues {n theta} of the grids in use; a longer
+# period only misses
+@lru_cache(maxsize=256)
+def _saturated_reversed(ctx: QContext, d_n: float) -> tuple | None:
+    """The reversed sum of a tau = 0 row whose Pochhammer indices n and n - k
+    are all saturated, and its last index K: it depends on n only through
+    d_n = {n theta}.  Summed with no stop at degree MAX_TERMS + top, top
+    being the larger sat, so every index n - k reads the converged value; a
+    row with n - K >= top has these terms, stop and phases and takes it.
+    None where the sum is not certified within MAX_TERMS."""
+    try:
+        return _reversed_lp(ctx, MAX_TERMS + max(ctx.tq.sat, ctx.ta.sat), 0.0, d_n, None)
+    except ConvergenceError:
+        return None
 
 
 class SplitSumResult(NamedTuple):

@@ -104,10 +104,12 @@ class _PochTable:
     """Cumulative log (a;q)_k for real a < 1, built once to saturation.
 
     All factors 1 - a*q^k are then positive, so the product is a positive
-    real carried as a log.  Indices past the saturation point return the
-    converged value, which equals log (a;q)_inf to double precision: log(k)
-    reads logs[k if k < sat else sat].  The reversed normalized sum reads
-    logs by index with that same clamp, on indices it knows to be
+    real carried as a log.  The factors are taken until a*q^k falls below
+    _SATURATION; sat is then the first index whose entry equals the
+    converged value, which equals log (a;q)_inf to double precision, and
+    the entries past it are dropped.  Indices past sat return that value:
+    log(k) reads logs[k if k < sat else sat].  The reversed normalized sum
+    reads logs by index with that same clamp, on indices it knows to be
     nonnegative; log(k) is the checked reader for every other caller.
     """
 
@@ -132,6 +134,9 @@ class _PochTable:
                     f"(a;q)_inf with a={a}, q={q} did not saturate within "
                     f"{MAX_TERMS} factors; q is too close to 1 for doubles"
                 )
+        # every factor has the sign of a, so acc is monotone: the entries
+        # equal the converged value from the first one that does
+        del logs[logs.index(acc) + 1:]
         self.logs = logs
         self.sat = len(logs) - 1
 

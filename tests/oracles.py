@@ -4,14 +4,14 @@ Everything here works over Q or Q(i) (Gaussian rationals), summing and
 multiplying exactly and converting to floats only at the comparison site.
 Scope is deliberately desk-scale: degrees n <= ~12, rational q and z, and
 angle parameters whose phases land on {1, i, -1, -i}.  The linear witness
-scans, the split sums as every row generated them, the earlier summation
-kernel and series stop test kept verbatim, the row writer as two library
-calls, and the error majorants as one expression per regime are the
-references that rewrites must match exactly.  Three cross-checks
-built on qpr's own kernels (q-binomials from the Pochhammer tables, Euler's
-product/series identity, fractional-part orbits), the reconstruction of
-L_n at the scaled point from qpr's normalized paths and the continued-fraction
-convergents close the file: no row or command uses them, only the tests that
+scans, the split sums and the reversed sum as every row generated them,
+the untrimmed Pochhammer log table, the earlier summation kernel and series
+stop test kept verbatim, the row writer as two library calls, and the error
+majorants as one expression per regime are the references that rewrites
+must match exactly.  Three cross-checks built on qpr's own kernels
+(q-binomials from the Pochhammer tables, Euler's product/series identity,
+fractional-part orbits), the reconstruction of L_n at the scaled point from
+qpr's normalized paths and the continued-fraction convergents close the file: no row or command uses them, only the tests that
 check the kernels through them.
 """
 
@@ -24,8 +24,8 @@ import math
 from fractions import Fraction
 
 from qpr.diophantine import RealValue, as_real_value
-from qpr.numerics import LP_ZERO, TWO_PI, DomainError, RangeGuardError, certified_terms, \
-    exp_or_inf, lp, lp_mul, lp_pow_int, phase
+from qpr.numerics import LP_ZERO, MAX_TERMS, TWO_PI, ConvergenceError, DomainError, \
+    RangeGuardError, certified_terms, exp_or_inf, lp, lp_mul, lp_pow_int, phase
 from qpr.numerics import sum_rescaled as qpr_sum_rescaled
 from qpr.qlaguerre import normalized_laguerre_lp, split_sums
 from qpr.qseries import aq_series_lp, poch_table, pochhammer
@@ -322,6 +322,48 @@ def linear_joint_witness_search(theta1, theta2, beta1, beta2, rho: float,
                                           trusted=_trusted(th1, r1, n) and _trusted(th2, r2, n),
                                           target_beta2=pairs[1][1], residual2=r2))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the Pochhammer log table as it was built before it dropped the entries past
+# its converged value, and the reversed sum as every row generated it before
+# saturated tau = 0 rows reused it.  qpr.qseries._PochTable must read the same
+# bits at every index, and qpr.qlaguerre.normalized_laguerre_lp give the same
+# value.
+# ---------------------------------------------------------------------------
+
+def poch_table_untrimmed(a: float, q: float) -> list[float]:
+    """log (a;q)_k for k = 0 up to the first k with |a q^k| <= 1e-18, whose
+    entry is the converged value; ConvergenceError past MAX_TERMS factors."""
+    logs, acc, aqk = [0.0], 0.0, a
+    while abs(aqk) > 1e-18:
+        acc += math.log1p(-aqk)
+        logs.append(acc)
+        aqk *= q
+        if len(logs) > MAX_TERMS + 1:
+            raise ConvergenceError(
+                f"(a;q)_inf with a={a}, q={q} did not saturate within "
+                f"{MAX_TERMS} factors; q is too close to 1 for doubles"
+            )
+    return logs
+
+
+def normalized_laguerre_direct(ctx, sp, n: int):
+    """The reversed sum at degree n, its terms generated with the row's own
+    stop and every Pochhammer factor read by _PochTable.log."""
+    from qpr.numerics import wrap_phase
+    lq, tq, ta = ctx.log_q, ctx.tq, ctx.ta
+    tau_n = sp.tau.value * n
+    _, d_n = sp.theta.mul_floor_frac(n)
+    log_zqa, log_1mq, log_an = ctx.log_zqa, math.log1p(-ctx.q), ta.log(n)
+    terms = certified_terms(
+        term_log=lambda k: (log_an - tq.log(k) - tq.log(n - k) - ta.log(n - k)
+                            + (k * k + tau_n * k) * lq - k * log_zqa),
+        phase_step=wrap_phase(math.pi - phase(ctx.z) + TWO_PI * d_n),
+        ratio_bound=lambda k: exp_or_inf((2 * k + 1 + tau_n) * lq - log_zqa - log_1mq),
+        stop=n,
+    )
+    return qpr_sum_rescaled(*terms).to_lp()
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,40 @@ class TestQContext:
         with pytest.raises(DomainError, match="z must be finite and nonzero"):
             QContext(0.5, 0.0, 1.5e308 + 1.5e308j)
 
+class TestTableSaturation:
+    """A table stops at the first index whose entry equals its converged value
+    and drops the entries past it; every read gives the bits of the untrimmed
+    table, oracles.poch_table_untrimmed, whose factors run to a*q^k <= 1e-18."""
+
+    # a = q^(alpha+1) for alpha in {0, 0.5, 2}, and two negative a
+    @pytest.mark.parametrize("a_of_q", [lambda q: q ** 1.0, lambda q: q ** 1.5,
+                                        lambda q: q ** 3.0, lambda q: -q * q,
+                                        lambda q: -q ** 1.5],
+                             ids=["q", "q^1.5", "q^3", "-q^2", "-q^1.5"])
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9, 0.95, 0.97, 0.99])
+    def test_reads_match_untrimmed_table(self, q, a_of_q):
+        a = a_of_q(q)
+        table = qseries._PochTable(a, q)
+        full = oracles.poch_table_untrimmed(a, q)
+        top = len(full) - 1
+        assert table.sat == full.index(full[-1])
+        assert table.logs[table.sat - 1] != table.logs[table.sat]
+        assert [x.hex() for x in table.logs] == [x.hex() for x in full[:table.sat + 1]]
+        for k in range(top + 11):
+            want = full[min(k, top)].hex()
+            assert table.log(k).hex() == want, k
+            assert table.logs[min(k, table.sat)].hex() == want, k
+        assert table.log_inf.hex() == full[-1].hex()
+
+    def test_unsaturated_table_raises_as_before(self):
+        with pytest.raises(ConvergenceError) as want:
+            oracles.poch_table_untrimmed(0.997, 0.997)
+        with pytest.raises(ConvergenceError) as got:
+            qseries._PochTable(0.997, 0.997)
+        assert str(got.value) == str(want.value)
+        assert "did not saturate within 10000 factors" in str(got.value)
+
+
 class TestPochhammer:
     def test_empty_product(self):
         assert pochhammer(0.7 + 0.3j, 0.5, 0) == 1
@@ -325,6 +359,7 @@ class TestRatioBoundContract:
 
         monkeypatch.setattr(qseries, "certified_terms", recording)
         monkeypatch.setattr(qlaguerre, "certified_terms", recording)
+        qlaguerre._saturated_reversed.cache_clear()
         third = RealValue.from_rational(F(1, 3))
         for q, alpha, z in [(0.3, 0.0, 0.7), (0.6, 0.5, 0.6 - 1.1j), (0.95, 1.5, -40 + 3j)]:
             ctx = QContext(q, alpha, z)
@@ -335,6 +370,10 @@ class TestRatioBoundContract:
             for n in (1, 30, 200):
                 normalized_laguerre_lp(ctx, ScalingParameter(RealValue.from_rational(F(1, 2)),
                                                              third), n)
+                # at tau = 0 a saturated row's sum runs, with no stop, in
+                # qlaguerre._saturated_reversed, through the same call site
+                normalized_laguerre_lp(ctx, ScalingParameter(RealValue.from_rational(F(0)),
+                                                             third), 10 ** 6 + n)
                 split_sums(ctx, ScalingParameter(RealValue.from_rational(F(-3, 4)), third), n)
         # a call site this test does not drive fails here until it is added
         source = "".join(path.read_text() for path in Path(qseries.__file__).parent.glob("*.py"))

@@ -112,16 +112,23 @@ class TestGating:
             sp = ScalingParameter(tau, rational(F(1, 3)))
             for n in (500, 1001, 10 ** 6):
                 oracles.laguerre_scaled_lp(self.CTX, sp, n)
-        # exact rational tau, rows not saturated: p < 59 through n = 235 at
-        # tau = -1/2, and n - p < 59 through n = 464 at tau = -7/4
-        for tau, top_n in ((F(-1, 2), 235), (F(-7, 4), 464)):
+        # exact rational tau, rows not saturated: p = floor(n/4) < sat through
+        # n = 4 sat - 1 at tau = -1/2, and n - p = ceil(n/8) < sat through
+        # n = 8 (sat - 1) at tau = -7/4 (alpha = 0, so both tables are one)
+        sat = self.CTX.tq.sat
+        assert self.CTX.ta.sat == sat
+        for tau, top_n in ((F(-1, 2), 4 * sat - 1), (F(-7, 4), 8 * (sat - 1))):
             sp = ScalingParameter(rational(tau), rational(F(1, 3)))
             for n in range(1, top_n + 1):
                 split_sums(self.CTX, sp, n)
+            # the last of these rows misses the threshold by one index
+            p = sp.neg_tau.mul_floor_frac(top_n)[0] // 2
+            assert min(p, top_n - p) == sat - 1
         info = _saturated_logs.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
         # the next degree of tau = -1/2 is saturated and makes the first entry
-        split_sums(self.CTX, ScalingParameter(rational(F(-1, 2)), rational(F(1, 3))), 236)
+        split_sums(self.CTX, ScalingParameter(rational(F(-1, 2)), rational(F(1, 3))),
+                   4 * sat)
         assert _saturated_logs.cache_info().currsize == 1
 
     def test_halves_certified_past_max_terms_leave_rows_on_the_direct_path(self):
