@@ -22,9 +22,10 @@ memoized per context on the exact quantities their argument is built from
 (lam = {n theta} or the witness target in cases 2 and 3; chi(m), u and v in
 cases 4-7), which recur with period at most 2 lcm of the denominators.
 The exact values of saturated case-4 and case-5 rows reuse their term logs
-the same way: qlaguerre.split_sums keeps them per context on chi(m) and
-c_n = {-tau n}; saturated tau = 0 rows reuse their whole reversed sum, which
-qlaguerre.normalized_laguerre_lp keeps per context on {n theta}.  The
+the same way, per context on chi(m) and c_n = {-tau n}, and saturated
+tau = 0 rows their whole reversed sum, per context on {n theta}; the first
+row of a residue whose own sum has the saturated terms fills
+qlaguerre._saturated for the rows after it.  The
 q-series take their phases from numerics.phase, in (-pi, pi], so the sign
 of a zero (in z or in a residue) reaches no main term, the term logs do
 not depend on it, and memo keys that compare 0.0 equal to -0.0 return the

@@ -195,7 +195,8 @@ def parse_real(token: str, assume: str | None = None) -> RealValue:
 
     Free decimals are only accepted when assume is 'rational' or
     'irrational'; rationality drives case dispatch and cannot be guessed
-    from a double.  A token whose double is not finite is refused.
+    from a double.  A token whose double is not finite, or is +-0 for a
+    nonzero value, is refused.
     """
     t = token.strip().lower()
     neg = t[:1] == "-"
@@ -203,21 +204,24 @@ def parse_real(token: str, assume: str | None = None) -> RealValue:
     fixture = FIXTURES.get("golden" if name == "phi" else name)
     if fixture is not None:
         return fixture.neg() if neg else fixture
+    exact = None
     if "." not in t and "e" not in t:  # integer or a/b: exact by syntax
         try:
-            return RealValue.from_rational(Fraction(t), label=token.strip())
+            exact = Fraction(t)
         except (ValueError, ZeroDivisionError):
             pass
-        except OverflowError:  # exact, but its double is not finite
-            raise DomainError(f"real parameter {token!r} must be finite") from None
     try:
-        x = float(t)
+        x = float(t if exact is None else exact)
     except ValueError as exc:
         raise DomainError(f"cannot parse real parameter {token!r}") from exc
-    if not math.isfinite(x):  # nan, inf, or a decimal past double range
+    except OverflowError:  # exact, but past double range
+        x = math.inf
+    if not math.isfinite(x):  # nan, inf, or past double range
         raise DomainError(f"real parameter {token!r} must be finite")
-    if assume == "rational":
-        # a decimal literal denotes an exact rational once declared so
+    if x == 0.0 and Fraction(t):  # nonzero, but below double range
+        raise DomainError(f"real parameter {token!r} underflows to 0 as a double")
+    if exact is not None or assume == "rational":
+        # integer or a/b; a decimal literal denotes one once declared rational
         return RealValue.from_rational(Fraction(t), label=token.strip())
     if assume == "irrational":
         return RealValue.from_float(x, assumed_rational=False, label=token.strip())

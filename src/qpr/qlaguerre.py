@@ -16,18 +16,15 @@ rescaled compensated summation.  Fractional parts of n*tau and n*theta come
 from the exact RealValue reduction, so phases stay accurate at degrees
 where n*theta itself has outgrown double resolution.
 
-Once a strip row's Pochhammer indices pass the tables' saturation point,
-its half sums' term logs depend on n only through chi(m) and c_n = {-tau*n},
-which for an exact rational tau recur with period at most 2 den(tau).
-split_sums then reads both halves' logs from a per-context memo, computes
-only the row's phases, and sums the same terms, the memo's logs as they
-are: the bytes do not change.
-
-The reversed sum of a tau = 0 row, once its degree n and every index n - k
-it reads are past saturation, depends on n only through d_n = {n theta},
-which for a rational theta recurs with period den(theta).
-normalized_laguerre_lp then reads the value from a per-context memo,
-_saturated_reversed, summed by the same helper over the same terms.
+Once a row's Pochhammer indices pass the tables' saturation point, its
+terms depend on n only through a residue: d_n = {n theta} for the reversed
+sum of a tau = 0 row, recurring with period den(theta) for a rational
+theta, and (chi(m), c_n), c_n = {-tau*n}, for the half sums of a strip row,
+recurring with period at most 2 den(tau) for an exact rational tau.
+_saturated keeps one slot per context and residue.  The first row of the
+residue whose own sum ends with every index it read saturated fills it; a
+later row that would end there too reads it, the reversed sum's value or
+both halves' logs with phases of the row's own, and the bytes do not change.
 """
 
 from __future__ import annotations
@@ -39,8 +36,6 @@ from typing import NamedTuple, Sequence
 
 from .diophantine import RealValue, as_real_value, chi
 from .numerics import (
-    MAX_TERMS,
-    ConvergenceError,
     DomainError,
     LogPolarComplex,
     RangeGuardError,
@@ -120,11 +115,11 @@ def normalized_laguerre_lp(ctx: QContext, sp: ScalingParameter, n: int) -> LogPo
     normalization the theory wants, so it refuses them as outside its domain;
     :func:`split_sums` carries that strip.
 
-    A tau = 0 row of an exact rational theta with n >= top and n - K >= top,
-    top = max(tq.sat, ta.sat) and K the last index of its residue's sum,
-    reads the value that _saturated_reversed keeps for d_n = {n theta}; every
-    other row sums its own terms, to n at most.  Both are summed by
-    _reversed_lp.
+    A tau = 0 row of an exact rational theta with n >= top =
+    max(tq.sat, ta.sat) has a slot in _saturated for d_n = {n theta}.  The
+    first such row whose own sum ends at a K with n - K >= top fills it with
+    (value, K); a later row with n - K >= top reads the value, and every
+    other row sums its own terms, to n at most.
     """
     if n < 0:
         raise DomainError("degree n must be nonnegative")
@@ -133,21 +128,15 @@ def normalized_laguerre_lp(ctx: QContext, sp: ScalingParameter, n: int) -> LogPo
                           "sum loses the theta-regime normalization; use verify there")
     tau_n = sp.tau.value * n
     _, d_n = sp.theta.mul_floor_frac(n)
-    if tau_n == 0.0 and sp.theta.kind == "rational":
-        top = max(ctx.tq.sat, ctx.ta.sat)
-        saved = _saturated_reversed(ctx, d_n) if n >= top else None
-        if saved is not None and n - saved[1] >= top:
-            return saved[0]
-    return _reversed_lp(ctx, n, tau_n, d_n, n)[0]
-
-
-def _reversed_lp(ctx: QContext, n: int, tau_n: float, d_n: float, stop: int | None) -> tuple:
-    """The reversed sum at degree n, with tau*n = tau_n and {n theta} = d_n,
-    summed to its certified end or to stop, and its last index."""
-    q, lq = ctx.q, ctx.log_q
-    tq, ta = ctx.tq, ctx.ta
+    lq, tq, ta = ctx.log_q, ctx.tq, ctx.ta
+    top = max(tq.sat, ta.sat)
+    slot = None
+    if tau_n == 0.0 and sp.theta.kind == "rational" and n >= top:
+        slot = _saturated(ctx, d_n)
+        if slot and n - slot[1] >= top:
+            return slot[0]
     log_zqa = ctx.log_zqa
-    log_1mq = math.log1p(-q)
+    log_1mq = math.log1p(-ctx.q)
     log_an = ta.log(n)
     tql, tqs, tal, tas = tq.logs, tq.sat, ta.logs, ta.sat
 
@@ -161,25 +150,24 @@ def _reversed_lp(ctx: QContext, n: int, tau_n: float, d_n: float, stop: int | No
         term_log=term_log,
         phase_step=wrap_phase(math.pi - phase(ctx.z) + TWO_PI * d_n),
         ratio_bound=lambda k: exp_or_inf((2 * k + 1 + tau_n) * lq - log_zqa - log_1mq),
-        stop=stop,
+        stop=n,
     )
-    return sum_rescaled(logs, phases).to_lp(), len(logs) - 1
+    value = sum_rescaled(logs, phases).to_lp()
+    # a sum that ran to its stop has K = n and fills nothing
+    if slot is not None and n - len(logs) + 1 >= top:
+        slot[:] = value, len(logs) - 1
+    return value
 
 
-# 256 entries hold the residues {n theta} of the grids in use; a longer
-# period only misses
+# 256 entries hold the residues {n theta} and (chi(m), c_n) of the grids in
+# use; a longer period only misses
 @lru_cache(maxsize=256)
-def _saturated_reversed(ctx: QContext, d_n: float) -> tuple | None:
-    """The reversed sum of a tau = 0 row whose Pochhammer indices n and n - k
-    are all saturated, and its last index K: it depends on n only through
-    d_n = {n theta}.  Summed with no stop at degree MAX_TERMS + top, top
-    being the larger sat, so every index n - k reads the converged value; a
-    row with n - K >= top has these terms, stop and phases and takes it.
-    None where the sum is not certified within MAX_TERMS."""
-    try:
-        return _reversed_lp(ctx, MAX_TERMS + max(ctx.tq.sat, ctx.ta.sat), 0.0, d_n, None)
-    except ConvergenceError:
-        return None
+def _saturated(ctx: QContext, *residue: float) -> list:
+    """The slot of one residue of saturated rows: d_n = {n theta} for a
+    tau = 0 row, chi(m), c_n for a strip row.  Empty until the first row
+    whose own sum has the saturated terms fills it; those terms depend on n
+    only through the residue."""
+    return []
 
 
 class SplitSumResult(NamedTuple):
@@ -191,7 +179,8 @@ class SplitSumResult(NamedTuple):
     -tau*n = m + c_n and m1, d_n from n*theta = m1 + d_n.  total is summed
     once, over the terms of both halves together; terms1 and terms2 keep each
     half's (logs, phases).  The phases are lists of this result's own; the
-    logs of a saturated row are the memo's tuples, which no result can change.
+    logs of a row that read its slot in _saturated are the slot's tuples,
+    which no result can change.
     """
 
     total: LogPolarComplex
@@ -234,68 +223,6 @@ def factor_f(ctx: QContext, k: int, n: int, m: int) -> float:
     return _factor(ctx, "factor_f", _log_factor_f, k, n, m)
 
 
-def _log_w1(ctx: QContext, parity: int, c_n: float) -> float:
-    """log|w1| of w1 = -z q^(a + chi(m) + c_n) e^(-2 pi i d_n)."""
-    return math.log(ctx.abs_z) + (ctx.alpha + parity + c_n) * ctx.log_q
-
-
-def _half_terms(ctx: QContext, n: int, p: int, log_an: float, log_w1: float, ph_w1: float,
-                windows: tuple, stops: tuple) -> tuple:
-    """Both half sums' (logs, phases), each from certified_terms.  Term k of
-    the lower (upper) half reads one float for its Pochhammer factors where
-    windows' e_lo <= k <= e_hi (f_lo <= k <= f_hi), all its indices being
-    saturated there, and the factor at indices from p and n elsewhere."""
-    lq = ctx.log_q
-    tq, ta = ctx.tq, ctx.ta
-    log_euler2 = 2.0 * tq.log_inf
-    # table.log(i) is logs[sat] for all i >= sat, so for the k whose indices are
-    # all saturated each factor is this float, by the same expression
-    sat_factor = log_euler2 + log_an - tq.log_inf - tq.log_inf - ta.log_inf
-    e_lo, e_hi, f_lo, f_hi = windows
-
-    # Pochhammer factors are <= 1, so q^(k^2) |w1|^(+-k) majorizes each tail.
-    terms1 = certified_terms(
-        term_log=lambda k: (k * k * lq + k * log_w1
-                            + (sat_factor if e_lo <= k <= e_hi else
-                               _log_factor_e(tq, ta, log_euler2, log_an, p, n, k))),
-        phase_step=ph_w1,
-        ratio_bound=lambda k: exp_or_inf((2 * k + 1) * lq + log_w1),
-        stop=stops[0],
-        tail_log=lambda k: k * k * lq + k * log_w1,
-    )
-    terms2 = certified_terms(
-        term_log=lambda k: (k * k * lq - k * log_w1
-                            + (sat_factor if f_lo <= k <= f_hi else
-                               _log_factor_f(tq, ta, log_euler2, log_an, p, n, k))),
-        phase_step=wrap_phase(-ph_w1),
-        ratio_bound=lambda k: exp_or_inf((2 * k + 1) * lq - log_w1),
-        start=1,
-        stop=stops[1],
-        tail_log=lambda k: k * k * lq - k * log_w1,
-    )
-    return terms1, terms2
-
-
-# 256 entries hold a period of (chi(m), c_n), at most 2 den(tau), for the
-# grids in use; a longer period only misses
-@lru_cache(maxsize=256)
-def _saturated_logs(ctx: QContext, parity: int, c_n: float) -> tuple | None:
-    """Both halves' term logs, then the two joined, as tuples, when every
-    factor is saturated: they
-    depend on n only through (chi(m), c_n).  Summed to their certified end,
-    with no stop, by split_sums' expressions at log (q^(a+1);q)_n =
-    log (q^(a+1);q)_inf; None where that end lies past MAX_TERMS."""
-    inf = math.inf
-    try:
-        # every k lies inside the windows, so the indices p = n = 0 are never read
-        terms1, terms2 = _half_terms(ctx, 0, 0, ctx.ta.log_inf, _log_w1(ctx, parity, c_n),
-                                     0.0, (-inf, inf, -inf, inf), (None, None))
-    except ConvergenceError:
-        return None
-    logs1, logs2 = tuple(terms1[0]), tuple(terms2[0])
-    return logs1, logs2, logs1 + logs2
-
-
 def split_sums(ctx: QContext, sp: ScalingParameter, n: int,
                decomposition: tuple[int, float] | None = None) -> SplitSumResult:
     """Evaluate the two theta-normalized half sums for -2 < tau < 0.
@@ -311,10 +238,12 @@ def split_sums(ctx: QContext, sp: ScalingParameter, n: int,
     consistency with tau*n rather than for a particular range.
 
     With the default decomposition of an exact rational tau, a row whose
-    indices n - p and p are past the tables' saturation point takes its term
-    logs from _saturated_logs, if both halves end inside their saturated
-    windows, and computes only its phases, each half's by step_phases; the
-    bits are those of the terms certified_terms would give it.
+    indices n - p and p are past the tables' saturation point has a slot in
+    _saturated for (chi(m), c_n).  The first such row whose halves both end
+    inside their saturated windows fills it with both halves' term logs, and
+    the two joined, as tuples; a later row whose halves end there reads them
+    and computes only its phases, each half's by step_phases.  The bits are
+    those of the terms certified_terms would give it.
     """
     tau = sp.tau.value
     if not (-2.0 < tau < 0.0):
@@ -335,22 +264,53 @@ def split_sums(ctx: QContext, sp: ScalingParameter, n: int,
     m1, d_n = sp.theta.mul_floor_frac(n)
     p = m // 2
     parity = chi(m)
-    tq, ta = ctx.tq, ctx.ta
+    lq, tq, ta = ctx.log_q, ctx.tq, ctx.ta
     top = max(tq.sat, ta.sat)
+    # term k of the lower (upper) half reads one float for its Pochhammer
+    # factors where -f_hi <= k <= e_hi (-e_hi <= k <= f_hi), all its indices
+    # being saturated there, and the factor at indices from p and n elsewhere
+    e_hi, f_hi = p - tq.sat, n - p - top
     # w1 = -z q^(a + chi(m) + c_n) e^(-2 pi i d_n); w2 = 1/w1.
     ph_w1 = wrap_phase(math.pi + phase(ctx.z) - TWO_PI * d_n)
 
-    halves = None
-    if decomposition is None and sp.tau.kind == "rational" and n - p >= top and p >= tq.sat:
-        halves = _saturated_logs(ctx, parity, c_n)
-    if halves is not None and len(halves[0]) - 1 <= p - tq.sat and len(halves[1]) <= n - p - top:
-        logs1, logs2, logs = halves
+    slot = None
+    if decomposition is None and sp.tau.kind == "rational" and f_hi >= 0 and e_hi >= 0:
+        slot = _saturated(ctx, parity, c_n)
+    if slot and len(slot[0]) - 1 <= e_hi and len(slot[1]) <= f_hi:
+        logs1, logs2, logs = slot
         terms1 = (logs1, step_phases(ph_w1, 0, len(logs1) - 1))
         terms2 = (logs2, step_phases(wrap_phase(-ph_w1), 1, len(logs2)))
     else:
-        terms1, terms2 = _half_terms(
-            ctx, n, p, ta.log(n), _log_w1(ctx, parity, c_n), ph_w1,
-            (top - n + p, p - tq.sat, tq.sat - p, n - p - top), (p, n - p))
+        e_lo, f_lo = -f_hi, -e_hi
+        log_w1 = math.log(ctx.abs_z) + (ctx.alpha + parity + c_n) * lq
+        log_an = ta.log(n)
+        log_euler2 = 2.0 * tq.log_inf
+        # table.log(i) is logs[sat] for all i >= sat, so inside the windows
+        # each factor is this float, by the same expression
+        sat_factor = log_euler2 + log_an - tq.log_inf - tq.log_inf - ta.log_inf
+        # Pochhammer factors are <= 1, so q^(k^2) |w1|^(+-k) majorizes each tail.
+        terms1 = certified_terms(
+            term_log=lambda k: (k * k * lq + k * log_w1
+                                + (sat_factor if e_lo <= k <= e_hi else
+                                   _log_factor_e(tq, ta, log_euler2, log_an, p, n, k))),
+            phase_step=ph_w1,
+            ratio_bound=lambda k: exp_or_inf((2 * k + 1) * lq + log_w1),
+            stop=p,
+            tail_log=lambda k: k * k * lq + k * log_w1,
+        )
+        terms2 = certified_terms(
+            term_log=lambda k: (k * k * lq - k * log_w1
+                                + (sat_factor if f_lo <= k <= f_hi else
+                                   _log_factor_f(tq, ta, log_euler2, log_an, p, n, k))),
+            phase_step=wrap_phase(-ph_w1),
+            ratio_bound=lambda k: exp_or_inf((2 * k + 1) * lq - log_w1),
+            start=1,
+            stop=n - p,
+            tail_log=lambda k: k * k * lq - k * log_w1,
+        )
         logs = terms1[0] + terms2[0]
+        # a half that ran to its stop overruns its window and fills nothing
+        if slot is not None and len(terms1[0]) - 1 <= e_hi and len(terms2[0]) <= f_hi:
+            slot[:] = tuple(terms1[0]), tuple(terms2[0]), tuple(logs)
     total = sum_rescaled(logs, terms1[1] + terms2[1])
     return SplitSumResult(total.to_lp(), terms1, terms2, m, p, c_n, d_n, m1)

@@ -795,6 +795,27 @@ class TestNonFiniteScalingTokens:
                         f"--tau={token}"]) == 2
         assert capsys.readouterr().err == f"error: real parameter '{token}' must be finite\n"
 
+    # a nonzero value whose double is +-0 would run as 0 (case 2 for tau), or
+    # as case 4 with an exact tau that split_sums sees as 0
+    @pytest.mark.parametrize("where", ARGV)
+    @pytest.mark.parametrize("token", ["1e-400", "-1e-400", "1/1" + "0" * 400],
+                             ids=["1e-400", "-1e-400", "1/10^400"])
+    @pytest.mark.parametrize("assume", [[], ["--assume-rational"], ["--assume-irrational"]],
+                             ids=["undeclared", "rational", "irrational"])
+    def test_underflow_to_zero_is_usage_error(self, where, token, assume, capsys):
+        assert run_cli([arg.format(token) for arg in self.ARGV[where]] + assume) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: real parameter '{token}' underflows to 0 as a double\n"
+
+    @pytest.mark.parametrize("token", ["0", "-0", "0.0", "0/7"])
+    @pytest.mark.parametrize("assume", ["--assume-rational", "--assume-irrational"])
+    def test_zero_tokens_stay_accepted(self, token, assume, capsys):
+        assert run_cli(["verify", "--q", "0.5", "--theta", "0", "--n", "5..7",
+                        f"--tau={token}", assume]) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 4
+
 
 class TestNegativeTauNormalizedLaguerre:
     def test_is_usage_error(self, capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import qpr.qlaguerre as ql
 from qpr.diophantine import FIXTURES, RealValue, chi
 from qpr.numerics import DomainError, RangeGuardError
 from qpr.qlaguerre import (
@@ -239,6 +240,41 @@ class TestSplitSums:
             split_sums(CTX, sp_rat(1, 0), 5)
         with pytest.raises(DomainError):
             split_sums(CTX, sp_rat(-2, 0), 5)
+
+
+class TestOneSumPerRow:
+    """A saturated row that its residue's saturated sum cannot serve sums its
+    own terms once: no other sum of the residue is made for it."""
+
+    @pytest.fixture
+    def sums(self, monkeypatch) -> list:
+        # a cold start: every memo of the module empty, whatever its name
+        for memo in vars(ql).values():
+            getattr(memo, "cache_clear", lambda: None)()
+        calls = []
+        real = ql.certified_terms
+        monkeypatch.setattr(ql, "certified_terms",
+                            lambda *a, **kw: calls.append(kw.get("stop")) or real(*a, **kw))
+        return calls
+
+    def test_first_saturated_reversed_rows(self, sums):
+        # q = 0.5 saturates at top = 53; rows 53-55 have n - K < top
+        ctx = QContext(0.5, 0.0, 0.9 + 0.3j)
+        assert max(ctx.tq.sat, ctx.ta.sat) == 53
+        for n in (53, 54, 55):
+            before = len(sums)
+            normalized_laguerre_lp(ctx, sp_rat(0, F(1, 3)), n)
+            assert sums[before:] == [n], n
+
+    def test_first_saturated_split_row_of_its_residue(self, sums):
+        # at tau = -1/2 and degree 4 sat, p = sat: both split indices are
+        # saturated, and the lower half overruns its window, which ends at 0
+        ctx = QContext(0.9, 0.0, 1.5 + 0.2j)
+        n = 4 * ctx.tq.sat
+        assert n == 1312 and ctx.ta.sat == ctx.tq.sat
+        res = split_sums(ctx, sp_rat(F(-1, 2), F(1, 3)), n)
+        assert res.floor_m_half == ctx.tq.sat and len(res.terms1[0]) > 1
+        assert sums == [n // 4, n - n // 4]
 
 
 class TestScaledReconstruction:

@@ -2,6 +2,7 @@ import cmath
 import math
 import re
 from fractions import Fraction as F
+from itertools import pairwise
 from pathlib import Path
 
 import pytest
@@ -359,7 +360,7 @@ class TestRatioBoundContract:
 
         monkeypatch.setattr(qseries, "certified_terms", recording)
         monkeypatch.setattr(qlaguerre, "certified_terms", recording)
-        qlaguerre._saturated_reversed.cache_clear()
+        qlaguerre._saturated.cache_clear()
         third = RealValue.from_rational(F(1, 3))
         for q, alpha, z in [(0.3, 0.0, 0.7), (0.6, 0.5, 0.6 - 1.1j), (0.95, 1.5, -40 + 3j)]:
             ctx = QContext(q, alpha, z)
@@ -370,8 +371,8 @@ class TestRatioBoundContract:
             for n in (1, 30, 200):
                 normalized_laguerre_lp(ctx, ScalingParameter(RealValue.from_rational(F(1, 2)),
                                                              third), n)
-                # at tau = 0 a saturated row's sum runs, with no stop, in
-                # qlaguerre._saturated_reversed, through the same call site
+                # a saturated tau = 0 row sums to 10^6 + n at most and fills
+                # its slot in qlaguerre._saturated, through the same call site
                 normalized_laguerre_lp(ctx, ScalingParameter(RealValue.from_rational(F(0)),
                                                              third), 10 ** 6 + n)
                 split_sums(ctx, ScalingParameter(RealValue.from_rational(F(-3, 4)), third), n)
@@ -382,8 +383,8 @@ class TestRatioBoundContract:
             for ratio_bound, kwargs in recorded:
                 start, stop = kwargs.get("start", 0), kwargs.get("stop")
                 last = start + numerics.MAX_TERMS if stop is None else stop
-                bounds = [ratio_bound(k) for k in range(start, last + 1)]
-                assert all(b <= a for a, b in zip(bounds, bounds[1:]))
+                bounds = map(ratio_bound, range(start, last + 1))
+                assert all(b <= a for a, b in pairwise(bounds))
 
 
 class TestLemmaRemainders:

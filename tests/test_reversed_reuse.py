@@ -2,15 +2,16 @@
 
 Once a tau = 0 row's degree n and every index n - k its reversed sum reads
 are past the Pochhammer tables' saturation point, the sum depends on n only
-through d_n = {n theta}, so qpr.qlaguerre.normalized_laguerre_lp reads it
-from a per-context memo (_saturated_reversed) that keeps the value and its
-last index K.  These tests hold every row to the direct sum kept in
-oracles.normalized_laguerre_direct, bit for bit, at the degrees where the
-memo's side condition n - K >= top flips; check that a row reads the memo
-exactly where that condition holds; check which rows may create memo
-entries (only saturated tau = 0 rows of an exact rational theta); and show
-that an entry not certified within MAX_TERMS leaves its rows on the direct
-path.
+through d_n = {n theta}.  qpr.qlaguerre.normalized_laguerre_lp keeps one
+slot per context and residue in the store _saturated: the first row whose
+own sum ends at a K with n - K >= top fills it with (value, K), and later
+rows with n - K >= top read it.  These tests hold every row to the direct
+sum kept in oracles.normalized_laguerre_direct, bit for bit, at the degrees
+where that condition flips; check that a row reads the store exactly where
+a filled slot serves it and sums once otherwise; check which rows may make
+slots (only saturated tau = 0 rows of an exact rational theta); and show
+that a sum longer than MAX_TERMS fills its slot from the first row that
+reaches it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import pytest
 
 import qpr.qlaguerre as ql
 from qpr.diophantine import FIXTURES, RealValue
-from qpr.qlaguerre import ScalingParameter, _saturated_reversed, normalized_laguerre_lp
+from qpr.numerics import MAX_TERMS
+from qpr.qlaguerre import ScalingParameter, _saturated, normalized_laguerre_lp
 from qpr.qseries import QContext
 
 import oracles
@@ -37,9 +39,23 @@ def assert_same_bits(ctx: QContext, sp: ScalingParameter, n: int) -> None:
     assert (got.log_mag.hex(), got.phase.hex()) == (want.log_mag.hex(), want.phase.hex()), n
 
 
+def slot(ctx: QContext, sp: ScalingParameter, n: int) -> list:
+    return _saturated(ctx, sp.theta.mul_floor_frac(n)[1])
+
+
+def saturated_k(ctx: QContext, sp: ScalingParameter, n: int) -> int:
+    """The last index K of the saturated sum of n's residue, read from the
+    slot a row 10^6 periods on fills; the store is left empty."""
+    far = n + sp.theta.fraction.denominator * 10 ** 6
+    normalized_laguerre_lp(ctx, sp, far)
+    k = slot(ctx, sp, far)[1]
+    _saturated.cache_clear()
+    return k
+
+
 @pytest.fixture
 def sums(monkeypatch) -> list:
-    """Records every certified_terms call made by qpr.qlaguerre."""
+    """Records the stop of every certified_terms call made by qpr.qlaguerre."""
     calls = []
     real = ql.certified_terms
     monkeypatch.setattr(ql, "certified_terms",
@@ -59,11 +75,7 @@ class TestReuseIsBitIdentical:
         sp = ScalingParameter(rational(0), rational(theta))
         top = max(ctx.tq.sat, ctx.ta.sat)
         den = theta.denominator
-        last = {}
-        for r in range(den):
-            entry = _saturated_reversed(ctx, sp.theta.mul_floor_frac(r)[1])
-            assert entry is not None
-            last[r] = entry[1]
+        last = {r: saturated_k(ctx, sp, r) for r in range(den)}
         # every n with n - K - top in {-1, 0, 1}, K being the last index of
         # n's own residue, and the last row of each residue below the
         # threshold with the first at or past it
@@ -73,38 +85,46 @@ class TestReuseIsBitIdentical:
             first = top + k + (r - top - k) % den
             degrees.update((first - den, first))
         degrees = sorted(n for n in degrees if n >= 1)
-        reused = 0
+        filled, reused = set(), 0
         for n in degrees + [10 ** 6, 10 ** 6 + 1, 10 ** 12 + 1]:
             before = len(sums)
             assert_same_bits(ctx, sp, n)
-            memo = n >= top and n - last[n % den] >= top
-            # a memo row sums nothing; every other row sums once, to n
-            assert sums[before:] == ([] if memo else [n]), n
-            reused += memo
+            r = n % den
+            saturated = n >= top and n - last[r] >= top
+            # a row that a filled slot serves sums nothing; every other row
+            # sums once, to n, and the first saturated one fills the slot
+            assert sums[before:] == ([] if saturated and r in filled else [n]), n
+            reused += saturated and r in filled
+            if saturated:
+                filled.add(r)
+            if n >= top:
+                assert bool(slot(ctx, sp, n)) == (r in filled), n
         assert 0 < reused < len(degrees) + 3
 
-    def test_entry_longer_than_max_terms_less_top(self, sums):
-        # at |z| = 1e-65 and q = 0.99 the terms peak near k = 7 450, so an
-        # entry ends past MAX_TERMS - top: its indices n - k stay saturated
-        # only because it is summed at a degree of MAX_TERMS + top
+    def test_slot_filled_by_a_sum_longer_than_max_terms_less_top(self, sums):
+        # at |z| = 1e-65 and q = 0.99 the terms peak near k = 7 450, so the
+        # saturated sum ends past MAX_TERMS - top: the first row with
+        # n >= top + K fills its slot, and later rows read it
         ctx = QContext(0.99, 0.0, 1e-65)
         sp = ScalingParameter(rational(0), rational(F(1, 3)))
         top = max(ctx.tq.sat, ctx.ta.sat)
-        k = _saturated_reversed(ctx, sp.theta.mul_floor_frac(1)[1])[1]
-        assert k > ql.MAX_TERMS - top
+        k = saturated_k(ctx, sp, 1)
+        assert k > MAX_TERMS - top
         n = top + k + (1 - top - k) % 3
-        for degree, memo in ((n - 3, False), (n, True), (n + 3, True)):
+        for degree, filled, summed in ((n - 3, False, True), (n, True, True),
+                                       (n + 3, True, False)):
             before = len(sums)
             assert_same_bits(ctx, sp, degree)
-            assert sums[before:] == ([] if memo else [degree])
+            assert sums[before:] == ([degree] if summed else [])
+            assert bool(slot(ctx, sp, degree)) == filled
 
 
 class TestGating:
     CTX = QContext(0.9, 0.5, 0.9 + 0.3j)
 
-    def test_case1_irrational_and_unsaturated_rows_create_no_entries(self):
+    def test_case1_irrational_and_unsaturated_rows_make_no_slots(self):
         top = max(self.CTX.tq.sat, self.CTX.ta.sat)
-        _saturated_reversed.cache_clear()
+        _saturated.cache_clear()
         for tau in (F(1, 4), F(1, 2), F(1)):
             sp = ScalingParameter(rational(tau), rational(F(1, 3)))
             for n in (1, top, top + 500, 10 ** 6):
@@ -117,34 +137,46 @@ class TestGating:
         sp = ScalingParameter(rational(0), rational(F(1, 3)))
         for n in range(top):
             normalized_laguerre_lp(self.CTX, sp, n)
-        info = _saturated_reversed.cache_info()
+        info = _saturated.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
-        # the first saturated degree makes the first entry
+        # the first saturated degree makes the first slot, which its sum,
+        # ending short of n - top, leaves empty; a row past top + K fills it
         normalized_laguerre_lp(self.CTX, sp, top)
-        assert _saturated_reversed.cache_info().currsize == 1
+        assert _saturated.cache_info().currsize == 1
+        assert slot(self.CTX, sp, top) == []
+        normalized_laguerre_lp(self.CTX, sp, top + 3 * 10 ** 4)
+        assert _saturated.cache_info().currsize == 1
+        assert len(slot(self.CTX, sp, top)) == 2
 
-    def test_entry_certified_past_max_terms_leaves_rows_on_the_direct_path(self, sums):
-        # at |z| = 1e-300 and q = 0.97 the terms peak near k = 11 340, so no
-        # entry is certified within MAX_TERMS; the rows, saturated from
-        # n = 1092, sum to n as before
+    def test_sum_longer_than_max_terms_fills_its_slot_past_top_plus_k(self, sums):
+        # at |z| = 1e-300 and q = 0.97 the terms peak near k = 11 340, so the
+        # saturated sum ends at K = 11 408 > MAX_TERMS; the rows saturated
+        # from n = 1092 sum to n and leave the slot empty, and the first row
+        # with n >= top + K fills it
         ctx = QContext(0.97, 0.0, 1e-300)
         sp = ScalingParameter(rational(0), rational(F(1, 3)))
         assert max(ctx.tq.sat, ctx.ta.sat) < 2000
+        _saturated.cache_clear()
         for n in (2000, 2001, 2003):
-            assert _saturated_reversed(ctx, sp.theta.mul_floor_frac(n)[1]) is None
             before = len(sums)
             assert_same_bits(ctx, sp, n)
             assert sums[before:] == [n]
+            assert slot(ctx, sp, n) == []
+        for n, summed in ((20000, True), (20003, False), (20006, False)):
+            before = len(sums)
+            assert_same_bits(ctx, sp, n)
+            assert sums[before:] == ([n] if summed else [])
+        assert slot(ctx, sp, 20000)[1] == 11408 > MAX_TERMS
 
     def test_residue_class_sums_once(self, sums):
         # rows of one residue of n theta, near 10^4 and near 10^12: only the
-        # first row sums, and it sums the memo's entry
+        # first row sums, and it fills the slot the others read
         ctx = QContext(0.95, 0.5, 0.8 - 0.4j)
         sp = ScalingParameter(rational(0), rational(F(2, 5)))
-        _saturated_reversed.cache_clear()
+        _saturated.cache_clear()
         counts = []
         for n in [10 ** 4 + 5 * j for j in range(4)] + [10 ** 12 + 5 * j for j in range(4)]:
             before = len(sums)
             normalized_laguerre_lp(ctx, sp, n)
             counts.append(sums[before:])
-        assert counts == [[None]] + [[]] * 7
+        assert counts == [[10 ** 4]] + [[]] * 7
