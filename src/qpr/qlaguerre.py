@@ -30,7 +30,6 @@ both halves' logs with phases of the row's own, and the bytes do not change.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -54,23 +53,19 @@ from .qseries import QContext
 _DIRECT_GUARD = 700.0
 
 
-@dataclass(frozen=True)
 class ScalingParameter:
     """The scaling exponent s = tau + 2 + i*2*theta*pi/log q.
 
     tau and theta are declared RealValues (exact rational, quadratic surd,
     or assumption-tagged float); rationality drives regime dispatch and is
-    never inferred from a double.
+    never inferred from a double.  neg_tau is -tau, kept for the strip's
+    split point.
     """
 
-    tau: RealValue
-    theta: RealValue
-    neg_tau: RealValue = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tau", as_real_value(self.tau))
-        object.__setattr__(self, "theta", as_real_value(self.theta))
-        object.__setattr__(self, "neg_tau", self.tau.neg())
+    def __init__(self, tau: RealValue, theta: RealValue) -> None:
+        self.tau = as_real_value(tau)
+        self.theta = as_real_value(theta)
+        self.neg_tau = self.tau.neg()
 
 
 def laguerre_direct(ctx: QContext, n: int, x: complex) -> complex:

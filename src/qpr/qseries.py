@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from bisect import bisect_left
 from functools import cached_property, lru_cache
+from itertools import accumulate, chain, islice, repeat
+from operator import mul, sub
 
 from .numerics import (
     MAX_TERMS,
@@ -43,38 +45,38 @@ from .numerics import (
 _SATURATION = 1e-18
 
 
-@dataclass(frozen=True)
 class QContext:
     """Fixed problem data shared by every evaluator, and the values that depend
     on it alone, each computed on first use: the tables tq = log (q;q)_k and
     ta = log (q^(alpha+1);q)_k stay lazy, since one for q near 1 raises.
-    The hash, hash((q, alpha, z)) as the dataclass would give it, is computed
-    once: every per-context memo lookup reads it.
+    Contexts are equal when q, alpha and z are; the hash, hash((q, alpha,
+    z)), is computed once: every per-context memo lookup reads it.
 
     q in (0,1), alpha > -1 and z != 0 are hard requirements of the whole theory.
     """
 
-    q: float
-    alpha: float
-    z: complex
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.q < 1.0):
-            raise DomainError(f"q must lie in (0,1), got {self.q}")
-        if not (self.alpha > -1.0):
-            raise DomainError(f"alpha must exceed -1, got {self.alpha}")
-        object.__setattr__(self, "z", complex(self.z))
-        if self.z == 0 or not math.isfinite(abs_or_inf(self.z)):
-            raise DomainError(f"z must be finite and nonzero, got {self.z}")
+    def __init__(self, q: float, alpha: float, z: complex) -> None:
+        if not (0.0 < q < 1.0):
+            raise DomainError(f"q must lie in (0,1), got {q}")
+        if not (alpha > -1.0):
+            raise DomainError(f"alpha must exceed -1, got {alpha}")
+        z = complex(z)
+        if z == 0 or not math.isfinite(abs_or_inf(z)):
+            raise DomainError(f"z must be finite and nonzero, got {z}")
         try:
-            in_range = all(self.q ** e > 0.0
-                           for e in (self.alpha, self.alpha + 1.0, 2.0 - self.alpha))
+            in_range = all(q ** e > 0.0 for e in (alpha, alpha + 1.0, 2.0 - alpha))
         except OverflowError:
             in_range = False
         if not in_range:
-            raise DomainError(f"alpha = {self.alpha} puts q^alpha, q^(alpha+1) or "
-                              f"q^(2-alpha) outside double range at q = {self.q}")
-        object.__setattr__(self, "_hash", hash((self.q, self.alpha, self.z)))
+            raise DomainError(f"alpha = {alpha} puts q^alpha, q^(alpha+1) or "
+                              f"q^(2-alpha) outside double range at q = {q}")
+        self.q, self.alpha, self.z = q, alpha, z
+        self._hash = hash((q, alpha, z))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.q, self.alpha, self.z) == (other.q, other.alpha, other.z)
 
     def __hash__(self) -> int:
         return self._hash
@@ -159,9 +161,15 @@ def poch_table(a: float, q: float) -> _PochTable:
 def pochhammer(a: complex, q: float, n: int | float | None) -> complex:
     """(a;q)_n for complex a; n may be a nonnegative integer or infinite.
 
-    The infinite case requires |q| < 1 and truncates once the remaining
-    factors are within TOL of 1, certified by the geometric tail bound
-    2|a||q|^k/(1-|q|).  A product that leaves double range raises
+    The factors 1 - a*q^k take a*q^k from repeated multiplication by q and
+    are multiplied in order, from 1 + 0j.  The infinite case requires
+    |q| < 1 and truncates once the remaining factors are within TOL of 1,
+    certified by the geometric tail bound 2|a||q|^k/(1-|q|).  A finite
+    order past MAX_TERMS ends two factors after the first that is exactly
+    1 with every later one (a*q^k real and at most 2^-54 in size, at
+    |q| <= 1 or a = 0): a factor 1 + 0j can flip the sign of a zero part,
+    and two leave it where any more would.  Either stop must come within MAX_TERMS factors, else
+    ConvergenceError.  A product that leaves double range raises
     RangeGuardError.
     """
     infinite = n is None or (isinstance(n, float) and math.isinf(n))
@@ -184,19 +192,40 @@ def pochhammer(a: complex, q: float, n: int | float | None) -> complex:
         # |a q^k| only shrinks from |a|, so this is the one abs() that can
         # overflow, and the first factor 1 - a already leaves double range
         raise RangeGuardError(f"(a;q)_n with a={a}, q={q} leaves double range")
-    prod = complex(1.0)
-    aqk = a
-    k = 0
-    while infinite or k < n:
-        if infinite and abs(aqk) <= 0.5 and 2.0 * abs(aqk) / (1.0 - abs(q)) <= TOL:
-            break
-        prod *= 1.0 - aqk
-        aqk *= q
-        k += 1
+    # a*q^k for k = 0, 1, ...; CPython up to 3.13 widens a float operand of
+    # a complex operation to (x, 0.0), so complex operands here and in the
+    # product give the bits of aqk *= q and 1.0 - aqk, without the conversion
+    factors = accumulate(repeat(complex(q)), mul, initial=a)
+    if infinite or n > MAX_TERMS:
+        # at |q| <= 1 neither part of a*q^k grows in magnitude, so each stop
+        # test holds at every k from its first on, which bisection finds
+        if infinite:
+            r = 1.0 - abs(q)
+
+            def stop(x: complex) -> bool:
+                return abs(x) <= 0.5 and 2.0 * abs(x) / r <= TOL
+        else:  # 1 - x and 1 + x are both exactly 1, and so at every later k
+            # when |q| <= 1 or a = 0; at |q| > 1 the test never holds
+            never = abs(q) > 1.0 and a != 0
+
+            def stop(x: complex) -> bool:
+                return not never and x.imag == 0.0 and 1.0 - abs(x.real) == 1.0
+        # the list grows by a quarter until the test holds at its end or it
+        # passes the cap
+        aqk = list(islice(factors, 64))
+        while not stop(aqk[-1]) and len(aqk) <= MAX_TERMS:
+            aqk += islice(factors, 64 + len(aqk) // 4)
+        k = bisect_left(aqk, True, key=stop)
         if k > MAX_TERMS:
-            raise ConvergenceError(
-                f"(a;q)_inf with |a|={abs(a):.3g}, q={q} not certified within {MAX_TERMS} factors"
-            )
+            if infinite:
+                raise ConvergenceError(f"(a;q)_inf with |a|={abs(a):.3g}, q={q} "
+                                       f"not certified within {MAX_TERMS} factors")
+            raise ConvergenceError(f"(a;q)_n with |a|={abs(a):.3g}, q={q}, n={n}: its "
+                                   f"factors are not all exactly 1 within {MAX_TERMS}")
+        # each later factor is 1 + 0j, which can still flip the sign of a
+        # zero part of the product; two of them leave it where any more would
+        n, factors = k if infinite else min(n, k + 2), chain(aqk, factors)
+    prod = math.prod(map(sub, repeat(complex(1.0)), islice(factors, n)), start=complex(1.0))
     if not cmath.isfinite(prod):
         raise RangeGuardError(f"(a;q)_n with a={a}, q={q} leaves double range")
     return prod

@@ -5,9 +5,10 @@ multiplying exactly and converting to floats only at the comparison site.
 Scope is deliberately desk-scale: degrees n <= ~12, rational q and z, and
 angle parameters whose phases land on {1, i, -1, -i}.  The linear witness
 scans, the split sums and the reversed sum as every row generated them,
-the untrimmed Pochhammer log table, the earlier summation kernel and series
-stop test kept verbatim, the row writer as two library calls, and the error
-majorants as one expression per regime are the references that rewrites
+the untrimmed Pochhammer log table, the Pochhammer product as a loop, the
+earlier summation kernel and series stop test kept verbatim, the row writer
+as two library calls, and the error majorants as one expression per regime
+are the references that rewrites
 must match exactly.  Three cross-checks built on qpr's own kernels
 (q-binomials from the Pochhammer tables, Euler's product/series identity,
 fractional-part orbits), the reconstruction of L_n at the scaled point from
@@ -17,6 +18,7 @@ check the kernels through them.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 import json
@@ -24,8 +26,8 @@ import math
 from fractions import Fraction
 
 from qpr.diophantine import RealValue, as_real_value
-from qpr.numerics import LP_ZERO, MAX_TERMS, TWO_PI, ConvergenceError, DomainError, \
-    RangeGuardError, certified_terms, exp_or_inf, lp, lp_mul, lp_pow_int, phase
+from qpr.numerics import LP_ZERO, MAX_TERMS, TOL, TWO_PI, ConvergenceError, DomainError, \
+    RangeGuardError, abs_or_inf, certified_terms, exp_or_inf, lp, lp_mul, lp_pow_int, phase
 from qpr.numerics import sum_rescaled as qpr_sum_rescaled
 from qpr.qlaguerre import normalized_laguerre_lp, split_sums
 from qpr.qseries import aq_series_lp, poch_table, pochhammer
@@ -346,6 +348,53 @@ def poch_table_untrimmed(a: float, q: float) -> list[float]:
                 f"{MAX_TERMS} factors; q is too close to 1 for doubles"
             )
     return logs
+
+
+# ---------------------------------------------------------------------------
+# the Pochhammer product as a Python loop, as it was before its factors were
+# driven by C iterators: qpr.qseries.pochhammer must give the same bits and
+# raise the same errors at every order up to the cap and at every infinite
+# order.  max_terms stands in for numerics.MAX_TERMS.
+# ---------------------------------------------------------------------------
+
+def pochhammer_loop(a: complex, q: float, n: int | float | None,
+                    max_terms: int = MAX_TERMS) -> complex:
+    """(a;q)_n factor by factor, with the infinite product's tail test at
+    every factor; ConvergenceError past max_terms factors, at any order."""
+    infinite = n is None or (isinstance(n, float) and math.isinf(n))
+    if not infinite:
+        if not isinstance(n, int) or isinstance(n, bool):
+            if isinstance(n, float) and n.is_integer():
+                n = int(n)
+            else:
+                raise DomainError(f"n must be an integer or infinity, got {n!r}")
+        if n < 0:
+            raise DomainError(f"negative Pochhammer order {n}")
+    else:
+        if not abs(q) < 1.0:
+            raise DomainError(f"infinite product needs |q| < 1, got q={q}")
+
+    a = complex(a)
+    if not (cmath.isfinite(a) and math.isfinite(q)):
+        raise DomainError(f"a and q must be finite, got a={a}, q={q}")
+    if infinite and abs_or_inf(a) == math.inf:
+        raise RangeGuardError(f"(a;q)_n with a={a}, q={q} leaves double range")
+    prod = complex(1.0)
+    aqk = a
+    k = 0
+    while infinite or k < n:
+        if infinite and abs(aqk) <= 0.5 and 2.0 * abs(aqk) / (1.0 - abs(q)) <= TOL:
+            break
+        prod *= 1.0 - aqk
+        aqk *= q
+        k += 1
+        if k > max_terms:
+            raise ConvergenceError(
+                f"(a;q)_inf with |a|={abs(a):.3g}, q={q} not certified within {max_terms} factors"
+            )
+    if not cmath.isfinite(prod):
+        raise RangeGuardError(f"(a;q)_n with a={a}, q={q} leaves double range")
+    return prod
 
 
 def normalized_laguerre_direct(ctx, sp, n: int):

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 from collections import Counter
 from fractions import Fraction as F
@@ -555,7 +554,9 @@ class TestOverflowRule:
 
 def _cells(r) -> list:
     """Every field of the row r and of its witness, floats by their hex."""
-    witness = () if r.witness is None else dataclasses.astuple(r.witness)
+    w = r.witness
+    witness = () if w is None else (w.n, w.m, w.m1, w.target_beta, w.residual, w.rho,
+                                    w.trusted, w.target_beta2, w.residual2)
     return [v.hex() if isinstance(v, float) else v for v in (*r[:-1], *witness)]
 
 

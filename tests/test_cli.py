@@ -466,6 +466,16 @@ class TestInstalledEntrypoint:
         assert p.returncode == 0
         assert "2.1289368" in p.stdout
 
+    def test_import_leaves_out_dataclasses_and_inspect(self):
+        # a cold start pays for every module qpr imports; -S keeps site's own
+        # imports out of the count
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(qpr.__file__))}
+        p = subprocess.run([sys.executable, "-S", "-c", "import sys, qpr.cli; "
+                            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+                           capture_output=True, text=True, env=env)
+        assert p.returncode == 0, p.stderr
+        assert p.stdout == "[]\n"
+
 
 class TestOneParser:
     def test_built_once(self):
@@ -858,6 +868,24 @@ class TestMagnitudeBeyondDoubleRange:
         assert run_cli(["eval", "laguerre", "--q", "0.5", "--n", "3",
                         "--x=1.5e308+1.5e308j"]) == 2
         assert "x must be finite" in capsys.readouterr().err
+
+
+class TestPochhammerPastTheCap:
+    # past MAX_TERMS = 10000 a finite order ends at the first factor from
+    # which every factor is exactly 1: at q = 0.5 that is k = 53
+    def test_factors_exactly_one_end_the_product(self, capsys):
+        assert run_cli(["eval", "pochhammer", "--a=0.5", "--q", "0.5", "--n", "20000"]) == 0
+        past = capsys.readouterr().out
+        assert run_cli(["eval", "pochhammer", "--a=0.5", "--q", "0.5", "--n", "53"]) == 0
+        assert past == capsys.readouterr().out.replace("n=53", "n=20000")
+        assert "= 0.2887880950866024" in past
+
+    def test_factors_not_exactly_one_within_the_cap(self, capsys):
+        assert run_cli(["eval", "pochhammer", "--a=0.5", "--q", "0.999", "--n", "20000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: (a;q)_n with |a|=0.5, q=0.999, n=20000: its factors "
+                                "are not all exactly 1 within 10000\n")
 
 
 class TestPochhammerRange:

@@ -124,6 +124,14 @@ class TestRealValue:
             x, n = 3 * x + 4 * n, 2 * x + 3 * n
         assert FIXTURES["sqrt2"].mul_floor_frac(n) == (x - 1, math.nextafter(1.0, 0.0))
 
+    def test_frozen_equal_and_hashed_by_value(self):
+        a, b = RealValue.from_rational(F(2, 3)), parse_real("2/3")
+        assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+        assert a != RealValue.from_rational(F(1, 3)) and a != FIXTURES["sqrt2"]
+        assert a != F(2, 3) and a != a._values()
+        with pytest.raises(AttributeError, match="frozen"):
+            a.kind = "float"
+
 
 class TestAsRealValue:
     def test_integral_float_is_an_exact_integer(self):

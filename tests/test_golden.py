@@ -10,8 +10,9 @@ case-1 and a case-2 run at z = 1 whose reversed sums' indices cross the
 saturation index with every term on the real axis, three
 runs that carry a negative zero (beta = -0.0 at a real z, then also z = 2-0j),
 whose main terms are real and must not depend on that sign, ``eval`` of every
-function, a single and a joint ``witness`` scan, and ``sweep`` as CSV, as
-JSON and over a witness case (the README's case-3 example).  Two scans of
+function (``pochhammer`` also at a complex a with a finite order, at a
+negative q, with a zero factor and at q = 0.99), a single and a joint
+``witness`` scan, and ``sweep`` as CSV, as JSON and over a witness case (the README's case-3 example).  Two scans of
 a rational angle take an exact and a decimal target, and two direct
 Laguerre sums at degree 80 stay within and pass the range guard.  Near the end a parse fails (exit 2) after reading ``--format json`` and
 ``--assume-irrational``, and the next run passes neither.  Last, an advisory
@@ -103,6 +104,16 @@ RUNS = {
     "sweep_witness": ["sweep", "--q", "0.5", "--z", "2", "--tau-grid", "0", "--theta",
                       "sqrt2", "--rho", "1", "--nmax", "8000"],
     "eval_pochhammer": ["eval", "pochhammer", "--a=-0.25+0.5j", "--q", "0.6", "--n", "inf"],
+    # products no benchmark workload draws: a complex a at a finite order, a
+    # negative q, a zero factor (it prints -0.0) and 3962 factors at q = 0.99
+    "eval_pochhammer_complex_finite": ["eval", "pochhammer", "--a=0.3-0.7j", "--q", "0.8",
+                                       "--n", "25"],
+    "eval_pochhammer_negative_q": ["eval", "pochhammer", "--a=0.6+0.2j", "--q=-0.7", "--n",
+                                   "inf"],
+    "eval_pochhammer_zero_factor": ["eval", "pochhammer", "--a", "2", "--q", "0.5", "--n",
+                                    "6"],
+    "eval_pochhammer_q099_inf": ["eval", "pochhammer", "--a=0.5+0.5j", "--q", "0.99", "--n",
+                                 "inf"],
     "eval_laguerre": ["eval", "laguerre", "--q", "0.5", "--alpha", "0.5", "--n", "6",
                       "--x=1.5-0.5j"],
     "eval_normalized_laguerre": ["eval", "normalized_laguerre", "--q", "0.7",

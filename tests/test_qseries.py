@@ -1,3 +1,4 @@
+import bisect
 import cmath
 import math
 import re
@@ -90,7 +91,7 @@ class TestQContext:
         _ = used.log_zqa, used.tq, used.ta
         assert used == fresh and hash(used) == hash(fresh)
         assert {used: 1}[fresh] == 1
-        assert used != QContext(0.7, 0.5, 1 - 1j)
+        assert used != QContext(0.7, 0.5, 1 - 1j) and used != (0.7, 0.5, 1 + 1j)
 
     def test_tables_are_built_on_first_use(self):
         # q this close to 1 cannot saturate a table; constructing the context
@@ -166,6 +167,79 @@ class TestPochhammer:
         for a, q, n in [(F(1, 3), F(1, 2), 5), (F(-2, 3), F(2, 5), 7), (F(7, 4), F(1, 3), 4)]:
             assert close(pochhammer(float(a), float(q), n).real,
                          float(oracles.poch(a, q, n)), rel=1e-13)
+
+
+def _outcome(f, *args) -> tuple:
+    """Both parts of f(*args) by float.hex (signed zeros included), or the
+    type and message of the exception it raises."""
+    try:
+        v = f(*args)
+    except Exception as exc:  # the exception is the outcome compared
+        return type(exc), str(exc)
+    return v.real.hex(), v.imag.hex()
+
+
+class TestPochhammerAgainstLoop:
+    """pochhammer drives its factors by C iterators and finds the infinite
+    product's stop by bisection; oracles.pochhammer_loop is the loop it
+    replaced, factor by factor, with the tail test at every factor."""
+
+    A = [0.5, -0.9801, 0.999, 0.3 - 0.7j, -0.25 + 0.5j, complex(-0.0, 1.2), 0.0,
+         complex(0.0, -0.0), 2.0, 1.5e308 + 1.5e308j]
+    Q = [0.5, 0.9, 0.99, 0.997, -0.7, 0.0, -0.0]
+    ORDERS = [0, 1, 7, numerics.MAX_TERMS, None, math.inf]
+
+    @pytest.mark.parametrize("q", Q)
+    @pytest.mark.parametrize("a", A)
+    def test_same_bits_and_errors(self, a, q):
+        for n in self.ORDERS:
+            assert _outcome(pochhammer, a, q, n) == \
+                _outcome(oracles.pochhammer_loop, a, q, n), n
+
+    def test_grid_reaches_every_outcome(self):
+        kinds = {o[0] if isinstance(o[0], type) else "value"
+                 for a in self.A for q in self.Q for n in self.ORDERS
+                 for o in [_outcome(oracles.pochhammer_loop, a, q, n)]}
+        assert kinds == {"value", ConvergenceError, numerics.RangeGuardError}
+        assert _outcome(pochhammer, 2.0, 0.5, 7) == ("-0x0.0p+0", "0x0.0p+0")
+
+    @pytest.mark.parametrize("a, q", [(0.5, 0.5), (0.3 - 0.7j, 0.95), (-0.9801, -0.9),
+                                      (0.5 + 0.5j, 0.99)])
+    def test_infinite_stop_at_the_cap(self, a, q, monkeypatch):
+        # k, the infinite product's factor count, is the least cap the loop
+        # certifies within: a cap of k stops at exactly MAX_TERMS factors,
+        # and a cap of k - 1 needs MAX_TERMS + 1
+        def certified(cap: int) -> bool:
+            return not isinstance(_outcome(oracles.pochhammer_loop, a, q, None, cap)[0], type)
+
+        k = bisect.bisect_left(range(numerics.MAX_TERMS + 1), True, key=certified)
+        assert 1 < k <= numerics.MAX_TERMS
+        for cap in (k, k - 1):
+            monkeypatch.setattr(qseries, "MAX_TERMS", cap)
+            assert _outcome(pochhammer, a, q, None) == \
+                _outcome(oracles.pochhammer_loop, a, q, None, cap)
+        assert _outcome(pochhammer, a, q, None)[0] is ConvergenceError
+
+    @pytest.mark.parametrize("a, q", [(0.5, 0.5), (2.0, 0.5), (-0.5, -0.5), (0.0, 0.9),
+                                      (0.3 - 0.7j, 0.5), (complex(-0.0, 1.2), -0.25),
+                                      (1e40, 1e-30), (1e-17, 1.0), (1e-17, -1.0),
+                                      (0.0, 3.0)])
+    def test_finite_order_past_the_cap(self, a, q, monkeypatch):
+        # factors are exactly 1 from some k on (at k = 0 for the last three):
+        # past the cap the product ends two factors after, with the bits of
+        # all n factors; at a = 1e40, q = 1e-30 the product's zero imaginary
+        # part is -0.0 at k and 0.0 after one more factor 1 + 0j
+        monkeypatch.setattr(qseries, "MAX_TERMS", 2000)
+        for n in (2001, 5000):
+            assert _outcome(pochhammer, a, q, n) == _outcome(oracles.pochhammer_loop, a, q, n)
+
+    @pytest.mark.parametrize("a, q", [(0.5, 0.999), (0.5, -0.999), (1e-20, 2.0), (0.5, 1.0)])
+    def test_finite_order_past_the_cap_not_exactly_one(self, a, q):
+        n = numerics.MAX_TERMS + 1
+        with pytest.raises(ConvergenceError) as exc:
+            pochhammer(a, q, n)
+        assert str(exc.value) == (f"(a;q)_n with |a|={abs(a):.3g}, q={q}, n={n}: its "
+                                  f"factors are not all exactly 1 within {numerics.MAX_TERMS}")
 
 
 class TestQBinomial:
