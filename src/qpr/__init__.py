@@ -9,7 +9,6 @@ from .numerics import (
     RangeGuardError,
     SummationResult,
     lp_from_complex,
-    lp_pow_int,
     sum_rescaled,
 )
 from .qseries import (
@@ -36,8 +35,6 @@ from .diophantine import (
 from .qlaguerre import (
     ScalingParameter,
     SplitSumResult,
-    factor_e,
-    factor_f,
     laguerre_direct,
     split_sums,
 )
@@ -48,15 +45,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceError", "DomainError", "LogPolarComplex", "QprError",
-    "RangeGuardError", "SummationResult", "lp_from_complex", "lp_pow_int",
-    "sum_rescaled",
+    "RangeGuardError", "SummationResult", "lp_from_complex", "sum_rescaled",
     "QContext", "b_function", "pochhammer", "ramanujan_a",
     "ramanujan_a_deriv", "remainder_r1", "remainder_r2", "theta",
     "theta_triple_product",
     "FIXTURES", "DiophantineWitness", "RealValue", "chi", "floor_frac",
     "joint_witness_search", "parse_real", "witness_search",
-    "ScalingParameter", "SplitSumResult", "factor_e", "factor_f",
-    "laguerre_direct", "split_sums",
+    "ScalingParameter", "SplitSumResult", "laguerre_direct", "split_sums",
     "RegimeReport", "classify_case", "fit_decay_slope", "nu_n", "run_verify",
     "scaling_range_advisory",
 ]

@@ -20,8 +20,8 @@ import math
 from typing import NamedTuple, Sequence
 
 from .diophantine import DiophantineWitness
-from .numerics import DomainError, LogPolarComplex, Majorant, abs_or_inf, lp_from_complex, \
-    sum_rescaled
+from .numerics import DomainError, LogPolarComplex, Majorant, abs_or_inf, cis, \
+    lp_from_complex, sum_rescaled
 
 # Observed errors are differences of doubles; bounds below this cannot be
 # certified in this arithmetic, so such rows are reported but not asserted.
@@ -91,7 +91,8 @@ def certify_row(case_id: int, n: int, exact: LogPolarComplex, main: complex,
             log_bound = majorant.log
             neg_main = lp_from_complex(-main)
             log_observed = sum_rescaled([exact.log_mag, neg_main.log_mag],
-                                        [exact.phase, neg_main.phase]).to_lp().log_mag
+                                        [cis(exact.phase), cis(neg_main.phase)]
+                                        ).to_lp().log_mag
             holds = log_observed <= log_bound
             note = (f"compared in log space: ln observed {log_observed:.6g}, "
                     f"ln bound {log_bound:.6g}")

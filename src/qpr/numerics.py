@@ -6,10 +6,14 @@ interesting.  The fix is structural rather than big-float: complex values
 are carried as (log-magnitude, phase) pairs, and finite sums are evaluated
 by factoring out the largest log-magnitude and compensated-summing the
 rescaled residuals in a deterministic order.  The summation kernel works on
-parallel lists of logs and phases, as certified_terms produces them, so no
-per-term object is built on the way.
-certified_terms, the one truncation loop, gives term k the phase
-step_phases(phi, k, k)[0] of one phase step phi; walking -k passes wrap_phase(-phi).
+parallel lists of logs and (cos, sin) pairs, as certified_terms produces
+them, so it calls no trigonometry of its own.  Term k of a series with
+phase step phi has the angle wrap_phase(k phi); its pair is looked up on the
+four axis values and taken from cos and sin elsewhere, and a quarter step
+reads its pairs from a table of four.  certified_terms, the one truncation
+loop, forms the pair of each term it keeps; step_phases forms the same pairs
+for a run of k, for a caller that keeps one list per recurring step and asks
+certified_terms for logs alone.  Walking -k passes wrap_phase(-phi).
 """
 
 from __future__ import annotations
@@ -94,7 +98,8 @@ class Majorant(NamedTuple):
     def log(self) -> float:
         """log_prefactor plus the log-sum-exp of the nonzero pieces (one piece: exactly)."""
         logs = [*self.pieces, math.log(self.witness)] if self.witness > 0.0 else self.pieces
-        lse = logs[0] if len(logs) == 1 else sum_rescaled(logs, [0.0] * len(logs)).to_lp().log_mag
+        lse = logs[0] if len(logs) == 1 else \
+            sum_rescaled(logs, [(1.0, 0.0)] * len(logs)).to_lp().log_mag
         return self.log_prefactor + lse
 
 
@@ -123,9 +128,7 @@ _HALF_PI = 0.5 * math.pi
 # handling their integer multiples by parity instead of float k*phi keeps
 # structurally real/imaginary quantities exactly on their axis.
 _QUARTER_STEPS = {0.0: 0, _HALF_PI: 1, math.pi: 2, -_HALF_PI: 3}
-_QUARTER_PHASES = (0.0, _HALF_PI, math.pi, -_HALF_PI)
-
-
+_QUARTER_PAIRS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
 _CARDINAL = {0.0: (1.0, 0.0), math.pi: (-1.0, 0.0), _HALF_PI: (0.0, 1.0),
              -_HALF_PI: (0.0, -1.0)}
 
@@ -144,7 +147,7 @@ class LogPolarComplex(NamedTuple):
     log_mag = -inf encodes zero (phase fixed at 0).  The representation is
     exact under multiplication and integer powers, which is what the huge
     prefactors here need; addition goes through :func:`sum_rescaled`, which
-    takes the log-magnitudes and phases as two lists.
+    takes the log-magnitudes and the phases' (cos, sin) pairs as two lists.
     """
 
     log_mag: float
@@ -191,23 +194,6 @@ def lp_mul(a: LogPolarComplex, b: LogPolarComplex) -> LogPolarComplex:
     return lp(a.log_mag + b.log_mag, a.phase + b.phase)
 
 
-def lp_pow_int(b: LogPolarComplex, k: int) -> LogPolarComplex:
-    """Integer power of a log-polar value.
-
-    Integer exponents keep the result branch-unambiguous: the phase is
-    k*phase reduced into (-pi, pi], with no branch cut to choose.
-    """
-    if not isinstance(k, int):
-        raise DomainError("exponent must be an integer")
-    if k == 0:
-        return LP_ONE
-    if b.is_zero:
-        if k < 0:
-            raise DomainError("zero base with negative integer exponent")
-        return LP_ZERO
-    return LogPolarComplex(k * b.log_mag, step_phases(b.phase, k, k)[0])
-
-
 class SummationResult(NamedTuple):
     """Result of a rescaled compensated sum.
 
@@ -230,8 +216,10 @@ class SummationResult(NamedTuple):
         return self.to_lp().to_complex()
 
 
-def sum_rescaled(logs: Sequence[float], phases: Sequence[float]) -> SummationResult:
-    """Sum the terms e^(logs[i]) e^(i phases[i]) without overflow, deterministically.
+def sum_rescaled(logs: Sequence[float],
+                 cis: Sequence[tuple[float, float]]) -> SummationResult:
+    """Sum the terms e^(logs[i]) (cis[i][0] + i cis[i][1]) without overflow,
+    deterministically; cis[i] is the (cos, sin) pair of term i's angle.
 
     Terms with log -inf are zeros: skipped, but counted in term_count.  The
     largest log-magnitude is factored out, and the rescaled terms are
@@ -241,22 +229,16 @@ def sum_rescaled(logs: Sequence[float], phases: Sequence[float]) -> SummationRes
     """
     # a stable descending sort keeps tied logs in index order; zeros sort last
     # unless a NaN log breaks the order, so only trailing ones are dropped
-    pairs = sorted(zip(logs, phases), key=_first, reverse=True)
-    while pairs and pairs[-1][0] == _NEG_INF:
-        pairs.pop()
-    if not pairs:
+    terms = sorted(zip(logs, cis), key=_first, reverse=True)
+    while terms and terms[-1][0] == _NEG_INF:
+        terms.pop()
+    if not terms:
         return SummationResult(0j, 0.0, len(logs))
-    big = pairs[0][0]
-    exp, cos, sin, cardinal = math.exp, math.cos, math.sin, _CARDINAL.get
+    big = terms[0][0]
+    exp = math.exp
     re = re_comp = im = im_comp = 0.0
-    for lm, ph in pairs:
+    for lm, (c, s) in terms:
         w = exp(lm - big)
-        cs = cardinal(ph)
-        if cs is None:
-            c = cos(ph)
-            s = sin(ph)
-        else:
-            c, s = cs
         x = w * c
         t = re + x
         if abs(re) >= abs(x):
@@ -274,15 +256,18 @@ def sum_rescaled(logs: Sequence[float], phases: Sequence[float]) -> SummationRes
     return SummationResult(complex(re + re_comp, im + im_comp), big, len(logs))
 
 
-def step_phases(phase_step: float, start: int, stop: int) -> list[float]:
-    """wrap_phase(k * phase_step) for k = start..stop, exact on quarter steps: by its
-    expressions, the phases certified_terms gives terms whose logs were kept apart."""
+def step_phases(phase_step: float, start: int, stop: int) -> list[tuple[float, float]]:
+    """The (cos, sin) pairs of wrap_phase(k * phase_step) for k = start..stop, exact
+    on quarter steps and on the four axis values: by its expressions, the pairs
+    certified_terms gives the terms it keeps."""
     quarter = _QUARTER_STEPS.get(phase_step)
     if quarter is not None:
-        return [_QUARTER_PHASES[(quarter * k) % 4] for k in range(start, stop + 1)]
-    remainder, neg_pi = math.remainder, -math.pi
-    return [r + TWO_PI if r <= neg_pi else r
-            for r in [remainder(k * phase_step, TWO_PI) for k in range(start, stop + 1)]]
+        return [_QUARTER_PAIRS[(quarter * k) % 4] for k in range(start, stop + 1)]
+    remainder, neg_pi, cardinal, cos, sin = math.remainder, -math.pi, _CARDINAL.get, \
+        math.cos, math.sin
+    return [cardinal(ph) or (cos(ph), sin(ph)) for k in range(start, stop + 1)
+            for r in [remainder(k * phase_step, TWO_PI)]
+            for ph in [r + TWO_PI if r <= neg_pi else r]]
 
 
 def _ratio_threshold(ratio_bound: Callable[[int], float], k: int, last: int) -> int:
@@ -307,18 +292,20 @@ def _ratio_threshold(ratio_bound: Callable[[int], float], k: int, last: int) -> 
     return hi
 
 
-def certified_terms(term_log: Callable[[int], float], phase_step: float,
+def certified_terms(term_log: Callable[[int], float], phase_step: float | None,
                     ratio_bound: Callable[[int], float], *, start: int = 0,
                     stop: int | None = None, max_log: float = _NEG_INF,
-                    tail_log: Callable[[int], float] | None = None
-                    ) -> tuple[list[float], list[float]]:
+                    tail_log: Callable[[int], float] | None = None):
     """Collect series terms under a certified stopping rule, as parallel
-    lists (logs, phases) ready for :func:`sum_rescaled`.
+    lists (logs, cis) ready for :func:`sum_rescaled`.
 
     term_log(k) is term k's log-magnitude (-inf terms are left out) and
-    step_phases(phase_step, k, k)[0], computed inline, its phase; for phi in
-    (-pi, pi] the step wrap_phase(-phi) gives step_phases(phi, -k, -k)[0] bit
-    for bit at k >= 1.  ratio_bound(k) must majorize |t_{k+1}/t_k| and be
+    step_phases(phase_step, k, k)[0], computed inline, its (cos, sin) pair;
+    for phi in (-pi, pi] the step wrap_phase(-phi) gives the pairs of
+    step_phases(phi, -k, -k) bit for bit at k >= 1.  With phase_step None the
+    result is the list of logs alone, a -inf log kept in place as a zero, so
+    that term k is entry k - start, for a caller that holds the pairs of its
+    step already.  ratio_bound(k) must majorize |t_{k+1}/t_k| and be
     non-increasing in k.  Generation stops at the first k where the ratio
     bound is <= 1/2 and the tail majorant at k (tail_log(k), by default the
     term itself) sits TOL/4 below the largest term seen, so the discarded tail
@@ -330,25 +317,34 @@ def certified_terms(term_log: Callable[[int], float], phase_step: float,
     ConvergenceError after MAX_TERMS + 1 terms.
     """
     logs: list[float] = []
-    phases: list[float] = []
-    quarter, remainder, neg_pi = _QUARTER_STEPS.get(phase_step), math.remainder, -math.pi
+    pairs: list[tuple[float, float]] = []
+    angles = phase_step is not None
+    quarter = _QUARTER_STEPS.get(phase_step)
+    remainder, neg_pi, cardinal, cos, sin = math.remainder, -math.pi, _CARDINAL.get, \
+        math.cos, math.sin
     last = start + MAX_TERMS if stop is None else stop
     threshold = None  # the ratio bound's first index <= 1/2, once the tail test held
     for k in range(start, last + 1):
         tl = term_log(k)
-        if tl != _NEG_INF:
+        if not angles:
             logs.append(tl)
-            r = remainder(k * phase_step, TWO_PI) if quarter is None else \
-                _QUARTER_PHASES[(quarter * k) % 4]
-            phases.append(r + TWO_PI if r <= neg_pi else r)
-            if tl > max_log:
-                max_log = tl
+        elif tl != _NEG_INF:
+            logs.append(tl)
+            if quarter is None:
+                r = remainder(k * phase_step, TWO_PI)
+                if r <= neg_pi:
+                    r += TWO_PI
+                pairs.append(cardinal(r) or (cos(r), sin(r)))
+            else:
+                pairs.append(_QUARTER_PAIRS[(quarter * k) % 4])
+        if tl > max_log:
+            max_log = tl
         tail = tl if tail_log is None else tail_log(k)
         if tail == _NEG_INF or tail <= max_log + _LOG_TOL:
             if threshold is None:
                 threshold = _ratio_threshold(ratio_bound, k, last)
             if k >= threshold:
-                return logs, phases
+                return (logs, pairs) if angles else logs
     if stop is not None:
-        return logs, phases
+        return (logs, pairs) if angles else logs
     raise ConvergenceError(f"series not certified within {MAX_TERMS} terms")

@@ -16,6 +16,15 @@ rescaled compensated summation.  Fractional parts of n*tau and n*theta come
 from the exact RealValue reduction, so phases stay accurate at degrees
 where n*theta itself has outgrown double resolution.
 
+Term k of a sum has the angle wrap_phase(k phi) of the sum's phase step phi,
+which depends on n only through d_n = {n theta}.  For an exact rational
+theta the step recurs with period den(theta), so _step_pairs keeps one list
+of (cos, sin) pairs per step, shared by every row and context with that
+step and extended as far as the longest sum has read: the reversed sum
+(cases 1 and 2) and both split halves (cases 4 and 6) ask certified_terms
+for their logs alone and slice their pairs from it.  Cases 3, 5 and 7 form
+their pairs per sum.  The pairs are those certified_terms would form.
+
 Once a row's Pochhammer indices pass the tables' saturation point, its
 terms depend on n only through a residue: d_n = {n theta} for the reversed
 sum of a tau = 0 row, recurring with period den(theta) for a rational
@@ -125,8 +134,9 @@ def normalized_laguerre_lp(ctx: QContext, sp: ScalingParameter, n: int) -> LogPo
     _, d_n = sp.theta.mul_floor_frac(n)
     lq, tq, ta = ctx.log_q, ctx.tq, ctx.ta
     top = max(tq.sat, ta.sat)
+    shared = sp.theta.kind == "rational"
     slot = None
-    if tau_n == 0.0 and sp.theta.kind == "rational" and n >= top:
+    if tau_n == 0.0 and shared and n >= top:
         slot = _saturated(ctx, d_n)
         if slot and n - slot[1] >= top:
             return slot[0]
@@ -141,13 +151,15 @@ def normalized_laguerre_lp(ctx: QContext, sp: ScalingParameter, n: int) -> LogPo
         return (log_an - tql[k if k < tqs else tqs] - tql[j if j < tqs else tqs]
                 - tal[j if j < tas else tas] + (k * k + tau_n * k) * lq - k * log_zqa)
 
-    logs, phases = certified_terms(
+    step = wrap_phase(math.pi - phase(ctx.z) + TWO_PI * d_n)
+    terms = certified_terms(
         term_log=term_log,
-        phase_step=wrap_phase(math.pi - phase(ctx.z) + TWO_PI * d_n),
+        phase_step=None if shared else step,
         ratio_bound=lambda k: exp_or_inf((2 * k + 1 + tau_n) * lq - log_zqa - log_1mq),
         stop=n,
     )
-    value = sum_rescaled(logs, phases).to_lp()
+    logs, cis = (terms, _pairs(step, 0, len(terms), True)) if shared else terms
+    value = sum_rescaled(logs, cis).to_lp()
     # a sum that ran to its stop has K = n and fills nothing
     if slot is not None and n - len(logs) + 1 >= top:
         slot[:] = value, len(logs) - 1
@@ -165,6 +177,29 @@ def _saturated(ctx: QContext, *residue: float) -> list:
     return []
 
 
+# 256 entries hold the steps of the rational thetas in use, one or two per
+# residue {n theta}; a longer period only misses
+@lru_cache(maxsize=256)
+def _step_pairs(step: float) -> list:
+    """A holder of the (cos, sin) pairs of one recurring phase step for
+    k = 0, 1, ...: step_phases(step, 0, len - 1), which _pairs replaces by a
+    longer list as sums read further, so a list once read never changes."""
+    return [[]]
+
+
+def _pairs(step: float, start: int, count: int, shared: bool) -> list:
+    """The pairs of terms start..start + count - 1 of a sum with this phase
+    step, sliced from its list in _step_pairs where the step recurs (shared),
+    else formed for this sum alone; a list of the caller's own either way."""
+    if not shared:
+        return step_phases(step, start, start + count - 1)
+    held = _step_pairs(step)
+    pairs = held[0]
+    if len(pairs) < start + count:
+        pairs = held[0] = pairs + step_phases(step, len(pairs), start + count - 1)
+    return pairs[start:start + count]
+
+
 class SplitSumResult(NamedTuple):
     """Both theta-normalized half sums plus the decomposition bookkeeping.
 
@@ -173,14 +208,14 @@ class SplitSumResult(NamedTuple):
     q^(p*(tau*n + p)) with p = floor(m/2); m, c_n come from
     -tau*n = m + c_n and m1, d_n from n*theta = m1 + d_n.  total is summed
     once, over the terms of both halves together; terms1 and terms2 keep each
-    half's (logs, phases).  The phases are lists of this result's own; the
-    logs of a row that read its slot in _saturated are the slot's tuples,
-    which no result can change.
+    half's (logs, cis), its logs and their (cos, sin) pairs.  The pair lists
+    are this result's own; the logs of a row that read its slot in
+    _saturated are the slot's tuples, which no result can change.
     """
 
     total: LogPolarComplex
-    terms1: tuple[Sequence[float], list[float]]
-    terms2: tuple[Sequence[float], list[float]]
+    terms1: tuple[Sequence[float], list[tuple[float, float]]]
+    terms2: tuple[Sequence[float], list[tuple[float, float]]]
     m: int
     floor_m_half: int
     c_n: float
@@ -194,28 +229,6 @@ def _log_factor_e(tq, ta, log_euler2, log_an, p: int, n: int, k: int) -> float:
 
 def _log_factor_f(tq, ta, log_euler2, log_an, p: int, n: int, k: int) -> float:
     return log_euler2 + log_an - tq.log(p + k) - tq.log(n - p - k) - ta.log(n - p - k)
-
-
-def _factor(ctx: QContext, name: str, log_factor, k: int, n: int, m: int) -> float:
-    if not (0 <= m <= 2 * n):
-        raise DomainError(f"{name} needs 0 <= m <= 2n, got m={m}, n={n}")
-    return math.exp(log_factor(ctx.tq, ctx.ta, 2.0 * ctx.tq.log_inf, ctx.ta.log(n), m // 2, n, k))
-
-
-def factor_e(ctx: QContext, k: int, n: int, m: int) -> float:
-    """Pochhammer ratio attached to term k of the reversed lower half sum;
-    lies in (0, 1] and tends to 1 as the indices grow."""
-    if not (0 <= k <= m // 2):
-        raise DomainError(f"factor_e needs 0 <= k <= floor(m/2), got k={k}, m={m}")
-    return _factor(ctx, "factor_e", _log_factor_e, k, n, m)
-
-
-def factor_f(ctx: QContext, k: int, n: int, m: int) -> float:
-    """Pochhammer ratio attached to term k of the shifted upper half sum;
-    lies in (0, 1] and tends to 1 as the indices grow."""
-    if not (1 <= k <= n - m // 2):
-        raise DomainError(f"factor_f needs 1 <= k <= n - floor(m/2), got k={k}")
-    return _factor(ctx, "factor_f", _log_factor_f, k, n, m)
 
 
 def split_sums(ctx: QContext, sp: ScalingParameter, n: int,
@@ -237,8 +250,8 @@ def split_sums(ctx: QContext, sp: ScalingParameter, n: int,
     _saturated for (chi(m), c_n).  The first such row whose halves both end
     inside their saturated windows fills it with both halves' term logs, and
     the two joined, as tuples; a later row whose halves end there reads them
-    and computes only its phases, each half's by step_phases.  The bits are
-    those of the terms certified_terms would give it.
+    and takes only its pairs, each half's by _pairs.  The bits are those of
+    the terms certified_terms would give it.
     """
     tau = sp.tau.value
     if not (-2.0 < tau < 0.0):
@@ -267,14 +280,16 @@ def split_sums(ctx: QContext, sp: ScalingParameter, n: int,
     e_hi, f_hi = p - tq.sat, n - p - top
     # w1 = -z q^(a + chi(m) + c_n) e^(-2 pi i d_n); w2 = 1/w1.
     ph_w1 = wrap_phase(math.pi + phase(ctx.z) - TWO_PI * d_n)
+    ph_w2 = wrap_phase(-ph_w1)
+    shared = sp.theta.kind == "rational"
 
     slot = None
     if decomposition is None and sp.tau.kind == "rational" and f_hi >= 0 and e_hi >= 0:
         slot = _saturated(ctx, parity, c_n)
     if slot and len(slot[0]) - 1 <= e_hi and len(slot[1]) <= f_hi:
         logs1, logs2, logs = slot
-        terms1 = (logs1, step_phases(ph_w1, 0, len(logs1) - 1))
-        terms2 = (logs2, step_phases(wrap_phase(-ph_w1), 1, len(logs2)))
+        terms1 = logs1, _pairs(ph_w1, 0, len(logs1), shared)
+        terms2 = logs2, _pairs(ph_w2, 1, len(logs2), shared)
     else:
         e_lo, f_lo = -f_hi, -e_hi
         log_w1 = math.log(ctx.abs_z) + (ctx.alpha + parity + c_n) * lq
@@ -288,7 +303,7 @@ def split_sums(ctx: QContext, sp: ScalingParameter, n: int,
             term_log=lambda k: (k * k * lq + k * log_w1
                                 + (sat_factor if e_lo <= k <= e_hi else
                                    _log_factor_e(tq, ta, log_euler2, log_an, p, n, k))),
-            phase_step=ph_w1,
+            phase_step=None if shared else ph_w1,
             ratio_bound=lambda k: exp_or_inf((2 * k + 1) * lq + log_w1),
             stop=p,
             tail_log=lambda k: k * k * lq + k * log_w1,
@@ -297,12 +312,15 @@ def split_sums(ctx: QContext, sp: ScalingParameter, n: int,
             term_log=lambda k: (k * k * lq - k * log_w1
                                 + (sat_factor if f_lo <= k <= f_hi else
                                    _log_factor_f(tq, ta, log_euler2, log_an, p, n, k))),
-            phase_step=wrap_phase(-ph_w1),
+            phase_step=None if shared else ph_w2,
             ratio_bound=lambda k: exp_or_inf((2 * k + 1) * lq - log_w1),
             start=1,
             stop=n - p,
             tail_log=lambda k: k * k * lq - k * log_w1,
         )
+        if shared:
+            terms1 = terms1, _pairs(ph_w1, 0, len(terms1), True)
+            terms2 = terms2, _pairs(ph_w2, 1, len(terms2), True)
         logs = terms1[0] + terms2[0]
         # a half that ran to its stop overruns its window and fills nothing
         if slot is not None and len(terms1[0]) - 1 <= e_hi and len(terms2[0]) <= f_hi:

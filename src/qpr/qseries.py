@@ -10,7 +10,7 @@ stops only once that majorant clears numerics.TOL, with the fixed term cap
 numerics.MAX_TERMS acting purely as a safety net that raises ConvergenceError.
 
 All series are generated termwise by :func:`qpr.numerics.certified_terms`
-as lists of log-magnitudes and phases, and summed with
+as lists of log-magnitudes and (cos, sin) pairs, and summed with
 :func:`qpr.numerics.sum_rescaled`, so arguments of extreme magnitude cannot
 overflow intermediate arithmetic.
 """
@@ -106,10 +106,10 @@ class _PochTable:
     """Cumulative log (a;q)_k for real a < 1, built once to saturation.
 
     All factors 1 - a*q^k are then positive, so the product is a positive
-    real carried as a log.  The factors are taken until a*q^k falls below
-    _SATURATION; sat is then the first index whose entry equals the
-    converged value, which equals log (a;q)_inf to double precision, and
-    the entries past it are dropped.  Indices past sat return that value:
+    real carried as a log.  The factors are taken until one leaves the sum
+    unchanged, or a*q^k falls below _SATURATION; sat is then the first
+    index whose entry equals the converged value, which equals
+    log (a;q)_inf to double precision.  Indices past sat return that value:
     log(k) reads logs[k if k < sat else sat].  The reversed normalized sum
     reads logs by index with that same clamp, on indices it knows to be
     nonnegative; log(k) is the checked reader for every other caller.
@@ -125,20 +125,22 @@ class _PochTable:
         logs = [0.0]
         acc = 0.0
         aqk = a
-        k = 0
+        log1p = math.log1p
+        # every factor has the sign of a and no larger magnitude than the one
+        # before it, so once one leaves acc unchanged, no later one moves it:
+        # each entry kept moves acc, and the last is the converged value
         while abs(aqk) > _SATURATION:
-            acc += math.log1p(-aqk)
-            logs.append(acc)
-            aqk *= q
-            k += 1
-            if k > MAX_TERMS:
+            nxt = acc + log1p(-aqk)
+            if nxt == acc:
+                break
+            if len(logs) > MAX_TERMS:
                 raise ConvergenceError(
                     f"(a;q)_inf with a={a}, q={q} did not saturate within "
                     f"{MAX_TERMS} factors; q is too close to 1 for doubles"
                 )
-        # every factor has the sign of a, so acc is monotone: the entries
-        # equal the converged value from the first one that does
-        del logs[logs.index(acc) + 1:]
+            acc = nxt
+            logs.append(acc)
+            aqk *= q
         self.logs = logs
         self.sat = len(logs) - 1
 
@@ -300,10 +302,10 @@ def theta_lp(z: complex, q: float) -> LogPolarComplex:
     lz = math.log(abs_z)
     ph = phase(z)
 
-    logs, phases = [0.0], [0.0]
+    logs, pairs = [0.0], [(1.0, 0.0)]
     for sign, step in ((+1, ph), (-1, wrap_phase(-ph))):
         # each tail's peak includes the shared k = 0 term
-        tail_logs, tail_phases = certified_terms(
+        tail_logs, tail_pairs = certified_terms(
             term_log=lambda j: j * j * lq + sign * j * lz,
             phase_step=step,
             ratio_bound=lambda j: exp_or_inf((2 * j + 1) * lq + sign * lz),
@@ -311,8 +313,8 @@ def theta_lp(z: complex, q: float) -> LogPolarComplex:
             max_log=0.0,
         )
         logs += tail_logs
-        phases += tail_phases
-    return sum_rescaled(logs, phases).to_lp()
+        pairs += tail_pairs
+    return sum_rescaled(logs, pairs).to_lp()
 
 
 def theta(z: complex, q: float) -> complex:

@@ -6,14 +6,16 @@ Scope is deliberately desk-scale: degrees n <= ~12, rational q and z, and
 angle parameters whose phases land on {1, i, -1, -i}.  The linear witness
 scans, the split sums and the reversed sum as every row generated them,
 the untrimmed Pochhammer log table, the Pochhammer product as a loop, the
-earlier summation kernel and series stop test kept verbatim, the row writer
-as two library calls, and the error majorants as one expression per regime
-are the references that rewrites
-must match exactly.  Three cross-checks built on qpr's own kernels
+summation kernel and series loop as they took phases, with the per-term
+stop test, the kernel before that on log-polar terms, the row writer as
+two library calls, and the error majorants as one expression per regime
+are the references that rewrites must match exactly.  Three cross-checks built on qpr's own kernels
 (q-binomials from the Pochhammer tables, Euler's product/series identity,
 fractional-part orbits), the reconstruction of L_n at the scaled point from
-qpr's normalized paths and the continued-fraction convergents close the file: no row or command uses them, only the tests that
-check the kernels through them.
+qpr's normalized paths, the integer power of a log-polar value, the split
+halves' Pochhammer ratios and the continued-fraction convergents close the
+file: no row or command uses them, only the tests that check the kernels
+through them.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ import math
 from fractions import Fraction
 
 from qpr.diophantine import RealValue, as_real_value
-from qpr.numerics import LP_ZERO, MAX_TERMS, TOL, TWO_PI, ConvergenceError, DomainError, \
-    RangeGuardError, abs_or_inf, certified_terms, exp_or_inf, lp, lp_mul, lp_pow_int, phase
+from qpr.numerics import LP_ONE, LP_ZERO, MAX_TERMS, TOL, TWO_PI, ConvergenceError, \
+    DomainError, LogPolarComplex, RangeGuardError, abs_or_inf, certified_terms, exp_or_inf, \
+    lp, lp_mul, phase
 from qpr.numerics import sum_rescaled as qpr_sum_rescaled
-from qpr.qlaguerre import normalized_laguerre_lp, split_sums
+from qpr.qlaguerre import _log_factor_e, _log_factor_f, normalized_laguerre_lp, split_sums
 from qpr.qseries import aq_series_lp, poch_table, pochhammer
 
 
@@ -334,18 +337,19 @@ def linear_joint_witness_search(theta1, theta2, beta1, beta2, rho: float,
 # value.
 # ---------------------------------------------------------------------------
 
-def poch_table_untrimmed(a: float, q: float) -> list[float]:
+def poch_table_untrimmed(a: float, q: float, max_terms: int = MAX_TERMS) -> list[float]:
     """log (a;q)_k for k = 0 up to the first k with |a q^k| <= 1e-18, whose
-    entry is the converged value; ConvergenceError past MAX_TERMS factors."""
+    entry is the converged value, factor by factor; ConvergenceError past
+    max_terms factors (numerics.MAX_TERMS by default)."""
     logs, acc, aqk = [0.0], 0.0, a
     while abs(aqk) > 1e-18:
         acc += math.log1p(-aqk)
         logs.append(acc)
         aqk *= q
-        if len(logs) > MAX_TERMS + 1:
+        if len(logs) > max_terms + 1:
             raise ConvergenceError(
                 f"(a;q)_inf with a={a}, q={q} did not saturate within "
-                f"{MAX_TERMS} factors; q is too close to 1 for doubles"
+                f"{max_terms} factors; q is too close to 1 for doubles"
             )
     return logs
 
@@ -468,14 +472,21 @@ def split_sums_direct(ctx, sp, n: int):
 
 
 # ---------------------------------------------------------------------------
-# the summation kernel as it was before it took parallel (logs, phases)
-# lists: one LogPolarComplex per term, tuples sorted by (-log, index), and a
-# Neumaier accumulator object per axis.  qpr.numerics.sum_rescaled must give
-# the same bits.
+# the summation kernel and the series loop as they were before they took
+# (cos, sin) pairs: each term carried its phase, and the kernel looked it up
+# on the axes or called cos and sin; and the kernel as it was before that,
+# on one LogPolarComplex per term.  qpr.numerics.sum_rescaled, given the
+# pairs of those phases, and qpr.numerics.certified_terms must give the same
+# bits.  certified_terms_phases also keeps, as per_term, the stop test as it
+# was before the ratio bound was located once per sum: ratio_bound consulted
+# at every k where the tail test holds.
 # ---------------------------------------------------------------------------
 
 _NEG_INF = float("-inf")
 _HALF_PI = 0.5 * math.pi
+_AXES = {0.0: (1.0, 0.0), math.pi: (-1.0, 0.0), _HALF_PI: (0.0, 1.0), -_HALF_PI: (0.0, -1.0)}
+_QUARTER_STEPS = {0.0: 0, _HALF_PI: 1, math.pi: 2, -_HALF_PI: 3}
+_QUARTER_PHASES = (0.0, _HALF_PI, math.pi, -_HALF_PI)
 
 
 def cis(phi: float) -> tuple[float, float]:
@@ -489,6 +500,16 @@ def cis(phi: float) -> tuple[float, float]:
     if phi == -_HALF_PI:
         return 0.0, -1.0
     return math.cos(phi), math.sin(phi)
+
+
+def step_phase(phase_step: float, k: int) -> float:
+    """wrap_phase(k * phase_step), the quarter steps' multiples taken from the
+    table of quarter turns: the phase the series loop gave term k."""
+    quarter = _QUARTER_STEPS.get(phase_step)
+    if quarter is not None:
+        return _QUARTER_PHASES[(quarter * k) % 4]
+    r = math.remainder(k * phase_step, TWO_PI)
+    return r + TWO_PI if r <= -math.pi else r
 
 
 class _Neumaier:
@@ -513,7 +534,9 @@ class _Neumaier:
 
 
 def sum_rescaled(terms):
-    """Sum log-polar terms without overflow, deterministically.
+    """The kernel as it was before it took parallel lists: one
+    LogPolarComplex per term, tuples sorted by (-log, index), and a Neumaier
+    accumulator object per axis.
 
     The maximum log-magnitude is factored out, the rescaled terms are
     converted to ordinary complex and accumulated in descending-magnitude
@@ -537,34 +560,63 @@ def sum_rescaled(terms):
     return SummationResult(complex(re.result(), im.result()), big, len(items))
 
 
-# ---------------------------------------------------------------------------
-# the series stop test as it was before the ratio bound was located once per
-# sum: ratio_bound consulted at every k where the tail test holds.  For a
-# non-increasing ratio_bound, qpr.numerics.certified_terms must give the same
-# bits and raise the same errors.
-# ---------------------------------------------------------------------------
+def sum_rescaled_phases(logs, phases):
+    """The kernel on parallel lists of logs and phases."""
+    from qpr.numerics import SummationResult
+    pairs = sorted(zip(logs, phases), key=lambda t: t[0], reverse=True)
+    while pairs and pairs[-1][0] == _NEG_INF:
+        pairs.pop()
+    if not pairs:
+        return SummationResult(0j, 0.0, len(logs))
+    big = pairs[0][0]
+    re = re_comp = im = im_comp = 0.0
+    for lm, ph in pairs:
+        w = math.exp(lm - big)
+        cs = _AXES.get(ph)
+        c, s = (math.cos(ph), math.sin(ph)) if cs is None else cs
+        x = w * c
+        t = re + x
+        if abs(re) >= abs(x):
+            re_comp += (re - t) + x
+        else:
+            re_comp += (x - t) + re
+        re = t
+        x = w * s
+        t = im + x
+        if abs(im) >= abs(x):
+            im_comp += (im - t) + x
+        else:
+            im_comp += (x - t) + im
+        im = t
+    return SummationResult(complex(re + re_comp, im + im_comp), big, len(logs))
 
-def certified_terms_per_term(term_log, phase_step, ratio_bound, *, start=0, stop=None,
-                             max_log=_NEG_INF, tail_log=None):
-    """certified_terms with ratio_bound(k) tested at every k whose tail test holds."""
-    from qpr.numerics import _QUARTER_PHASES, _QUARTER_STEPS, MAX_TERMS, TOL, \
-        ConvergenceError
+
+def certified_terms_phases(term_log, phase_step, ratio_bound, *, start=0, stop=None,
+                           max_log=_NEG_INF, tail_log=None, per_term=False):
+    """(logs, phases) of the series loop, -inf terms left out; per_term tests
+    ratio_bound(k) at every k whose tail test holds."""
+    from qpr.numerics import _ratio_threshold
     log_tol = math.log(TOL) - math.log(4.0)
     logs, phases = [], []
-    quarter, remainder, neg_pi = _QUARTER_STEPS.get(phase_step), math.remainder, -math.pi
     last = start + MAX_TERMS if stop is None else stop
+    threshold = None
     for k in range(start, last + 1):
         tl = term_log(k)
         if tl != _NEG_INF:
             logs.append(tl)
-            r = remainder(k * phase_step, TWO_PI) if quarter is None else \
-                _QUARTER_PHASES[(quarter * k) % 4]
-            phases.append(r + TWO_PI if r <= neg_pi else r)
+            phases.append(step_phase(phase_step, k))
             if tl > max_log:
                 max_log = tl
         tail = tl if tail_log is None else tail_log(k)
-        if (tail == _NEG_INF or tail <= max_log + log_tol) and ratio_bound(k) <= 0.5:
-            return logs, phases
+        if tail == _NEG_INF or tail <= max_log + log_tol:
+            if per_term:
+                if ratio_bound(k) <= 0.5:
+                    return logs, phases
+                continue
+            if threshold is None:
+                threshold = _ratio_threshold(ratio_bound, k, last)
+            if k >= threshold:
+                return logs, phases
     if stop is not None:
         return logs, phases
     raise ConvergenceError(f"series not certified within {MAX_TERMS} terms")
@@ -745,6 +797,45 @@ def split_normalizer_lp(ctx, sp, n: int, m: int, c_n: float, d_n: float):
     return lp_mul(num, lp(-expo, 0.0))
 
 
+def lp_pow_int(b, k: int):
+    """Integer power of a log-polar value.
+
+    Integer exponents keep the result branch-unambiguous: the phase is
+    k*phase reduced into (-pi, pi], with no branch cut to choose.
+    """
+    if not isinstance(k, int):
+        raise DomainError("exponent must be an integer")
+    if k == 0:
+        return LP_ONE
+    if b.is_zero:
+        if k < 0:
+            raise DomainError("zero base with negative integer exponent")
+        return LP_ZERO
+    return LogPolarComplex(k * b.log_mag, step_phase(b.phase, k))
+
+
+def _factor(ctx, name: str, log_factor, k: int, n: int, m: int) -> float:
+    if not (0 <= m <= 2 * n):
+        raise DomainError(f"{name} needs 0 <= m <= 2n, got m={m}, n={n}")
+    return math.exp(log_factor(ctx.tq, ctx.ta, 2.0 * ctx.tq.log_inf, ctx.ta.log(n), m // 2, n, k))
+
+
+def factor_e(ctx, k: int, n: int, m: int) -> float:
+    """Pochhammer ratio attached to term k of the reversed lower half sum;
+    lies in (0, 1] and tends to 1 as the indices grow."""
+    if not (0 <= k <= m // 2):
+        raise DomainError(f"factor_e needs 0 <= k <= floor(m/2), got k={k}, m={m}")
+    return _factor(ctx, "factor_e", _log_factor_e, k, n, m)
+
+
+def factor_f(ctx, k: int, n: int, m: int) -> float:
+    """Pochhammer ratio attached to term k of the shifted upper half sum;
+    lies in (0, 1] and tends to 1 as the indices grow."""
+    if not (1 <= k <= n - m // 2):
+        raise DomainError(f"factor_f needs 1 <= k <= n - floor(m/2), got k={k}")
+    return _factor(ctx, "factor_f", _log_factor_f, k, n, m)
+
+
 def lp_div(a, b):
     """a / b of two log-polar values."""
     if b.is_zero:
@@ -772,7 +863,7 @@ def laguerre_scaled_lp(ctx, sp, n: int):
 
 
 def half_sum(terms):
-    """One split half, (logs, phases) from SplitSumResult.terms1 or .terms2,
+    """One split half, (logs, cis) from SplitSumResult.terms1 or .terms2,
     summed on its own."""
     return qpr_sum_rescaled(*terms).to_lp()
 

@@ -7,7 +7,9 @@ index (where the half sums read one factor for all saturated terms), a
 case-4 run at tau = -3/5 and a case-5 witness run whose rows cross from
 there into the degrees where both halves reuse their residue's term logs, a
 case-1 and a case-2 run at z = 1 whose reversed sums' indices cross the
-saturation index with every term on the real axis, three
+saturation index with every term on the real axis, four runs at a real z
+and a rational theta (cases 1, 2, 4 and 6) whose phase steps are all axis
+values, three
 runs that carry a negative zero (beta = -0.0 at a real z, then also z = 2-0j),
 whose main terms are real and must not depend on that sign, ``eval`` of every
 function (``pochhammer`` also at a complex a with a finite order, at a
@@ -79,6 +81,21 @@ RUNS = {
     "verify_case1_real_z_saturation": ["verify", "--case", "1", "--q", "0.5", "--z=1",
                                        "--tau=1/4", "--theta", "0", "--n", "40..120",
                                        "--n-step", "20"],
+    # a real z and a rational theta whose d_n are multiples of 1/4 (1/2 in case
+    # 1): every phase step is an axis value, shared by all rows of its residue;
+    # case 2 (q = 0.6) and case 4 (q = 0.5) cross the saturation index as well
+    "verify_case2_real_z_axis_steps": ["verify", "--case", "2", "--q", "0.6", "--z=1",
+                                       "--tau", "0", "--theta", "1/4", "--n", "1..260",
+                                       "--n-step", "3"],
+    "verify_case1_real_z_axis_steps": ["verify", "--case", "1", "--q", "0.5", "--alpha",
+                                       "0.5", "--z=1", "--tau=1/2", "--theta", "1/2",
+                                       "--n", "1..120", "--n-step", "7"],
+    "verify_case4_real_z_axis_steps": ["verify", "--case", "4", "--q", "0.5", "--z=-1.5",
+                                       "--tau=-1/2", "--theta", "1/4", "--n", "2..300",
+                                       "--n-step", "9", "--format", "json"],
+    "verify_case6_real_z_axis_steps": ["verify", "--case", "6", "--q", "0.5", "--z=1",
+                                       "--tau=-sqrt2", "--theta", "1/4", "--rho", "0.5",
+                                       "--nmax", "3000"],
     "verify_case3_beta_neg_zero": ["verify", "--case", "3", "--q", "0.9", "--z=2", "--tau",
                                    "0", "--theta", "sqrt2", "--beta", "-0.0", "--rho", "1",
                                    "--nmax", "1000"],

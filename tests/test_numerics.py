@@ -17,12 +17,12 @@ from qpr.numerics import (
     lp,
     lp_from_complex,
     lp_mul,
-    lp_pow_int,
     phase,
     step_phases,
     sum_rescaled,
     wrap_phase,
 )
+from oracles import lp_pow_int
 
 
 def test_from_complex_identity():
@@ -135,7 +135,7 @@ def test_pow_int_matches_repeated_multiplication(k, log_mag, phase):
 
 def _sum(terms):
     """sum_rescaled over LogPolarComplex terms, unpacked into its two lists."""
-    return sum_rescaled([t.log_mag for t in terms], [t.phase for t in terms])
+    return sum_rescaled([t.log_mag for t in terms], [oracles.cis(t.phase) for t in terms])
 
 
 def test_sum_cancellation():
@@ -191,6 +191,7 @@ _PHASES = st.one_of(st.sampled_from(_CARDINAL_PHASES),
 
 @settings(max_examples=300)
 @given(st.lists(st.tuples(_LOGS, _PHASES), max_size=60))
+@example([])
 @example([(-math.inf, 0.0), (-math.inf, 1.0)])
 @example([(1e5, 0.0), (0.0, math.pi), (-1e5, 0.5 * math.pi), (1e5, math.pi)])
 @example([(2.0, 0.5 * math.pi), (2.0, -0.5 * math.pi), (2.0, math.pi), (2.0, 0.0)])
@@ -198,20 +199,27 @@ _PHASES = st.one_of(st.sampled_from(_CARDINAL_PHASES),
 @example([(1.5, -0.0), (1.5, 0.0), (-math.inf, -0.0), (0.0, 1.0), (1.5, -2.0)])
 @example([(2.0, math.pi), (-math.inf, 0.5 * math.pi), (2.0, -0.0), (700.0, 0.25)])
 def test_sum_rescaled_bit_identical_to_reference(pairs):
+    # the kernel on the (cos, sin) pairs of the phases, against the kernel
+    # that took the phases themselves and the one before it, on log-polar terms
     logs = [lm for lm, _ in pairs]
     phases = [ph for _, ph in pairs]
-    got = sum_rescaled(logs, phases)
-    want = oracles.sum_rescaled([LogPolarComplex(lm, ph) for lm, ph in pairs])
-    assert got.value == want.value
-    assert (got.value.real.hex(), got.value.imag.hex()) == \
-        (want.value.real.hex(), want.value.imag.hex())
-    assert got.rescale_log == want.rescale_log
-    assert math.copysign(1.0, got.rescale_log) == math.copysign(1.0, want.rescale_log)
-    assert got.term_count == want.term_count == len(pairs)
+    got = sum_rescaled(logs, [oracles.cis(ph) for ph in phases])
+    for want in (oracles.sum_rescaled_phases(logs, phases),
+                 oracles.sum_rescaled([LogPolarComplex(lm, ph) for lm, ph in pairs])):
+        assert got.value == want.value
+        assert (got.value.real.hex(), got.value.imag.hex()) == \
+            (want.value.real.hex(), want.value.imag.hex())
+        assert got.rescale_log == want.rescale_log
+        assert math.copysign(1.0, got.rescale_log) == math.copysign(1.0, want.rescale_log)
+        assert got.term_count == want.term_count == len(pairs)
 
 
 def _hexes(values):
     return [v.hex() for v in values]
+
+
+def _pair_hexes(pairs):
+    return [(c.hex(), s.hex()) for c, s in pairs]
 
 
 @pytest.mark.parametrize("logs", [[1.0, -math.inf, math.nan], [-math.inf, math.nan],
@@ -219,31 +227,56 @@ def _hexes(values):
 def test_sum_rescaled_nan_log_is_kept(logs):
     # a NaN log leaves the sort without a total order, so a -inf log can sort
     # before it; only trailing -inf logs are dropped, and the NaN stays in
-    got = sum_rescaled(logs, [0.0] * len(logs))
-    assert cmath.isnan(got.value)
+    got = sum_rescaled(logs, [(1.0, 0.0)] * len(logs))
+    want = oracles.sum_rescaled_phases(logs, [0.0] * len(logs))
+    assert cmath.isnan(got.value) and cmath.isnan(want.value)
     assert cmath.isnan(oracles.sum_rescaled([LogPolarComplex(lm, 0.0) for lm in logs]).value)
+    assert (got.rescale_log.hex(), got.term_count) == (want.rescale_log.hex(), want.term_count)
 
 
 # the tails include the stop threshold itself below a peak of 0.0
 _SERIES_LOGS = st.one_of(st.just(-math.inf), st.floats(-60.0, 60.0),
-                         st.sampled_from([*_TIED_LOGS[:4], math.log(1e-15) - math.log(4.0)]))
+                         st.sampled_from([*_TIED_LOGS[:4], math.log(1e-15) - math.log(4.0),
+                                          math.nan]))
 
 
 _RATIOS = [math.inf, 3.0, 1.0, math.nextafter(0.5, 1.0), 0.5, 0.25, 0.0]
 
 
 def _same_as_per_term(**kw):
-    """certified_terms and the per-term reference give the same bits, or the
-    same ConvergenceError."""
+    """certified_terms and the phase-emitting references, with the per-term
+    stop test and with the threshold located once, give the same bits: the
+    logs, and the (cos, sin) pairs of the references' phases, both parts and
+    signed zeros included; or the same ConvergenceError.  Without a phase
+    step it gives every generated term's log in place, -inf ones included,
+    and step_phases the pairs of the terms kept."""
+    generated = []
+    term_log = kw["term_log"]
+    reference = dict(kw, term_log=lambda k: generated.append(k) or term_log(k))
     try:
-        want = oracles.certified_terms_per_term(**kw)
+        want = oracles.certified_terms_phases(**reference, per_term=True)
     except ConvergenceError as exc:
-        with pytest.raises(ConvergenceError) as got:
-            certified_terms(**kw)
-        assert str(got.value) == str(exc)
+        for per_term in (False, True):
+            with pytest.raises(ConvergenceError) as old:
+                oracles.certified_terms_phases(**kw, per_term=per_term)
+            assert str(old.value) == str(exc)
+        for step in (kw["phase_step"], None):
+            with pytest.raises(ConvergenceError) as got:
+                certified_terms(**dict(kw, phase_step=step))
+            assert str(got.value) == str(exc)
         return
+    old = oracles.certified_terms_phases(**kw)
+    assert [_hexes(old[0]), _hexes(old[1])] == [_hexes(want[0]), _hexes(want[1])]
     got = certified_terms(**kw)
-    assert [_hexes(got[0]), _hexes(got[1])] == [_hexes(want[0]), _hexes(want[1])]
+    assert _hexes(got[0]) == _hexes(want[0])
+    assert _pair_hexes(got[1]) == _pair_hexes(map(oracles.cis, want[1]))
+    logs = certified_terms(**dict(kw, phase_step=None))
+    start = kw.get("start", 0)
+    assert _hexes(logs) == [term_log(k).hex() for k in generated]
+    assert generated == list(range(start, start + len(logs)))
+    kept = [i for i, lm in enumerate(logs) if lm != -math.inf]
+    pairs = step_phases(kw["phase_step"], start, start + len(logs) - 1)
+    assert _pair_hexes(pairs[i] for i in kept) == _pair_hexes(got[1])
 
 
 @settings(max_examples=300)
@@ -354,8 +387,8 @@ def _geometric(ratio):
 
 
 def test_certified_terms_stops_on_tail_bound():
-    logs, phases = certified_terms(**_geometric(0.25))
-    assert len(logs) == len(phases) == 27 and set(phases) == {0.0}
+    logs, pairs = certified_terms(**_geometric(0.25))
+    assert len(logs) == len(pairs) == 27 and set(pairs) == {(1.0, 0.0)}
     # the last kept term is the first below (tol/4) * peak
     assert logs[-1] <= math.log(1e-15 / 4) < logs[-2]
 
@@ -364,17 +397,18 @@ def test_certified_terms_finite_sum_ends_at_stop():
     # ratio 2 never certifies: an infinite series raises, a finite one ends
     with pytest.raises(ConvergenceError):
         certified_terms(**_geometric(2.0))
-    logs, phases = certified_terms(**_geometric(2.0), start=3, stop=7)
+    logs, pairs = certified_terms(**_geometric(2.0), start=3, stop=7)
     assert [round(lm / math.log(2.0)) for lm in logs] == [3, 4, 5, 6, 7]
-    assert len(phases) == 5
+    assert len(pairs) == 5
     assert certified_terms(**_geometric(2.0), start=1, stop=0) == ([], [])
+    assert certified_terms(**dict(_geometric(2.0), phase_step=None), start=1, stop=0) == []
 
 
 def test_certified_terms_starting_peak():
     alone, _ = certified_terms(**_geometric(0.25))
     # a peak of e^10 summed elsewhere lets the series stop 10 nats earlier
-    seeded, phases = certified_terms(**_geometric(0.25), max_log=10.0)
-    assert len(seeded) == len(phases) < len(alone)
+    seeded, pairs = certified_terms(**_geometric(0.25), max_log=10.0)
+    assert len(seeded) == len(pairs) < len(alone)
     assert seeded[-1] <= 10.0 + math.log(1e-15 / 4) < seeded[-2]
 
 
@@ -387,37 +421,46 @@ def _phase_of_step(ph, k):
     return wrap_phase(k * ph)
 
 
+_AXIS_PAIRS = {(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)}
+
+
 @pytest.mark.parametrize("ph", [0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi,
                                 math.nextafter(math.pi, 0.0),
-                                math.nextafter(-math.pi, 0.0), 1.234])
+                                math.nextafter(-math.pi, 0.0), 1.234,
+                                math.pi / 3, 2 * math.pi / 3, math.pi / 6])
 def test_certified_terms_phase_steps(ph):
-    # term k's phase is the rule's, and with the step wrap_phase(-ph) it is
-    # the rule's at -k, bit for bit, sign of zero included
+    # term k's pair is (cos, sin) of the rule's phase, looked up on the axes,
+    # and with the step wrap_phase(-ph) that of the rule's phase at -k, bit
+    # for bit, signs of zeros included
     kw = dict(term_log=lambda k: 0.0, ratio_bound=lambda k: 1.0, stop=500)
     _, up = certified_terms(phase_step=ph, **kw)
-    assert [p.hex() for p in up] == [_phase_of_step(ph, k).hex() for k in range(501)]
+    assert _pair_hexes(up) == _pair_hexes(oracles.cis(_phase_of_step(ph, k))
+                                          for k in range(501))
     _, down = certified_terms(phase_step=wrap_phase(-ph), start=1, **kw)
-    assert [p.hex() for p in down] == [_phase_of_step(ph, -k).hex() for k in range(1, 501)]
-    # step_phases gives the phases of terms whose logs were kept apart: the
+    assert _pair_hexes(down) == _pair_hexes(oracles.cis(_phase_of_step(ph, -k))
+                                            for k in range(1, 501))
+    if ph in (0.0, math.pi / 2, -math.pi / 2, math.pi):
+        assert set(up) <= _AXIS_PAIRS and set(down) <= _AXIS_PAIRS
+    # step_phases gives the pairs of terms whose logs were kept apart: the
     # loop's bits, for a run of terms starting anywhere, negative k included
-    assert [p.hex() for p in step_phases(ph, 0, 500)] == [p.hex() for p in up]
-    assert [p.hex() for p in step_phases(wrap_phase(-ph), 1, 500)] == [p.hex() for p in down]
-    assert [p.hex() for p in step_phases(ph, 7, 40)] == [p.hex() for p in up[7:41]]
-    assert [p.hex() for p in step_phases(ph, -500, -1)] == [p.hex() for p in down[::-1]]
+    assert _pair_hexes(step_phases(ph, 0, 500)) == _pair_hexes(up)
+    assert _pair_hexes(step_phases(wrap_phase(-ph), 1, 500)) == _pair_hexes(down)
+    assert _pair_hexes(step_phases(ph, 7, 40)) == _pair_hexes(up[7:41])
+    assert _pair_hexes(step_phases(ph, -500, -1)) == _pair_hexes(down[::-1])
     assert step_phases(ph, 1, 0) == []
 
 
 def test_certified_terms_tail_majorant():
     # terms vanish at k >= 1, but the majorant 0.25^k must still clear tol
-    logs, phases = certified_terms(term_log=lambda k: 0.0 if k == 0 else -math.inf,
-                                   phase_step=0.0, ratio_bound=lambda k: 0.25,
-                                   tail_log=lambda k: k * math.log(0.25))
-    assert logs == [0.0] and phases == [0.0]
+    logs, pairs = certified_terms(term_log=lambda k: 0.0 if k == 0 else -math.inf,
+                                  phase_step=0.0, ratio_bound=lambda k: 0.25,
+                                  tail_log=lambda k: k * math.log(0.25))
+    assert logs == [0.0] and pairs == [(1.0, 0.0)]
     # without it the first vanishing term stops the series; ratio_bound is
     # consulted only where the tail test passed, at k = 1, not at k = 0
     steps = []
-    logs, phases = certified_terms(term_log=lambda k: 0.0 if k == 0 else -math.inf,
-                                   phase_step=0.0,
-                                   ratio_bound=lambda k: steps.append(k) or 0.25)
-    assert logs == [0.0] and phases == [0.0]
+    logs, pairs = certified_terms(term_log=lambda k: 0.0 if k == 0 else -math.inf,
+                                  phase_step=0.0,
+                                  ratio_bound=lambda k: steps.append(k) or 0.25)
+    assert logs == [0.0] and pairs == [(1.0, 0.0)]
     assert steps == [1]

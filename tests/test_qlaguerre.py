@@ -11,8 +11,6 @@ from qpr.qlaguerre import (
     ScalingParameter,
     _log_factor_e,
     _log_factor_f,
-    factor_e,
-    factor_f,
     laguerre_direct,
     normalized_laguerre_lp,
     split_sums,
@@ -20,8 +18,8 @@ from qpr.qlaguerre import (
 from qpr.qseries import QContext, poch_table, pochhammer
 
 import oracles
-from oracles import QI, half_sum, laguerre_scaled_lp, normalized_laguerre, normalizer_lp, \
-    scale_point_lp, split_normalizer_lp
+from oracles import QI, factor_e, factor_f, half_sum, laguerre_scaled_lp, normalized_laguerre, \
+    normalizer_lp, scale_point_lp, split_normalizer_lp
 
 
 def sp_rat(tau, theta) -> ScalingParameter:

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import qpr.numerics as numerics
 import qpr.qlaguerre as qlaguerre
 import qpr.qseries as qseries
-from qpr.diophantine import RealValue
+from qpr.diophantine import FIXTURES, RealValue
 from qpr.numerics import ConvergenceError, DomainError
 from qpr.qlaguerre import ScalingParameter, normalized_laguerre_lp, split_sums
 from qpr.qseries import (
@@ -105,9 +105,10 @@ class TestQContext:
             QContext(0.5, 0.0, 1.5e308 + 1.5e308j)
 
 class TestTableSaturation:
-    """A table stops at the first index whose entry equals its converged value
-    and drops the entries past it; every read gives the bits of the untrimmed
-    table, oracles.poch_table_untrimmed, whose factors run to a*q^k <= 1e-18."""
+    """A table stops at the first factor that leaves its sum unchanged, so its
+    last entry is the first that equals the converged value; every read gives
+    the bits of the untrimmed table, oracles.poch_table_untrimmed, whose
+    factors run to a*q^k <= 1e-18."""
 
     # a = q^(alpha+1) for alpha in {0, 0.5, 2}, and two negative a
     @pytest.mark.parametrize("a_of_q", [lambda q: q ** 1.0, lambda q: q ** 1.5,
@@ -128,6 +129,22 @@ class TestTableSaturation:
             assert table.log(k).hex() == want, k
             assert table.logs[min(k, table.sat)].hex() == want, k
         assert table.log_inf.hex() == full[-1].hex()
+
+    @pytest.mark.parametrize("a_of_q", [lambda q: q, lambda q: q ** 1.5, lambda q: -q * q],
+                             ids=["q", "q^1.5", "-q^2"])
+    def test_stops_where_a_factor_leaves_the_sum(self, a_of_q):
+        # at q = 0.9965 and a = q the factors reach 1e-18 only after the cap,
+        # but the sum stops moving before it: the table builds, its entries
+        # those of the factor-by-factor loop run past the cap
+        q = 0.9965
+        a = a_of_q(q)
+        table = qseries._PochTable(a, q)
+        full = oracles.poch_table_untrimmed(a, q, max_terms=2 * numerics.MAX_TERMS)
+        assert table.sat == full.index(full[-1]) <= numerics.MAX_TERMS
+        assert [x.hex() for x in table.logs] == [x.hex() for x in full[:table.sat + 1]]
+        if a == q:
+            with pytest.raises(ConvergenceError):
+                oracles.poch_table_untrimmed(a, q)
 
     def test_unsaturated_table_raises_as_before(self):
         with pytest.raises(ConvergenceError) as want:
@@ -377,8 +394,10 @@ def _bits(w: complex) -> tuple[str, str]:
 
 class TestPhaseConvention:
     """Phases are taken in (-pi, pi], so the sign of a zero imaginary part
-    reaches no value, and every term phase certified_terms returns for the
-    series' phase steps lies in that range."""
+    reaches no value, and every (cos, sin) pair a sum reads is that of its
+    phase wrap_phase(k phi) in that range: the pairs certified_terms returns
+    for the series' phase steps, those qlaguerre takes from a recurring
+    step's shared list or forms per sum, and the whole shared lists."""
 
     @pytest.mark.parametrize("fn, x", [
         (ramanujan_a, 0.7), (ramanujan_a, -1.3), (b_function, 0.7), (b_function, -1.3),
@@ -393,31 +412,47 @@ class TestPhaseConvention:
 
     @pytest.mark.parametrize("z", [0.7, -1.3, complex(0.7, -0.0), complex(-1.3, -0.0),
                                    0.6 - 1.1j, -0.4 + 0.9j])
-    def test_term_phases_lie_in_range(self, monkeypatch, z):
-        seen = []
+    def test_term_pairs_are_those_of_phases_in_range(self, monkeypatch, z):
+        runs = []  # (phase step, first k, pairs) of every run of terms read
 
-        def checked(*args, **kwargs):
-            logs, phases = numerics.certified_terms(*args, **kwargs)
-            seen.extend(phases)
-            return logs, phases
+        def checked(term_log, phase_step, ratio_bound, **kwargs):
+            out = numerics.certified_terms(term_log, phase_step, ratio_bound, **kwargs)
+            if phase_step is not None:  # no term vanishes in these sums
+                runs.append((phase_step, kwargs.get("start", 0), out[1]))
+            return out
 
+        def pairs(step, start, count, shared):
+            out = real_pairs(step, start, count, shared)
+            runs.append((step, start, out))
+            if shared:
+                runs.append((step, 0, qlaguerre._step_pairs(step)[0]))
+            return out
+
+        real_pairs = qlaguerre._pairs
         monkeypatch.setattr(qseries, "certified_terms", checked)
         monkeypatch.setattr(qlaguerre, "certified_terms", checked)
+        monkeypatch.setattr(qlaguerre, "_pairs", pairs)
         monkeypatch.setattr(oracles, "certified_terms", checked)
+        qlaguerre._step_pairs.cache_clear()
         q = 0.6
         ctx = QContext(q, 0.5, z)
-        third = RealValue.from_rational(F(1, 3))
         aq_series_lp(q, z, negate=True)
         aq_series_lp(q, z, negate=False)
         theta_lp(z, q)
         ramanujan_a_deriv(q, z)
         euler_product_series_check(z, q)
-        for n in (1, 7, 30):
-            normalized_laguerre_lp(ctx, ScalingParameter(RealValue.from_rational(F(1, 2)),
-                                                         third), n)
-            split_sums(ctx, ScalingParameter(RealValue.from_rational(F(-3, 4)), third), n)
-        assert len(seen) > 100
-        assert [ph for ph in seen if not -math.pi < ph <= math.pi] == []
+        for theta in (RealValue.from_rational(F(1, 3)), FIXTURES["sqrt2"]):
+            for n in (1, 7, 30, 200):
+                for tau in (F(1, 2), F(0)):
+                    normalized_laguerre_lp(ctx, ScalingParameter(RealValue.from_rational(tau),
+                                                                 theta), n)
+                split_sums(ctx, ScalingParameter(RealValue.from_rational(F(-3, 4)), theta), n)
+        assert sum(len(p) for _, _, p in runs) > 300
+        for step, start, got in runs:
+            phases = [oracles.step_phase(step, k) for k in range(start, start + len(got))]
+            assert all(-math.pi < ph <= math.pi for ph in phases)
+            assert [(c.hex(), s.hex()) for c, s in got] == \
+                [(c.hex(), s.hex()) for c, s in map(oracles.cis, phases)]
 
 
 class TestRatioBoundContract:

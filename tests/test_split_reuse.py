@@ -5,7 +5,7 @@ saturation point, both half sums' term logs depend on n only through
 (chi(m), c_n).  qpr.qlaguerre.split_sums keeps one slot per context and
 residue in the store _saturated: the first row whose halves both end inside
 their saturated windows fills it with their logs, and later rows whose
-halves end there read them and compute only their phases.  These tests hold
+halves end there read them and take only their (cos, sin) pairs.  These tests hold
 the reuse path to the direct path kept in oracles.split_sums_direct, bit
 for bit, at the degrees where each side condition of the reuse flips; check
 which rows may make and fill slots; and count the term generation that a
@@ -46,7 +46,8 @@ def assert_same_bits(res, n, ctx, sp):
         (total.log_mag.hex(), total.phase.hex()), n
     for got, want in ((res.terms1, terms1), (res.terms2, terms2)):
         assert [x.hex() for x in got[0]] == [x.hex() for x in want[0]], n
-        assert [x.hex() for x in got[1]] == [x.hex() for x in want[1]], n
+        assert [(c.hex(), s.hex()) for c, s in got[1]] == \
+            [(c.hex(), s.hex()) for c, s in want[1]], n
 
 
 def residue(sp: ScalingParameter, n: int) -> tuple[int, float]:
@@ -195,16 +196,16 @@ class TestGating:
         entry = _saturated(self.CTX, *residue(sp, n))
         assert _saturated.cache_info().hits >= hits + 2
         assert type(entry) is list and all(type(logs) is tuple for logs in entry)
-        # the result holds the slot's logs, which are tuples; its phases are
-        # lists of its own
+        # the result holds the slot's logs, which are tuples; its (cos, sin)
+        # pairs are lists of its own
         assert (first.terms1[0], first.terms2[0]) == tuple(entry[:2])
         for logs in (first.terms1[0], first.terms2[0]):
             with pytest.raises(TypeError):
                 logs[0] = 1e300
-        for phases in (first.terms1[1], first.terms2[1]):
-            assert type(phases) is list
-            phases[0] = 1e300
-            phases.append(0.0)
+        for pairs in (first.terms1[1], first.terms2[1]):
+            assert type(pairs) is list
+            pairs[0] = (1e300, 0.0)
+            pairs.append((0.0, 1.0))
         for k in (n, n + period, n + 7 * period):
             assert_same_bits(split_sums(self.CTX, sp, k), k, self.CTX, sp)
 
