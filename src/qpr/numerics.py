@@ -6,14 +6,13 @@ interesting.  The fix is structural rather than big-float: complex values
 are carried as (log-magnitude, phase) pairs, and finite sums are evaluated
 by factoring out the largest log-magnitude and compensated-summing the
 rescaled residuals in a deterministic order.  The summation kernel works on
-parallel lists of logs and (cos, sin) pairs, as certified_terms produces
-them, so it calls no trigonometry of its own.  Term k of a series with
-phase step phi has the angle wrap_phase(k phi); its pair is looked up on the
-four axis values and taken from cos and sin elsewhere, and a quarter step
-reads its pairs from a table of four.  certified_terms, the one truncation
-loop, forms the pair of each term it keeps; step_phases forms the same pairs
-for a run of k, for a caller that keeps one list per recurring step and asks
-certified_terms for logs alone.  Walking -k passes wrap_phase(-phi).
+parallel lists of logs and (cos, sin) pairs, so it calls no trigonometry of
+its own.  certified_terms, the one truncation loop, gives a series' term
+logs alone; term k of a series with phase step phi has the angle
+wrap_phase(k phi), and step_phases, the one function forming such pairs,
+gives them for a run of k: looked up on the four axis values and taken from
+cos and sin elsewhere, and from a table of four on a quarter step.  Walking
+-k passes wrap_phase(-phi).
 """
 
 from __future__ import annotations
@@ -258,8 +257,10 @@ def sum_rescaled(logs: Sequence[float],
 
 def step_phases(phase_step: float, start: int, stop: int) -> list[tuple[float, float]]:
     """The (cos, sin) pairs of wrap_phase(k * phase_step) for k = start..stop, exact
-    on quarter steps and on the four axis values: by its expressions, the pairs
-    certified_terms gives the terms it keeps."""
+    on quarter steps and on the four axis values: the pairs of a series' terms
+    start..stop, whose logs certified_terms gives.  For phi in (-pi, pi] the
+    step wrap_phase(-phi) gives the pairs of step_phases(phi, -k, -k) bit for
+    bit at k >= 1."""
     quarter = _QUARTER_STEPS.get(phase_step)
     if quarter is not None:
         return [_QUARTER_PAIRS[(quarter * k) % 4] for k in range(start, stop + 1)]
@@ -292,51 +293,30 @@ def _ratio_threshold(ratio_bound: Callable[[int], float], k: int, last: int) -> 
     return hi
 
 
-def certified_terms(term_log: Callable[[int], float], phase_step: float | None,
-                    ratio_bound: Callable[[int], float], *, start: int = 0,
-                    stop: int | None = None, max_log: float = _NEG_INF,
-                    tail_log: Callable[[int], float] | None = None):
-    """Collect series terms under a certified stopping rule, as parallel
-    lists (logs, cis) ready for :func:`sum_rescaled`.
+def certified_terms(term_log: Callable[[int], float], ratio_bound: Callable[[int], float],
+                    *, start: int = 0, stop: int | None = None, max_log: float = _NEG_INF,
+                    tail_log: Callable[[int], float] | None = None) -> list[float]:
+    """The log-magnitudes of a series' terms, under a certified stopping rule.
 
-    term_log(k) is term k's log-magnitude (-inf terms are left out) and
-    step_phases(phase_step, k, k)[0], computed inline, its (cos, sin) pair;
-    for phi in (-pi, pi] the step wrap_phase(-phi) gives the pairs of
-    step_phases(phi, -k, -k) bit for bit at k >= 1.  With phase_step None the
-    result is the list of logs alone, a -inf log kept in place as a zero, so
-    that term k is entry k - start, for a caller that holds the pairs of its
-    step already.  ratio_bound(k) must majorize |t_{k+1}/t_k| and be
-    non-increasing in k.  Generation stops at the first k where the ratio
-    bound is <= 1/2 and the tail majorant at k (tail_log(k), by default the
-    term itself) sits TOL/4 below the largest term seen, so the discarded tail
-    is at most 2|t_k| <= (TOL/2) * max-term.  The ratio bound is located once
-    per sum, where the tail test first holds: the first index at which it is
-    <= 1/2, found in O(log) calls; every later term pays the tail test and an
-    index compare.  max_log seeds the peak with terms summed elsewhere.  A
-    finite sum ends at the inclusive index stop; an infinite one raises
-    ConvergenceError after MAX_TERMS + 1 terms.
+    term_log(k) is term k's log-magnitude; a -inf log, a zero term, stays in
+    place, so that term k is entry k - start, and step_phases gives the
+    pairs to sum with the logs.  ratio_bound(k) must majorize |t_{k+1}/t_k|
+    and be non-increasing in k.  Generation stops at the first k where the
+    ratio bound is <= 1/2 and the tail majorant at k (tail_log(k), by default
+    the term itself) sits TOL/4 below the largest term seen, so the discarded
+    tail is at most 2|t_k| <= (TOL/2) * max-term.  The ratio bound is located
+    once per sum, where the tail test first holds: the first index at which
+    it is <= 1/2, found in O(log) calls; every later term pays the tail test
+    and an index compare.  max_log seeds the peak with terms summed
+    elsewhere.  A finite sum ends at the inclusive index stop; an infinite
+    one raises ConvergenceError after MAX_TERMS + 1 terms.
     """
     logs: list[float] = []
-    pairs: list[tuple[float, float]] = []
-    angles = phase_step is not None
-    quarter = _QUARTER_STEPS.get(phase_step)
-    remainder, neg_pi, cardinal, cos, sin = math.remainder, -math.pi, _CARDINAL.get, \
-        math.cos, math.sin
     last = start + MAX_TERMS if stop is None else stop
     threshold = None  # the ratio bound's first index <= 1/2, once the tail test held
     for k in range(start, last + 1):
         tl = term_log(k)
-        if not angles:
-            logs.append(tl)
-        elif tl != _NEG_INF:
-            logs.append(tl)
-            if quarter is None:
-                r = remainder(k * phase_step, TWO_PI)
-                if r <= neg_pi:
-                    r += TWO_PI
-                pairs.append(cardinal(r) or (cos(r), sin(r)))
-            else:
-                pairs.append(_QUARTER_PAIRS[(quarter * k) % 4])
+        logs.append(tl)
         if tl > max_log:
             max_log = tl
         tail = tl if tail_log is None else tail_log(k)
@@ -344,7 +324,7 @@ def certified_terms(term_log: Callable[[int], float], phase_step: float | None,
             if threshold is None:
                 threshold = _ratio_threshold(ratio_bound, k, last)
             if k >= threshold:
-                return (logs, pairs) if angles else logs
+                return logs
     if stop is not None:
-        return (logs, pairs) if angles else logs
+        return logs
     raise ConvergenceError(f"series not certified within {MAX_TERMS} terms")

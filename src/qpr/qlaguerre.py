@@ -17,13 +17,14 @@ from the exact RealValue reduction, so phases stay accurate at degrees
 where n*theta itself has outgrown double resolution.
 
 Term k of a sum has the angle wrap_phase(k phi) of the sum's phase step phi,
-which depends on n only through d_n = {n theta}.  For an exact rational
-theta the step recurs with period den(theta), so _step_pairs keeps one list
-of (cos, sin) pairs per step, shared by every row and context with that
-step and extended as far as the longest sum has read: the reversed sum
-(cases 1 and 2) and both split halves (cases 4 and 6) ask certified_terms
-for their logs alone and slice their pairs from it.  Cases 3, 5 and 7 form
-their pairs per sum.  The pairs are those certified_terms would form.
+which depends on n only through d_n = {n theta}.  certified_terms gives a
+sum's logs, and _pairs the (cos, sin) pairs of those angles, once per sum.
+For an exact rational theta the step recurs with period den(theta), so
+_step_pairs keeps one list of pairs per step, shared by every row and
+context with that step and extended as far as the longest sum has read: the
+reversed sum (cases 1 and 2) and both split halves (cases 4 and 6) slice
+their pairs from it.  Cases 3, 5 and 7 form their pairs per sum.  Either
+way the pairs are those of step_phases.
 
 Once a row's Pochhammer indices pass the tables' saturation point, its
 terms depend on n only through a residue: d_n = {n theta} for the reversed
@@ -151,15 +152,18 @@ def normalized_laguerre_lp(ctx: QContext, sp: ScalingParameter, n: int) -> LogPo
         return (log_an - tql[k if k < tqs else tqs] - tql[j if j < tqs else tqs]
                 - tal[j if j < tas else tas] + (k * k + tau_n * k) * lq - k * log_zqa)
 
+    if tau_n == math.inf:
+        # q^(tau n k) is exactly 0 at every k >= 1, so the sum is term 0,
+        # where (k * k + tau_n * k) * lq would read inf * 0
+        logs = [log_an - tq.log(n) - ta.log(n)]
+    else:
+        logs = certified_terms(
+            term_log=term_log,
+            ratio_bound=lambda k: exp_or_inf((2 * k + 1 + tau_n) * lq - log_zqa - log_1mq),
+            stop=n,
+        )
     step = wrap_phase(math.pi - phase(ctx.z) + TWO_PI * d_n)
-    terms = certified_terms(
-        term_log=term_log,
-        phase_step=None if shared else step,
-        ratio_bound=lambda k: exp_or_inf((2 * k + 1 + tau_n) * lq - log_zqa - log_1mq),
-        stop=n,
-    )
-    logs, cis = (terms, _pairs(step, 0, len(terms), True)) if shared else terms
-    value = sum_rescaled(logs, cis).to_lp()
+    value = sum_rescaled(logs, _pairs(step, 0, len(logs), shared)).to_lp()
     # a sum that ran to its stop has K = n and fills nothing
     if slot is not None and n - len(logs) + 1 >= top:
         slot[:] = value, len(logs) - 1
@@ -249,9 +253,9 @@ def split_sums(ctx: QContext, sp: ScalingParameter, n: int,
     indices n - p and p are past the tables' saturation point has a slot in
     _saturated for (chi(m), c_n).  The first such row whose halves both end
     inside their saturated windows fills it with both halves' term logs, and
-    the two joined, as tuples; a later row whose halves end there reads them
-    and takes only its pairs, each half's by _pairs.  The bits are those of
-    the terms certified_terms would give it.
+    the two joined, as tuples; a later row whose halves end there reads them.
+    Either way each half takes its pairs by _pairs, once, and the bits are
+    those of the terms certified_terms would give the row.
     """
     tau = sp.tau.value
     if not (-2.0 < tau < 0.0):
@@ -288,8 +292,6 @@ def split_sums(ctx: QContext, sp: ScalingParameter, n: int,
         slot = _saturated(ctx, parity, c_n)
     if slot and len(slot[0]) - 1 <= e_hi and len(slot[1]) <= f_hi:
         logs1, logs2, logs = slot
-        terms1 = logs1, _pairs(ph_w1, 0, len(logs1), shared)
-        terms2 = logs2, _pairs(ph_w2, 1, len(logs2), shared)
     else:
         e_lo, f_lo = -f_hi, -e_hi
         log_w1 = math.log(ctx.abs_z) + (ctx.alpha + parity + c_n) * lq
@@ -299,31 +301,28 @@ def split_sums(ctx: QContext, sp: ScalingParameter, n: int,
         # each factor is this float, by the same expression
         sat_factor = log_euler2 + log_an - tq.log_inf - tq.log_inf - ta.log_inf
         # Pochhammer factors are <= 1, so q^(k^2) |w1|^(+-k) majorizes each tail.
-        terms1 = certified_terms(
+        logs1 = certified_terms(
             term_log=lambda k: (k * k * lq + k * log_w1
                                 + (sat_factor if e_lo <= k <= e_hi else
                                    _log_factor_e(tq, ta, log_euler2, log_an, p, n, k))),
-            phase_step=None if shared else ph_w1,
             ratio_bound=lambda k: exp_or_inf((2 * k + 1) * lq + log_w1),
             stop=p,
             tail_log=lambda k: k * k * lq + k * log_w1,
         )
-        terms2 = certified_terms(
+        logs2 = certified_terms(
             term_log=lambda k: (k * k * lq - k * log_w1
                                 + (sat_factor if f_lo <= k <= f_hi else
                                    _log_factor_f(tq, ta, log_euler2, log_an, p, n, k))),
-            phase_step=None if shared else ph_w2,
             ratio_bound=lambda k: exp_or_inf((2 * k + 1) * lq - log_w1),
             start=1,
             stop=n - p,
             tail_log=lambda k: k * k * lq - k * log_w1,
         )
-        if shared:
-            terms1 = terms1, _pairs(ph_w1, 0, len(terms1), True)
-            terms2 = terms2, _pairs(ph_w2, 1, len(terms2), True)
-        logs = terms1[0] + terms2[0]
+        logs = logs1 + logs2
         # a half that ran to its stop overruns its window and fills nothing
-        if slot is not None and len(terms1[0]) - 1 <= e_hi and len(terms2[0]) <= f_hi:
-            slot[:] = tuple(terms1[0]), tuple(terms2[0]), tuple(logs)
+        if slot is not None and len(logs1) - 1 <= e_hi and len(logs2) <= f_hi:
+            slot[:] = tuple(logs1), tuple(logs2), tuple(logs)
+    terms1 = logs1, _pairs(ph_w1, 0, len(logs1), shared)
+    terms2 = logs2, _pairs(ph_w2, 1, len(logs2), shared)
     total = sum_rescaled(logs, terms1[1] + terms2[1])
     return SplitSumResult(total.to_lp(), terms1, terms2, m, p, c_n, d_n, m1)

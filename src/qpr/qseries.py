@@ -10,7 +10,8 @@ stops only once that majorant clears numerics.TOL, with the fixed term cap
 numerics.MAX_TERMS acting purely as a safety net that raises ConvergenceError.
 
 All series are generated termwise by :func:`qpr.numerics.certified_terms`
-as lists of log-magnitudes and (cos, sin) pairs, and summed with
+as lists of log-magnitudes, paired once with the (cos, sin) pairs of
+:func:`qpr.numerics.step_phases` and summed with
 :func:`qpr.numerics.sum_rescaled`, so arguments of extreme magnitude cannot
 overflow intermediate arithmetic.
 """
@@ -36,6 +37,7 @@ from .numerics import (
     exp_or_inf,
     lp,
     phase,
+    step_phases,
     sum_rescaled,
     wrap_phase,
 )
@@ -256,12 +258,11 @@ def aq_series_lp(q: float, z: complex, negate: bool) -> LogPolarComplex:
     table = poch_table(q, q)
     lq = math.log(q)
     lz = math.log(abs_z)
-    terms = certified_terms(
+    logs = certified_terms(
         term_log=lambda k: k * k * lq + k * lz - table.log(k),
-        phase_step=phase(-z if negate else z),
         ratio_bound=lambda k: (q ** (2 * k + 1)) * abs_z / (1.0 - q),
     )
-    return sum_rescaled(*terms).to_lp()
+    return sum_rescaled(logs, step_phases(phase(-z if negate else z), 0, len(logs) - 1)).to_lp()
 
 
 def ramanujan_a_deriv(q: float, z: complex) -> complex:
@@ -275,12 +276,11 @@ def ramanujan_a_deriv(q: float, z: complex) -> complex:
     if z == 0:
         return -q / (1.0 - q) + 0j
     lz = math.log(abs(z))
-    terms = certified_terms(
+    logs = certified_terms(
         term_log=lambda j: (j + 1) * (j + 1) * lq + j * lz + math.log(j + 1) - table.log(j + 1),
-        phase_step=phase(-z),
         ratio_bound=lambda j: (q ** (2 * j + 3)) * abs(z) * (j + 2) / ((j + 1) * (1.0 - q)),
     )
-    return -sum_rescaled(*terms).to_complex()
+    return -sum_rescaled(logs, step_phases(phase(-z), 0, len(logs) - 1)).to_complex()
 
 
 def theta_lp(z: complex, q: float) -> LogPolarComplex:
@@ -305,15 +305,14 @@ def theta_lp(z: complex, q: float) -> LogPolarComplex:
     logs, pairs = [0.0], [(1.0, 0.0)]
     for sign, step in ((+1, ph), (-1, wrap_phase(-ph))):
         # each tail's peak includes the shared k = 0 term
-        tail_logs, tail_pairs = certified_terms(
+        tail = certified_terms(
             term_log=lambda j: j * j * lq + sign * j * lz,
-            phase_step=step,
             ratio_bound=lambda j: exp_or_inf((2 * j + 1) * lq + sign * lz),
             start=1,
             max_log=0.0,
         )
-        logs += tail_logs
-        pairs += tail_pairs
+        logs += tail
+        pairs += step_phases(step, 1, len(tail))
     return sum_rescaled(logs, pairs).to_lp()
 
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 from qpr.diophantine import RealValue, as_real_value
 from qpr.numerics import LP_ONE, LP_ZERO, MAX_TERMS, TOL, TWO_PI, ConvergenceError, \
     DomainError, LogPolarComplex, RangeGuardError, abs_or_inf, certified_terms, exp_or_inf, \
-    lp, lp_mul, phase
+    lp, lp_mul, phase, step_phases
 from qpr.numerics import sum_rescaled as qpr_sum_rescaled
 from qpr.qlaguerre import _log_factor_e, _log_factor_f, normalized_laguerre_lp, split_sums
 from qpr.qseries import aq_series_lp, poch_table, pochhammer
@@ -403,34 +403,34 @@ def pochhammer_loop(a: complex, q: float, n: int | float | None,
 
 def normalized_laguerre_direct(ctx, sp, n: int):
     """The reversed sum at degree n, its terms generated with the row's own
-    stop and every Pochhammer factor read by _PochTable.log."""
+    stop and every Pochhammer factor read by _PochTable.log, each term's
+    phase by the series loop that gave it."""
     from qpr.numerics import wrap_phase
     lq, tq, ta = ctx.log_q, ctx.tq, ctx.ta
     tau_n = sp.tau.value * n
     _, d_n = sp.theta.mul_floor_frac(n)
     log_zqa, log_1mq, log_an = ctx.log_zqa, math.log1p(-ctx.q), ta.log(n)
-    terms = certified_terms(
+    logs, phases = certified_terms_phases(
         term_log=lambda k: (log_an - tq.log(k) - tq.log(n - k) - ta.log(n - k)
                             + (k * k + tau_n * k) * lq - k * log_zqa),
         phase_step=wrap_phase(math.pi - phase(ctx.z) + TWO_PI * d_n),
         ratio_bound=lambda k: exp_or_inf((2 * k + 1 + tau_n) * lq - log_zqa - log_1mq),
         stop=n,
     )
-    return qpr_sum_rescaled(*terms).to_lp()
+    return qpr_sum_rescaled(logs, [cis(ph) for ph in phases]).to_lp()
 
 
 # ---------------------------------------------------------------------------
 # split_sums as it was before saturated rows reused their term logs: every
-# row generates both halves through certified_terms.  qpr.qlaguerre.split_sums
-# must give the same bits.
+# row generates both halves through the series loop that gave each term its
+# phase.  qpr.qlaguerre.split_sums must give the same bits.
 # ---------------------------------------------------------------------------
 
 def split_sums_direct(ctx, sp, n: int):
     """(total, terms1, terms2) of the default decomposition -tau*n = m + c_n,
-    each half's terms generated with the row's own stops."""
+    each half's terms generated with the row's own stops, as (logs, pairs)."""
     from qpr.diophantine import chi
-    from qpr.numerics import TWO_PI, certified_terms, exp_or_inf, phase, sum_rescaled, \
-        wrap_phase
+    from qpr.numerics import wrap_phase
     m, c_n = sp.neg_tau.mul_floor_frac(n)
     _, d_n = sp.theta.mul_floor_frac(n)
     p = m // 2
@@ -450,7 +450,7 @@ def split_sums_direct(ctx, sp, n: int):
     sat_factor = log_euler2 + log_an - tq.log_inf - tq.log_inf - ta.log_inf
     top = max(tq.sat, ta.sat)
     e_lo, e_hi, f_lo, f_hi = top - n + p, p - tq.sat, tq.sat - p, n - p - top
-    terms1 = certified_terms(
+    terms1 = certified_terms_phases(
         term_log=lambda k: (k * k * lq + k * log_w1
                             + (sat_factor if e_lo <= k <= e_hi else log_factor_e(k))),
         phase_step=ph_w1,
@@ -458,7 +458,7 @@ def split_sums_direct(ctx, sp, n: int):
         stop=p,
         tail_log=lambda k: k * k * lq + k * log_w1,
     )
-    terms2 = certified_terms(
+    terms2 = certified_terms_phases(
         term_log=lambda k: (k * k * lq - k * log_w1
                             + (sat_factor if f_lo <= k <= f_hi else log_factor_f(k))),
         phase_step=wrap_phase(-ph_w1),
@@ -467,7 +467,8 @@ def split_sums_direct(ctx, sp, n: int):
         stop=n - p,
         tail_log=lambda k: k * k * lq - k * log_w1,
     )
-    total = sum_rescaled(terms1[0] + terms2[0], terms1[1] + terms2[1])
+    terms1, terms2 = [(logs, [cis(ph) for ph in phases]) for logs, phases in (terms1, terms2)]
+    total = qpr_sum_rescaled(terms1[0] + terms2[0], terms1[1] + terms2[1])
     return total.to_lp(), terms1, terms2
 
 
@@ -476,8 +477,10 @@ def split_sums_direct(ctx, sp, n: int):
 # (cos, sin) pairs: each term carried its phase, and the kernel looked it up
 # on the axes or called cos and sin; and the kernel as it was before that,
 # on one LogPolarComplex per term.  qpr.numerics.sum_rescaled, given the
-# pairs of those phases, and qpr.numerics.certified_terms must give the same
-# bits.  certified_terms_phases also keeps, as per_term, the stop test as it
+# pairs of those phases, must give the same bits; so must
+# qpr.numerics.certified_terms, which keeps the -inf logs this loop left out,
+# and qpr.numerics.step_phases, the pairs of the phases of the terms kept.
+# certified_terms_phases also keeps, as per_term, the stop test as it
 # was before the ratio bound was located once per sum: ratio_bound consulted
 # at every k where the tail test holds.
 # ---------------------------------------------------------------------------
@@ -722,12 +725,11 @@ def euler_product_series_check(z: complex, q: float) -> tuple[complex, complex]:
     table = poch_table(q, q)
     lq = math.log(q)
     lz = math.log(abs(z))
-    terms = certified_terms(
+    logs = certified_terms(
         term_log=lambda k: 0.5 * k * (k - 1) * lq + k * lz - table.log(k),
-        phase_step=phase(-z),
         ratio_bound=lambda k: (q ** k) * abs(z) / (1.0 - q),
     )
-    rhs = qpr_sum_rescaled(*terms).to_complex()
+    rhs = qpr_sum_rescaled(logs, step_phases(phase(-z), 0, len(logs) - 1)).to_complex()
     return lhs, rhs
 
 

@@ -870,6 +870,40 @@ class TestMagnitudeBeyondDoubleRange:
         assert "x must be finite" in capsys.readouterr().err
 
 
+class TestTauTimesDegreeOverflow:
+    # at tau = 1e307 and q = 0.5, tau * n overflows from n = 18 on: every
+    # term k >= 1 of the reversed sum is then exactly zero, so a row is its
+    # term 0 alone, as row 17's is to double precision, and no cell is nan
+    ARGV = ["verify", "--q", "0.5", "--z=1", "--tau=1e307", "--theta", "1/3", "--n", "17..18"]
+
+    def test_rows_agree_but_for_n(self, capsys):
+        assert run_cli(self.ARGV) == 3  # neither row is eligible
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert [row.pop("n") for row in rows] == ["17", "18"]
+        assert rows[0] == rows[1]
+        assert rows[0]["exact_re"] == "1.0" and "nan" not in rows[0]["notes"]
+
+    def test_json_has_no_nan(self, capsys):
+        assert run_cli(self.ARGV + ["--format", "json"]) == 3
+        rows = json.loads(capsys.readouterr().out,
+                          parse_constant=lambda c: pytest.fail(f"{c} in JSON"))
+        assert [row.pop("n") for row in rows] == [17, 18] and rows[0] == rows[1]
+
+    def test_eval_normalized_laguerre(self, capsys):
+        values = []
+        for tau in ("1e307", "1e308"):
+            assert run_cli(["eval", "normalized_laguerre", "--q", "0.5", "--z=1", "--n", "5",
+                            f"--tau={tau}", "--theta", "1/3"]) == 0
+            values.append(capsys.readouterr().out.split(" = ", 1)[1])
+        assert "nan" not in values[1] and values[0] == values[1]
+
+    def test_sweep(self, capsys):
+        assert run_cli(["sweep", "--q", "0.5", "--z=1", "--tau-grid", "1e308",
+                        "--theta", "1/3"]) == 0
+        (row,) = csv.DictReader(capsys.readouterr().out.splitlines())
+        assert math.isfinite(float(row["first_observed_error"]))
+
+
 class TestPochhammerPastTheCap:
     # past MAX_TERMS = 10000 a finite order ends at the first factor from
     # which every factor is exactly 1: at q = 0.5 that is k = 53

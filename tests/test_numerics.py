@@ -243,53 +243,72 @@ _SERIES_LOGS = st.one_of(st.just(-math.inf), st.floats(-60.0, 60.0),
 _RATIOS = [math.inf, 3.0, 1.0, math.nextafter(0.5, 1.0), 0.5, 0.25, 0.0]
 
 
-def _same_as_per_term(**kw):
-    """certified_terms and the phase-emitting references, with the per-term
-    stop test and with the threshold located once, give the same bits: the
-    logs, and the (cos, sin) pairs of the references' phases, both parts and
-    signed zeros included; or the same ConvergenceError.  Without a phase
-    step it gives every generated term's log in place, -inf ones included,
-    and step_phases the pairs of the terms kept."""
+def _same_as_per_term(phase_step, **kw):
+    """certified_terms, with the threshold located once, and the
+    phase-emitting references, with the per-term stop test and without, give
+    the same bits, or the same ConvergenceError.  certified_terms gives every
+    generated term's log in place, -inf ones included; with those dropped,
+    its logs are the references', and step_phases over the same run of k
+    gives the (cos, sin) pairs of the references' phases, both parts and
+    signed zeros included.  sum_rescaled gives the same sum from both, and
+    the same factored-out log unless a log is NaN."""
     generated = []
     term_log = kw["term_log"]
     reference = dict(kw, term_log=lambda k: generated.append(k) or term_log(k))
     try:
-        want = oracles.certified_terms_phases(**reference, per_term=True)
+        want = oracles.certified_terms_phases(**reference, phase_step=phase_step,
+                                              per_term=True)
     except ConvergenceError as exc:
         for per_term in (False, True):
             with pytest.raises(ConvergenceError) as old:
-                oracles.certified_terms_phases(**kw, per_term=per_term)
+                oracles.certified_terms_phases(**kw, phase_step=phase_step, per_term=per_term)
             assert str(old.value) == str(exc)
-        for step in (kw["phase_step"], None):
-            with pytest.raises(ConvergenceError) as got:
-                certified_terms(**dict(kw, phase_step=step))
-            assert str(got.value) == str(exc)
+        with pytest.raises(ConvergenceError) as got:
+            certified_terms(**kw)
+        assert str(got.value) == str(exc)
         return
-    old = oracles.certified_terms_phases(**kw)
+    old = oracles.certified_terms_phases(**kw, phase_step=phase_step)
     assert [_hexes(old[0]), _hexes(old[1])] == [_hexes(want[0]), _hexes(want[1])]
-    got = certified_terms(**kw)
-    assert _hexes(got[0]) == _hexes(want[0])
-    assert _pair_hexes(got[1]) == _pair_hexes(map(oracles.cis, want[1]))
-    logs = certified_terms(**dict(kw, phase_step=None))
+    logs = certified_terms(**kw)
     start = kw.get("start", 0)
     assert _hexes(logs) == [term_log(k).hex() for k in generated]
     assert generated == list(range(start, start + len(logs)))
+    pairs = step_phases(phase_step, start, start + len(logs) - 1)
+    assert len(pairs) == len(logs)
     kept = [i for i, lm in enumerate(logs) if lm != -math.inf]
-    pairs = step_phases(kw["phase_step"], start, start + len(logs) - 1)
-    assert _pair_hexes(pairs[i] for i in kept) == _pair_hexes(got[1])
+    assert _hexes(logs[i] for i in kept) == _hexes(want[0])
+    assert _pair_hexes(pairs[i] for i in kept) == _pair_hexes(map(oracles.cis, want[1]))
+    got = sum_rescaled(logs, pairs)
+    ref = oracles.sum_rescaled_phases(*want)
+    assert (got.value.real.hex(), got.value.imag.hex(), *_hexes(got.to_lp())) == \
+        (ref.value.real.hex(), ref.value.imag.hex(), *_hexes(ref.to_lp()))
+    assert (got.term_count, ref.term_count) == (len(logs), len(want[0]))
+    # a NaN log makes both sums NaN; it leaves the sort without a total order,
+    # so a -inf log kept in place can move which log is factored out
+    if not any(map(math.isnan, logs)):
+        assert got.rescale_log.hex() == ref.rescale_log.hex()
 
 
-@settings(max_examples=300)
+# steps whose multiples land on the axis values without being quarter steps
+_AXIS_STEPS = [math.pi / 4, -math.pi / 4, 3 * math.pi / 4, math.pi / 3, 2 * math.pi / 3,
+               -2 * math.pi / 3, math.pi / 6, math.nextafter(math.pi, 0.0),
+               math.nextafter(-math.pi, 0.0)]
+
+
+@settings(max_examples=400)
 @given(st.lists(_SERIES_LOGS, min_size=1, max_size=30),
        st.none() | st.lists(_SERIES_LOGS, min_size=1, max_size=30),
        st.lists(st.sampled_from(_RATIOS), min_size=1, max_size=30), st.integers(0, 5),
-       _PHASES, st.integers(0, 1), st.none() | st.integers(-1, 40),
-       st.sampled_from([-math.inf, 0.0, 30.0]))
+       st.one_of(_PHASES, st.sampled_from(_AXIS_STEPS)), st.integers(0, 1),
+       st.none() | st.integers(-1, 40), st.sampled_from([-math.inf, 0.0, 30.0]))
+# a -inf log before a NaN one: the sum's factored-out log differs, not its value
+@example([-math.inf, math.nan], None, [math.inf], 0, 0.0, 0, None, -math.inf)
+@example([1.0, -math.inf, -2.0, math.nan], [0.0], [0.25], 1, math.pi / 4, 1, 3, 0.0)
 def test_certified_terms_identical_to_per_term_stop(tls, tails, ratios, nans, step, start,
                                                     stop, max_log):
     # a non-increasing bound, after up to five nan ones that never stop a
     # series; past the drawn lists every term vanishes and the ratio is at
-    # most 1/4, so each series stops
+    # most 1/4, so each series stops; quarter, axis-landing and random steps
     ratios = [math.nan] * nans + sorted(ratios, reverse=True)
 
     def drawn(values, past):
@@ -345,9 +364,8 @@ def test_certified_terms_threshold_like_per_term_stop(term_log, ratio_bound, kw)
 def test_certified_terms_locates_ratio_threshold_in_log_calls():
     # the tail test holds from k = 36; the bound reaches 1/2 at k = 5000
     calls = []
-    logs, _ = certified_terms(term_log=lambda k: -1.0 * k, phase_step=0.0,
-                              ratio_bound=lambda k: calls.append(k) or
-                              (1.0 if k < 5000 else 0.25))
+    logs = certified_terms(term_log=lambda k: -1.0 * k,
+                           ratio_bound=lambda k: calls.append(k) or (1.0 if k < 5000 else 0.25))
     assert len(logs) == 5001
     assert calls[0] == 36 and len(calls) <= 2 * math.ceil(math.log2(5000)) + 2
 
@@ -382,13 +400,13 @@ def test_to_complex_keeps_exact_zero_component_past_overflow():
 
 
 def _geometric(ratio):
-    return dict(term_log=lambda k: k * math.log(ratio), phase_step=0.0,
-                ratio_bound=lambda k: ratio)
+    return dict(term_log=lambda k: k * math.log(ratio), ratio_bound=lambda k: ratio)
 
 
 def test_certified_terms_stops_on_tail_bound():
-    logs, pairs = certified_terms(**_geometric(0.25))
-    assert len(logs) == len(pairs) == 27 and set(pairs) == {(1.0, 0.0)}
+    logs = certified_terms(**_geometric(0.25))
+    assert type(logs) is list and len(logs) == 27
+    assert set(step_phases(0.0, 0, len(logs) - 1)) == {(1.0, 0.0)}
     # the last kept term is the first below (tol/4) * peak
     assert logs[-1] <= math.log(1e-15 / 4) < logs[-2]
 
@@ -397,18 +415,18 @@ def test_certified_terms_finite_sum_ends_at_stop():
     # ratio 2 never certifies: an infinite series raises, a finite one ends
     with pytest.raises(ConvergenceError):
         certified_terms(**_geometric(2.0))
-    logs, pairs = certified_terms(**_geometric(2.0), start=3, stop=7)
+    logs = certified_terms(**_geometric(2.0), start=3, stop=7)
     assert [round(lm / math.log(2.0)) for lm in logs] == [3, 4, 5, 6, 7]
-    assert len(pairs) == 5
-    assert certified_terms(**_geometric(2.0), start=1, stop=0) == ([], [])
-    assert certified_terms(**dict(_geometric(2.0), phase_step=None), start=1, stop=0) == []
+    assert len(step_phases(0.0, 3, 7)) == 5
+    assert certified_terms(**_geometric(2.0), start=1, stop=0) == []
+    assert step_phases(0.0, 1, 0) == []
 
 
 def test_certified_terms_starting_peak():
-    alone, _ = certified_terms(**_geometric(0.25))
+    alone = certified_terms(**_geometric(0.25))
     # a peak of e^10 summed elsewhere lets the series stop 10 nats earlier
-    seeded, pairs = certified_terms(**_geometric(0.25), max_log=10.0)
-    assert len(seeded) == len(pairs) < len(alone)
+    seeded = certified_terms(**_geometric(0.25), max_log=10.0)
+    assert len(seeded) < len(alone)
     assert seeded[-1] <= 10.0 + math.log(1e-15 / 4) < seeded[-2]
 
 
@@ -428,39 +446,40 @@ _AXIS_PAIRS = {(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)}
                                 math.nextafter(math.pi, 0.0),
                                 math.nextafter(-math.pi, 0.0), 1.234,
                                 math.pi / 3, 2 * math.pi / 3, math.pi / 6])
-def test_certified_terms_phase_steps(ph):
+def test_step_phases_of_phase_steps(ph):
     # term k's pair is (cos, sin) of the rule's phase, looked up on the axes,
     # and with the step wrap_phase(-ph) that of the rule's phase at -k, bit
-    # for bit, signs of zeros included
-    kw = dict(term_log=lambda k: 0.0, ratio_bound=lambda k: 1.0, stop=500)
-    _, up = certified_terms(phase_step=ph, **kw)
+    # for bit, signs of zeros included: the pairs of the phases the series
+    # loop gave its terms
+    up = step_phases(ph, 0, 500)
     assert _pair_hexes(up) == _pair_hexes(oracles.cis(_phase_of_step(ph, k))
                                           for k in range(501))
-    _, down = certified_terms(phase_step=wrap_phase(-ph), start=1, **kw)
+    kw = dict(term_log=lambda k: 0.0, ratio_bound=lambda k: 1.0, stop=500)
+    _, phases = oracles.certified_terms_phases(phase_step=ph, **kw)
+    assert _pair_hexes(up) == _pair_hexes(map(oracles.cis, phases))
+    down = step_phases(wrap_phase(-ph), 1, 500)
     assert _pair_hexes(down) == _pair_hexes(oracles.cis(_phase_of_step(ph, -k))
                                             for k in range(1, 501))
+    _, phases = oracles.certified_terms_phases(phase_step=wrap_phase(-ph), start=1, **kw)
+    assert _pair_hexes(down) == _pair_hexes(map(oracles.cis, phases))
     if ph in (0.0, math.pi / 2, -math.pi / 2, math.pi):
         assert set(up) <= _AXIS_PAIRS and set(down) <= _AXIS_PAIRS
-    # step_phases gives the pairs of terms whose logs were kept apart: the
-    # loop's bits, for a run of terms starting anywhere, negative k included
-    assert _pair_hexes(step_phases(ph, 0, 500)) == _pair_hexes(up)
-    assert _pair_hexes(step_phases(wrap_phase(-ph), 1, 500)) == _pair_hexes(down)
+    # a run of terms starting anywhere, negative k included
     assert _pair_hexes(step_phases(ph, 7, 40)) == _pair_hexes(up[7:41])
     assert _pair_hexes(step_phases(ph, -500, -1)) == _pair_hexes(down[::-1])
     assert step_phases(ph, 1, 0) == []
 
 
 def test_certified_terms_tail_majorant():
-    # terms vanish at k >= 1, but the majorant 0.25^k must still clear tol
-    logs, pairs = certified_terms(term_log=lambda k: 0.0 if k == 0 else -math.inf,
-                                  phase_step=0.0, ratio_bound=lambda k: 0.25,
-                                  tail_log=lambda k: k * math.log(0.25))
-    assert logs == [0.0] and pairs == [(1.0, 0.0)]
+    # terms vanish at k >= 1, but the majorant 0.25^k must still clear tol:
+    # the vanishing terms stay in place, up to the first k where it does
+    logs = certified_terms(term_log=lambda k: 0.0 if k == 0 else -math.inf,
+                           ratio_bound=lambda k: 0.25, tail_log=lambda k: k * math.log(0.25))
+    assert logs == [0.0] + [-math.inf] * 26
     # without it the first vanishing term stops the series; ratio_bound is
     # consulted only where the tail test passed, at k = 1, not at k = 0
     steps = []
-    logs, pairs = certified_terms(term_log=lambda k: 0.0 if k == 0 else -math.inf,
-                                  phase_step=0.0,
-                                  ratio_bound=lambda k: steps.append(k) or 0.25)
-    assert logs == [0.0] and pairs == [(1.0, 0.0)]
+    logs = certified_terms(term_log=lambda k: 0.0 if k == 0 else -math.inf,
+                           ratio_bound=lambda k: steps.append(k) or 0.25)
+    assert logs == [0.0, -math.inf]
     assert steps == [1]

@@ -395,9 +395,9 @@ def _bits(w: complex) -> tuple[str, str]:
 class TestPhaseConvention:
     """Phases are taken in (-pi, pi], so the sign of a zero imaginary part
     reaches no value, and every (cos, sin) pair a sum reads is that of its
-    phase wrap_phase(k phi) in that range: the pairs certified_terms returns
-    for the series' phase steps, those qlaguerre takes from a recurring
-    step's shared list or forms per sum, and the whole shared lists."""
+    phase wrap_phase(k phi) in that range: the pairs step_phases forms for
+    every sum, those qlaguerre takes from a recurring step's shared list or
+    forms per sum, and the whole shared lists."""
 
     @pytest.mark.parametrize("fn, x", [
         (ramanujan_a, 0.7), (ramanujan_a, -1.3), (b_function, 0.7), (b_function, -1.3),
@@ -415,10 +415,9 @@ class TestPhaseConvention:
     def test_term_pairs_are_those_of_phases_in_range(self, monkeypatch, z):
         runs = []  # (phase step, first k, pairs) of every run of terms read
 
-        def checked(term_log, phase_step, ratio_bound, **kwargs):
-            out = numerics.certified_terms(term_log, phase_step, ratio_bound, **kwargs)
-            if phase_step is not None:  # no term vanishes in these sums
-                runs.append((phase_step, kwargs.get("start", 0), out[1]))
+        def checked(phase_step, start, stop):
+            out = numerics.step_phases(phase_step, start, stop)
+            runs.append((phase_step, start, out))
             return out
 
         def pairs(step, start, count, shared):
@@ -429,10 +428,10 @@ class TestPhaseConvention:
             return out
 
         real_pairs = qlaguerre._pairs
-        monkeypatch.setattr(qseries, "certified_terms", checked)
-        monkeypatch.setattr(qlaguerre, "certified_terms", checked)
+        monkeypatch.setattr(qseries, "step_phases", checked)
+        monkeypatch.setattr(qlaguerre, "step_phases", checked)
         monkeypatch.setattr(qlaguerre, "_pairs", pairs)
-        monkeypatch.setattr(oracles, "certified_terms", checked)
+        monkeypatch.setattr(oracles, "step_phases", checked)
         qlaguerre._step_pairs.cache_clear()
         q = 0.6
         ctx = QContext(q, 0.5, z)
@@ -463,9 +462,9 @@ class TestRatioBoundContract:
     def test_every_in_tree_ratio_bound_is_non_increasing(self, monkeypatch):
         sites = {}
 
-        def recording(term_log, phase_step, ratio_bound, **kwargs):
+        def recording(term_log, ratio_bound, **kwargs):
             sites.setdefault(ratio_bound.__code__, []).append((ratio_bound, kwargs))
-            return numerics.certified_terms(term_log, phase_step, ratio_bound, **kwargs)
+            return numerics.certified_terms(term_log, ratio_bound, **kwargs)
 
         monkeypatch.setattr(qseries, "certified_terms", recording)
         monkeypatch.setattr(qlaguerre, "certified_terms", recording)

@@ -17,7 +17,11 @@ byte-identity checks of a change that must not alter output.  It also
 prints the line count of the qpr package in both trees (as ``wc -l``
 counts them) and each module's lines and tokens (counted by ``tokenize``
 as tests/test_module_size.py counts them, against its 4096 step), so size
-figures come from the same run as the byte check.
+figures come from the same run as the byte check; and, per workload and
+tree, the number of ``numerics.sum_rescaled`` calls and of the terms they
+summed over the replayed operations, counted by perfbench/tracer.py (also
+imported and not changed), so a change that must feed the summation kernel
+the same terms shows it in the same run.
 """
 
 from __future__ import annotations
@@ -49,13 +53,21 @@ def _runs(op: dict) -> list[list[str]]:
 
 def replay(src: str, out_path: str) -> None:
     """Run round 0 of every workload and seed with the qpr under src; write
-    one JSON line per operation (workload, seed, index, argv, code, stdout)."""
+    one JSON line per operation (workload, seed, index, argv, code, stdout),
+    and to out_path + ".sums.json" each workload's [calls, terms] of
+    sum_rescaled."""
     sys.path[:0] = [src, PERFBENCH]
     from qpr.cli import main
+    import tracer
     import workloads
 
+    traced = tracer.Tracer()
+    traced.install()
+    kernel = traced.leaf_acc["numerics.sum_rescaled"]  # calls, seconds, terms
+    sums = {}
     with open(out_path, "w", encoding="utf-8") as fh:
         for name in workloads.WORKLOADS:
+            calls, terms = kernel[0], kernel[2]
             for seed in SEEDS:
                 for i, op in enumerate(workloads.round_ops(name, seed, 0)):
                     for argv in _runs(op):
@@ -70,6 +82,10 @@ def replay(src: str, out_path: str) -> None:
                                 code = f"{type(exc).__name__}: {exc}"
                         fh.write(json.dumps([name, seed, i, argv, code, out.getvalue()]))
                         fh.write("\n")
+            sums[name] = [kernel[0] - calls, kernel[2] - terms]
+    traced.uninstall()
+    with open(out_path + ".sums.json", "w", encoding="utf-8") as fh:
+        json.dump(sums, fh)
 
 
 TOKEN_STEP = 4096  # tests/test_module_size.py: every module stays below it
@@ -123,7 +139,15 @@ def compare(parent_src: str) -> int:
                         print(f"  exit code: parent {code_a!r}, change {code_b!r}")
                     if out_a != out_b:
                         print(f"  stdout differs at {_first_diff(out_a, out_b)}")
+        sums = []
+        for path in paths:
+            with open(path + ".sums.json", encoding="utf-8") as fh:
+                sums.append(json.load(fh))
     print(f"{ops} operations ({replays} of them other-format replays), {differ} differ")
+    print("sum_rescaled calls and summed terms over them, parent -> change:")
+    for name in sums[0]:
+        (ca, ta), (cb, tb) = sums[0][name], sums[1][name]
+        print(f"  {name:16} {ca:7} -> {cb:7} calls  {ta:9} -> {tb:9} terms")
     parent, change = module_sizes(parent_src), module_sizes(os.path.join(ROOT, "src"))
     print(f"src/qpr lines: parent {sum(v[0] for v in parent.values())}, "
           f"change {sum(v[0] for v in change.values())}")
