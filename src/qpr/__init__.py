@@ -22,16 +22,8 @@ from .qseries import (
     theta,
     theta_triple_product,
 )
-from .diophantine import (
-    FIXTURES,
-    DiophantineWitness,
-    RealValue,
-    chi,
-    floor_frac,
-    joint_witness_search,
-    parse_real,
-    witness_search,
-)
+from .reals import FIXTURES, RealValue, chi, floor_frac, parse_real
+from .diophantine import DiophantineWitness, joint_witness_search, witness_search
 from .qlaguerre import (
     ScalingParameter,
     SplitSumResult,

@@ -40,11 +40,12 @@ from functools import lru_cache
 from typing import Sequence
 
 from .certify import MARGIN, RegimeReport, certify_row
-from .diophantine import DiophantineWitness, RealValue, check_search, chi, default_rho, \
-    joint_witness_search, witness_search
+from .diophantine import DiophantineWitness, check_search, default_rho, joint_witness_search, \
+    witness_search
 from .numerics import TWO_PI, DomainError, Majorant, exp_or_inf, lp, lp_mul, pow_or_inf
 from .qseries import QContext, aq_series_lp, b_function, pochhammer, ramanujan_a, theta
 from .qlaguerre import ScalingParameter, normalized_laguerre_lp, split_sums
+from .reals import RealValue, chi
 
 # Regimes certified at searched witness degrees (cases 1, 2, 4 take a dense grid).
 WITNESS_CASES = (3, 5, 6, 7)
@@ -164,11 +165,17 @@ def _theta_main(ctx: QContext, parity: int, u: float, v: float) -> complex:
 # the shared row steps: case check, witness plan
 # ---------------------------------------------------------------------------
 
+def check_case(case_id: int) -> int:
+    """case_id, checked to be one of the seven cases."""
+    if case_id not in (1, 2, 3, 4, 5, 6, 7):
+        raise DomainError(f"expected one of cases (1, 2, 3, 4, 5, 6, 7), got {case_id}")
+    return case_id
+
+
 def _require_case(sp: ScalingParameter, case_id: int) -> int:
     """case_id, checked to be one of the seven cases and the one the (tau, theta)
     declarations give, which covers every range and rationality condition."""
-    if case_id not in (1, 2, 3, 4, 5, 6, 7):
-        raise DomainError(f"expected one of cases (1, 2, 3, 4, 5, 6, 7), got {case_id}")
+    check_case(case_id)
     declared = classify_case(sp)
     if case_id != declared:
         raise DomainError(f"requested case {case_id} but (tau, theta) declarations "

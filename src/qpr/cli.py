@@ -34,6 +34,7 @@ from typing import NamedTuple, Sequence
 
 from .asymptotics import (
     WITNESS_CASES,
+    check_case,
     classify_case,
     predicted_decay,
     run_verify,
@@ -46,12 +47,12 @@ from .diophantine import (
     check_search,
     default_rho,
     joint_witness_search,
-    parse_real,
     witness_search,
 )
 from .numerics import ConvergenceError, DomainError, LogPolarComplex, phase
 from .qlaguerre import ScalingParameter, laguerre_direct, normalized_laguerre_lp
 from .qseries import QContext, aq_series_lp, pochhammer, theta_lp
+from .reals import parse_real
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -246,10 +247,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # every context and scaling invariant is checked before any row runs
+    # every context and scaling invariant, the case number and the search
+    # settings are checked before any row runs or the advisory of a tau <= -2
     sp = _scaling(args)
     ctx = _context(args)
-    case_id = None if args.case == "auto" else _integer(args.case, "case")
+    case_id = None if args.case == "auto" else check_case(_integer(args.case, "case"))
     n_values = _parse_n_range(args.n, args.n_step) if args.n else None
     check_search((args.beta, args.beta2), args.rho, args.nmax)
     advisory = scaling_range_advisory(sp.tau.value)

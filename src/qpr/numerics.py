@@ -169,7 +169,6 @@ class LogPolarComplex(NamedTuple):
         return self.log_mag / _LN10
 
 
-LP_ONE = LogPolarComplex(0.0, 0.0)
 LP_ZERO = LogPolarComplex(_NEG_INF, 0.0)
 
 

@@ -43,7 +43,6 @@ import math
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .diophantine import RealValue, as_real_value, chi
 from .numerics import (
     DomainError,
     LogPolarComplex,
@@ -58,6 +57,7 @@ from .numerics import (
     wrap_phase,
 )
 from .qseries import QContext
+from .reals import RealValue, as_real_value, chi
 
 # Natural-log headroom for direct evaluation; e^700 is close to the double max.
 _DIRECT_GUARD = 700.0

@@ -27,13 +27,13 @@ import json
 import math
 from fractions import Fraction
 
-from qpr.diophantine import RealValue, as_real_value
-from qpr.numerics import LP_ONE, LP_ZERO, MAX_TERMS, TOL, TWO_PI, ConvergenceError, \
+from qpr.numerics import LP_ZERO, MAX_TERMS, TOL, TWO_PI, ConvergenceError, \
     DomainError, LogPolarComplex, RangeGuardError, abs_or_inf, certified_terms, exp_or_inf, \
     lp, lp_mul, phase, step_phases
 from qpr.numerics import sum_rescaled as qpr_sum_rescaled
 from qpr.qlaguerre import _log_factor_e, _log_factor_f, normalized_laguerre_lp, split_sums
 from qpr.qseries import aq_series_lp, poch_table, pochhammer
+from qpr.reals import RealValue, as_real_value
 
 
 class QI:
@@ -293,7 +293,7 @@ def linear_witness_search(theta, beta, rho: float, n_max: int, lo: int = 1) -> l
     qpr.diophantine.witness_search must equal whatever it enumerates (on
     the window [lo, n_max] of its degrees).  A residual of exactly 0 passes
     |0| < n^-rho at every finite rho, also where n^-rho underflows to 0."""
-    from qpr.diophantine import DiophantineWitness, as_real_value, decompose
+    from qpr.diophantine import DiophantineWitness, decompose
     th = as_real_value(theta)
     beta_frac = Fraction(beta) if isinstance(beta, (int, Fraction)) else None
     beta_f = float(beta)
@@ -312,7 +312,7 @@ def linear_joint_witness_search(theta1, theta2, beta1, beta2, rho: float,
     """Joint witnesses by testing every degree lo..n_max on both angles, each
     by linear_witness_search's rule; a float angle's residual is trusted by
     qpr's own rule (_trusted)."""
-    from qpr.diophantine import DiophantineWitness, _trusted, as_real_value, decompose
+    from qpr.diophantine import DiophantineWitness, _trusted, decompose
     th1, th2 = as_real_value(theta1), as_real_value(theta2)
     pairs = [(Fraction(b) if isinstance(b, (int, Fraction)) else None, float(b))
              for b in (beta1, beta2)]
@@ -429,7 +429,7 @@ def normalized_laguerre_direct(ctx, sp, n: int):
 def split_sums_direct(ctx, sp, n: int):
     """(total, terms1, terms2) of the default decomposition -tau*n = m + c_n,
     each half's terms generated with the row's own stops, as (logs, pairs)."""
-    from qpr.diophantine import chi
+    from qpr.reals import chi
     from qpr.numerics import wrap_phase
     m, c_n = sp.neg_tau.mul_floor_frac(n)
     _, d_n = sp.theta.mul_floor_frac(n)
@@ -797,6 +797,9 @@ def split_normalizer_lp(ctx, sp, n: int, m: int, c_n: float, d_n: float):
     # p(tau n + p) = p(p - m) - p*c_n with the integer part exact
     expo = (p * (p - m) - p * c_n) * lq
     return lp_mul(num, lp(-expo, 0.0))
+
+
+LP_ONE = LogPolarComplex(0.0, 0.0)
 
 
 def lp_pow_int(b, k: int):

@@ -15,7 +15,8 @@ from fractions import Fraction as F
 
 from qpr.asymptotics import eval_case1, eval_case_aq, eval_case_theta, run_verify
 from qpr.certify import fit_decay_slope
-from qpr.diophantine import FIXTURES, RealValue, witness_search
+from qpr.diophantine import witness_search
+from qpr.reals import FIXTURES, RealValue
 from qpr.qlaguerre import ScalingParameter, laguerre_direct, split_sums
 from qpr.qseries import QContext, b_function, ramanujan_a, ramanujan_a_deriv, \
     remainder_r1, remainder_r2, theta, theta_triple_product

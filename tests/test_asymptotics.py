@@ -16,10 +16,10 @@ from qpr.asymptotics import (
     scaling_range_advisory,
 )
 from qpr.certify import NOISE_FLOOR, fit_decay_slope
-from qpr.diophantine import FIXTURES, RealValue
 from qpr.numerics import DomainError
 from qpr.qlaguerre import ScalingParameter
 from qpr.qseries import QContext, b_function, ramanujan_a, theta
+from qpr.reals import FIXTURES, RealValue
 
 
 FX = FIXTURES

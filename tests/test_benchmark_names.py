@@ -17,9 +17,9 @@ from collections import Counter
 import pytest
 
 from qpr.asymptotics import run_verify
-from qpr.diophantine import parse_real
 from qpr.qlaguerre import ScalingParameter
 from qpr.qseries import QContext
+from qpr.reals import parse_real
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -44,6 +44,15 @@ def test_traced_name_resolves(mod, name):
         assert callable(vars(getattr(module, cls))[attr])
     else:
         assert callable(getattr(module, name))
+
+
+def test_traced_real_class_is_the_one_every_module_uses():
+    # the leaf patch on diophantine.RealValue times every reduction of n*x,
+    # those of qlaguerre and asymptotics as well as those of the scans, only
+    # while the class it reaches is the one qpr.reals defines
+    import qpr.diophantine
+    import qpr.reals
+    assert qpr.diophantine.RealValue is qpr.reals.RealValue
 
 
 def test_pochhammer_table_cache_is_readable():

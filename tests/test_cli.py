@@ -779,6 +779,24 @@ class TestCaseToken:
         assert captured.err == f"error: {message}\n"
 
 
+class TestCaseBeforeAdvisory:
+    # the case number is checked before the advisory of a tau <= -2, as the
+    # search settings are; a valid case still gets the advisory
+    def test_case_outside_the_seven_is_usage_error(self, capsys):
+        assert run_cli(["verify", "--q", "0.5", "--z=1", "--case", "9", "--tau=-3",
+                        "--theta", "1/3", "--n", "5..6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: expected one of cases (1, 2, 3, 4, 5, 6, 7), got 9\n"
+
+    def test_valid_case_keeps_the_advisory(self, capsys):
+        assert run_cli(["verify", "--q", "0.5", "--z=1", "--case", "2", "--tau=-3",
+                        "--theta", "1/3", "--n", "5..6"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("advisory: tau = -3.0 lies at or below -2")
+        assert captured.out.splitlines() == [",".join(qpr.cli.VERIFY_COLUMNS)]
+
+
 class TestNonFiniteScalingTokens:
     # nan, inf and a decimal past double range are usage errors naming the
     # token under either declaration, never a bound violation or nan rows

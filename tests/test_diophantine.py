@@ -8,20 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from oracles import convergents, orbit
 
-from qpr.diophantine import (
-    FIXTURES,
-    DiophantineWitness,
-    RealValue,
-    as_real_value,
-    chi,
-    decompose,
-    default_rho,
-    floor_frac,
-    joint_witness_search,
-    parse_real,
-    witness_search,
-)
+from qpr.diophantine import DiophantineWitness, decompose, default_rho, joint_witness_search, \
+    witness_search
 from qpr.numerics import DomainError
+from qpr.reals import FIXTURES, RealValue, as_real_value, chi, floor_frac, parse_real
 
 
 class TestFloorFrac:

@@ -8,10 +8,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpr.diophantine import RealValue
 from qpr.numerics import LogPolarComplex, QprError
 from qpr.qlaguerre import ScalingParameter, laguerre_direct, normalized_laguerre_lp, split_sums
 from qpr.qseries import QContext, aq_series_lp, theta_lp
+from qpr.reals import RealValue
 
 SP_CASE1 = ScalingParameter(RealValue.from_rational(1), RealValue.from_rational(F(1, 3)))
 SP_STRIP = ScalingParameter(RealValue.from_rational(F(-3, 4)), RealValue.from_rational(F(1, 3)))

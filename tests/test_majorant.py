@@ -10,9 +10,9 @@ import math
 import pytest
 
 import qpr.asymptotics as asy
-from qpr.diophantine import parse_real
 from qpr.qlaguerre import ScalingParameter
 from qpr.qseries import QContext
+from qpr.reals import parse_real
 
 import oracles
 

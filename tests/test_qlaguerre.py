@@ -5,7 +5,6 @@ from fractions import Fraction as F
 import pytest
 
 import qpr.qlaguerre as ql
-from qpr.diophantine import FIXTURES, RealValue, chi
 from qpr.numerics import DomainError, RangeGuardError
 from qpr.qlaguerre import (
     ScalingParameter,
@@ -16,6 +15,7 @@ from qpr.qlaguerre import (
     split_sums,
 )
 from qpr.qseries import QContext, poch_table, pochhammer
+from qpr.reals import FIXTURES, RealValue, chi
 
 import oracles
 from oracles import QI, factor_e, factor_f, half_sum, laguerre_scaled_lp, normalized_laguerre, \

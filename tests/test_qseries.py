@@ -12,7 +12,6 @@ from hypothesis import example, given, settings, strategies as st
 import qpr.numerics as numerics
 import qpr.qlaguerre as qlaguerre
 import qpr.qseries as qseries
-from qpr.diophantine import FIXTURES, RealValue
 from qpr.numerics import ConvergenceError, DomainError
 from qpr.qlaguerre import ScalingParameter, normalized_laguerre_lp, split_sums
 from qpr.qseries import (
@@ -29,6 +28,7 @@ from qpr.qseries import (
     theta_lp,
     theta_triple_product,
 )
+from qpr.reals import FIXTURES, RealValue
 
 import oracles
 from oracles import euler_product_series_check, q_binomial

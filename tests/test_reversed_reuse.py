@@ -21,10 +21,10 @@ from fractions import Fraction as F
 import pytest
 
 import qpr.qlaguerre as ql
-from qpr.diophantine import FIXTURES, RealValue
 from qpr.numerics import MAX_TERMS
 from qpr.qlaguerre import ScalingParameter, _saturated, normalized_laguerre_lp
 from qpr.qseries import QContext
+from qpr.reals import FIXTURES, RealValue
 
 import oracles
 

@@ -24,10 +24,11 @@ import pytest
 import qpr.asymptotics as asy
 import qpr.qlaguerre as ql
 from qpr.asymptotics import eval_case_theta, run_verify
-from qpr.diophantine import FIXTURES, DiophantineWitness, RealValue, chi, decompose
+from qpr.diophantine import DiophantineWitness, decompose
 from qpr.numerics import MAX_TERMS
 from qpr.qlaguerre import ScalingParameter, _saturated, split_sums
 from qpr.qseries import QContext
+from qpr.reals import FIXTURES, RealValue, chi
 
 import oracles
 

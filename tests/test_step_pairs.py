@@ -22,11 +22,11 @@ from fractions import Fraction as F
 import pytest
 
 import qpr.asymptotics as asy
-from qpr.diophantine import RealValue
 from qpr.numerics import phase, wrap_phase
 from qpr.qlaguerre import ScalingParameter, _saturated, _step_pairs, normalized_laguerre_lp, \
     split_sums
 from qpr.qseries import QContext
+from qpr.reals import RealValue
 
 import oracles
 

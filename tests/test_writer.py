@@ -25,8 +25,8 @@ from hypothesis import strategies as st
 import oracles
 from qpr.cli import SWEEP_COLUMNS, VERIFY_COLUMNS, WITNESS_COLUMNS, _beta_value, \
     _witness_text, _write_rows, main
-from qpr.diophantine import DiophantineWitness, joint_witness_search, parse_real, \
-    witness_search
+from qpr.diophantine import DiophantineWitness, joint_witness_search, witness_search
+from qpr.reals import parse_real
 
 EDGE_FLOATS = [float("nan"), float("inf"), float("-inf"), 0.0, -0.0, 5e-324, -5e-324,
                1e16, 1e-7, 1e-5, 1e15, 1.7976931348623157e308, 0.1, -2.5]
